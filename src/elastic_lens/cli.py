@@ -18,7 +18,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -35,7 +34,8 @@ from .errors import (ConfigurationError, DataInconsistencyError,
                      UnsupportedGeometryError)
 from .inversion import (TravelTimeCurve, forward_travel_times, herglotz_invert,
                         invert_both_speeds, layer_strip_invert)
-from .model_core import BoxDomain, DiskDomain, load_model
+from .model_core import (BoxDomain, ConstantField, DepthField, DiskDomain,
+                         load_model)
 from .ray_tracer import (RayStatus, entry_at, fan_angles, lens_table,
                          scattering_relation, write_lens_csv)
 from .wavefield_analysis import extract_lens
@@ -83,18 +83,6 @@ def _write_manifest(out_dir, command, config, inputs, t_start):
         "duration_seconds": time.monotonic() - t_start,
     }
     _write_json(Path(out_dir) / "manifest.json", manifest)
-
-
-def _threads(args):
-    n = getattr(args, "threads", None)
-    if n is None:
-        n = os.environ.get("ELASTIC_LENS_THREADS")
-    if n is None:
-        return 1
-    n = int(n)
-    if n < 1:
-        raise ConfigurationError("--threads must be a positive integer")
-    return n
 
 
 def _load_model_checked(path):
@@ -422,7 +410,10 @@ def cmd_compare(args):
     errs = []
     for coord, c_rec in rows:
         # radial profiles index by r, depth profiles by the last coordinate
-        point = (float(coord), 0.0)
+        if isinstance(speed, DepthField):
+            point = (0.0,) * (speed.dim - 1) + (float(coord),)
+        else:
+            point = (float(coord), 0.0)
         c_true = speed.value(point)
         errs.append(abs(c_rec - c_true) / c_true)
     report = {
@@ -503,6 +494,13 @@ def _pipeline_homogeneous(cfg, out, model):
     if not isinstance(domain, BoxDomain):
         raise _Stage("validate", ConfigurationError(
             "homogeneous pipeline requires a box domain"))
+    # the straight-chord predictions below hold for constant coefficients only
+    m = model.material
+    if m is None or not all(isinstance(f, ConstantField)
+                            for f in (m.lam, m.mu, m.rho)):
+        raise _Stage("validate", ModelError(
+            "homogeneous pipeline requires a material with constant "
+            "lambda, mu and rho"))
 
     # foliation stage: vertical planes foliate the box; check the p-speed
     rng = cfg["foliation_range"]
@@ -667,8 +665,6 @@ def cmd_pipeline(args):
 def _build_parser():
     p = argparse.ArgumentParser(prog="elastic-lens",
                                 description="Elastic-wave lens laboratory")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (fallback: ELASTIC_LENS_THREADS)")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("validate", help="check a model file")
@@ -751,7 +747,6 @@ def main(argv=None):
     except SystemExit as e:
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:
-        _threads(args)          # validate the thread cap early
         return args.func(args)
     except _Stage as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,7 +12,8 @@ Dirichlet-to-Neumann kernel.
 The stress is assembled pointwise from nodal material fields and its
 divergence taken with the same centered differences (one-sided second
 order at the edges), matching the divergence form of the operator and
-keeping the discretization self-adjoint up to edge effects.
+keeping the discretization self-adjoint up to edge effects.  One stress
+evaluation per step yields both the Neumann traces and the update.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, PreconditionError
+from .errors import ConfigurationError
 from .model_core import BoxDomain, ElasticMaterial, Grid2D
 
 CFL_SAFETY = 0.5
@@ -94,9 +95,6 @@ class WavefieldState:
     def velocity(self):
         return (self.u - self.u_prev) / self.dt
 
-    def is_finite(self):
-        return bool(np.all(np.isfinite(self.u)))
-
 
 @dataclass(frozen=True)
 class TractionTrace:
@@ -141,29 +139,16 @@ def sample_material(material: ElasticMaterial, grid: Grid2D) -> MaterialGrid:
     return MaterialGrid(grid, lam, mu, rho)
 
 
-def stress_tensor(material, grad_u, x=None):
-    """sigma = lam (div u) I + mu (grad u + grad u^T) for a 2x2 gradient.
-
-    `material` is either a (lam, mu) pair of numbers or an ElasticMaterial
-    (then x is required).
-    """
-    if isinstance(material, ElasticMaterial):
-        if x is None:
-            raise PreconditionError("evaluating a material stress needs a point x")
-        lam, mu = material.lam.value(x), material.mu.value(x)
-    else:
-        lam, mu = material
-    g = np.asarray(grad_u, dtype=float)
-    div = g[0, 0] + g[1, 1]
-    return lam * div * np.eye(2) + mu * (g + g.T)
+def _gradients(u: np.ndarray, h: float):
+    """(dux/dx, dux/dy, duy/dx, duy/dy) by centered differences."""
+    return (np.gradient(u[:, :, 0], h, axis=0),
+            np.gradient(u[:, :, 0], h, axis=1),
+            np.gradient(u[:, :, 1], h, axis=0),
+            np.gradient(u[:, :, 1], h, axis=1))
 
 
-def _stress_fields(mg: MaterialGrid, u: np.ndarray):
-    h = mg.grid.h
-    dux_dx = np.gradient(u[:, :, 0], h, axis=0)
-    dux_dy = np.gradient(u[:, :, 0], h, axis=1)
-    duy_dx = np.gradient(u[:, :, 1], h, axis=0)
-    duy_dy = np.gradient(u[:, :, 1], h, axis=1)
+def _stress_fields(mg: MaterialGrid, grads):
+    dux_dx, dux_dy, duy_dx, duy_dy = grads
     div = dux_dx + duy_dy
     sxx = mg.lam * div + 2.0 * mg.mu * dux_dx
     syy = mg.lam * div + 2.0 * mg.mu * duy_dy
@@ -171,14 +156,10 @@ def _stress_fields(mg: MaterialGrid, u: np.ndarray):
     return sxx, syy, sxy
 
 
-def apply_elastic_operator(mg: MaterialGrid, u: np.ndarray) -> np.ndarray:
-    """rho^-1 div sigma(u) on the grid (centered differences)."""
-    if u.shape != (mg.grid.nx, mg.grid.ny, 2):
-        raise PreconditionError(f"u shape {u.shape} does not match grid "
-                                f"({mg.grid.nx}, {mg.grid.ny}, 2)")
+def _divergence(mg: MaterialGrid, sxx, syy, sxy) -> np.ndarray:
+    """rho^-1 div sigma on the grid (centered differences)."""
     h = mg.grid.h
-    sxx, syy, sxy = _stress_fields(mg, u)
-    out = np.empty_like(u)
+    out = np.empty(sxx.shape + (2,))
     out[:, :, 0] = np.gradient(sxx, h, axis=0) + np.gradient(sxy, h, axis=1)
     out[:, :, 1] = np.gradient(sxy, h, axis=0) + np.gradient(syy, h, axis=1)
     out /= mg.rho[:, :, None]
@@ -222,34 +203,22 @@ def _edge_index(grid: Grid2D, edge: str) -> _EdgeIndex:
     raise ConfigurationError(f"unknown edge {edge!r}")
 
 
-def _apply_dirichlet(u, grid, source: BoundarySource | None, t):
+def _source_patch(grid: Grid2D, source: BoundarySource):
+    """(boundary slice, bump profile, polarization) of the source patch."""
+    idx = _edge_index(grid, source.edge)
+    return (idx.sl, source.profile(idx.along(grid)),
+            np.asarray(source.polarization, dtype=float))
+
+
+def _apply_dirichlet(u, patch, amp: float):
+    """Zero the walls, then drive the source patch at amplitude amp."""
     u[0, :, :] = 0.0
     u[-1, :, :] = 0.0
     u[:, 0, :] = 0.0
     u[:, -1, :] = 0.0
-    if source is not None:
-        idx = _edge_index(grid, source.edge)
-        prof = source.profile(idx.along(grid))
-        amp = float(source.pulse(t))
-        pol = np.asarray(source.polarization, dtype=float)
-        u[idx.sl][:, 0] = prof * amp * pol[0]
-        u[idx.sl][:, 1] = prof * amp * pol[1]
-
-
-def step(state: WavefieldState, mg: MaterialGrid, dt: float,
-         source: BoundarySource | None = None) -> WavefieldState:
-    """One leapfrog step; boundary values are re-imposed after the update."""
-    check_cfl(mg, dt)
-    eu = apply_elastic_operator(mg, state.u)
-    u_new = 2.0 * state.u - state.u_prev + dt * dt * eu
-    t_new = state.t + dt
-    _apply_dirichlet(u_new, mg.grid, source, t_new)
-    return WavefieldState(u_new, state.u, t_new, state.grid, dt)
-
-
-def zero_state(grid: Grid2D, dt: float) -> WavefieldState:
-    shape = (grid.nx, grid.ny, 2)
-    return WavefieldState(np.zeros(shape), np.zeros(shape), 0.0, grid, dt)
+    sl, prof, pol = patch
+    u[sl][:, 0] = prof * amp * pol[0]
+    u[sl][:, 1] = prof * amp * pol[1]
 
 
 def energy(state: WavefieldState, mg: MaterialGrid) -> float:
@@ -257,11 +226,9 @@ def energy(state: WavefieldState, mg: MaterialGrid) -> float:
     h = mg.grid.h
     v = state.velocity
     kinetic = mg.rho * (v[:, :, 0] ** 2 + v[:, :, 1] ** 2)
-    dux_dx = np.gradient(state.u[:, :, 0], h, axis=0)
-    dux_dy = np.gradient(state.u[:, :, 0], h, axis=1)
-    duy_dx = np.gradient(state.u[:, :, 1], h, axis=0)
-    duy_dy = np.gradient(state.u[:, :, 1], h, axis=1)
-    sxx, syy, sxy = _stress_fields(mg, state.u)
+    grads = _gradients(state.u, h)
+    dux_dx, dux_dy, duy_dx, duy_dy = grads
+    sxx, syy, sxy = _stress_fields(mg, grads)
     strain = sxx * dux_dx + syy * duy_dy + sxy * (dux_dy + duy_dx)
     return 0.5 * float(np.sum(kinetic + strain)) * h * h
 
@@ -327,24 +294,26 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     snaps = []
     snap_left = sorted(snapshot_times)
 
-    state = zero_state(grid, dt)
-    _apply_dirichlet(state.u, grid, source, 0.0)
+    patch = _source_patch(grid, source)
+    u = np.zeros((nx, ny, 2))
+    u_prev = np.zeros_like(u)
+    t = 0.0
+    _apply_dirichlet(u, patch, float(source.pulse(t)))
     for n in range(n_steps + 1):
-        sxx, syy, sxy = _stress_fields(mg, state.u)
+        sxx, syy, sxy = _stress_fields(mg, _gradients(u, h))
         for r, (edge, k, _) in enumerate(rec):
             tx, ty = _traction_at(sxx, syy, sxy, edges[edge], k)
             traces[r, n, 0] = tx
             traces[r, n, 1] = ty
-        while snap_left and state.t >= snap_left[0] - 0.5 * dt:
-            snaps.append(WavefieldState(state.u.copy(), state.u_prev.copy(),
-                                        state.t, grid, dt))
+        while snap_left and t >= snap_left[0] - 0.5 * dt:
+            snaps.append(WavefieldState(u.copy(), u_prev.copy(), t, grid, dt))
             snap_left.pop(0)
         if n == n_steps:
             break
-        eu = apply_elastic_operator(mg, state.u)
-        u_new = 2.0 * state.u - state.u_prev + dt * dt * eu
-        _apply_dirichlet(u_new, grid, source, state.t + dt)
-        state = WavefieldState(u_new, state.u, state.t + dt, grid, dt)
+        u_new = 2.0 * u - u_prev + dt * dt * _divergence(mg, sxx, syy, sxy)
+        t += dt
+        _apply_dirichlet(u_new, patch, float(source.pulse(t)))
+        u_prev, u = u, u_new
 
     out = [TractionTrace(rec[r][2], dt, traces[r]) for r in range(len(rec))]
     meta = {"grid": {"nx": nx, "ny": ny, "h": h}, "dt": dt, "steps": n_steps,

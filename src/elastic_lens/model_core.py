@@ -176,12 +176,6 @@ class RadialField(SpeedField):
             return c, np.zeros(len(x))
         return c, (self._df(r) / r) * x
 
-    def radial_derivative(self, r) -> float:
-        return float(self._df(float(r)))
-
-    def profile_value(self, r) -> float:
-        return float(self._f(float(r)))
-
 
 class DepthField(SpeedField):
     """c depending on the last coordinate only (depth profile)."""
@@ -319,14 +313,6 @@ def wave_speeds(material: ElasticMaterial, x):
     return material.wave_speeds(_point(x))
 
 
-def eval_speed(fld: SpeedField, x) -> float:
-    return fld.value(x)
-
-
-def eval_speed_grad(fld: SpeedField, x) -> np.ndarray:
-    return fld.gradient(x)
-
-
 # ---------------------------------------------------------------------------
 # domains
 
@@ -456,14 +442,6 @@ class UnsupportedOperation2D(ModelError):
         super().__init__("operation defined for 2D domains only")
 
 
-def signed_distance(domain: Domain, x) -> float:
-    return domain.signed(x)
-
-
-def boundary_normal(domain: Domain, x) -> np.ndarray:
-    return domain.normal(x)
-
-
 # ---------------------------------------------------------------------------
 # model files (JSON, "format": 1)
 
@@ -497,17 +475,6 @@ def field_from_spec(spec, dim=2, extent=1.0) -> SpeedField:
         grid = Grid2D(origin, float(spec["h"]), values.shape[0], values.shape[1])
         return GridField(grid, values)
     raise ModelError(f"unknown field kind {kind!r}")
-
-
-def field_to_spec(fld: SpeedField):
-    if isinstance(fld, ConstantField):
-        return {"kind": "constant", "c": fld.c}
-    if isinstance(fld, LinearField):
-        return {"kind": "linear", "a": fld.a, "b": list(fld.b)}
-    if isinstance(fld, GridField):
-        return {"kind": "grid", "origin": list(fld.grid.origin), "h": fld.grid.h,
-                "values": fld.values.tolist()}
-    raise ModelError(f"cannot serialize field of type {type(fld).__name__}")
 
 
 @dataclass(frozen=True)
@@ -550,22 +517,24 @@ def load_model(source) -> Model:
     fmt = doc.get("format", MODEL_FORMAT)
     if fmt != MODEL_FORMAT:
         raise ModelError(f"unsupported model format {fmt}")
+    try:
+        domain = domain_from_spec(doc["domain"]) if "domain" in doc else None
+        dim = domain.dim if domain is not None else 2
+        extent = 1.0
+        if isinstance(domain, DiskDomain):
+            extent = domain.radius + COLLAR
+        elif isinstance(domain, BoxDomain):
+            extent = float(np.max(np.abs(np.concatenate([domain.lo, domain.hi])))) + COLLAR
 
-    domain = domain_from_spec(doc["domain"]) if "domain" in doc else None
-    dim = domain.dim if domain is not None else 2
-    extent = 1.0
-    if isinstance(domain, DiskDomain):
-        extent = domain.radius + COLLAR
-    elif isinstance(domain, BoxDomain):
-        extent = float(np.max(np.abs(np.concatenate([domain.lo, domain.hi])))) + COLLAR
-
-    speed = field_from_spec(doc["speed"], dim=dim, extent=extent) if "speed" in doc else None
-    material = None
-    if "material" in doc:
-        m = doc["material"]
-        material = ElasticMaterial(
-            lam=field_from_spec(m["lambda"], dim=dim, extent=extent),
-            mu=field_from_spec(m["mu"], dim=dim, extent=extent),
-            rho=field_from_spec(m["rho"], dim=dim, extent=extent),
-        )
-    return Model(speed=speed, material=material, domain=domain, raw=doc)
+        speed = field_from_spec(doc["speed"], dim=dim, extent=extent) if "speed" in doc else None
+        material = None
+        if "material" in doc:
+            m = doc["material"]
+            material = ElasticMaterial(
+                lam=field_from_spec(m["lambda"], dim=dim, extent=extent),
+                mu=field_from_spec(m["mu"], dim=dim, extent=extent),
+                rho=field_from_spec(m["rho"], dim=dim, extent=extent),
+            )
+        return Model(speed=speed, material=material, domain=domain, raw=doc)
+    except KeyError as e:
+        raise ModelError(f"model is missing required key {e.args[0]!r}") from e

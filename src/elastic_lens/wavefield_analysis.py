@@ -369,14 +369,6 @@ def extract_lens(traces, source, source_point, receivers, predictions,
 # ---------------------------------------------------------------------------
 
 
-def _tangential_grads(u, spacing, n_tan):
-    grads = []
-    for a in range(n_tan):
-        ha = spacing[a] if np.ndim(spacing) else spacing
-        grads.append(np.gradient(u, ha, axis=a, edge_order=2))
-    return grads
-
-
 def neumann_to_cauchy(u, nu, lam, mu, spacing, geometry: str = "flat"):
     """Recover the normal derivative of u on a flat surface x_n = const.
 

@@ -45,6 +45,12 @@ def test_malformed_model_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"format": 1,')
     assert run(["validate", "--model", str(path)]) == cli.EXIT_MODEL
+    # schema errors: a disk without a radius, a radial speed without a profile
+    for doc in ({"format": 1, "domain": {"shape": "disk"}},
+                {"format": 1, "domain": {"shape": "disk", "radius": 1.0},
+                 "speed": {"kind": "radial"}}):
+        path = write_model(tmp_path, doc)
+        assert run(["validate", "--model", str(path)]) == cli.EXIT_MODEL
 
 
 def test_validate_negative_mu(tmp_path):
@@ -154,14 +160,6 @@ def test_simulate_reruns_byte_identical(small_sim):
             == (b / "metadata.json").read_bytes())
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    path = write_model(tmp_path, LINEAR_RADIAL_MODEL)
-    monkeypatch.setenv("ELASTIC_LENS_THREADS", "2")
-    assert run(["validate", "--model", str(path)]) == 0
-    monkeypatch.setenv("ELASTIC_LENS_THREADS", "0")
-    assert run(["validate", "--model", str(path)]) == cli.EXIT_CONFIG
-
-
 def test_radial_pipeline(tmp_path, capsys):
     model = write_model(tmp_path, LINEAR_RADIAL_MODEL)
     cfg = tmp_path / "cfg.json"
@@ -177,6 +175,37 @@ def test_radial_pipeline(tmp_path, capsys):
     assert (out / "curve.csv").exists()
     assert (out / "profile.csv").exists()
     assert (out / "manifest.json").exists()
+
+
+def test_compare_depth_profile_uses_last_coordinate(tmp_path, capsys):
+    model = write_model(tmp_path, {
+        "format": 1,
+        "domain": {"shape": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+        "speed": {"kind": "depth",
+                  "profile": [[0.0, 1.0], [0.5, 1.5], [1.0, 2.0]]},
+    })
+    prof = tmp_path / "profile.csv"
+    prof.write_text("z,c\n0.1,1.1\n0.5,1.5\n0.9,1.9\n")
+    assert run(["compare", "--profile", str(prof),
+                "--truth", str(model)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_rel_err"] < 1e-12
+
+
+def test_homogeneous_pipeline_refuses_heterogeneous_material(tmp_path):
+    model = write_model(tmp_path, {
+        "format": 1,
+        "domain": {"shape": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+        "material": {"lambda": {"kind": "linear", "a": 1.0, "b": [0.5, 0.0]},
+                     "mu": 1.0, "rho": 1.0},
+    })
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "homogeneous", "model": str(model),
+                               "T": 0.3, "h": 0.02}))
+    out = tmp_path / "run"
+    assert run(["pipeline", "--config", str(cfg),
+                "--out", str(out)]) == cli.EXIT_MODEL
+    assert not (out / "traces").exists()
 
 
 def test_pipeline_missing_model_key(tmp_path):

@@ -6,8 +6,7 @@ import pytest
 from elastic_lens.elastic_sim import (BoundarySource, MaterialGrid, bump,
                                       check_cfl, energy, receiver_nodes,
                                       ricker, sample_material, simulate_dn,
-                                      stable_dt, step, zero_state,
-                                      WavefieldState)
+                                      stable_dt, WavefieldState)
 from elastic_lens.errors import ConfigurationError
 from elastic_lens.model_core import BoxDomain, Grid2D
 

@@ -131,6 +131,16 @@ def test_load_model_malformed_json_raises():
         load_model("{not json")
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({"format": 1, "domain": {"shape": "disk"}}, "radius"),
+    ({"format": 1, "domain": {"shape": "disk", "radius": 1.0},
+      "speed": {"kind": "radial"}}, "profile"),
+])
+def test_load_model_missing_key_names_it(doc, key):
+    with pytest.raises(ModelError, match=key):
+        load_model(doc)
+
+
 def test_field_from_spec_bare_number_is_constant():
     f = field_from_spec(3.0, dim=2)
     assert f.value((0.1, 0.1)) == 3.0
