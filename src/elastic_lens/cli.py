@@ -172,37 +172,20 @@ def cmd_validate(args):
         hi = np.full(domain.dim, domain.radius)
     else:
         raise ConfigurationError("model must define a box or disk domain")
-    n = 48
-    xs = np.linspace(lo[0], hi[0], n)
-    ys = np.linspace(lo[1], hi[1], n)
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            p = (float(x), float(y))
-            if domain.signed(p) > -1e-9:
-                continue
-            try:
-                if model.material is not None:
-                    lam = model.material.lam.value(p)
-                    mu = model.material.mu.value(p)
-                    rho = model.material.rho.value(p)
-                    if mu <= 0:
-                        findings.append(f"mu must be positive at node ({i}, {j}), "
-                                        f"point {p}: {mu}")
-                    if rho <= 0:
-                        findings.append(f"rho must be positive at ({i}, {j}): {rho}")
-                    if lam + 2 * mu <= 0:
-                        findings.append(f"lambda + 2 mu must be positive at "
-                                        f"({i}, {j}): {lam + 2 * mu}")
-                    cp, cs = model.material.wave_speeds(p)
-                    if cp <= cs:
-                        findings.append(f"c_p <= c_s at ({i}, {j})")
-                if model.speed is not None:
-                    c = model.speed.value(p)
-                    if c <= 0:
-                        findings.append(f"speed must be positive at witness "
-                                        f"point {p}: {c}")
-            except ModelError as e:
-                findings.append(str(e))
+    axes = [np.linspace(a, b, 48) for a, b in zip(lo, hi)]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    points = points[domain.signed(points) <= -1e-9]
+    # fields refuse non-positive values, so lambda, mu, rho > 0 (and with
+    # them lambda + 2 mu > 0 and c_p > c_s) hold wherever evaluation succeeds
+    fields = [] if model.material is None else \
+        [model.material.lam, model.material.mu, model.material.rho]
+    if model.speed is not None:
+        fields.append(model.speed)
+    for f in fields:
+        try:
+            f.eval(points)
+        except ModelError as e:
+            findings.append(str(e))
     report = {"model": args.model, "pass": not findings, "findings": findings}
     if args.out:
         _write_json(args.out, report)
@@ -366,20 +349,23 @@ def cmd_extract(args):
     return EXIT_OK
 
 
-def _source_point(meta):
-    src = meta["source"]
-    g = meta["grid"]
-    # center of the source patch on its edge
-    edge, center = src["edge"], src["center"]
-    ox, oy = meta.get("origin", (0.0, 0.0))
-    w = (g["nx"] - 1) * g["h"], (g["ny"] - 1) * g["h"]
+def _edge_point(lo, hi, edge, center):
+    """Point at coordinate `center` along an edge of the box lo..hi."""
     if edge == "left":
-        return (ox, center)
+        return (lo[0], center)
     if edge == "right":
-        return (ox + w[0], center)
+        return (hi[0], center)
     if edge == "bottom":
-        return (center, oy)
-    return (center, oy + w[1])
+        return (center, lo[1])
+    return (center, hi[1])
+
+
+def _source_point(meta):
+    """Center of the source patch, from a simulation's metadata."""
+    g = meta["grid"]
+    ox, oy = meta.get("origin", (0.0, 0.0))
+    hi = (ox + (g["nx"] - 1) * g["h"], oy + (g["ny"] - 1) * g["h"])
+    return _edge_point((ox, oy), hi, meta["source"]["edge"], meta["source"]["center"])
 
 
 def cmd_invert(args):
@@ -407,15 +393,12 @@ def cmd_compare(args):
     rows = np.loadtxt(args.profile, delimiter=",", skiprows=1, ndmin=2)
     model = _load_model_checked(args.truth)
     speed = model.lens_speed()
-    errs = []
-    for coord, c_rec in rows:
-        # radial profiles index by r, depth profiles by the last coordinate
-        if isinstance(speed, DepthField):
-            point = (0.0,) * (speed.dim - 1) + (float(coord),)
-        else:
-            point = (float(coord), 0.0)
-        c_true = speed.value(point)
-        errs.append(abs(c_rec - c_true) / c_true)
+    # radial profiles index by r, depth profiles by the last coordinate
+    dim, axis = (speed.dim, -1) if isinstance(speed, DepthField) else (2, 0)
+    points = np.zeros((len(rows), dim))
+    points[:, axis] = rows[:, 0]
+    c_true = speed.eval(points)[0]
+    errs = np.abs(rows[:, 1] - c_true) / c_true
     report = {
         "profile": args.profile,
         "truth": args.truth,
@@ -526,7 +509,7 @@ def _pipeline_homogeneous(cfg, out, model):
     receivers = _receiver_points(domain, rspec)
 
     # lens stage: straight-chord predictions, exact for constant coefficients
-    sp = _box_edge_point(domain, scfg["edge"], scfg["center"])
+    sp = _edge_point(domain.lo, domain.hi, scfg["edge"], scfg["center"])
     cp, cs = model.material.wave_speeds(sp)
     predictions = []
     with open(Path(out) / "predictions.csv", "w", newline="") as f:
@@ -577,17 +560,6 @@ def _pipeline_homogeneous(cfg, out, model):
     return summary
 
 
-def _box_edge_point(domain, edge, center):
-    lo, hi = domain.lo, domain.hi
-    if edge == "left":
-        return (lo[0], center)
-    if edge == "right":
-        return (hi[0], center)
-    if edge == "bottom":
-        return (center, lo[1])
-    return (center, hi[1])
-
-
 def _pipeline_radial(cfg, out, model):
     """validate -> foliation (Herglotz) -> forward travel times -> invert ->
     compare on a radial disk model (ray-tracer only; no FD stage)."""
@@ -624,7 +596,7 @@ def _pipeline_radial(cfg, out, model):
     except (InversionError, IllPosedInputError, FoliationError) as e:
         raise _Stage("invert", e)
 
-    truth = np.array([speed.value((r, 0.0)) for r in prof.r])
+    truth = speed.eval(np.column_stack([prof.r, np.zeros_like(prof.r)]))[0]
     rel = np.abs(prof.c - truth) / truth
     summary = {
         "mode": "radial",

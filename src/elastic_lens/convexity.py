@@ -137,6 +137,20 @@ def _directions(count, dim):
     return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
 
 
+def _scan_report(levels, points, vals):
+    """Report on leaf-major samples: vals[i, j] at points[i, j] on leaf i."""
+    minima = [(float(q), float(v)) for q, v in zip(levels, vals.min(axis=1))]
+    verdict, margin = _verdict(minima)
+    witness = None   # first violating sample in scan order
+    if verdict == VERDICT_VIOLATED:
+        i, j = np.unravel_index(int(np.argmax(vals < -STRICT_MARGIN)), vals.shape)
+        witness = {"leaf": float(levels[i]), "point": list(map(float, points[i, j])),
+                   "direction": None, "value": float(vals[i, j])}
+    return ConvexityReport(verdict, margin, minima, witness,
+                           {"leaves": len(levels), "points_per_leaf": vals.shape[1],
+                            "directions": 1})
+
+
 def check_hwz(speed: SpeedField, r_min: float, r_max: float,
               samples=(32, 64)) -> ConvexityReport:
     """Herglotz / Wiechert-Zoeppritz test: d/dr (r / c(r omega)) > 0.
@@ -147,27 +161,13 @@ def check_hwz(speed: SpeedField, r_min: float, r_max: float,
     if not (0 < r_min < r_max):
         raise PreconditionError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
     n_r, n_w = samples
-    dim = speed.bounds.dim
-    omegas = _directions(n_w, dim)
-    minima = []
-    witness = None   # first violating sample in scan order
-    for r in np.linspace(r_min, r_max, n_r):
-        leaf_min = math.inf
-        for w in omegas:
-            x = r * w
-            c, g = speed.value_and_grad(x)
-            dcdr = float(g @ w)
-            val = (c - r * dcdr) / (c * c)
-            if val < leaf_min:
-                leaf_min = val
-            if witness is None and val < -STRICT_MARGIN:
-                witness = {"leaf": float(r), "point": list(map(float, x)),
-                           "direction": None, "value": float(val)}
-        minima.append((float(r), float(leaf_min)))
-    verdict, margin = _verdict(minima)
-    return ConvexityReport(verdict, margin, minima,
-                           witness if verdict == VERDICT_VIOLATED else None,
-                           {"leaves": n_r, "points_per_leaf": n_w, "directions": 1})
+    omegas = _directions(n_w, speed.bounds.dim)
+    radii = np.linspace(r_min, r_max, n_r)
+    points = radii[:, None, None] * omegas[None]
+    c, g = speed.eval(points.reshape(n_r * n_w, -1))
+    c, g = c.reshape(n_r, n_w), g.reshape(points.shape)
+    dcdr = np.einsum("ijk,jk->ij", g, omegas)
+    return _scan_report(radii, points, (c - radii[:, None] * dcdr) / (c * c))
 
 
 def check_plane_foliation(speed: SpeedField, axis: int, c1: float, c2: float,
@@ -183,25 +183,12 @@ def check_plane_foliation(speed: SpeedField, axis: int, c1: float, c2: float,
     trans = [i for i in range(dim) if i != axis]
     rng = np.random.default_rng(20240915)   # fixed placement: reproducible reports
     pts = lo[trans] + (hi[trans] - lo[trans]) * rng.random((n_pt, len(trans))) * 0.9
-    minima = []
-    witness = None
-    for level in np.linspace(c1, c2, n_leaf):
-        leaf_min = math.inf
-        for p in pts:
-            x = np.zeros(dim)
-            x[trans] = p
-            x[axis] = level
-            g = speed.gradient(x)
-            val = float(g[axis])
-            leaf_min = min(leaf_min, val)
-            if witness is None and val < -STRICT_MARGIN:
-                witness = {"leaf": float(level), "point": list(map(float, x)),
-                           "direction": None, "value": val}
-        minima.append((float(level), float(leaf_min)))
-    verdict, margin = _verdict(minima)
-    return ConvexityReport(verdict, margin, minima,
-                           witness if verdict == VERDICT_VIOLATED else None,
-                           {"leaves": n_leaf, "points_per_leaf": n_pt, "directions": 1})
+    levels = np.linspace(c1, c2, n_leaf)
+    points = np.zeros((n_leaf, n_pt, dim))
+    points[:, :, trans] = pts
+    points[:, :, axis] = levels[:, None]
+    g = speed.eval(points.reshape(n_leaf * n_pt, dim))[1]
+    return _scan_report(levels, points, g[:, axis].reshape(n_leaf, n_pt))
 
 
 def _fd_grad(f, x, h=1e-6):

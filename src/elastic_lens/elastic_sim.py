@@ -23,10 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 from .model_core import BoxDomain, ElasticMaterial, Grid2D
 
 CFL_SAFETY = 0.5
+_FINITE_CHECK_STEPS = 64    # simulate_dn checks u for blow-up this often
 
 _EDGES = ("left", "right", "bottom", "top")
 
@@ -119,23 +120,11 @@ class MaterialGrid:
         return float(np.sqrt(np.max((self.lam + 2 * self.mu) / self.rho)))
 
 
-def _sample_field(f, xs, ys):
-    from .model_core import ConstantField
-
-    if isinstance(f, ConstantField):
-        return np.full((len(xs), len(ys)), f.c)
-    out = np.empty((len(xs), len(ys)))
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            out[i, j] = f.value((x, y))
-    return out
-
-
 def sample_material(material: ElasticMaterial, grid: Grid2D) -> MaterialGrid:
     xs, ys = grid.nodes()
-    lam = _sample_field(material.lam, xs, ys)
-    mu = _sample_field(material.mu, xs, ys)
-    rho = _sample_field(material.rho, xs, ys)
+    nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    lam, mu, rho = (f.eval(nodes)[0].reshape(len(xs), len(ys))
+                    for f in (material.lam, material.mu, material.rho))
     return MaterialGrid(grid, lam, mu, rho)
 
 
@@ -314,6 +303,9 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
         t += dt
         _apply_dirichlet(u_new, patch, float(source.pulse(t)))
         u_prev, u = u, u_new
+        if (n + 1) % _FINITE_CHECK_STEPS == 0 and not np.isfinite(u).all():
+            raise NumericalError(f"displacement is not finite at step {n + 1} "
+                                 f"(t = {t:.6g}); the scheme blew up")
 
     out = [TractionTrace(rec[r][2], dt, traces[r]) for r in range(len(rec))]
     meta = {"grid": {"nx": nx, "ny": ny, "h": h}, "dt": dt, "steps": n_steps,

@@ -26,9 +26,8 @@ from scipy.interpolate import PchipInterpolator
 from .convexity import check_hwz
 from .errors import (DataInconsistencyError, FoliationError, IllPosedInputError,
                      InversionError, PreconditionError)
-from .model_core import RadialField
-from .ray_tracer import RayStatus, entry_at, scattering_relation
-from .model_core import DiskDomain
+from .model_core import DiskDomain, RadialField
+from .ray_tracer import RayStatus, entry_at, scattering_relations
 
 _GL_NODES = 32
 
@@ -148,12 +147,14 @@ def forward_travel_times(profile, R: float, angles, dt: float = 1e-3,
             report=report, witness=report.witness)
 
     domain = DiskDomain(R, dim=2)
-    deltas, times = [], []
     for a in angles:
         if not 0.0 < a < np.pi / 2:
             raise PreconditionError(f"shooting angle must lie in (0, pi/2), got {a}")
-        bd = entry_at(domain, 0.0, a)
-        rec = scattering_relation(speed, domain, bd, dt=dt, t_max=t_max)
+    records = scattering_relations(speed, domain,
+                                   [entry_at(domain, 0.0, a) for a in angles],
+                                   dt=dt, t_max=t_max)
+    deltas, times = [], []
+    for a, rec in zip(angles, records):
         if rec.status is not RayStatus.EXITED:
             raise InversionError(f"ray at angle {a} did not exit ({rec.status.value})")
         x_in, x_out = np.asarray(rec.entry.x), np.asarray(rec.exit.x)

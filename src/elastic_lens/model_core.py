@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,44 +59,49 @@ class BoundingBox:
 
 
 class SpeedField:
-    """Scalar positive field c(x) with gradient access.
+    """Scalar positive field c(x), evaluated on arrays of points.
 
-    Subclasses implement ``_value`` and ``_gradient``; this base class owns
-    the bounding-box check and the positivity contract.
+    ``eval`` is the field API; subclasses implement ``_eval`` only.  This
+    base class owns the shape check, the bounding-box check (against the
+    box padded by ``_pad``, built once in ``_set_bounds``) and the
+    positivity contract; ``value`` and ``value_and_grad`` are batches of one.
     """
 
     bounds: BoundingBox
+    _pad = COLLAR
+
+    def _set_bounds(self, bounds: BoundingBox):
+        self.bounds = bounds
+        self._lo = np.asarray(bounds.lo, dtype=float) - self._pad
+        self._hi = np.asarray(bounds.hi, dtype=float) + self._pad
+
+    def eval(self, X):
+        """(c, grad c) at the rows of X: shape (n, d) -> (n,), (n, d)."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self._lo.size:
+            raise PreconditionError(
+                f"expected an (n, {self._lo.size}) array of points, got shape {X.shape}")
+        # np.count_nonzero: the cheapest test on the small batches of ray tracing
+        outside = (X < self._lo) | (X > self._hi)
+        if np.count_nonzero(outside):
+            k = int(np.argmax(outside.any(axis=1)))
+            raise DomainError(f"point {tuple(X[k])} outside field bounds "
+                              f"{self.bounds.lo}..{self.bounds.hi}")
+        c, g = self._eval(X)
+        positive = c > 0.0
+        if np.count_nonzero(positive) < len(c):
+            k = int(np.argmin(positive))
+            raise ModelError(f"non-positive speed {c[k]} at {tuple(X[k])}")
+        return c, g
 
     def value(self, x) -> float:
-        x = _point(x)
-        self._check(x)
-        c = float(self._value(x))
-        if not c > 0.0:
-            raise ModelError(f"non-positive speed {c} at {tuple(x)}")
-        return c
-
-    def gradient(self, x) -> np.ndarray:
-        x = _point(x)
-        self._check(x)
-        return np.asarray(self._gradient(x), dtype=float)
+        return float(self.eval(np.asarray(x, dtype=float)[None])[0][0])
 
     def value_and_grad(self, x):
-        """(c, grad c) in one call; subclasses override to share work."""
-        x = _point(x)
-        self._check(x)
-        c = float(self._value(x))
-        if not c > 0.0:
-            raise ModelError(f"non-positive speed {c} at {tuple(x)}")
-        return c, np.asarray(self._gradient(x), dtype=float)
+        c, g = self.eval(np.asarray(x, dtype=float)[None])
+        return float(c[0]), g[0]
 
-    def _check(self, x):
-        if not self.bounds.contains(x):
-            raise DomainError(f"point {tuple(x)} outside field bounds {self.bounds.lo}..{self.bounds.hi}")
-
-    def _value(self, x):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _gradient(self, x):  # pragma: no cover - abstract
+    def _eval(self, X):  # pragma: no cover - abstract
         raise NotImplementedError
 
 
@@ -104,13 +110,10 @@ class ConstantField(SpeedField):
         if not c > 0:
             raise ModelError(f"constant field must be positive, got {c}")
         self.c = float(c)
-        self.bounds = bounds or BoundingBox.cube(1.0, dim)
+        self._set_bounds(bounds or BoundingBox.cube(1.0, dim))
 
-    def _value(self, x):
-        return self.c
-
-    def _gradient(self, x):
-        return np.zeros(len(x))
+    def _eval(self, X):
+        return np.full(len(X), self.c), np.zeros(X.shape)
 
 
 class LinearField(SpeedField):
@@ -119,20 +122,23 @@ class LinearField(SpeedField):
     def __init__(self, a, b, bounds=None):
         self.a = float(a)
         self.b = np.asarray(b, dtype=float)
-        self.bounds = bounds or BoundingBox.cube(1.0, self.b.size)
-        for corner in _box_corners(self.bounds):
-            if self._value(np.asarray(corner)) <= 0:
-                raise ModelError(f"affine field non-positive at corner {corner}")
+        self._set_bounds(bounds or BoundingBox.cube(1.0, self.b.size))
+        corners = np.asarray(_box_corners(self.bounds))
+        bad = self.a + corners @ self.b <= 0
+        if bad.any():
+            corner = tuple(corners[int(np.argmax(bad))])
+            raise ModelError(f"affine field non-positive at corner {corner}")
 
-    def _value(self, x):
-        return self.a + float(self.b @ x)
-
-    def _gradient(self, x):
-        return self.b.copy()
+    def _eval(self, X):
+        return self.a + X @ self.b, np.tile(self.b, (len(X), 1))
 
 
 class RadialField(SpeedField):
-    """c(r), r = |x|, from a tabulated profile or explicit callables."""
+    """c(r), r = |x|, from a tabulated profile or explicit callables.
+
+    The callables ``func`` (c) and ``dfunc`` (dc/dr) receive an array of
+    radii and return an array of the same shape or a scalar.
+    """
 
     def __init__(self, profile=None, func=None, dfunc=None, r_max=None, dim=2):
         if profile is not None:
@@ -146,35 +152,23 @@ class RadialField(SpeedField):
                 bad = int(np.argmax(c <= 0))
                 raise ModelError(f"radial profile node {bad} (r={r[bad]}) has non-positive speed {c[bad]}")
             spline = CubicSpline(r, c, bc_type="natural")
-            self._f = lambda s: float(spline(s))
-            self._df = lambda s: float(spline(s, 1))
+            self._f = spline
+            self._df = lambda s: spline(s, 1)
             r_max = r_max if r_max is not None else float(r[-1])
         else:
             if func is None or dfunc is None or r_max is None:
                 raise ModelError("callable radial field needs func, dfunc and r_max")
-            self._f, self._df = func, dfunc
+            # adding zeros turns a scalar return value into an array
+            self._f = lambda s: func(s) + np.zeros_like(s)
+            self._df = lambda s: dfunc(s) + np.zeros_like(s)
         self.r_max = float(r_max)
-        self.bounds = BoundingBox.cube(self.r_max, dim)
+        self._set_bounds(BoundingBox.cube(self.r_max, dim))
 
-    def _value(self, x):
-        return self._f(float(np.linalg.norm(x)))
-
-    def _gradient(self, x):
-        r = float(np.linalg.norm(x))
-        if r < 1e-14:
-            return np.zeros(len(x))
-        return self._df(r) * x / r
-
-    def value_and_grad(self, x):
-        x = _point(x)
-        self._check(x)
-        r = float(np.sqrt(x @ x))
-        c = self._f(r)
-        if not c > 0.0:
-            raise ModelError(f"non-positive speed {c} at {tuple(x)}")
-        if r < 1e-14:
-            return c, np.zeros(len(x))
-        return c, (self._df(r) / r) * x
+    def _eval(self, X):
+        r = np.sqrt(np.add.reduce(X * X, axis=1))
+        at_origin = r < 1e-14
+        dc_r = np.where(at_origin, 0.0, self._df(r) / np.where(at_origin, 1.0, r))
+        return self._f(r), dc_r[:, None] * X
 
 
 class DepthField(SpeedField):
@@ -196,19 +190,18 @@ class DepthField(SpeedField):
             lo = (-w,) * (dim - 1) + (float(z0),)
             hi = (w,) * (dim - 1) + (float(z1),)
             bounds = BoundingBox(lo, hi)
-        self.bounds = bounds
+        self._set_bounds(bounds)
 
-    def _value(self, x):
-        return float(self._spline(x[-1]))
-
-    def _gradient(self, x):
-        g = np.zeros(len(x))
-        g[-1] = float(self._spline(x[-1], 1))
-        return g
+    def _eval(self, X):
+        g = np.zeros_like(X)
+        g[:, -1] = self._spline(X[:, -1], 1)
+        return self._spline(X[:, -1]), g
 
 
 class GridField(SpeedField):
     """2D grid-sampled field with bicubic interpolation (C^1 for the ray ODE)."""
+
+    _pad = 0.0   # nodal data does not extend into a collar; stay inside the grid
 
     def __init__(self, grid: "Grid2D", values):
         vals = np.asarray(values, dtype=float)
@@ -220,29 +213,14 @@ class GridField(SpeedField):
         self.grid = grid
         self.values = vals.copy()
         self.values.setflags(write=False)
-        xs = grid.origin[0] + grid.h * np.arange(grid.nx)
-        ys = grid.origin[1] + grid.h * np.arange(grid.ny)
+        xs, ys = grid.nodes()
         self._spline = RectBivariateSpline(xs, ys, vals, kx=3, ky=3)
-        self.bounds = BoundingBox((xs[0], ys[0]), (xs[-1], ys[-1]))
+        self._set_bounds(BoundingBox((xs[0], ys[0]), (xs[-1], ys[-1])))
 
-    def _check(self, x):
-        # nodal data does not extend into a collar; stay inside the grid
-        if not self.bounds.contains(x, pad=0.0):
-            raise DomainError(f"point {tuple(x)} outside grid {self.bounds.lo}..{self.bounds.hi}")
-
-    def _value(self, x):
-        c = float(self._spline(x[0], x[1], grid=False))
-        if c <= 0.0:
-            i = int(round((x[0] - self.grid.origin[0]) / self.grid.h))
-            j = int(round((x[1] - self.grid.origin[1]) / self.grid.h))
-            raise ModelError(f"interpolated speed {c} <= 0 near grid node ({i}, {j})")
-        return c
-
-    def _gradient(self, x):
-        return np.array([
-            float(self._spline(x[0], x[1], dx=1, grid=False)),
-            float(self._spline(x[0], x[1], dy=1, grid=False)),
-        ])
+    def _eval(self, X):
+        x, y = X[:, 0], X[:, 1]
+        g = np.column_stack([self._spline.ev(x, y, dx=1), self._spline.ev(x, y, dy=1)])
+        return self._spline.ev(x, y), g
 
 
 @dataclass(frozen=True)
@@ -284,28 +262,31 @@ class ElasticMaterial:
 
 
 class DerivedSpeed(SpeedField):
-    """c_p or c_s of a material as a SpeedField (gradient by central FD)."""
+    """c_p or c_s of a material as a SpeedField.
 
-    _FD_H = 1e-6
+    From c_p^2 = (lam + 2 mu) / rho and c_s^2 = mu / rho the gradients are
+    grad c_p = (grad lam + 2 grad mu - c_p^2 grad rho) / (2 rho c_p) and
+    grad c_s = (grad mu - c_s^2 grad rho) / (2 rho c_s).
+    """
 
     def __init__(self, material: ElasticMaterial, mode: str):
         if mode not in ("p", "s"):
             raise PreconditionError(f"mode must be 'p' or 's', got {mode!r}")
         self.material = material
         self.mode = mode
-        self.bounds = material.mu.bounds
+        self._set_bounds(material.mu.bounds)
 
-    def _value(self, x):
-        cp, cs = self.material.wave_speeds(x)
-        return cp if self.mode == "p" else cs
-
-    def _gradient(self, x):
-        g = np.zeros(len(x))
-        for i in range(len(x)):
-            e = np.zeros(len(x))
-            e[i] = self._FD_H
-            g[i] = (self._value(x + e) - self._value(x - e)) / (2 * self._FD_H)
-        return g
+    def _eval(self, X):
+        lam, g_lam = self.material.lam.eval(X)
+        mu, g_mu = self.material.mu.eval(X)
+        rho, g_rho = self.material.rho.eval(X)
+        if self.mode == "p":
+            c = np.sqrt((lam + 2.0 * mu) / rho)
+            top = g_lam + 2.0 * g_mu
+        else:
+            c = np.sqrt(mu / rho)
+            top = g_mu
+        return c, (top - (c * c)[:, None] * g_rho) / (2.0 * rho * c)[:, None]
 
 
 def wave_speeds(material: ElasticMaterial, x):
@@ -323,7 +304,8 @@ class Domain:
 
     dim: int
 
-    def signed(self, x) -> float:  # pragma: no cover - abstract
+    def signed(self, x):  # pragma: no cover - abstract
+        """b at the points along the last axis of x (a float for one point)."""
         raise NotImplementedError
 
     def normal(self, x) -> np.ndarray:
@@ -346,7 +328,10 @@ class DiskDomain(Domain):
         self.dim = dim
 
     def signed(self, x):
-        return float(np.linalg.norm(_point(x)) - self.radius)
+        # |x| as np.linalg.norm(x, axis=-1) computes it, without its call
+        # overhead (one call per ray-tracing step)
+        x = np.asarray(x)
+        return np.sqrt(np.add.reduce(x * x, axis=-1)) - self.radius
 
     def _normal(self, x):
         return np.asarray(x) / np.linalg.norm(x)
@@ -380,11 +365,11 @@ class BoxDomain(Domain):
         self.dim = self.lo.size
 
     def signed(self, x):
-        x = _point(x)
         d = np.maximum(self.lo - x, x - self.hi)
-        if np.all(d <= 0):
-            return float(np.max(d))       # -distance to nearest face
-        return float(np.linalg.norm(np.maximum(d, 0.0)))
+        inside = np.all(d <= 0, axis=-1)
+        # inside: -distance to the nearest face; outside: distance to the box
+        return np.where(inside, np.max(d, axis=-1),
+                        np.linalg.norm(np.maximum(d, 0.0), axis=-1))[()]
 
     def _normal(self, x):
         d = np.maximum(self.lo - x, x - self.hi)
@@ -505,15 +490,16 @@ def domain_from_spec(spec) -> Domain:
 
 
 def load_model(source) -> Model:
-    """Load a model from a path, JSON string, or already-parsed dict."""
-    if isinstance(source, dict):
-        doc = source
-    else:
+    """Load a model from a path, JSON string, or already-parsed document."""
+    doc = source
+    if isinstance(source, (str, os.PathLike)):
         text = source if str(source).lstrip().startswith("{") else open(source).read()
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ModelError(f"malformed model JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ModelError(f"a model must be a JSON object, got {type(doc).__name__}")
     fmt = doc.get("format", MODEL_FORMAT)
     if fmt != MODEL_FORMAT:
         raise ModelError(f"unsupported model format {fmt}")
@@ -538,3 +524,6 @@ def load_model(source) -> Model:
         return Model(speed=speed, material=material, domain=domain, raw=doc)
     except KeyError as e:
         raise ModelError(f"model is missing required key {e.args[0]!r}") from e
+    except (AttributeError, IndexError, TypeError, ValueError) as e:
+        # a value of the wrong type or shape somewhere in the document
+        raise ModelError(f"malformed model value: {e}") from e

@@ -72,18 +72,32 @@ def unit_phase(speed: SpeedField, x, v) -> PhasePoint:
     return PhasePoint(tuple(np.asarray(x, float)), tuple(v / c), 0.0)
 
 
-def _rhs(speed, x, xi):
-    c, g = speed.value_and_grad(x)
-    return (c * c) * xi, (-c * float(np.dot(xi, xi))) * g
+def _rhs(speed, y):
+    """Flow at the phase points y = [x | xi], one per row."""
+    d = y.shape[1] // 2
+    xi = y[:, d:]
+    c, g = speed.eval(y[:, :d])
+    c = c[:, None]
+    return np.concatenate((c * c * xi,
+                           -c * np.add.reduce(xi * xi, axis=1, keepdims=True) * g), axis=1)
 
 
-def _rk4_step(speed, x, xi, dt):
-    k1x, k1p = _rhs(speed, x, xi)
-    k2x, k2p = _rhs(speed, x + 0.5 * dt * k1x, xi + 0.5 * dt * k1p)
-    k3x, k3p = _rhs(speed, x + 0.5 * dt * k2x, xi + 0.5 * dt * k2p)
-    k4x, k4p = _rhs(speed, x + dt * k3x, xi + dt * k3p)
-    return (x + (dt / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x),
-            xi + (dt / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p))
+def _rk4_step(speed, y, dt, k1=None):
+    """One RK4 step of every row of y = [x | xi]; dt is a scalar or (n, 1).
+    k1, the flow at y, may be passed in when the caller already has it."""
+    half = 0.5 * dt
+    if k1 is None:
+        k1 = _rhs(speed, y)
+    k2 = _rhs(speed, y + half * k1)
+    k3 = _rhs(speed, y + half * k2)
+    k4 = _rhs(speed, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _step_count(n_steps):
+    if n_steps > HARD_STEP_CAP:
+        raise ResourceError(f"{n_steps} steps exceed the cap of {HARD_STEP_CAP}")
+    return n_steps
 
 
 def integrate_bicharacteristic(speed: SpeedField, start: PhasePoint,
@@ -94,92 +108,128 @@ def integrate_bicharacteristic(speed: SpeedField, start: PhasePoint,
     h0 = hamiltonian(speed, np.asarray(start.x), np.asarray(start.xi))
     if abs(h0 - 0.5) > 1e-10:
         raise PreconditionError(f"start must be g-unit (H = 1/2), got H = {h0}")
-    n_steps = int(math.floor(t_max / dt + 1e-12))
-    if n_steps > HARD_STEP_CAP:
-        raise ResourceError(f"{n_steps} steps exceed the cap of {HARD_STEP_CAP}")
-    x = np.asarray(start.x, dtype=float)
-    xi = np.asarray(start.xi, dtype=float)
+    n_steps = _step_count(int(math.floor(t_max / dt + 1e-12)))
+    d = len(start.x)
+    y = np.concatenate([start.x, start.xi]).astype(float)[None]
     out = [start]
     t = start.t
     for _ in range(n_steps):
-        x, xi = _rk4_step(speed, x, xi, dt)
+        y = _rk4_step(speed, y, dt)
         t += dt
-        out.append(PhasePoint(tuple(x), tuple(xi), t))
+        out.append(PhasePoint(tuple(y[0, :d]), tuple(y[0, d:]), t))
     return out
 
 
 def scattering_relation(speed: SpeedField, domain: Domain,
                         entry: BoundaryDirection, t_max: float, dt: float,
                         theta_min: float = DEFAULT_THETA_MIN) -> LensRecord:
-    """Trace one ray from a strictly inward boundary direction to its exit.
+    """Trace one ray from a strictly inward boundary direction to its exit."""
+    return scattering_relations(speed, domain, [entry], t_max, dt, theta_min)[0]
 
-    The boundary crossing is located by bisection in the step parameter
-    (to 1e-12 relative) and the covector re-evaluated at the crossing, so
-    exit directions are as accurate as the flow itself.
+
+def scattering_relations(speed: SpeedField, domain: Domain, entries,
+                         t_max: float, dt: float,
+                         theta_min: float = DEFAULT_THETA_MIN) -> list[LensRecord]:
+    """Trace rays from strictly inward boundary directions to their exits.
+
+    All rays advance together with a shared time t; a ray leaves the active
+    set at the step that first takes it from inside the domain to outside.
+    The boundary crossing inside that step is located by bisection in the
+    step parameter (to 1e-12 relative) and the covector re-evaluated at the
+    crossing, so exit directions are as accurate as the flow itself.
+    Entries within theta_min of tangent are refused (TANGENT_ENTRY); rays
+    still inside at t_max are TRAPPED.
     """
-    x0 = np.asarray(entry.x, dtype=float)
-    v0 = np.asarray(entry.v, dtype=float)
-    nu = domain.normal(x0)
-    if float(v0 @ nu) > -math.sin(theta_min):
-        return LensRecord(entry, None, math.nan, RayStatus.TANGENT_ENTRY)
+    entries = list(entries)
+    x0 = np.array([e.x for e in entries], dtype=float)
+    v0 = np.array([e.v for e in entries], dtype=float)
+    steep = np.array([float(v @ domain.normal(x)) <= -math.sin(theta_min)
+                      for x, v in zip(x0, v0)], dtype=bool)
+    records = [LensRecord(e, None, math.nan, RayStatus.TRAPPED if ok
+                          else RayStatus.TANGENT_ENTRY)
+               for e, ok in zip(entries, steep)]
+    if not steep.any():
+        return records
     if dt <= 0 or t_max <= 0:
         raise PreconditionError(f"dt and t_max must be positive, got {dt}, {t_max}")
+    n_steps = _step_count(int(math.ceil(t_max / dt)))
 
-    c0 = speed.value(x0)
-    x, xi = x0, v0 / c0
+    traced = np.nonzero(steep)[0]
+    d = x0.shape[1]
+    y = np.hstack([x0[traced], v0[traced] / speed.eval(x0[traced])[0][:, None]])
+    n = len(traced)
+    # phase point, step and time at the start of each ray's exit step
+    y_s, step_s, t_s = np.empty_like(y), np.empty(n), np.full(n, math.nan)
+    active = np.arange(n)
+    # a ray exits only after it has been inside; the mask is dropped once
+    # every active ray has been
+    been_inside, all_inside = np.zeros(n, dtype=bool), False
     t = 0.0
-    been_inside = False
-    n_steps = int(math.ceil(t_max / dt))
-    if n_steps > HARD_STEP_CAP:
-        raise ResourceError(f"{n_steps} steps exceed the cap of {HARD_STEP_CAP}")
     for _ in range(n_steps):
         step = min(dt, t_max - t)
-        if step <= 0:
+        if step <= 0 or active.size == 0:
             break
-        x_new, xi_new = _rk4_step(speed, x, xi, step)
-        b_new = domain.signed(x_new)
-        if been_inside and b_new > 0.0:
-            x_e, xi_e, f = _bisect_crossing(speed, domain, x, xi, step)
-            ell = t + f * step
-            v_out = xi_e / np.linalg.norm(xi_e)
-            exit_dir = BoundaryDirection(tuple(x_e), tuple(v_out))
-            return LensRecord(entry, exit_dir, ell, RayStatus.EXITED)
-        if b_new < 0.0:
-            been_inside = True
-        x, xi, t = x_new, xi_new, t + step
-    return LensRecord(entry, None, math.nan, RayStatus.TRAPPED)
+        y_new = _rk4_step(speed, y, step)
+        b_new = domain.signed(y_new[:, :d])
+        out = b_new > 0.0
+        if not all_inside:
+            out &= been_inside
+        if np.count_nonzero(out):
+            k = active[out]
+            y_s[k], step_s[k], t_s[k] = y[out], step, t
+            keep = ~out
+            active, y_new = active[keep], y_new[keep]
+            b_new, been_inside = b_new[keep], been_inside[keep]
+        if not all_inside:
+            been_inside |= b_new < 0.0
+            all_inside = bool(been_inside.all())
+        y, t = y_new, t + step
+
+    exited = np.nonzero(~np.isnan(t_s))[0]
+    if exited.size:
+        y_e, f = _bisect_crossing(speed, domain, y_s[exited], step_s[exited])
+        ell = t_s[exited] + f * step_s[exited]
+        x_e, xi_e = y_e[:, :d], y_e[:, d:]
+        v_out = xi_e / np.linalg.norm(xi_e, axis=1, keepdims=True)
+        for j, k in enumerate(exited):
+            i = traced[k]
+            records[i] = LensRecord(entries[i],
+                                    BoundaryDirection(tuple(x_e[j]), tuple(v_out[j])),
+                                    float(ell[j]), RayStatus.EXITED)
+    return records
 
 
-def _bisect_crossing(speed, domain, x, xi, dt):
-    """Fraction f of the last step where b changes sign, to 1e-12."""
-    lo, hi = 0.0, 1.0
-    x_hi, xi_hi = _rk4_step(speed, x, xi, dt)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        xm, xim = _rk4_step(speed, x, xi, mid * dt)
-        if domain.signed(xm) > 0.0:
-            hi, x_hi, xi_hi = mid, xm, xim
-        else:
-            lo = mid
-    # snap the exit point onto the boundary along the outward normal
-    f = hi
-    x_e, xi_e = x_hi, xi_hi
-    b = domain.signed(x_e)
-    if b != 0.0:
-        n = _boundary_normal_near(domain, x_e)
-        x_e = x_e - b * n
-    return x_e, xi_e, f
+# the bracket [hi - width, hi] halves exactly each iteration: 2**-40 < 1e-12
+_BISECT_ITERATIONS = 40
+
+
+def _bisect_crossing(speed, domain, y, dt):
+    """Phase points on the boundary and fractions f of the last steps (length
+    dt per ray) where b changes sign."""
+    d = y.shape[1] // 2
+    dt = dt[:, None]
+    k1 = _rhs(speed, y)       # the same for every trial step from y
+    hi, width = np.ones(len(y)), 1.0
+    for _ in range(_BISECT_ITERATIONS):
+        width *= 0.5
+        mid = hi - width      # exact: hi is a multiple of 2 * width
+        out = domain.signed(_rk4_step(speed, y, mid[:, None] * dt, k1)[:, :d]) > 0.0
+        hi = np.where(out, mid, hi)
+    y_hi = _rk4_step(speed, y, hi[:, None] * dt, k1)
+    # snap the exit points onto the boundary along the outward normal
+    x_hi = y_hi[:, :d]
+    x_hi -= domain.signed(x_hi)[:, None] * _boundary_normal_near(domain, x_hi)
+    return y_hi, hi
 
 
 def _boundary_normal_near(domain, x):
-    """Outward normal of the boundary point nearest to x (x may be off by ~1e-12)."""
+    """Outward normals of the boundary points nearest to the points along the
+    last axis of x (each may be off the boundary by ~1e-12)."""
     eps = 1e-7
-    n = np.zeros(len(x))
-    for i in range(len(x)):
-        e = np.zeros(len(x))
-        e[i] = eps
-        n[i] = (domain.signed(x + e) - domain.signed(x - e)) / (2 * eps)
-    return n / np.linalg.norm(n)
+    x = np.asarray(x, dtype=float)[..., None, :]
+    e = eps * np.eye(x.shape[-1])
+    n = (domain.signed(x + e) - domain.signed(x - e)) / (2 * eps)
+    return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -222,14 +272,11 @@ def lens_table(speed: SpeedField, domain: Domain, n_points: int, angles,
             raise PreconditionError("need at least one angle")
         angles = fan_angles(angles, theta_min)
     per = domain.perimeter
-    rows = []
-    for i in range(n_points):
-        s = per * i / n_points
-        for a in angles:
-            rec = scattering_relation(speed, domain, entry_at(domain, s, a),
-                                      t_max, dt, theta_min)
-            rows.append(LensTableRow(s, a, rec))
-    return rows
+    grid = [(per * i / n_points, a) for i in range(n_points) for a in angles]
+    records = scattering_relations(speed, domain,
+                                   [entry_at(domain, s, a) for s, a in grid],
+                                   t_max, dt, theta_min)
+    return [LensTableRow(s, a, rec) for (s, a), rec in zip(grid, records)]
 
 
 def exit_angle(domain, rec: LensRecord) -> float:

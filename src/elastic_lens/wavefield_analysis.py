@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import dctn, idctn
-from scipy.signal import butter, sosfilt
 
 from .errors import NumericalError, PreconditionError, UnsupportedGeometryError
 from .elastic_sim import TractionTrace, ricker
@@ -158,6 +157,10 @@ def _envelope(samples, dt, f0):
     derivative as a quadrature component; the combined magnitude is
     smoothed causally over a window of width 1/(4 f0).
     """
+    # imported on first use: scipy.signal alone roughly doubles the import
+    # time of the CLI, and most commands never pick arrivals
+    from scipy.signal import butter, sosfilt
+
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
@@ -331,9 +334,10 @@ def extract_lens(traces, source, source_point, receivers, predictions,
     if not (len(traces) == len(receivers) == len(predictions)):
         raise PreconditionError("traces, receivers and predictions must align")
     f0 = source.f0
+    t_refs = {dt: reference_onset(source, dt, eta) for dt in {tr.dt for tr in traces}}
     out = []
     for trace, rec, (ell_p, ell_s) in zip(traces, receivers, predictions):
-        t_ref = reference_onset(source, trace.dt, eta)
+        t_ref = t_refs[trace.dt]
         flags = []
         env = _envelope(trace.samples, trace.dt, f0)
         t = trace.dt * np.arange(len(env))

@@ -2,9 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from elastic_lens.model_core import (BoxDomain, ConstantField, DiskDomain,
                                      ElasticMaterial, RadialField)
+
+# property tests draw the same few examples on every run
+settings.register_profile("elastic-lens", derandomize=True, deadline=None,
+                          max_examples=10, database=None)
+settings.load_profile("elastic-lens")
 
 UNIT_BOX_MODEL = {
     "format": 1,

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from elastic_lens import cli
+from elastic_lens import cli, elastic_sim
 from tests.conftest import (LINEAR_RADIAL_MODEL, UNIT_BOX_MODEL, write_model)
 
 BAD_CONVEXITY_MODEL = {
@@ -45,10 +49,14 @@ def test_malformed_model_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"format": 1,')
     assert run(["validate", "--model", str(path)]) == cli.EXIT_MODEL
-    # schema errors: a disk without a radius, a radial speed without a profile
+    # schema errors: a disk without a radius, a radial speed without a
+    # profile, values of the wrong type, a model that is not a JSON object
     for doc in ({"format": 1, "domain": {"shape": "disk"}},
                 {"format": 1, "domain": {"shape": "disk", "radius": 1.0},
-                 "speed": {"kind": "radial"}}):
+                 "speed": {"kind": "radial"}},
+                {"format": 1, "domain": 5},
+                {"format": 1, "domain": {"shape": "disk", "radius": "abc"}},
+                [{"format": 1}]):
         path = write_model(tmp_path, doc)
         assert run(["validate", "--model", str(path)]) == cli.EXIT_MODEL
 
@@ -63,6 +71,15 @@ def test_validate_good_model(tmp_path, capsys):
     assert run(["validate", "--model", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["pass"] is True
+
+
+def test_validate_ball_model(tmp_path, capsys):
+    path = write_model(tmp_path, {"format": 1,
+                                  "domain": {"shape": "ball", "radius": 1.0},
+                                  "speed": {"kind": "linear", "a": 2.0,
+                                            "b": [0.1, 0.2, 0.3]}})
+    assert run(["validate", "--model", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_check_foliation_violation(tmp_path):
@@ -158,6 +175,30 @@ def test_simulate_reruns_byte_identical(small_sim):
         assert f.read_bytes() == (b / f.name).read_bytes()
     assert ((a / "metadata.json").read_bytes()
             == (b / "metadata.json").read_bytes())
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_simulate_blow_up_exits_5(tmp_path, monkeypatch):
+    # ten times the default time step: the leapfrog scheme overflows within
+    # a few hundred steps, and the run must stop with a simulation error
+    monkeypatch.setattr(elastic_sim, "CFL_SAFETY", 5.0)
+    model = write_model(tmp_path, UNIT_BOX_MODEL)
+    assert run(["simulate", "--model", str(model),
+                "--source", "edge=left,center=0.5,width=0.2,f0=8,pol=1,0",
+                "--receivers", "edge=right,count=3",
+                "--T", "40", "--h", "0.05",
+                "--out", str(tmp_path / "out")]) == cli.EXIT_SIMULATION
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    code = "import sys, elastic_lens.cli; print('scipy.signal' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 def test_radial_pipeline(tmp_path, capsys):

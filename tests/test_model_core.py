@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from elastic_lens.errors import ModelError, PreconditionError
 from elastic_lens.model_core import (BoundingBox, BoxDomain, ConstantField,
-                                     DepthField, DiskDomain, ElasticMaterial,
+                                     DepthField, DerivedSpeed, DiskDomain,
+                                     ElasticMaterial,
                                      GridField, Grid2D, LinearField,
                                      RadialField, field_from_spec, load_model,
                                      wave_speeds)
@@ -144,3 +147,19 @@ def test_load_model_missing_key_names_it(doc, key):
 def test_field_from_spec_bare_number_is_constant():
     f = field_from_spec(3.0, dim=2)
     assert f.value((0.1, 0.1)) == 3.0
+
+
+# a + b . x with a >= 1 > |b_0| + |b_1| is positive on the cube [-1, 1]^2
+_LINEAR = st.tuples(st.floats(1.0, 3.0), st.floats(-0.4, 0.4), st.floats(-0.4, 0.4))
+
+
+@given(lam=_LINEAR, mu=_LINEAR, rho=_LINEAR, mode=st.sampled_from("ps"),
+       x=st.tuples(st.floats(-0.9, 0.9), st.floats(-0.9, 0.9)))
+def test_derived_speed_gradient_matches_central_difference(lam, mu, rho, mode, x):
+    material = ElasticMaterial(*(LinearField(a, (b0, b1)) for a, b0, b1 in (lam, mu, rho)))
+    field = DerivedSpeed(material, mode)
+    _, g = field.value_and_grad(x)
+    h = 1e-6
+    fd = [(field.value(np.add(x, e)) - field.value(np.subtract(x, e))) / (2 * h)
+          for e in h * np.eye(2)]
+    assert np.allclose(g, fd, rtol=0, atol=1e-8)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from elastic_lens.errors import PreconditionError
-from elastic_lens.model_core import ConstantField, DiskDomain
+from elastic_lens.model_core import ConstantField, DiskDomain, RadialField
 from elastic_lens.ray_tracer import (BoundaryDirection, PhasePoint, RayStatus,
                                      entry_at, fan_angles, hamiltonian,
                                      integrate_bicharacteristic, lens_table,
@@ -100,3 +102,21 @@ def test_radial_ray_in_linear_profile_turns_and_exits(linear_radial_speed,
     assert np.linalg.norm(rec.exit.x) == pytest.approx(1.0, abs=1e-9)
     nu = unit_disk.normal(rec.exit.x)
     assert float(np.dot(rec.exit.v, nu)) > 0.0
+
+
+@given(a=st.floats(1.0, 2.0), frac=st.floats(0.1, 0.8))
+def test_lens_table_rows_match_single_rays(a, frac):
+    # c = a - b r with 0 < b < a / 1.2 stays positive on the field's support
+    # and is Herglotz-admissible: d/dr (r / c) = a / c^2 > 0
+    b = frac * a / 1.2
+    speed = RadialField(func=lambda r: a - b * r, dfunc=lambda r: -b, r_max=1.2)
+    disk = DiskDomain(1.0)
+    rows = lens_table(speed, disk, n_points=3, angles=4, t_max=20.0, dt=2e-2)
+    for row in rows:
+        single = scattering_relation(speed, disk,
+                                     entry_at(disk, row.entry_s, row.entry_angle),
+                                     t_max=20.0, dt=2e-2)
+        assert single.status is row.record.status is RayStatus.EXITED
+        assert np.allclose(single.exit.x, row.record.exit.x, rtol=0, atol=1e-12)
+        assert np.allclose(single.exit.v, row.record.exit.v, rtol=0, atol=1e-12)
+        assert abs(single.ell - row.record.ell) <= 1e-12
