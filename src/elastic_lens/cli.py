@@ -97,6 +97,27 @@ def _load_model_checked(path):
     return load_model(spec)
 
 
+def _number_pair(text):
+    """argparse type for 'a,b': exactly two numbers."""
+    try:
+        a, b = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two numbers a,b, got {text!r}")
+    return a, b
+
+
+def _read_csv(path, columns):
+    """Numeric rows of a CSV file with one header line and >= `columns` columns."""
+    try:
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as e:
+        raise ConfigurationError(f"malformed CSV {path}: {e}")
+    if rows.shape[1] < columns:
+        raise ConfigurationError(
+            f"CSV {path} has {rows.shape[1]} column(s), expected {columns}")
+    return rows
+
+
 def _parse_kv(text, what):
     """Parse 'key=a,other=b,pol=px,py' allowing bare continuation tokens."""
     out = {}
@@ -198,17 +219,11 @@ def cmd_validate(args):
 def cmd_check_foliation(args):
     model = _load_model_checked(args.model)
     speed = model.lens_speed()
-    a, b = (float(v) for v in args.range.split(","))
+    a, b = args.range
     if args.foliation == "spheres":
         report = check_hwz(speed, a, b)
-    elif args.foliation == "planes":
-        report = check_plane_foliation(speed, args.axis, a, b)
-    elif args.foliation.startswith("kappa:"):
-        raise ConfigurationError(
-            "kappa foliations require the library API (a callable level "
-            "function); the CLI supports 'spheres' and 'planes'")
     else:
-        raise ConfigurationError(f"unknown foliation {args.foliation!r}")
+        report = check_plane_foliation(speed, args.axis, a, b)
     doc = report.to_dict()
     if args.out:
         _write_json(args.out, doc)
@@ -299,14 +314,14 @@ def _read_traces_dir(traces_dir):
         meta = json.load(f)
     traces = []
     for k, rec in enumerate(meta["receivers"]):
-        rows = np.loadtxt(d / f"receiver_{k:03d}.csv", delimiter=",", skiprows=1)
+        rows = _read_csv(d / f"receiver_{k:03d}.csv", 3)
         traces.append(TractionTrace(tuple(rec), float(meta["dt"]),
                                     rows[:, 1:3]))
     return meta, traces
 
 
 def _read_predictions(path, n):
-    rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    rows = _read_csv(path, 3)
     if rows.shape[0] != n:
         raise ConfigurationError(
             f"prediction table {path} has {rows.shape[0]} rows, expected {n}")
@@ -369,7 +384,7 @@ def _source_point(meta):
 
 
 def cmd_invert(args):
-    rows = np.loadtxt(args.curve, delimiter=",", skiprows=1, ndmin=2)
+    rows = _read_csv(args.curve, 2)
     if args.mode == "radial":
         curve = TravelTimeCurve(rows[:, 0], rows[:, 1], R=args.R)
         prof = herglotz_invert(curve)
@@ -390,7 +405,7 @@ def cmd_invert(args):
 
 
 def cmd_compare(args):
-    rows = np.loadtxt(args.profile, delimiter=",", skiprows=1, ndmin=2)
+    rows = _read_csv(args.profile, 2)
     model = _load_model_checked(args.truth)
     speed = model.lens_speed()
     # radial profiles index by r, depth profiles by the last coordinate
@@ -646,9 +661,9 @@ def _build_parser():
 
     q = sub.add_parser("check-foliation", help="strict convexity check")
     q.add_argument("--model", required=True)
-    q.add_argument("--foliation", required=True,
-                   help="spheres | planes | kappa:file")
-    q.add_argument("--range", required=True, help="a,b leaf-parameter range")
+    q.add_argument("--foliation", required=True, choices=("spheres", "planes"))
+    q.add_argument("--range", required=True, type=_number_pair,
+                   help="a,b leaf-parameter range")
     q.add_argument("--axis", type=int, default=0)
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_check_foliation)

@@ -16,12 +16,16 @@ For concentric spheres the criterion reduces (up to the positive factor
 c/r) to d/dr (r / c) > 0, the generalized Herglotz / Wiechert-Zoeppritz
 condition; for parallel planes it is a sign test on the normal derivative
 of c.
+
+All three checks run on one array engine: every leaf x point x tangent
+sample of a foliation is placed, framed and evaluated in one batch, with
+one field evaluation, and one scan turns the values into a report.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +42,7 @@ VERDICT_FLAT = "flat within tolerance"
 VERDICT_VIOLATED = "violated"
 
 _GOLDEN = math.pi * (3.0 - math.sqrt(5.0))
+_BISECT_STEPS = 50   # halves a ray bracket to below 1e-15 of its length
 
 
 @dataclass(frozen=True)
@@ -48,8 +53,12 @@ class Foliation:
       * "spheres": concentric spheres, params (r_min, r_max)
       * "planes":  parallel planes x[axis] = C, params (C1, C2), axis
       * "kappa":   level sets of a scalar function, params (q_lo, q_hi),
-                   with callables kappa(x), optional grad(x) and hess(x)
+                   with callables kappa(X), optional grad(X) and hess(X)
                    (finite differences otherwise)
+
+    The callables receive an (n, d) array of points and return kappa as
+    (n,), its gradient as (n, d) and its Hessian as (n, d, d).  Kappa
+    leaves must be star-shaped around the origin.
 
     orientation: +1 orients leaf normals along grad kappa (outward for
     spheres), -1 the other way.  The normal points to the side tangent
@@ -94,9 +103,6 @@ class ConvexityReport:
             "notes": self.notes,
         }
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
-
 
 def conformal_second_fundamental_form(speed: SpeedField, x, tangent, normal,
                                       ambient_form: float) -> float:
@@ -116,15 +122,6 @@ def conformal_second_fundamental_form(speed: SpeedField, x, tangent, normal,
     return float(ambient_form) - float(g @ n) / c
 
 
-def _verdict(minima, threshold=STRICT_MARGIN):
-    m = min(v for _, v in minima)
-    if m > threshold:
-        return VERDICT_CONVEX, m
-    if m >= -threshold:
-        return VERDICT_FLAT, m
-    return VERDICT_VIOLATED, m
-
-
 def _directions(count, dim):
     """count deterministic well-spread unit vectors (golden angle / Fibonacci)."""
     if dim == 2:
@@ -137,236 +134,195 @@ def _directions(count, dim):
     return np.stack([r * np.cos(ang), r * np.sin(ang), z], axis=1)
 
 
-def _scan_report(levels, points, vals):
-    """Report on leaf-major samples: vals[i, j] at points[i, j] on leaf i."""
-    minima = [(float(q), float(v)) for q, v in zip(levels, vals.min(axis=1))]
-    verdict, margin = _verdict(minima)
-    witness = None   # first violating sample in scan order
+def _fd_grad(kappa, X, h=1e-6):
+    """Central differences of kappa at the rows of X: (n, d)."""
+    return np.stack([(kappa(X + e) - kappa(X - e)) / (2 * h)
+                     for e in h * np.eye(X.shape[1])], axis=-1)
+
+
+def _fd_hess(kappa, X, h=1e-4):
+    """Central differences of the central-difference gradient: (n, d, d)."""
+    return np.stack([(_fd_grad(kappa, X + e, h) - _fd_grad(kappa, X - e, h)) / (2 * h)
+                     for e in h * np.eye(X.shape[1])], axis=-1)
+
+
+def _level_derivatives(fol, dim):
+    """Gradient and Hessian of the level function as (n, d)-array callables."""
+    if fol.kind == "spheres":   # kappa = |x|
+        def hess(X):
+            r = np.linalg.norm(X, axis=1)[:, None, None]
+            return (np.eye(dim) - X[:, :, None] * X[:, None, :] / r**2) / r
+        return (lambda X: X / np.linalg.norm(X, axis=1, keepdims=True)), hess
+    if fol.kind == "planes":    # kappa = x[axis]
+        e = np.eye(dim)[fol.axis]
+        return (lambda X: np.broadcast_to(e, X.shape)), (lambda X: np.zeros((len(X), dim, dim)))
+    return (fol.grad or (lambda X: _fd_grad(fol.kappa, X)),
+            fol.hess or (lambda X: _fd_hess(fol.kappa, X)))
+
+
+def _kappa_leaves(kappa, levels, omegas, bounds):
+    """Points where kappa = q on the rays t * omega, t in (0, bounds exit].
+
+    One batched bisection for every (leaf, ray) pair; returns the points
+    (L, P, d) and the mask of pairs whose ray crosses the leaf.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.nanmin(np.maximum(np.asarray(bounds.lo) / omegas,
+                                     np.asarray(bounds.hi) / omegas), axis=1)
+
+    def f(t):
+        X = (t[..., None] * omegas).reshape(-1, omegas.shape[1])
+        return kappa(X).reshape(t.shape) - levels[:, None]
+
+    a = np.full((len(levels), len(omegas)), 1e-9)
+    b = np.broadcast_to(reach, a.shape)
+    fa = f(a)
+    crossed = fa * f(b) <= 0.0
+    for _ in range(_BISECT_STEPS):
+        m = 0.5 * (a + b)
+        fm = f(m)
+        right = fa * fm > 0.0   # the root lies in [m, b]
+        a, fa, b = np.where(right, m, a), np.where(right, fm, fa), np.where(right, b, m)
+    return 0.5 * (a + b)[..., None] * omegas, crossed
+
+
+def _tangents(nu, n_dir):
+    """(n, K, d) unit tangents at points with unit normals nu: one in 2D,
+    n_dir spread over a half circle of the tangent plane in 3D."""
+    if nu.shape[1] == 2:
+        return np.stack([-nu[:, 1], nu[:, 0]], axis=1)[:, None]
+    a = np.where(np.abs(nu[:, :1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    e1 = a - np.sum(a * nu, axis=1, keepdims=True) * nu
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(nu, e1)
+    th = (np.arange(n_dir) + 0.5) * math.pi / n_dir
+    return np.cos(th)[:, None] * e1[:, None] + np.sin(th)[:, None] * e2[:, None]
+
+
+_Samples = namedtuple("_Samples", "levels points_per_leaf leaf points c tangents form")
+
+
+def _sample_foliation(speed: SpeedField, fol: Foliation, domain, samples):
+    """The conformal form II(t) - d_nu c / c on every leaf x point x tangent.
+
+    Sphere points are q * omega, plane points share one fixed transverse
+    placement, and kappa leaves are found by bisection along t * omega.
+    Points outside `domain` are dropped; the field is evaluated once, at
+    the points kept (DomainError if one lies outside its bounds).  Returns
+    the kept samples in scan order: leaf parameters (L,), points per leaf,
+    leaf index (n,), points (n, d), c (n,), tangents (n, K, d), form (n, K).
+    """
+    n_leaf, n_pt, n_dir = samples
+    dim = speed.bounds.dim
+    levels = np.linspace(*fol.params, n_leaf)
+    kept = np.ones((n_leaf, n_pt), dtype=bool)
+    if fol.kind == "spheres":
+        points = levels[:, None, None] * _directions(n_pt, dim)[None]
+    elif fol.kind == "planes":
+        if not -dim <= fol.axis < dim:
+            raise PreconditionError(f"plane axis {fol.axis} outside [{-dim}, {dim})")
+        axis = fol.axis % dim
+        lo, hi = np.asarray(speed.bounds.lo, float), np.asarray(speed.bounds.hi, float)
+        trans = [i for i in range(dim) if i != axis]
+        rng = np.random.default_rng(20240915)   # fixed placement: reproducible reports
+        points = np.zeros((n_leaf, n_pt, dim))
+        points[:, :, trans] = (lo[trans] + (hi[trans] - lo[trans])
+                               * rng.random((n_pt, len(trans))) * 0.9)
+        points[:, :, axis] = levels[:, None]
+    else:
+        points, kept = _kappa_leaves(fol.kappa, levels, _directions(n_pt, dim), speed.bounds)
+    if domain is not None:
+        kept &= domain.signed(points) <= 1e-9
+    leaf = np.nonzero(kept)[0]
+    X = points[kept]
+
+    grad, hess = _level_derivatives(fol, dim)
+    gk = grad(X)
+    ng = np.linalg.norm(gk, axis=1)
+    degenerate = ~(ng >= GRAD_EPS)   # nan too: the sphere of radius 0
+    if np.any(degenerate):
+        k = int(np.argmax(degenerate))
+        raise DegenerateFoliationError(
+            f"|grad kappa| = {ng[k]:.3g} < {GRAD_EPS} on leaf {levels[leaf[k]]}",
+            witness={"leaf": float(levels[leaf[k]]), "point": list(map(float, X[k]))})
+    sign = 1.0 if fol.orientation >= 0 else -1.0
+    nu = sign * gk / ng[:, None]
+    T = _tangents(nu, n_dir)
+    # + 0.0: a flat leaf oriented by sign = -1 reads 0.0, not -0.0
+    II = sign * np.einsum("nki,nij,nkj->nk", T, hess(X), T) / ng[:, None] + 0.0
+    c, gc = speed.eval(X)
+    form = II - (np.einsum("ni,ni->n", gc, nu) / c)[:, None]
+    return _Samples(levels, n_pt, leaf, X, c, T, form)
+
+
+def _scan_report(s: _Samples, vals):
+    """Report on per-sample values vals (n, K): leaf minima, the first
+    violating sample in scan order as witness, and the verdict."""
+    if not len(vals):
+        raise PreconditionError("no foliation samples fell inside the domain")
+    leaf_min = np.full(len(s.levels), np.inf)
+    np.minimum.at(leaf_min, s.leaf, vals.min(axis=1))
+    minima = [(float(s.levels[i]), float(leaf_min[i])) for i in np.unique(s.leaf)]
+    margin = min(v for _, v in minima)
+    verdict = (VERDICT_CONVEX if margin > STRICT_MARGIN else
+               VERDICT_FLAT if margin >= -STRICT_MARGIN else VERDICT_VIOLATED)
+    witness = None
     if verdict == VERDICT_VIOLATED:
-        i, j = np.unravel_index(int(np.argmax(vals < -STRICT_MARGIN)), vals.shape)
-        witness = {"leaf": float(levels[i]), "point": list(map(float, points[i, j])),
-                   "direction": None, "value": float(vals[i, j])}
+        n, k = np.unravel_index(int(np.argmax(vals < -STRICT_MARGIN)), vals.shape)
+        witness = {"leaf": float(s.levels[s.leaf[n]]), "point": list(map(float, s.points[n])),
+                   "direction": list(map(float, s.tangents[n, k])), "value": float(vals[n, k])}
     return ConvexityReport(verdict, margin, minima, witness,
-                           {"leaves": len(levels), "points_per_leaf": vals.shape[1],
-                            "directions": 1})
+                           {"leaves": len(s.levels), "points_per_leaf": s.points_per_leaf,
+                            "directions": vals.shape[1]})
 
 
 def check_hwz(speed: SpeedField, r_min: float, r_max: float,
               samples=(32, 64)) -> ConvexityReport:
     """Herglotz / Wiechert-Zoeppritz test: d/dr (r / c(r omega)) > 0.
 
-    The derivative is evaluated from the field's gradient:
-    d/dr (r/c) = (c - r dc/dr) / c^2.
+    The reported value is d/dr (r/c) = (c - r dc/dr) / c^2, i.e. r/c times
+    the conformal form of the sphere of radius r.
     """
     if not (0 < r_min < r_max):
         raise PreconditionError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
-    n_r, n_w = samples
-    omegas = _directions(n_w, speed.bounds.dim)
-    radii = np.linspace(r_min, r_max, n_r)
-    points = radii[:, None, None] * omegas[None]
-    c, g = speed.eval(points.reshape(n_r * n_w, -1))
-    c, g = c.reshape(n_r, n_w), g.reshape(points.shape)
-    dcdr = np.einsum("ijk,jk->ij", g, omegas)
-    return _scan_report(radii, points, (c - radii[:, None] * dcdr) / (c * c))
+    s = _sample_foliation(speed, Foliation("spheres", (r_min, r_max)), None, (*samples, 1))
+    return _scan_report(s, s.form * (s.levels[s.leaf] / s.c)[:, None])
 
 
 def check_plane_foliation(speed: SpeedField, axis: int, c1: float, c2: float,
                           samples=(32, 64)) -> ConvexityReport:
     """Parallel planes x[axis] in [c1, c2]: strictly convex iff dc/dx_axis > 0
-    (normals oriented toward decreasing x[axis])."""
+    (normals oriented toward decreasing x[axis]).
+
+    The reported value is dc/dx_axis, i.e. c times the conformal form.
+    """
     if not c1 < c2:
         raise PreconditionError(f"need c1 < c2, got {c1}, {c2}")
-    n_leaf, n_pt = samples
-    dim = speed.bounds.dim
-    lo = np.asarray(speed.bounds.lo, float)
-    hi = np.asarray(speed.bounds.hi, float)
-    trans = [i for i in range(dim) if i != axis]
-    rng = np.random.default_rng(20240915)   # fixed placement: reproducible reports
-    pts = lo[trans] + (hi[trans] - lo[trans]) * rng.random((n_pt, len(trans))) * 0.9
-    levels = np.linspace(c1, c2, n_leaf)
-    points = np.zeros((n_leaf, n_pt, dim))
-    points[:, :, trans] = pts
-    points[:, :, axis] = levels[:, None]
-    g = speed.eval(points.reshape(n_leaf * n_pt, dim))[1]
-    return _scan_report(levels, points, g[:, axis].reshape(n_leaf, n_pt))
-
-
-def _fd_grad(f, x, h=1e-6):
-    x = np.asarray(x, float)
-    g = np.zeros(len(x))
-    for i in range(len(x)):
-        e = np.zeros(len(x))
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2 * h)
-    return g
-
-
-def _fd_hess(f, x, h=1e-4):
-    x = np.asarray(x, float)
-    n = len(x)
-    H = np.zeros((n, n))
-    f0 = f(x)
-    for i in range(n):
-        ei = np.zeros(n); ei[i] = h
-        H[i, i] = (f(x + ei) - 2 * f0 + f(x - ei)) / h**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n); ej[j] = h
-            H[i, j] = H[j, i] = (f(x + ei + ej) - f(x + ei - ej)
-                                 - f(x - ei + ej) + f(x - ei - ej)) / (4 * h**2)
-    return H
-
-
-def _leaf_point(kappa, q, omega, r_hi):
-    """Point on the level set kappa = q along the ray t*omega (bisection).
-
-    Assumes the level sets are star-shaped around the origin within r_hi.
-    """
-    f = lambda t: kappa(t * omega) - q
-    lo, hi = 1e-9, r_hi
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo * omega
-    if flo * fhi > 0:
-        return None
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            lo = hi = mid
-            break
-        if fm * flo > 0:
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo < 1e-13 * r_hi:
-            break
-    return 0.5 * (lo + hi) * omega
-
-
-def _tangent_frame(nu):
-    """Orthonormal basis of the tangent space at a point with unit normal nu."""
-    dim = len(nu)
-    if dim == 2:
-        return [np.array([-nu[1], nu[0]])]
-    a = np.array([1.0, 0.0, 0.0]) if abs(nu[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = a - (a @ nu) * nu
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(nu, e1)
-    return [e1, e2]
+    fol = Foliation("planes", (c1, c2), axis=axis, orientation=-1)
+    s = _sample_foliation(speed, fol, None, (*samples, 1))
+    return _scan_report(s, s.form * s.c[:, None])
 
 
 def check_foliation(speed: SpeedField, foliation: Foliation, domain: Domain,
                     samples=(32, 64, 16)) -> ConvexityReport:
     """General leaf-by-leaf convexity check via the conformal form.
 
-    Leaves are sampled by ray casting from the domain center (star-shaped
-    level sets); the ambient form comes from the gradient and Hessian of
-    the level function.  The verification region is read as
-    kappa^-1([q_lo, q_hi]) intersected with the closed domain, and that
-    reading is flagged in the report notes.
+    Kappa leaves are sampled by ray casting from the origin inside the
+    field's bounds (star-shaped level sets); the ambient form comes from
+    the gradient and Hessian of the level function.  Samples outside
+    `domain` are skipped; a sample outside the field's bounds raises
+    DomainError.  The verification region is read as kappa^-1([q_lo, q_hi])
+    intersected with the closed domain, and that reading is flagged in the
+    report notes.
     """
-    n_leaf, n_pt, n_dir = samples
-    dim = speed.bounds.dim
-
-    if foliation.kind == "spheres":
-        kappa = lambda x: float(np.linalg.norm(x))
-        grad = lambda x: np.asarray(x) / np.linalg.norm(x)
-        hess = lambda x: (np.eye(len(x)) - np.outer(x, x) / (x @ x)) / np.linalg.norm(x)
-        q_lo, q_hi = foliation.params
-    elif foliation.kind == "planes":
-        ax = foliation.axis
-        e = np.zeros(dim); e[ax if ax >= 0 else dim - 1] = 1.0
-        kappa = lambda x: float(np.asarray(x) @ e)
-        grad = lambda x: e.copy()
-        hess = lambda x: np.zeros((dim, dim))
-        q_lo, q_hi = foliation.params
-    else:
-        kappa = foliation.kappa
-        grad = foliation.grad or (lambda x: _fd_grad(foliation.kappa, x))
-        hess = foliation.hess or (lambda x: _fd_hess(foliation.kappa, x))
-        q_lo, q_hi = foliation.params
-
-    sign = 1.0 if foliation.orientation >= 0 else -1.0
-    omegas = _directions(n_pt, dim)
-    r_hi = float(np.max(np.abs(speed.bounds.hi)))
-    minima = []
-    witness = None
-    note_interior_zero = False
-    n_evaluated = 0
-
-    for q in np.linspace(q_lo, q_hi, n_leaf):
-        leaf_min = math.inf
-        for w in omegas:
-            if foliation.kind == "spheres":
-                x = q * w
-            elif foliation.kind == "planes":
-                x = _plane_point(speed.bounds, foliation.axis, q, w)
-            else:
-                x = _leaf_point(kappa, q, w, r_hi)
-            if x is None or not speed.bounds.contains(x):
-                continue
-            if domain is not None and domain.signed(x) > 1e-9:
-                continue
-            gk = np.asarray(grad(x), float)
-            ng = float(np.linalg.norm(gk))
-            if ng < GRAD_EPS:
-                raise DegenerateFoliationError(
-                    f"|grad kappa| = {ng:.3g} < {GRAD_EPS} on leaf {q}",
-                    witness={"leaf": float(q), "point": list(map(float, x))})
-            nu = sign * gk / ng
-            Hk = np.asarray(hess(x), float)
-            frame = _tangent_frame(nu)
-            c, gc = speed.value_and_grad(x)
-            corr = float(gc @ nu) / c
-            for k in range(n_dir if dim == 3 else 1):
-                if dim == 3:
-                    th = (k + 0.5) * math.pi / n_dir
-                    t = math.cos(th) * frame[0] + math.sin(th) * frame[1]
-                else:
-                    t = frame[0]
-                II = sign * float(t @ Hk @ t) / ng
-                val = II - corr
-                n_evaluated += 1
-                if val < leaf_min:
-                    leaf_min = val
-                if witness is None and val < -STRICT_MARGIN:
-                    witness = {"leaf": float(q), "point": list(map(float, x)),
-                               "direction": list(map(float, t)), "value": float(val)}
-        if leaf_min < math.inf:
-            minima.append((float(q), float(leaf_min)))
-        # zero-leaf side condition: no interior point of the q = 0 leaf
-        if abs(q) < 1e-12 and domain is not None:
-            for w in omegas[: min(8, len(omegas))]:
-                x = _leaf_point(kappa, q, w, r_hi) if foliation.kind == "kappa" else None
-                if x is not None and domain.signed(x) < -1e-6:
-                    note_interior_zero = True
-
-    if not minima:
-        raise PreconditionError("no foliation samples fell inside the domain")
-    verdict, margin = _verdict(minima)
-    notes = ["verification region read as the kappa range intersected with the "
-             "closed domain (M0 is not pinned down further by the data)"]
-    if note_interior_zero:
-        notes.append("zero leaf has samples strictly inside the domain")
-    return ConvexityReport(verdict, margin, minima,
-                           witness if verdict == VERDICT_VIOLATED else None,
-                           {"leaves": n_leaf, "points_per_leaf": n_pt,
-                            "directions": n_dir if dim == 3 else 1,
-                            "evaluated": n_evaluated},
-                           notes)
-
-
-def _plane_point(bounds, axis, level, omega):
-    """Deterministic point on the plane x[axis] = level inside the bounds."""
-    dim = bounds.dim
-    ax = axis if axis >= 0 else dim - 1
-    lo = np.asarray(bounds.lo, float)
-    hi = np.asarray(bounds.hi, float)
-    x = np.zeros(dim)
-    trans = [i for i in range(dim) if i != ax]
-    # map the direction sample to transverse coordinates in (lo, hi)
-    for j, i in enumerate(trans):
-        u = 0.5 * (1.0 + float(omega[j % len(omega)]))
-        x[i] = lo[i] + u * (hi[i] - lo[i]) * 0.9 + 0.05 * (hi[i] - lo[i])
-    x[ax] = level
-    return x
+    s = _sample_foliation(speed, foliation, domain, samples)
+    report = _scan_report(s, s.form)
+    report.samples["evaluated"] = s.form.size
+    report.notes.append("verification region read as the kappa range intersected "
+                        "with the closed domain (M0 is not pinned down further by the data)")
+    # zero-leaf side condition: no interior point of the q = 0 leaf
+    if foliation.kind == "kappa" and domain is not None:
+        on_zero = np.abs(s.levels[s.leaf]) < 1e-12
+        if np.any(domain.signed(s.points[on_zero]) < -1e-6):
+            report.notes.append("zero leaf has samples strictly inside the domain")
+    return report

@@ -191,6 +191,16 @@ def _refine_crossing(t, env, i, thr):
     return float(t[i])
 
 
+def _first_crossing(t, env, thr, start=0, stop=None):
+    """(j, time) of the first envelope sample j in [start, stop) at or above
+    thr, with the crossing time refined before it; None when there is none."""
+    above = np.nonzero(env[start:stop] >= thr)[0]
+    if len(above) == 0:
+        return None
+    j = start + int(above[0])
+    return j, _refine_crossing(t, env, j, thr)
+
+
 def pick_first_arrival(trace, eta: float, f0: float, dt: float | None = None):
     """First time the causal envelope exceeds eta times its maximum.
 
@@ -213,10 +223,7 @@ def pick_first_arrival(trace, eta: float, f0: float, dt: float | None = None):
     peak = env.max()
     if peak <= 0.0:
         return None
-    thr = eta * peak
-    i = int(np.argmax(env >= thr))
-    t = dt * np.arange(len(env))
-    t_pick = _refine_crossing(t, env, i, thr)
+    i, t_pick = _first_crossing(dt * np.arange(len(env)), env, eta * peak)
     pre = env[:max(i, 1)]
     post = env[i:]
     rms_pre = float(np.sqrt(np.mean(pre**2)))
@@ -250,11 +257,11 @@ def pick_arrivals(trace, eta: float, f0: float, dt: float | None = None,
     i = 0
     n = len(env)
     while len(picks) < max_picks and i < n:
-        above = np.nonzero(env[i:] >= thr)[0]
-        if len(above) == 0:
+        crossing = _first_crossing(t, env, thr, i)
+        if crossing is None:
             break
-        j = i + int(above[0])
-        picks.append(_refine_crossing(t, env, j, thr))
+        j, t_pick = crossing
+        picks.append(t_pick)
         # wait for the envelope to fall below threshold, then apply the gap
         below = np.nonzero(env[j:] < thr)[0]
         if len(below) == 0:
@@ -305,16 +312,10 @@ def _windowed_onset(env, t, center, f0, eta, half: float = 1.5):
     peak = env[idx].max()
     if peak <= 0.0:
         return None
-    thr = eta * peak
-    above = np.nonzero(env[idx] >= thr)[0]
-    if len(above) == 0:
-        return None
-    j = int(idx[above[0]])
-    if above[0] == 0:
-        # the window opens above threshold; the onset is not bracketed,
-        # so the best deterministic estimate is the window start itself
-        return float(t[j])
-    return _refine_crossing(t, env, j, thr)
+    j, t_on = _first_crossing(t, env, eta * peak, idx[0], idx[-1] + 1)
+    # the window opens above threshold; the onset is not bracketed,
+    # so the best deterministic estimate is the window start itself
+    return float(t[j]) if j == idx[0] else t_on
 
 
 def extract_lens(traces, source, source_point, receivers, predictions,

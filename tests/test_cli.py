@@ -99,6 +99,16 @@ def test_check_foliation_passes(tmp_path, capsys):
     assert report["margin"] > 0
 
 
+@pytest.mark.parametrize("doc, flags", [
+    (LINEAR_RADIAL_MODEL, ["--foliation", "spheres", "--range", "0.1,0.5,0.9"]),
+    (LINEAR_RADIAL_MODEL, ["--foliation", "spheres", "--range", "abc"]),
+    (UNIT_BOX_MODEL, ["--foliation", "planes", "--range", "0.1,0.9", "--axis", "2"]),
+], ids=["three-numbers", "not-a-number", "axis-out-of-range"])
+def test_check_foliation_malformed_flags_exit_2(tmp_path, doc, flags):
+    model = write_model(tmp_path, doc)
+    assert run(["check-foliation", "--model", model, *flags]) == cli.EXIT_CONFIG
+
+
 def test_trace_json(tmp_path, capsys):
     path = write_model(tmp_path, CONSTANT_DISK_MODEL)
     assert run(["trace", "--model", str(path), "--entry-s", "0.0",
@@ -156,6 +166,21 @@ def small_sim(tmp_path_factory):
         assert code == 0
         outdirs.append(out)
     return outdirs
+
+
+@pytest.mark.parametrize("text", ["a,b,c\n0.1,abc,0.3\n", "a\n0.1\n0.2\n0.3\n"],
+                         ids=["non-numeric", "missing-column"])
+@pytest.mark.parametrize("command", ["invert", "compare", "extract"])
+def test_malformed_csv_exits_2(tmp_path, small_sim, command, text):
+    csv_path = tmp_path / "table.csv"
+    csv_path.write_text(text)
+    out = str(tmp_path / "out.csv")
+    argv = {"invert": ["invert", "--curve", str(csv_path), "--out", out],
+            "compare": ["compare", "--profile", str(csv_path), "--truth",
+                        write_model(tmp_path, LINEAR_RADIAL_MODEL)],
+            "extract": ["extract", "--traces", str(small_sim[0]),
+                        "--lens", str(csv_path), "--out", out]}[command]
+    assert run(argv) == cli.EXIT_CONFIG
 
 
 def test_simulate_outputs_and_manifest(small_sim):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from elastic_lens.convexity import (ConvexityReport, Foliation,
-                                    check_foliation, check_hwz,
-                                    check_plane_foliation,
+                                    _sample_foliation, check_foliation,
+                                    check_hwz, check_plane_foliation,
                                     conformal_second_fundamental_form)
 from elastic_lens.errors import PreconditionError
 from elastic_lens.model_core import (ConstantField, DepthField, DiskDomain,
@@ -89,3 +89,39 @@ def test_general_foliation_spheres_matches_hwz(linear_radial_speed):
     fol = Foliation(kind="spheres", params=(0.2, 0.9))
     report = check_foliation(linear_radial_speed, fol, domain)
     assert report.strictly_convex
+
+
+def test_kappa_foliation_matches_spheres(linear_radial_speed):
+    # kappa = |x|^2 with no derivatives given: finite-difference gradient and
+    # Hessian, leaves found by bisection; its leaves are the spheres again
+    domain = DiskDomain(1.0)
+    spheres = check_foliation(linear_radial_speed,
+                              Foliation(kind="spheres", params=(0.2, 0.9)), domain)
+    kappa = check_foliation(linear_radial_speed,
+                            Foliation(kind="kappa", params=(0.04, 0.81),
+                                      kappa=lambda X: np.sum(X * X, axis=1)),
+                            domain)
+    assert kappa.verdict == spheres.verdict == "strictly convex"
+    assert kappa.margin == pytest.approx(spheres.margin, abs=1e-6)
+
+
+def test_general_foliation_3d_conical_speed_is_flat():
+    # c = |x| makes every sphere flat, along each of the 3D tangent directions
+    f = RadialField(func=lambda r: r, dfunc=lambda r: 1.0, r_max=4.0, dim=3)
+    report = check_foliation(f, Foliation(kind="spheres", params=(0.5, 2.0)),
+                             DiskDomain(3.0, dim=3))
+    assert report.verdict == "flat within tolerance"
+    assert abs(report.margin) < 1e-10
+    assert report.samples["directions"] == 16
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_engine_form_matches_conformal_form_reference(dim):
+    f = RadialField(profile=[(0.0, 2.0), (0.5, 1.5), (1.0, 1.0), (1.2, 0.8)], dim=dim)
+    s = _sample_foliation(f, Foliation(kind="spheres", params=(0.2, 0.9)), None, (4, 8, 3))
+    for n in (0, 13, 31):
+        x = s.points[n]
+        r = np.linalg.norm(x)
+        for k, t in enumerate(s.tangents[n]):
+            ref = conformal_second_fundamental_form(f, x, t, x / r, ambient_form=1.0 / r)
+            assert s.form[n, k] == pytest.approx(ref, abs=1e-12)
