@@ -14,6 +14,7 @@ manifest.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -26,14 +27,12 @@ import numpy as np
 
 from . import __version__
 from .convexity import VERDICT_FLAT, check_hwz, check_plane_foliation
-from .elastic_sim import BoundarySource, simulate_dn
-from .errors import (ConfigurationError, DataInconsistencyError,
-                     DegenerateFoliationError, ElasticLensError, ExtractionError,
-                     FoliationError, IllPosedInputError, InversionError,
-                     ModelError, NumericalError, PreconditionError, ResourceError,
-                     UnsupportedGeometryError)
-from .inversion import (TravelTimeCurve, forward_travel_times, herglotz_invert,
-                        invert_both_speeds, layer_strip_invert)
+from .elastic_sim import BoundarySource, TractionTrace, simulate_dn
+from .errors import (ConfigurationError, ElasticLensError, ExtractionError,
+                     FoliationError, InversionError, ModelError, NumericalError,
+                     PreconditionError, ResourceError)
+from .inversion import (RadialProfile, TravelTimeCurve, forward_travel_times,
+                        herglotz_invert, invert_both_speeds, layer_strip_invert)
 from .model_core import (BoxDomain, ConstantField, DepthField, DiskDomain,
                          load_model)
 from .ray_tracer import (RayStatus, entry_at, fan_angles, lens_table,
@@ -71,6 +70,26 @@ def _write_json(path, obj):
         f.write("\n")
 
 
+def _emit(doc, out):
+    """Write `doc` as JSON to `out` when given, then print it."""
+    if out:
+        _write_json(out, doc)
+    print(json.dumps(doc, indent=2))
+
+
+def _cell(v):
+    return "" if v is None else v if isinstance(v, str) else _FMT % v
+
+
+def _write_csv(path, header, rows):
+    """CSV with one header line; numbers as %.12g, None as an empty cell."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows([_cell(v) for v in row] for row in rows)
+
+
 def _write_manifest(out_dir, command, config, inputs, t_start):
     if isinstance(config, dict):
         config = {k: v for k, v in config.items()
@@ -85,18 +104,6 @@ def _write_manifest(out_dir, command, config, inputs, t_start):
     _write_json(Path(out_dir) / "manifest.json", manifest)
 
 
-def _load_model_checked(path):
-    try:
-        with open(path) as f:
-            spec = json.load(f)
-    except FileNotFoundError:
-        raise ConfigurationError(f"model file not found: {path}")
-    except json.JSONDecodeError as e:
-        raise ModelError(f"malformed model JSON at line {e.lineno}, "
-                         f"column {e.colno}: {e.msg}")
-    return load_model(spec)
-
-
 def _number_pair(text):
     """argparse type for 'a,b': exactly two numbers."""
     try:
@@ -104,6 +111,10 @@ def _number_pair(text):
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected two numbers a,b, got {text!r}")
     return a, b
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _read_csv(path, columns):
@@ -134,46 +145,86 @@ def _parse_kv(text, what):
     return out
 
 
-def _parse_source(text):
-    kv = _parse_kv(text, "source")
+def _source(spec):
+    """BoundarySource from a dict with edge, center, width, f0 and pol; the
+    values may be numbers or, as parsed from --source, strings."""
     try:
-        pol = tuple(float(v) for v in kv["pol"].split(","))
+        pol = spec["pol"]
+        pol = tuple(float(v) for v in (pol.split(",") if isinstance(pol, str) else pol))
         if len(pol) != 2:
-            raise ValueError
-        return BoundarySource(edge=kv.get("edge", "left"),
-                              center=float(kv["center"]),
-                              width=float(kv["width"]),
-                              f0=float(kv["f0"]),
+            raise ValueError(f"pol has {len(pol)} components")
+        return BoundarySource(edge=spec.get("edge", "left"),
+                              center=float(spec["center"]),
+                              width=float(spec["width"]),
+                              f0=float(spec["f0"]),
                               polarization=pol)
-    except (KeyError, ValueError) as e:
-        raise ConfigurationError(f"bad source spec {text!r}: needs edge, center, "
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigurationError(f"bad source spec {spec!r}: needs edge, center, "
                                  f"width, f0, pol=px,py ({e})")
 
 
-def _receiver_points(domain, spec_text):
-    kv = _parse_kv(spec_text, "receivers")
-    edge = kv.get("edge", "right")
-    count = int(kv.get("count", 8))
+def _edge_point(lo, hi, edge, center):
+    """Point at coordinate `center` along an edge of the box lo..hi."""
+    if edge == "left":
+        return (lo[0], center)
+    if edge == "right":
+        return (hi[0], center)
+    if edge == "bottom":
+        return (center, lo[1])
+    return (center, hi[1])
+
+
+def _receiver_points(domain, spec):
+    """`count` receivers along one edge of a box: inside the whole edge, or
+    from center - width/2 to center + width/2 inclusive.  The values may be
+    numbers or, as parsed from --receivers, strings; None means absent."""
+    edge = spec.get("edge", "right")
+    center, width = spec.get("center"), spec.get("width")
+    if (center is None) != (width is None):
+        raise ConfigurationError("a receiver center and width must be given together")
+    axis = {"left": 1, "right": 1, "bottom": 0, "top": 0}.get(edge)
+    if axis is None:
+        raise ConfigurationError(f"unknown receiver edge {edge!r}")
+    try:
+        count = int(spec.get("count", 8))
+        span = None if center is None else (float(center), float(width))
+    except (TypeError, ValueError) as e:
+        raise ConfigurationError(f"bad receiver spec {spec!r}: {e}")
     if count < 1:
         raise ConfigurationError("receiver count must be >= 1")
-    lo, hi = domain.lo, domain.hi
-    if edge in ("left", "right"):
-        x = lo[0] if edge == "left" else hi[0]
-        c0, c1 = lo[1], hi[1]
-    elif edge in ("bottom", "top"):
-        y = lo[1] if edge == "bottom" else hi[1]
-        c0, c1 = lo[0], hi[0]
+    c0, c1 = domain.lo[axis], domain.hi[axis]
+    if span is None:
+        frac = (np.arange(count) + 1.0) / (count + 1.0)
     else:
-        raise ConfigurationError(f"unknown receiver edge {edge!r}")
-    if "center" in kv and "width" in kv:
-        mid, w = float(kv["center"]), float(kv["width"])
-        c0, c1 = mid - 0.5 * w, mid + 0.5 * w
-    frac = (np.arange(count) + 1.0) / (count + 1.0) if "center" not in kv \
-        else np.linspace(0.0, 1.0, count) if count > 1 else np.array([0.5])
+        c0, c1 = span[0] - 0.5 * span[1], span[0] + 0.5 * span[1]
+        frac = np.linspace(0.0, 1.0, count) if count > 1 else np.array([0.5])
     along = c0 + frac * (c1 - c0)
-    if edge in ("left", "right"):
-        return [(x, float(a)) for a in along]
-    return [(float(a), y) for a in along]
+    return [_edge_point(domain.lo, domain.hi, edge, float(a)) for a in along]
+
+
+def _require_convex(report, accept_flat=False):
+    """FoliationError unless the verdict is strictly convex (or, with
+    `accept_flat`, flat: constant speeds foliate a box by flat planes)."""
+    if not (report.strictly_convex
+            or accept_flat and report.verdict == VERDICT_FLAT):
+        raise FoliationError(f"foliation check verdict: {report.verdict}",
+                             report=report, witness=report.witness)
+
+
+def _profile_errors(speed, x, c):
+    """Relative errors of the profile speeds c at coordinates x against the
+    truth: radial profiles index by r, depth profiles by the last coordinate."""
+    points = np.zeros((len(x), speed.bounds.dim))
+    points[:, -1 if isinstance(speed, DepthField) else 0] = x
+    c_true = speed.eval(points)[0]
+    errs = np.abs(c - c_true) / c_true
+    return {"max_rel_err": float(np.max(errs)), "mean_rel_err": float(np.mean(errs))}
+
+
+def _write_profile(path, prof):
+    """A recovered profile as CSV: radius r (radial) or depth z, then c."""
+    axis = "r" if isinstance(prof, RadialProfile) else "z"
+    _write_csv(path, [axis, "c"], zip(getattr(prof, axis), prof.c))
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +233,7 @@ def _receiver_points(domain, spec_text):
 
 
 def cmd_validate(args):
-    model = _load_model_checked(args.model)
+    model = load_model(args.model)
     findings = []
     domain = model.domain
     # sample a grid of interior points covering the domain
@@ -207,35 +258,26 @@ def cmd_validate(args):
             f.eval(points)
         except ModelError as e:
             findings.append(str(e))
-    report = {"model": args.model, "pass": not findings, "findings": findings}
-    if args.out:
-        _write_json(args.out, report)
-    print(json.dumps(report, indent=2))
+    _emit({"model": args.model, "pass": not findings, "findings": findings}, args.out)
     if findings:
         raise ModelError(f"validation failed with {len(findings)} finding(s)")
     return EXIT_OK
 
 
 def cmd_check_foliation(args):
-    model = _load_model_checked(args.model)
-    speed = model.lens_speed()
+    speed = load_model(args.model).lens_speed()
     a, b = args.range
     if args.foliation == "spheres":
         report = check_hwz(speed, a, b)
     else:
         report = check_plane_foliation(speed, args.axis, a, b)
-    doc = report.to_dict()
-    if args.out:
-        _write_json(args.out, doc)
-    print(json.dumps(doc, indent=2))
-    if not report.strictly_convex:
-        raise FoliationError(f"foliation check verdict: {report.verdict}",
-                             report=report, witness=report.witness)
+    _emit(report.to_dict(), args.out)
+    _require_convex(report)
     return EXIT_OK
 
 
 def cmd_trace(args):
-    model = _load_model_checked(args.model)
+    model = load_model(args.model)
     speed = model.lens_speed()
     bd = entry_at(model.domain, args.entry_s, args.angle)
     rec = scattering_relation(speed, model.domain, bd, dt=args.dt,
@@ -254,7 +296,7 @@ def cmd_trace(args):
 
 
 def cmd_lens(args):
-    model = _load_model_checked(args.model)
+    model = load_model(args.model)
     speed = model.lens_speed()
     records = lens_table(speed, model.domain, n_points=args.points,
                          angles=fan_angles(args.angles), t_max=args.tmax,
@@ -266,36 +308,30 @@ def cmd_lens(args):
 
 
 def _simulate_to_dir(model_path, model, source, receivers, T, h, dt, out_dir):
-    if not isinstance(model.domain, BoxDomain):
-        raise ConfigurationError("the FD simulator supports box domains only")
-    if model.material is None:
-        raise ConfigurationError("simulation requires a material in the model")
+    """Run the FD simulator on a box model with a material; write one CSV
+    per receiver trace and metadata.json."""
     result = simulate_dn(model.material, model.domain, source, receivers,
                          T=T, h=h, dt=dt)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     for k, trace in enumerate(result.traces):
-        with open(out / f"receiver_{k:03d}.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["t", "Nu_x", "Nu_y"])
-            for n_, (nx_, ny_) in enumerate(trace.samples):
-                w.writerow([_FMT % (n_ * trace.dt), _FMT % nx_, _FMT % ny_])
-    meta = dict(result.meta)
-    meta["origin"] = [float(v) for v in result.grid.origin]
-    meta["receivers"] = [list(map(float, r)) for r in receivers]
-    meta["T"] = T
-    meta["model"] = str(model_path)
-    _write_json(out / "metadata.json", meta)
+        _write_csv(out / f"receiver_{k:03d}.csv", ["t", "Nu_x", "Nu_y"],
+                   ((n * trace.dt, nx, ny) for n, (nx, ny) in enumerate(trace.samples)))
+    _write_json(out / "metadata.json", {
+        **result.meta, "origin": [float(v) for v in result.grid.origin],
+        "receivers": [list(map(float, r)) for r in receivers],
+        "T": T, "model": str(model_path)})
     return result
 
 
 def cmd_simulate(args):
     t0 = time.monotonic()
-    model = _load_model_checked(args.model)
-    source = _parse_source(args.source)
+    model = load_model(args.model)
+    source = _source(_parse_kv(args.source, "source"))
     if not isinstance(model.domain, BoxDomain):
         raise ConfigurationError("the FD simulator supports box domains only")
-    receivers = _receiver_points(model.domain, args.receivers)
+    if model.material is None:
+        raise ConfigurationError("simulation requires a material in the model")
+    receivers = _receiver_points(model.domain, _parse_kv(args.receivers, "receivers"))
     _simulate_to_dir(args.model, model, source, receivers,
                      args.T, args.h, args.dt, args.out)
     _write_manifest(args.out, "simulate", vars(args), [args.model], t0)
@@ -303,21 +339,28 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _read_traces_dir(traces_dir):
-    from .elastic_sim import TractionTrace
-
+def _read_traces_dir(traces_dir, f0=None):
+    """Traces, source (with f0 replaced when given) and source-patch center of
+    a directory written by `simulate`."""
     d = Path(traces_dir)
     meta_path = d / "metadata.json"
     if not meta_path.is_file():
         raise ConfigurationError(f"no metadata.json in {traces_dir}")
-    with open(meta_path) as f:
-        meta = json.load(f)
-    traces = []
-    for k, rec in enumerate(meta["receivers"]):
-        rows = _read_csv(d / f"receiver_{k:03d}.csv", 3)
-        traces.append(TractionTrace(tuple(rec), float(meta["dt"]),
-                                    rows[:, 1:3]))
-    return meta, traces
+    try:
+        meta = json.loads(meta_path.read_text())
+        src = meta["source"]
+        source = _source({**src, "pol": src["polarization"], "f0": f0 or src["f0"]})
+        g = meta["grid"]
+        ox, oy = meta.get("origin", (0.0, 0.0))
+        hi = (ox + (g["nx"] - 1) * g["h"], oy + (g["ny"] - 1) * g["h"])
+        point = _edge_point((ox, oy), hi, source.edge, source.center)
+        dt = float(meta["dt"])
+        traces = [TractionTrace(tuple(rec), dt,
+                                _read_csv(d / f"receiver_{k:03d}.csv", 3)[:, 1:3])
+                  for k, rec in enumerate(meta["receivers"])]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigurationError(f"malformed {meta_path}: {e!r}")
+    return traces, source, point
 
 
 def _read_predictions(path, n):
@@ -330,33 +373,21 @@ def _read_predictions(path, n):
 
 
 def _write_extracted_csv(path, records):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["receiver_s", "t_p", "t_s", "ell_p", "ell_s",
-                    "rel_err_p", "rel_err_s", "flags"])
-        for k, r in enumerate(records):
-            def fmt(v):
-                return "" if v is None else _FMT % v
-            w.writerow([k, fmt(r.t_p), fmt(r.t_s), fmt(r.ell_p), fmt(r.ell_s),
-                        fmt(r.rel_err_p), fmt(r.rel_err_s),
-                        ";".join(r.flags)])
+    _write_csv(path, ["receiver_s", "t_p", "t_s", "ell_p", "ell_s",
+                      "rel_err_p", "rel_err_s", "flags"],
+               ((k, r.t_p, r.t_s, r.ell_p, r.ell_s, r.rel_err_p, r.rel_err_s,
+                 ";".join(r.flags)) for k, r in enumerate(records)))
 
 
 def cmd_extract(args):
-    meta, traces = _read_traces_dir(args.traces)
-    src = meta["source"]
-    source = BoundarySource(edge=src["edge"], center=src["center"],
-                            width=src["width"],
-                            f0=args.f0 if args.f0 else src["f0"],
-                            polarization=tuple(src["polarization"]))
+    traces, source, point = _read_traces_dir(args.traces, args.f0)
     predictions = _read_predictions(args.lens, len(traces))
     receivers = [t.receiver for t in traces]
     try:
-        records = extract_lens(traces, source, _source_point(meta), receivers,
+        records = extract_lens(traces, source, point, receivers,
                                predictions, eta=args.eta)
-    except (PreconditionError, ElasticLensError) as e:
+    except ElasticLensError as e:
         raise ExtractionError(f"extraction failed: {e}") from e
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     _write_extracted_csv(args.out, records)
     missing = sum(1 for r in records if r.t_p is None and r.t_s is None)
     print(f"extracted {len(records)} records ({missing} without picks) "
@@ -364,66 +395,22 @@ def cmd_extract(args):
     return EXIT_OK
 
 
-def _edge_point(lo, hi, edge, center):
-    """Point at coordinate `center` along an edge of the box lo..hi."""
-    if edge == "left":
-        return (lo[0], center)
-    if edge == "right":
-        return (hi[0], center)
-    if edge == "bottom":
-        return (center, lo[1])
-    return (center, hi[1])
-
-
-def _source_point(meta):
-    """Center of the source patch, from a simulation's metadata."""
-    g = meta["grid"]
-    ox, oy = meta.get("origin", (0.0, 0.0))
-    hi = (ox + (g["nx"] - 1) * g["h"], oy + (g["ny"] - 1) * g["h"])
-    return _edge_point((ox, oy), hi, meta["source"]["edge"], meta["source"]["center"])
-
-
 def cmd_invert(args):
     rows = _read_csv(args.curve, 2)
     if args.mode == "radial":
-        curve = TravelTimeCurve(rows[:, 0], rows[:, 1], R=args.R)
-        prof = herglotz_invert(curve)
-        cols, header = (prof.r, prof.c), ["r", "c"]
-    elif args.mode == "layered":
-        prof = layer_strip_invert(rows[:, 0], rows[:, 1])
-        cols, header = (prof.z, prof.c), ["z", "c"]
+        prof = herglotz_invert(TravelTimeCurve(rows[:, 0], rows[:, 1], R=args.R))
     else:
-        raise ConfigurationError(f"unknown inversion mode {args.mode!r}")
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    with open(args.out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for a, b in zip(*cols):
-            w.writerow([_FMT % a, _FMT % b])
-    print(f"wrote profile ({len(cols[0])} nodes) to {args.out}")
+        prof = layer_strip_invert(rows[:, 0], rows[:, 1])
+    _write_profile(args.out, prof)
+    print(f"wrote profile ({len(prof.c)} nodes) to {args.out}")
     return EXIT_OK
 
 
 def cmd_compare(args):
     rows = _read_csv(args.profile, 2)
-    model = _load_model_checked(args.truth)
-    speed = model.lens_speed()
-    # radial profiles index by r, depth profiles by the last coordinate
-    dim, axis = (speed.dim, -1) if isinstance(speed, DepthField) else (2, 0)
-    points = np.zeros((len(rows), dim))
-    points[:, axis] = rows[:, 0]
-    c_true = speed.eval(points)[0]
-    errs = np.abs(rows[:, 1] - c_true) / c_true
-    report = {
-        "profile": args.profile,
-        "truth": args.truth,
-        "n_points": len(errs),
-        "max_rel_err": float(np.max(errs)),
-        "mean_rel_err": float(np.mean(errs)),
-    }
-    if args.out:
-        _write_json(args.out, report)
-    print(json.dumps(report, indent=2))
+    speed = load_model(args.truth).lens_speed()
+    _emit({"profile": args.profile, "truth": args.truth, "n_points": len(rows),
+           **_profile_errors(speed, rows[:, 0], rows[:, 1])}, args.out)
     return EXIT_OK
 
 
@@ -438,17 +425,23 @@ class _Stage(Exception):
     def __init__(self, stage, cause):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
-        self.cause = cause
+
+
+@contextlib.contextmanager
+def _stage(name, *errors):
+    """Re-raise `errors` from the block as a failure of stage `name`."""
+    try:
+        yield
+    except errors as e:
+        raise _Stage(name, e) from e
 
 
 _STAGE_EXIT = {
     "validate": EXIT_MODEL,
     "foliation": EXIT_FOLIATION,
-    "lens": EXIT_MODEL,
     "simulate": EXIT_SIMULATION,
     "extract": EXIT_EXTRACTION,
     "invert": EXIT_INVERSION,
-    "compare": EXIT_CONFIG,
 }
 
 _PIPELINE_DEFAULTS = {
@@ -466,22 +459,38 @@ _PIPELINE_DEFAULTS = {
 
 
 def _resolve_config(path):
+    """The pipeline defaults updated by the JSON object at `path`; blocks
+    merge key by key.  Numeric settings must be numbers."""
     try:
         with open(path) as f:
             user = json.load(f)
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigurationError(f"malformed config JSON at line {e.lineno}: "
                                  f"{e.msg}")
+    if not isinstance(user, dict):
+        raise ConfigurationError("pipeline config must be a JSON object")
     cfg = json.loads(json.dumps(_PIPELINE_DEFAULTS))
     for key, val in user.items():
-        if isinstance(val, dict) and isinstance(cfg.get(key), dict):
+        if isinstance(cfg.get(key), dict):
+            if not isinstance(val, dict):
+                raise ConfigurationError(f"config {key!r} must be an object")
             cfg[key].update(val)
         else:
             cfg[key] = val
-    if "model" not in cfg:
+    if not isinstance(cfg.get("model"), str):
         raise ConfigurationError("pipeline config must name a 'model' file")
+    numbers = {k: cfg[k] for k in ("T", "h", "eta")}
+    numbers.update((f"radial.{k}", cfg["radial"][k]) for k in _PIPELINE_DEFAULTS["radial"])
+    if cfg["dt"] is not None:
+        numbers["dt"] = cfg["dt"]
+    bad = [k for k, v in numbers.items() if not _is_number(v)]
+    if bad:
+        raise ConfigurationError(f"config values must be numbers: {', '.join(bad)}")
+    n_rays, rng = cfg["radial"]["n_rays"], cfg["foliation_range"]
+    if not isinstance(n_rays, int) or n_rays < 1:
+        raise ConfigurationError(f"radial.n_rays must be a positive integer, got {n_rays!r}")
+    if not (isinstance(rng, list) and len(rng) == 2 and all(map(_is_number, rng))):
+        raise ConfigurationError(f"foliation_range must be two numbers, got {rng!r}")
     return cfg
 
 
@@ -503,65 +512,41 @@ def _pipeline_homogeneous(cfg, out, model):
     # foliation stage: vertical planes foliate the box; check the p-speed
     rng = cfg["foliation_range"]
     lo, hi = domain.lo[0], domain.hi[0]
-    a = lo + rng[0] * (hi - lo)
-    b = lo + rng[1] * (hi - lo)
-    try:
-        report = check_plane_foliation(model.material.cp_field(), 0, a, b)
-        _write_json(Path(out) / "foliation.json", report.to_dict())
-        if not report.strictly_convex and report.verdict != VERDICT_FLAT:
-            raise FoliationError(f"verdict: {report.verdict}", report=report)
-    except (FoliationError, DegenerateFoliationError) as e:
-        raise _Stage("foliation", e)
+    with _stage("foliation", FoliationError):
+        report = check_plane_foliation(m.cp_field(), 0, lo + rng[0] * (hi - lo),
+                                       lo + rng[1] * (hi - lo))
+        _write_json(out / "foliation.json", report.to_dict())
+        _require_convex(report, accept_flat=True)
 
-    scfg = cfg["source"]
-    source = BoundarySource(edge=scfg["edge"], center=scfg["center"],
-                            width=scfg["width"], f0=scfg["f0"],
-                            polarization=tuple(scfg["pol"]))
-    rcfg = cfg["receivers"]
-    rspec = f"edge={rcfg['edge']},count={rcfg['count']}"
-    if rcfg.get("center") is not None and rcfg.get("width") is not None:
-        rspec += f",center={rcfg['center']},width={rcfg['width']}"
-    receivers = _receiver_points(domain, rspec)
+    source = _source(cfg["source"])
+    receivers = _receiver_points(domain, cfg["receivers"])
 
     # lens stage: straight-chord predictions, exact for constant coefficients
-    sp = _edge_point(domain.lo, domain.hi, scfg["edge"], scfg["center"])
-    cp, cs = model.material.wave_speeds(sp)
-    predictions = []
-    with open(Path(out) / "predictions.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["receiver_index", "ell_p", "ell_s"])
-        for k, r in enumerate(receivers):
-            d = math.dist(sp, r)
-            predictions.append((d / cp, d / cs))
-            w.writerow([k, _FMT % (d / cp), _FMT % (d / cs)])
+    sp = _edge_point(domain.lo, domain.hi, source.edge, source.center)
+    cp, cs = m.wave_speeds(sp)
+    dists = [math.dist(sp, r) for r in receivers]
+    predictions = [(d / cp, d / cs) for d in dists]
+    _write_csv(out / "predictions.csv", ["receiver_index", "ell_p", "ell_s"],
+               ((k, *p) for k, p in enumerate(predictions)))
 
-    try:
+    with _stage("simulate", NumericalError, ResourceError, PreconditionError,
+                ConfigurationError, ModelError):
         result = _simulate_to_dir(cfg["model"], model, source, receivers,
-                                  cfg["T"], cfg["h"], cfg["dt"],
-                                  Path(out) / "traces")
-    except (NumericalError, ResourceError, PreconditionError,
-            ConfigurationError, ModelError) as e:
-        raise _Stage("simulate", e)
+                                  cfg["T"], cfg["h"], cfg["dt"], out / "traces")
 
-    try:
+    with _stage("extract", ExtractionError, PreconditionError):
         records = extract_lens(result.traces, source, sp, receivers,
                                predictions, eta=cfg["eta"])
-        _write_extracted_csv(Path(out) / "extracted.csv", records)
+        _write_extracted_csv(out / "extracted.csv", records)
         if any(r.t_p is None or r.t_s is None for r in records):
             raise ExtractionError("missing picks at some receivers")
-    except (ExtractionError, PreconditionError) as e:
-        raise _Stage("extract", e)
 
-    try:
-        dists = [math.dist(sp, r.receiver) for r in records]
+    with _stage("invert", InversionError, PreconditionError):
         prof_p, prof_s = invert_both_speeds(
             (dists, [r.t_p for r in records]),
             (dists, [r.t_s for r in records]), mode="homogeneous")
-    except (InversionError, IllPosedInputError, DataInconsistencyError,
-            PreconditionError) as e:
-        raise _Stage("invert", e)
 
-    summary = {
+    return {
         "mode": "homogeneous",
         "rel_err_p": max(r.rel_err_p for r in records),
         "rel_err_s": max(r.rel_err_s for r in records),
@@ -571,57 +556,38 @@ def _pipeline_homogeneous(cfg, out, model):
         "true_cs": cs,
         "receivers": len(records),
     }
-    _write_json(Path(out) / "report.json", summary)
-    return summary
 
 
 def _pipeline_radial(cfg, out, model):
     """validate -> foliation (Herglotz) -> forward travel times -> invert ->
     compare on a radial disk model (ray-tracer only; no FD stage)."""
     domain = model.domain
-    if not isinstance(domain, DiskDomain):
+    # the forward travel times trace rays in the plane
+    if not isinstance(domain, DiskDomain) or domain.dim != 2:
         raise _Stage("validate", ConfigurationError(
-            "radial pipeline requires a disk domain"))
+            "radial pipeline requires a 2D disk domain"))
     speed = model.lens_speed()
     R = domain.radius
     rng = cfg["foliation_range"]
-    try:
+    with _stage("foliation", FoliationError):
         report = check_hwz(speed, rng[0] * R, rng[1] * R)
-        _write_json(Path(out) / "foliation.json", report.to_dict())
-        if not report.strictly_convex:
-            raise FoliationError(f"verdict: {report.verdict}", report=report)
-    except (FoliationError, DegenerateFoliationError) as e:
-        raise _Stage("foliation", e)
+        _write_json(out / "foliation.json", report.to_dict())
+        _require_convex(report)
 
     rcfg = cfg["radial"]
     angles = np.linspace(rcfg["angle_min"], rcfg["angle_max"], rcfg["n_rays"])
-    try:
+    with _stage("invert", InversionError, FoliationError):
         curve = forward_travel_times(speed, R, angles, dt=rcfg["dt"])
-        with open(Path(out) / "curve.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["delta", "time"])
-            for d, t in zip(curve.delta, curve.time):
-                w.writerow([_FMT % d, _FMT % t])
+        _write_csv(out / "curve.csv", ["delta", "time"], zip(curve.delta, curve.time))
         prof = herglotz_invert(curve)
-        with open(Path(out) / "profile.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["r", "c"])
-            for r, c in zip(prof.r, prof.c):
-                w.writerow([_FMT % r, _FMT % c])
-    except (InversionError, IllPosedInputError, FoliationError) as e:
-        raise _Stage("invert", e)
+        _write_profile(out / "profile.csv", prof)
 
-    truth = speed.eval(np.column_stack([prof.r, np.zeros_like(prof.r)]))[0]
-    rel = np.abs(prof.c - truth) / truth
-    summary = {
+    return {
         "mode": "radial",
-        "n_rays": int(rcfg["n_rays"]),
+        "n_rays": rcfg["n_rays"],
         "covered_radii": [float(prof.r[0]), float(prof.r[-1])],
-        "max_rel_err": float(rel.max()),
-        "mean_rel_err": float(rel.mean()),
+        **_profile_errors(speed, prof.r, prof.c),
     }
-    _write_json(Path(out) / "report.json", summary)
-    return summary
 
 
 def cmd_pipeline(args):
@@ -629,19 +595,19 @@ def cmd_pipeline(args):
     cfg = _resolve_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        model = _load_model_checked(cfg["model"])
-    except (ModelError, ConfigurationError) as e:
-        raise _Stage("validate", e)
+    with _stage("validate", ModelError, OSError):
+        model = load_model(cfg["model"])
     if cfg["mode"] == "homogeneous":
         summary = _pipeline_homogeneous(cfg, out, model)
     elif cfg["mode"] == "radial":
         summary = _pipeline_radial(cfg, out, model)
     else:
         raise ConfigurationError(f"unknown pipeline mode {cfg['mode']!r}")
+    _write_json(out / "report.json", summary)
     _write_manifest(out, "pipeline", cfg, [args.config, cfg["model"]], t0)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
+
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +629,8 @@ def _build_parser():
     q.add_argument("--model", required=True)
     q.add_argument("--foliation", required=True, choices=("spheres", "planes"))
     q.add_argument("--range", required=True, type=_number_pair,
-                   help="a,b leaf-parameter range")
+                   help="a,b leaf-parameter range; write a range that starts "
+                        "with '-' as --range=-0.5,0.5")
     q.add_argument("--axis", type=int, default=0)
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_check_foliation)
@@ -691,7 +658,8 @@ def _build_parser():
     q.add_argument("--model", required=True)
     q.add_argument("--source", required=True,
                    help="edge=left,center=0.5,width=0.1,f0=12.5,pol=px,py")
-    q.add_argument("--receivers", required=True, help="edge=right,count=K")
+    q.add_argument("--receivers", required=True,
+                   help="edge=right,count=K[,center=c,width=w]")
     q.add_argument("--T", type=float, required=True)
     q.add_argument("--h", type=float, required=True)
     q.add_argument("--dt", type=float, default=None)
@@ -727,6 +695,21 @@ def _build_parser():
     return p
 
 
+# (error class, exit code, stderr label): the first matching row decides; a
+# failed pipeline stage exits with its stage's code
+_EXIT_CODES = (
+    (_Stage, None, "error"),
+    (ConfigurationError, EXIT_CONFIG, "configuration error"),
+    (OSError, EXIT_CONFIG, "i/o error"),
+    (FoliationError, EXIT_FOLIATION, "foliation error"),
+    (ModelError, EXIT_MODEL, "model error"),
+    (ExtractionError, EXIT_EXTRACTION, "extraction error"),
+    (InversionError, EXIT_INVERSION, "inversion error"),
+    ((NumericalError, ResourceError), EXIT_SIMULATION, "error"),
+    (ElasticLensError, EXIT_CONFIG, "error"),
+)
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
@@ -735,32 +718,11 @@ def main(argv=None):
         return EXIT_CONFIG if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except _Stage as e:
-        print(f"error: {e}", file=sys.stderr)
-        return _STAGE_EXIT.get(e.stage, EXIT_CONFIG)
-    except ConfigurationError as e:
-        print(f"configuration error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as e:
-        print(f"i/o error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FoliationError, DegenerateFoliationError) as e:
-        print(f"foliation error: {e}", file=sys.stderr)
-        return EXIT_FOLIATION
-    except ModelError as e:
-        print(f"model error: {e}", file=sys.stderr)
-        return EXIT_MODEL
-    except ExtractionError as e:
-        print(f"extraction error: {e}", file=sys.stderr)
-        return EXIT_EXTRACTION
-    except (InversionError, IllPosedInputError, DataInconsistencyError) as e:
-        print(f"inversion error: {e}", file=sys.stderr)
-        return EXIT_INVERSION
-    except (NumericalError, ResourceError, UnsupportedGeometryError,
-            PreconditionError, ElasticLensError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SIMULATION if isinstance(e, (NumericalError, ResourceError)) \
-            else EXIT_CONFIG
+    except (_Stage, ElasticLensError, OSError) as e:
+        code, label = next((code, label) for cls, code, label in _EXIT_CODES
+                           if isinstance(e, cls))
+        print(f"{label}: {e}", file=sys.stderr)
+        return _STAGE_EXIT[e.stage] if code is None else code
 
 
 if __name__ == "__main__":

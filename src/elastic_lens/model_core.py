@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
@@ -85,13 +86,13 @@ class SpeedField:
         outside = (X < self._lo) | (X > self._hi)
         if np.count_nonzero(outside):
             k = int(np.argmax(outside.any(axis=1)))
-            raise DomainError(f"point {tuple(X[k])} outside field bounds "
+            raise DomainError(f"point {X[k].tolist()} outside field bounds "
                               f"{self.bounds.lo}..{self.bounds.hi}")
         c, g = self._eval(X)
         positive = c > 0.0
         if np.count_nonzero(positive) < len(c):
             k = int(np.argmin(positive))
-            raise ModelError(f"non-positive speed {c[k]} at {tuple(X[k])}")
+            raise ModelError(f"non-positive speed {float(c[k])} at {X[k].tolist()}")
         return c, g
 
     def value(self, x) -> float:
@@ -493,7 +494,7 @@ def load_model(source) -> Model:
     """Load a model from a path, JSON string, or already-parsed document."""
     doc = source
     if isinstance(source, (str, os.PathLike)):
-        text = source if str(source).lstrip().startswith("{") else open(source).read()
+        text = source if str(source).lstrip().startswith("{") else Path(source).read_text()
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

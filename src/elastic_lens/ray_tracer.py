@@ -26,13 +26,6 @@ HARD_STEP_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
-class PhasePoint:
-    x: tuple
-    xi: tuple
-    t: float = 0.0
-
-
-@dataclass(frozen=True)
 class BoundaryDirection:
     """Boundary point with Euclidean-unit direction; the g-unit vector is c(x) v."""
 
@@ -59,17 +52,17 @@ class LensRecord:
     status: RayStatus
 
 
-def hamiltonian(speed: SpeedField, x, xi) -> float:
-    c = speed.value(x)
-    return 0.5 * c * c * float(np.dot(xi, xi))
+def hamiltonian(speed: SpeedField, x, xi):
+    """H = c^2 |xi|^2 / 2 at the rows of x and xi, shape (..., d) -> (...)."""
+    x, xi = np.asarray(x, dtype=float), np.asarray(xi, dtype=float)
+    c = speed.eval(x.reshape(-1, x.shape[-1]))[0].reshape(x.shape[:-1])
+    return 0.5 * c * c * np.add.reduce(xi * xi, axis=-1)
 
 
-def unit_phase(speed: SpeedField, x, v) -> PhasePoint:
-    """Phase point with covector c^-1 v-hat: g-unit, H = 1/2."""
-    v = np.asarray(v, dtype=float)
-    v = v / np.linalg.norm(v)
-    c = speed.value(x)
-    return PhasePoint(tuple(np.asarray(x, float)), tuple(v / c), 0.0)
+def unit_phase(speed: SpeedField, x, v):
+    """Covectors c^-1 v-hat at the rows of x (g-unit, H = 1/2)."""
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    return v / (np.linalg.norm(v, axis=-1, keepdims=True) * speed.eval(x)[0][:, None])
 
 
 def _rhs(speed, y):
@@ -100,24 +93,26 @@ def _step_count(n_steps):
     return n_steps
 
 
-def integrate_bicharacteristic(speed: SpeedField, start: PhasePoint,
-                               t_max: float, dt: float) -> list[PhasePoint]:
-    """Sample the flow at steps dt up to t_max; start must satisfy H = 1/2."""
+def integrate_bicharacteristic(speed: SpeedField, x0, xi0, t_max: float,
+                               dt: float):
+    """Sample the flow from the starts (rows of x0, xi0, shape (n, d)) at
+    times k dt up to t_max; every start must satisfy H = 1/2.  Returns x and
+    xi of shape (steps + 1, n, d), row 0 being the starts."""
     if dt <= 0 or t_max <= 0:
         raise PreconditionError(f"dt and t_max must be positive, got {dt}, {t_max}")
-    h0 = hamiltonian(speed, np.asarray(start.x), np.asarray(start.xi))
-    if abs(h0 - 0.5) > 1e-10:
-        raise PreconditionError(f"start must be g-unit (H = 1/2), got H = {h0}")
+    x0, xi0 = np.asarray(x0, dtype=float), np.asarray(xi0, dtype=float)
+    h0 = hamiltonian(speed, x0, xi0)
+    k = int(np.argmax(np.abs(h0 - 0.5)))
+    if abs(h0[k] - 0.5) > 1e-10:
+        raise PreconditionError(f"starts must be g-unit (H = 1/2), got H = {h0[k]} "
+                                f"at row {k}")
     n_steps = _step_count(int(math.floor(t_max / dt + 1e-12)))
-    d = len(start.x)
-    y = np.concatenate([start.x, start.xi]).astype(float)[None]
-    out = [start]
-    t = start.t
-    for _ in range(n_steps):
-        y = _rk4_step(speed, y, dt)
-        t += dt
-        out.append(PhasePoint(tuple(y[0, :d]), tuple(y[0, d:]), t))
-    return out
+    d = x0.shape[1]
+    y = np.empty((n_steps + 1, len(x0), 2 * d))
+    y[0] = np.hstack([x0, xi0])
+    for k in range(n_steps):
+        y[k + 1] = _rk4_step(speed, y[k], dt)
+    return y[..., :d], y[..., d:]
 
 
 def scattering_relation(speed: SpeedField, domain: Domain,

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +27,9 @@ NEGATIVE_MU_MODEL = {
     "domain": {"shape": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
     "material": {"lambda": 1.0, "mu": -1.0, "rho": 1.0},
 }
+
+BALL_MODEL = {**LINEAR_RADIAL_MODEL,
+              "domain": {"shape": "ball", "radius": 1.0}}
 
 CONSTANT_DISK_MODEL = {
     "format": 1,
@@ -183,6 +187,54 @@ def test_malformed_csv_exits_2(tmp_path, small_sim, command, text):
     assert run(argv) == cli.EXIT_CONFIG
 
 
+def _malformed_argv(tmp_path, small_sim, kind, value):
+    model = write_model(tmp_path, UNIT_BOX_MODEL)
+    out = str(tmp_path / "out")
+    if kind == "receivers":
+        return ["simulate", "--model", model,
+                "--source", "edge=left,center=0.5,width=0.2,f0=8,pol=1,0",
+                "--receivers", value, "--T", "0.2", "--h", "0.05", "--out", out]
+    if kind == "metadata":
+        traces = tmp_path / "traces"
+        shutil.copytree(small_sim[0], traces)
+        meta = json.loads((traces / "metadata.json").read_text())
+        del meta[value]
+        (traces / "metadata.json").write_text(json.dumps(meta))
+        lens = tmp_path / "lens.csv"
+        lens.write_text("receiver_index,ell_p,ell_s\n"
+                        + "".join(f"{k},0.5,0.9\n" for k in range(3)))
+        return ["extract", "--traces", str(traces), "--lens", str(lens),
+                "--out", out]
+    cfg = value if kind == "raw-config" else \
+        {"mode": "homogeneous", "model": model, "T": 0.2, "h": 0.05, **value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return ["pipeline", "--config", str(path), "--out", out]
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("receivers", "edge=right,count=abc"),
+    ("receivers", "edge=right,count=4,center=x,width=0.2"),
+    ("receivers", "edge=right,count=4,center=0.5"),
+    ("receivers", "edge=right,count=4,width=0.5"),
+    ("metadata", "source"),
+    ("metadata", "receivers"),
+    ("metadata", "dt"),
+    ("metadata", "grid"),
+    ("raw-config", [{"mode": "radial"}]),
+    ("config", {"T": "abc"}),
+    ("config", {"receivers": {"count": "x"}}),
+    ("config", {"source": {"pol": [1]}}),
+    ("config", {"foliation_range": [0.5]}),
+], ids=["count-not-int", "center-not-number", "center-without-width",
+        "width-without-center", "metadata-no-source", "metadata-no-receivers",
+        "metadata-no-dt", "metadata-no-grid", "config-list", "config-T",
+        "config-receiver-count", "config-pol", "config-foliation-range"])
+def test_malformed_specs_exit_2(tmp_path, small_sim, kind, value):
+    argv = _malformed_argv(tmp_path, small_sim, kind, value)
+    assert run(argv) == cli.EXIT_CONFIG
+
+
 def test_simulate_outputs_and_manifest(small_sim):
     out = small_sim[0]
     assert (out / "manifest.json").exists()
@@ -256,6 +308,25 @@ def test_compare_depth_profile_uses_last_coordinate(tmp_path, capsys):
                 "--truth", str(model)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["max_rel_err"] < 1e-12
+
+
+def test_compare_ball_truth_evaluates_in_3d(tmp_path, capsys):
+    model = write_model(tmp_path, BALL_MODEL)
+    prof = tmp_path / "profile.csv"
+    prof.write_text("r,c\n0.1,1.9\n0.5,1.5\n0.9,1.1\n")
+    assert run(["compare", "--profile", str(prof), "--truth", model]) == 0
+    assert json.loads(capsys.readouterr().out)["max_rel_err"] < 1e-12
+
+
+def test_radial_pipeline_refuses_ball(tmp_path):
+    # forward travel times trace rays in a 2D disk only
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "radial",
+                               "model": write_model(tmp_path, BALL_MODEL)}))
+    out = tmp_path / "run"
+    assert run(["pipeline", "--config", str(cfg),
+                "--out", str(out)]) == cli.EXIT_MODEL
+    assert not (out / "foliation.json").exists()
 
 
 def test_homogeneous_pipeline_refuses_heterogeneous_material(tmp_path):

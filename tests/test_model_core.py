@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elastic_lens.errors import ModelError, PreconditionError
+from elastic_lens.errors import DomainError, ModelError, PreconditionError
 from elastic_lens.model_core import (BoundingBox, BoxDomain, ConstantField,
                                      DepthField, DerivedSpeed, DiskDomain,
                                      ElasticMaterial,
@@ -36,6 +36,13 @@ def test_radial_field_linear_profile_exact():
         c, g = f.value_and_grad((r, 0.0))
         assert math.isclose(c, 2.0 - r, rel_tol=1e-12)
         assert math.isclose(g[0], -1.0, rel_tol=1e-9)
+
+
+def test_out_of_bounds_message_shows_plain_numbers():
+    f = ConstantField(1.0, dim=2)
+    with pytest.raises(DomainError, match=r"point \[3\.0, 0\.5\] outside") as err:
+        f.eval(np.array([[0.0, 0.0], [3.0, 0.5]]))
+    assert "np.float64" not in str(err.value)
 
 
 def test_radial_field_requires_increasing_radii():

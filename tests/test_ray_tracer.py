@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from elastic_lens.errors import PreconditionError
 from elastic_lens.model_core import ConstantField, DiskDomain, RadialField
-from elastic_lens.ray_tracer import (BoundaryDirection, PhasePoint, RayStatus,
+from elastic_lens.ray_tracer import (BoundaryDirection, RayStatus,
                                      entry_at, fan_angles, hamiltonian,
                                      integrate_bicharacteristic, lens_table,
                                      read_lens_csv, scattering_relation,
@@ -39,11 +39,12 @@ def test_constant_disk_rays_are_chords(unit_disk):
 
 
 def test_hamiltonian_conserved_along_flow(linear_radial_speed):
-    start = unit_phase(linear_radial_speed, (0.9, 0.0), (-0.8, 0.6))
-    path = integrate_bicharacteristic(linear_radial_speed, start,
-                                      t_max=1.0, dt=1e-3)
-    hs = [hamiltonian(linear_radial_speed, p.x, p.xi) for p in path]
-    drift = max(abs(h - 0.5) / 0.5 for h in hs)
+    x0 = np.array([[0.9, 0.0]])
+    xi0 = unit_phase(linear_radial_speed, x0, [[-0.8, 0.6]])
+    x, xi = integrate_bicharacteristic(linear_radial_speed, x0, xi0,
+                                       t_max=1.0, dt=1e-3)
+    hs = hamiltonian(linear_radial_speed, x, xi)
+    drift = np.max(np.abs(hs - 0.5) / 0.5)
     assert drift <= 1e-10
 
 
@@ -65,9 +66,8 @@ def test_entry_at_points_inward(unit_disk):
 
 def test_integrator_requires_unit_hamiltonian(linear_radial_speed):
     with pytest.raises(PreconditionError, match="g-unit"):
-        integrate_bicharacteristic(linear_radial_speed,
-                                   PhasePoint((0.5, 0.0), (1.0, 0.0)),
-                                   t_max=1.0, dt=1e-3)
+        integrate_bicharacteristic(linear_radial_speed, [[0.5, 0.0]],
+                                   [[1.0, 0.0]], t_max=1.0, dt=1e-3)
 
 
 def test_lens_table_row_count_and_order(unit_disk):
