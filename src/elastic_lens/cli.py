@@ -33,10 +33,10 @@ from .errors import (ConfigurationError, ElasticLensError, ExtractionError,
                      PreconditionError, ResourceError)
 from .inversion import (RadialProfile, TravelTimeCurve, forward_travel_times,
                         herglotz_invert, invert_both_speeds, layer_strip_invert)
-from .model_core import (BoxDomain, ConstantField, DepthField, DiskDomain,
-                         load_model)
-from .ray_tracer import (RayStatus, entry_at, fan_angles, lens_table,
-                         scattering_relation, write_lens_csv)
+from .model_core import (EDGES, BoxDomain, ConstantField, DepthField,
+                         DiskDomain, load_model)
+from .ray_tracer import (RayStatus, entry_at, exit_angle, fan_angles,
+                         lens_table, scattering_relation)
 from .wavefield_analysis import extract_lens
 
 EXIT_OK = 0
@@ -145,9 +145,9 @@ def _parse_kv(text, what):
     return out
 
 
-def _source(spec):
-    """BoundarySource from a dict with edge, center, width, f0 and pol; the
-    values may be numbers or, as parsed from --source, strings."""
+def _source(spec, t0=None):
+    """BoundarySource with pulse delay t0 from a dict with edge, center, width,
+    f0 and pol: numbers or, as parsed from --source, strings."""
     try:
         pol = spec["pol"]
         pol = tuple(float(v) for v in (pol.split(",") if isinstance(pol, str) else pol))
@@ -157,21 +157,10 @@ def _source(spec):
                               center=float(spec["center"]),
                               width=float(spec["width"]),
                               f0=float(spec["f0"]),
-                              polarization=pol)
+                              polarization=pol, t0=t0)
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigurationError(f"bad source spec {spec!r}: needs edge, center, "
                                  f"width, f0, pol=px,py ({e})")
-
-
-def _edge_point(lo, hi, edge, center):
-    """Point at coordinate `center` along an edge of the box lo..hi."""
-    if edge == "left":
-        return (lo[0], center)
-    if edge == "right":
-        return (hi[0], center)
-    if edge == "bottom":
-        return (center, lo[1])
-    return (center, hi[1])
 
 
 def _receiver_points(domain, spec):
@@ -182,8 +171,7 @@ def _receiver_points(domain, spec):
     center, width = spec.get("center"), spec.get("width")
     if (center is None) != (width is None):
         raise ConfigurationError("a receiver center and width must be given together")
-    axis = {"left": 1, "right": 1, "bottom": 0, "top": 0}.get(edge)
-    if axis is None:
+    if edge not in EDGES:
         raise ConfigurationError(f"unknown receiver edge {edge!r}")
     try:
         count = int(spec.get("count", 8))
@@ -192,6 +180,7 @@ def _receiver_points(domain, spec):
         raise ConfigurationError(f"bad receiver spec {spec!r}: {e}")
     if count < 1:
         raise ConfigurationError("receiver count must be >= 1")
+    axis = 1 - EDGES[edge][0]
     c0, c1 = domain.lo[axis], domain.hi[axis]
     if span is None:
         frac = (np.arange(count) + 1.0) / (count + 1.0)
@@ -199,7 +188,7 @@ def _receiver_points(domain, spec):
         c0, c1 = span[0] - 0.5 * span[1], span[0] + 0.5 * span[1]
         frac = np.linspace(0.0, 1.0, count) if count > 1 else np.array([0.5])
     along = c0 + frac * (c1 - c0)
-    return [_edge_point(domain.lo, domain.hi, edge, float(a)) for a in along]
+    return [domain.edge_point(edge, float(a)) for a in along]
 
 
 def _require_convex(report, accept_flat=False):
@@ -225,6 +214,26 @@ def _write_profile(path, prof):
     """A recovered profile as CSV: radius r (radial) or depth z, then c."""
     axis = "r" if isinstance(prof, RadialProfile) else "z"
     _write_csv(path, [axis, "c"], zip(getattr(prof, axis), prof.c))
+
+
+def write_lens_csv(path, domain, rows):
+    """Lens table rows as CSV: entry_s, entry_angle, exit_s, exit_angle, ell, status."""
+    def cells(row):
+        rec = row.record
+        if rec.status is not RayStatus.EXITED:
+            return row.entry_s, row.entry_angle, None, None, None, rec.status.value
+        return (row.entry_s, row.entry_angle,
+                domain.boundary_param(np.asarray(rec.exit.x)),
+                exit_angle(domain, rec), rec.ell, rec.status.value)
+    _write_csv(path, ["entry_s", "entry_angle", "exit_s", "exit_angle", "ell",
+                      "status"], map(cells, rows))
+
+
+def read_lens_csv(path):
+    """Rows of the lens CSV as dicts: status as text, other fields as floats or None."""
+    with open(path, newline="") as fh:
+        return [{k: v if k == "status" else float(v) if v else None
+                 for k, v in rec.items()} for rec in csv.DictReader(fh)]
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +310,6 @@ def cmd_lens(args):
     records = lens_table(speed, model.domain, n_points=args.points,
                          angles=fan_angles(args.angles), t_max=args.tmax,
                          dt=args.dt)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     write_lens_csv(args.out, model.domain, records)
     print(f"wrote {len(records)} lens records to {args.out}")
     return EXIT_OK
@@ -340,8 +348,8 @@ def cmd_simulate(args):
 
 
 def _read_traces_dir(traces_dir, f0=None):
-    """Traces, source (with f0 replaced when given) and source-patch center of
-    a directory written by `simulate`."""
+    """Traces, source (with f0 replaced when given; the recorded delay t0 is
+    kept) and source-patch center of a directory written by `simulate`."""
     d = Path(traces_dir)
     meta_path = d / "metadata.json"
     if not meta_path.is_file():
@@ -349,16 +357,18 @@ def _read_traces_dir(traces_dir, f0=None):
     try:
         meta = json.loads(meta_path.read_text())
         src = meta["source"]
-        source = _source({**src, "pol": src["polarization"], "f0": f0 or src["f0"]})
+        source = _source({**src, "pol": src["polarization"], "f0": f0 or src["f0"]},
+                         t0=float(src["t0"]))
         g = meta["grid"]
         ox, oy = meta.get("origin", (0.0, 0.0))
-        hi = (ox + (g["nx"] - 1) * g["h"], oy + (g["ny"] - 1) * g["h"])
-        point = _edge_point((ox, oy), hi, source.edge, source.center)
+        box = BoxDomain((ox, oy), (ox + (g["nx"] - 1) * g["h"],
+                                   oy + (g["ny"] - 1) * g["h"]))
+        point = box.edge_point(source.edge, source.center)
         dt = float(meta["dt"])
         traces = [TractionTrace(tuple(rec), dt,
                                 _read_csv(d / f"receiver_{k:03d}.csv", 3)[:, 1:3])
                   for k, rec in enumerate(meta["receivers"])]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, ModelError) as e:
         raise ConfigurationError(f"malformed {meta_path}: {e!r}")
     return traces, source, point
 
@@ -522,7 +532,7 @@ def _pipeline_homogeneous(cfg, out, model):
     receivers = _receiver_points(domain, cfg["receivers"])
 
     # lens stage: straight-chord predictions, exact for constant coefficients
-    sp = _edge_point(domain.lo, domain.hi, source.edge, source.center)
+    sp = domain.edge_point(source.edge, source.center)
     cp, cs = m.wave_speeds(sp)
     dists = [math.dist(sp, r) for r in receivers]
     predictions = [(d / cp, d / cs) for d in dists]

@@ -24,18 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError
-from .model_core import BoxDomain, ElasticMaterial, Grid2D
+from .model_core import EDGES, BoxDomain, ElasticMaterial, Grid2D
 
 CFL_SAFETY = 0.5
 _FINITE_CHECK_STEPS = 64    # simulate_dn checks u for blow-up this often
-
-_EDGES = ("left", "right", "bottom", "top")
 
 
 def ricker(t, f0: float, t0: float):
     """Ricker wavelet delayed by t0 and clamped to exactly zero for t <= 0.
 
-    At the default delay t0 = 1.5/f0 the clamp removes a residual of order
+    At the default delay t0 = 1.5/f0 the clamp removes a remainder of order
     1e-8 of the peak; the resulting kink is far below grid noise.
     """
     t = np.asarray(t, dtype=float)
@@ -66,8 +64,8 @@ class BoundarySource:
     t0: float | None = None
 
     def __post_init__(self):
-        if self.edge not in _EDGES:
-            raise ConfigurationError(f"edge must be one of {_EDGES}, got {self.edge!r}")
+        if self.edge not in EDGES:
+            raise ConfigurationError(f"edge must be one of {tuple(EDGES)}, got {self.edge!r}")
         if self.width <= 0 or self.f0 <= 0:
             raise ConfigurationError("source width and f0 must be positive")
 
@@ -166,36 +164,18 @@ def stable_dt(mg: MaterialGrid) -> float:
     return CFL_SAFETY * mg.grid.h / mg.cp_max
 
 
-@dataclass(frozen=True)
-class _EdgeIndex:
-    """Index helpers for a box edge on the grid."""
-
-    edge: str
-    sl: tuple                # boundary nodes slice into (nx, ny) arrays
-    normal: tuple
-    coord_axis: int          # axis of the along-edge coordinate
-
-    def along(self, grid: Grid2D):
-        xs, ys = grid.nodes()
-        return xs if self.coord_axis == 0 else ys
-
-
-def _edge_index(grid: Grid2D, edge: str) -> _EdgeIndex:
-    if edge == "left":
-        return _EdgeIndex(edge, (0, slice(None)), (-1.0, 0.0), 1)
-    if edge == "right":
-        return _EdgeIndex(edge, (grid.nx - 1, slice(None)), (1.0, 0.0), 1)
-    if edge == "bottom":
-        return _EdgeIndex(edge, (slice(None), 0), (0.0, -1.0), 0)
-    if edge == "top":
-        return _EdgeIndex(edge, (slice(None), grid.ny - 1), (0.0, 1.0), 0)
-    raise ConfigurationError(f"unknown edge {edge!r}")
+def _edge_nodes(edge):
+    """(slice of the edge's nodes into (nx, ny) arrays, outward unit normal)."""
+    axis, side = EDGES[edge]
+    sl, normal = [slice(None), slice(None)], [0.0, 0.0]
+    sl[axis], normal[axis] = -side, 2.0 * side - 1.0
+    return tuple(sl), tuple(normal)
 
 
 def _source_patch(grid: Grid2D, source: BoundarySource):
     """(boundary slice, bump profile, polarization) of the source patch."""
-    idx = _edge_index(grid, source.edge)
-    return (idx.sl, source.profile(idx.along(grid)),
+    along = grid.nodes()[1 - EDGES[source.edge][0]]
+    return (_edge_nodes(source.edge)[0], source.profile(along),
             np.asarray(source.polarization, dtype=float))
 
 
@@ -222,10 +202,10 @@ def energy(state: WavefieldState, mg: MaterialGrid) -> float:
     return 0.5 * float(np.sum(kinetic + strain)) * h * h
 
 
-def _traction_at(sxx, syy, sxy, idx: _EdgeIndex, positions):
-    nx_, ny_ = idx.normal
-    tx = sxx[idx.sl] * nx_ + sxy[idx.sl] * ny_
-    ty = sxy[idx.sl] * nx_ + syy[idx.sl] * ny_
+def _traction_at(sxx, syy, sxy, edge_nodes, positions):
+    sl, (nx_, ny_) = edge_nodes
+    tx = sxx[sl] * nx_ + sxy[sl] * ny_
+    ty = sxy[sl] * nx_ + syy[sl] * ny_
     return tx[positions], ty[positions]
 
 
@@ -241,20 +221,13 @@ class SimulationResult:
 def receiver_nodes(domain: BoxDomain, grid: Grid2D, receivers):
     """Snap receiver boundary points to (edge, index) pairs on the grid."""
     out = []
-    xs, ys = grid.nodes()
     for p in receivers:
         p = np.asarray(p, dtype=float)
         if abs(domain.signed(p)) > grid.h:
             raise ConfigurationError(f"receiver {tuple(p)} is not on the boundary")
-        dists = {
-            "left": abs(p[0] - domain.lo[0]),
-            "right": abs(p[0] - domain.hi[0]),
-            "bottom": abs(p[1] - domain.lo[1]),
-            "top": abs(p[1] - domain.hi[1]),
-        }
-        edge = min(dists, key=dists.get)
-        along = ys if edge in ("left", "right") else xs
-        k = int(np.argmin(np.abs(along - (p[1] if edge in ("left", "right") else p[0]))))
+        edge = domain.nearest_edge(p)
+        along = 1 - EDGES[edge][0]
+        k = int(np.argmin(np.abs(grid.nodes()[along] - p[along])))
         out.append((edge, k, tuple(p)))
     return out
 
@@ -277,7 +250,7 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     check_cfl(mg, dt)
 
     rec = receiver_nodes(domain, grid, receivers)
-    edges = {e: _edge_index(grid, e) for e in set(e for e, _, _ in rec)}
+    edges = {e: _edge_nodes(e) for e, _, _ in rec}
     n_steps = int(round(T / dt))
     traces = np.zeros((len(rec), n_steps + 1, 2))
     snaps = []

@@ -18,7 +18,7 @@ through the already-determined shallower stack.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -44,7 +44,6 @@ class TravelTimeCurve:
     delta: np.ndarray
     time: np.ndarray
     R: float
-    monotone_p: bool = True     # assert p = dT/dDelta strictly decreasing
 
     def __post_init__(self):
         self.delta = np.asarray(self.delta, dtype=float)
@@ -57,14 +56,14 @@ class TravelTimeCurve:
             raise PreconditionError("delta samples must be strictly increasing")
         if not np.all(np.diff(self.time) > 0):
             raise PreconditionError("travel times must be increasing with delta")
-        if self.monotone_p:
-            dm, p = self.ray_parameters()
-            bad = np.nonzero(np.diff(p) >= 0)[0]
-            if len(bad):
-                i = int(bad[0])
-                raise IllPosedInputError(
-                    "ray parameter dT/dDelta is not strictly decreasing",
-                    violation=(float(dm[i]), float(dm[i + 1])))
+        # Abel inversion needs p = dT/dDelta strictly decreasing
+        dm, p = self.ray_parameters()
+        bad = np.nonzero(np.diff(p) >= 0)[0]
+        if len(bad):
+            i = int(bad[0])
+            raise IllPosedInputError(
+                "ray parameter dT/dDelta is not strictly decreasing",
+                violation=(float(dm[i]), float(dm[i + 1])))
 
     def ray_parameters(self):
         """Ray parameter estimates p = dT/dDelta at interval midpoints.
@@ -180,13 +179,7 @@ def herglotz_invert(curve: TravelTimeCurve, R: float | None = None) -> RadialPro
     radii actually reached by turning rays.
     """
     R = curve.R if R is None else R
-    dm, p = curve.ray_parameters()
-    bad = np.nonzero(np.diff(p) >= 0)[0]
-    if len(bad):
-        i = int(bad[0])
-        raise IllPosedInputError(
-            "ray parameter must decrease strictly with delta",
-            violation=(float(dm[i]), float(dm[i + 1])))
+    dm, p = curve.ray_parameters()   # strictly decreasing: the curve checks it
 
     # grazing-ray parameter: linear extrapolation of p(Delta) to Delta = 0;
     # for a concave p this overshoots slightly, erring on the safe side of
@@ -223,22 +216,28 @@ def herglotz_invert(curve: TravelTimeCurve, R: float | None = None) -> RadialPro
 # ---------------------------------------------------------------------------
 
 
-def _segment_contribution(p, c_a, c_b, dz):
-    """Half-path offset and time across one linear-gradient layer.
+def _stack(p, c, dz):
+    """Half-path offset and time of the ray with parameter p through a stack
+    of linear-gradient layers, summed in order from the top.
 
-    Speed goes linearly from c_a (top) to c_b (bottom) over thickness dz;
-    the ray parameter is p.  For a turning segment pass c_b = 1/p exactly.
+    Layer i goes linearly from speed c[i] (top) to c[i + 1] (bottom) over
+    thickness dz[i].  For a ray turning at the bottom pass c[-1] = 1/p
+    exactly.
     """
-    w_a = np.sqrt(max(1.0 - (p * c_a) ** 2, 0.0))
-    w_b = np.sqrt(max(1.0 - (p * c_b) ** 2, 0.0))
-    if abs(c_b - c_a) < 1e-14 * c_a:
-        if w_a == 0.0:
-            raise InversionError("ray grazes a constant-speed layer")
-        return p * c_a * dz / w_a, dz / (c_a * w_a)
-    b = (c_b - c_a) / dz
-    dx = (w_a - w_b) / (p * b)
-    dt = np.log((c_b * (1.0 + w_a)) / (c_a * (1.0 + w_b))) / b
-    return dx, dt
+    x = t = 0.0
+    for c_a, c_b, h in zip(c[:-1], c[1:], dz):
+        w_a = np.sqrt(max(1.0 - (p * c_a) ** 2, 0.0))
+        w_b = np.sqrt(max(1.0 - (p * c_b) ** 2, 0.0))
+        if abs(c_b - c_a) < 1e-14 * c_a:
+            if w_a == 0.0:
+                raise InversionError("ray grazes a constant-speed layer")
+            x += p * c_a * h / w_a
+            t += h / (c_a * w_a)
+            continue
+        b = (c_b - c_a) / h
+        x += (w_a - w_b) / (p * b)
+        t += np.log((c_b * (1.0 + w_a)) / (c_a * (1.0 + w_b))) / b
+    return x, t
 
 
 def forward_layered_times(profile: DepthProfile, ray_parameters):
@@ -257,17 +256,10 @@ def forward_layered_times(profile: DepthProfile, ray_parameters):
         if not c[0] < c_turn < c[-1]:
             raise InversionError(f"ray parameter {p} does not turn inside the profile")
         k = bisect_left(c, c_turn)
-        x = t = 0.0
-        for i in range(k - 1):
-            dx, dt = _segment_contribution(p, c[i], c[i + 1], z[i + 1] - z[i])
-            x += dx
-            t += dt
-        # partial segment down to the turning depth
+        # the whole layers above, then the partial one down to the turning depth
         b = (c[k] - c[k - 1]) / (z[k] - z[k - 1])
-        dz_turn = (c_turn - c[k - 1]) / b
-        dx, dt = _segment_contribution(p, c[k - 1], c_turn, dz_turn)
-        x += dx
-        t += dt
+        x, t = _stack(p, np.append(c[:k], c_turn),
+                      np.append(np.diff(z[:k]), (c_turn - c[k - 1]) / b))
         offsets.append(2.0 * x)
         times.append(2.0 * t)
     # order by increasing penetration (decreasing ray parameter); offsets
@@ -360,7 +352,7 @@ def layer_strip_invert(offsets, times) -> DepthProfile:
         except IllPosedInputError:
             trailing_skips += 1
             continue
-        t_pred = 2.0 * _stack_time(z_try, c_try, pi)
+        t_pred = 2.0 * _stack(pi, c_try, np.diff(z_try))[1]
         if abs(t_pred - tm) > time_tol * tm:
             trailing_skips += 1
             continue
@@ -384,12 +376,7 @@ def layer_strip_invert(offsets, times) -> DepthProfile:
 def _commit_node(z_nodes, c_nodes, Xm, p):
     """Append the node (z, 1/p) whose stack offset matches Xm (half = Xm/2)."""
     ci = 1.0 / p
-    x_known = 0.0
-    for i in range(len(z_nodes) - 1):
-        dx, _ = _segment_contribution(p, c_nodes[i], c_nodes[i + 1],
-                                      z_nodes[i + 1] - z_nodes[i])
-        x_known += dx
-    x_last = 0.5 * Xm - x_known
+    x_last = 0.5 * Xm - _stack(p, c_nodes, np.diff(z_nodes))[0]
     if x_last <= 0:
         raise IllPosedInputError(
             "observed offset is too small given the shallower layers",
@@ -399,17 +386,6 @@ def _commit_node(z_nodes, c_nodes, Xm, p):
     dz = x_last * p * (ci - c_nodes[-1]) / w_top
     z_nodes.append(z_nodes[-1] + dz)
     c_nodes.append(ci)
-
-
-def _stack_time(z_nodes, c_nodes, p):
-    """Half-path travel time of the ray with parameter p turning at the
-    bottom node of the stack."""
-    total = 0.0
-    for i in range(len(z_nodes) - 1):
-        _, dt = _segment_contribution(p, c_nodes[i], c_nodes[i + 1],
-                                      z_nodes[i + 1] - z_nodes[i])
-        total += dt
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -49,11 +49,6 @@ class BoundingBox:
     def dim(self):
         return len(self.lo)
 
-    def contains(self, x, pad=COLLAR):
-        lo = np.asarray(self.lo) - pad
-        hi = np.asarray(self.hi) + pad
-        return bool(np.all(x >= lo) and np.all(x <= hi))
-
     @staticmethod
     def cube(half_width, dim=2):
         return BoundingBox((-half_width,) * dim, (half_width,) * dim)
@@ -64,17 +59,16 @@ class SpeedField:
 
     ``eval`` is the field API; subclasses implement ``_eval`` only.  This
     base class owns the shape check, the bounding-box check (against the
-    box padded by ``_pad``, built once in ``_set_bounds``) and the
+    box padded by COLLAR, built once in ``_set_bounds``) and the
     positivity contract; ``value`` and ``value_and_grad`` are batches of one.
     """
 
     bounds: BoundingBox
-    _pad = COLLAR
 
     def _set_bounds(self, bounds: BoundingBox):
         self.bounds = bounds
-        self._lo = np.asarray(bounds.lo, dtype=float) - self._pad
-        self._hi = np.asarray(bounds.hi, dtype=float) + self._pad
+        self._lo = np.asarray(bounds.lo, dtype=float) - COLLAR
+        self._hi = np.asarray(bounds.hi, dtype=float) + COLLAR
 
     def eval(self, X):
         """(c, grad c) at the rows of X: shape (n, d) -> (n,), (n, d)."""
@@ -87,7 +81,8 @@ class SpeedField:
         if np.count_nonzero(outside):
             k = int(np.argmax(outside.any(axis=1)))
             raise DomainError(f"point {X[k].tolist()} outside field bounds "
-                              f"{self.bounds.lo}..{self.bounds.hi}")
+                              f"{tuple(map(float, self.bounds.lo))}.."
+                              f"{tuple(map(float, self.bounds.hi))}")
         c, g = self._eval(X)
         positive = c > 0.0
         if np.count_nonzero(positive) < len(c):
@@ -200,9 +195,12 @@ class DepthField(SpeedField):
 
 
 class GridField(SpeedField):
-    """2D grid-sampled field with bicubic interpolation (C^1 for the ray ODE)."""
+    """2D grid-sampled field with bicubic interpolation (C^1 for the ray ODE).
 
-    _pad = 0.0   # nodal data does not extend into a collar; stay inside the grid
+    In the collar the field takes the value and gradient at the nearest
+    point of the grid (constant extension); rays that exit a domain the grid
+    covers reach the collar only inside their exit step.
+    """
 
     def __init__(self, grid: "Grid2D", values):
         vals = np.asarray(values, dtype=float)
@@ -219,6 +217,7 @@ class GridField(SpeedField):
         self._set_bounds(BoundingBox((xs[0], ys[0]), (xs[-1], ys[-1])))
 
     def _eval(self, X):
+        X = np.clip(X, self.bounds.lo, self.bounds.hi)
         x, y = X[:, 0], X[:, 1]
         g = np.column_stack([self._spline.ev(x, y, dx=1), self._spline.ev(x, y, dy=1)])
         return self._spline.ev(x, y), g
@@ -315,9 +314,6 @@ class Domain:
             raise PreconditionError(f"point {tuple(x)} not on the boundary (b = {self.signed(x):.3g})")
         return self._normal(x)
 
-    def contains(self, x) -> bool:
-        return self.signed(x) < 0.0
-
 
 class DiskDomain(Domain):
     """Ball/disk of radius R centered at the origin."""
@@ -341,10 +337,6 @@ class DiskDomain(Domain):
     def perimeter(self):
         return 2 * np.pi * self.radius
 
-    @property
-    def diameter(self):
-        return 2 * self.radius
-
     def boundary_point(self, s):
         """Boundary point at arclength s from (R, 0), counterclockwise (2D)."""
         a = s / self.radius
@@ -353,6 +345,11 @@ class DiskDomain(Domain):
     def boundary_param(self, x):
         a = np.arctan2(x[1], x[0]) % (2 * np.pi)
         return float(a * self.radius)
+
+
+# the edges of a 2D box: the axis each is normal to, then 0 for its lo side
+# or 1 for its hi side
+EDGES = {"left": (0, 0), "right": (0, 1), "bottom": (1, 0), "top": (1, 1)}
 
 
 class BoxDomain(Domain):
@@ -384,15 +381,25 @@ class BoxDomain(Domain):
         return self.hi - self.lo
 
     @property
-    def diameter(self):
-        return float(np.linalg.norm(self.widths))
-
-    @property
     def perimeter(self):
         if self.dim != 2:
-            raise UnsupportedOperation2D()
+            raise ModelError("operation defined for 2D domains only")
         w, h = self.widths
         return 2 * (w + h)
+
+    def edge_point(self, edge, s):
+        """The point at coordinate s along an edge (a key of EDGES)."""
+        axis, side = EDGES[edge]
+        x = [s, s]
+        x[axis] = (self.lo, self.hi)[side][axis]
+        return tuple(x)
+
+    def nearest_edge(self, x):
+        """The edge nearest to the point x; ties go to the first in EDGES."""
+        def distance(edge):
+            axis, side = EDGES[edge]
+            return abs(x[axis] - (self.lo, self.hi)[side][axis])
+        return min(EDGES, key=distance)
 
     def boundary_point(self, s):
         """Counterclockwise walk from lo corner: bottom, right, top, left (2D)."""
@@ -421,11 +428,6 @@ class BoxDomain(Domain):
         if abs(x[0] - self.lo[0]) < eps:
             return float(2 * w + h + self.hi[1] - x[1])
         raise PreconditionError(f"point {tuple(x)} not on the box boundary")
-
-
-class UnsupportedOperation2D(ModelError):
-    def __init__(self):
-        super().__init__("operation defined for 2D domains only")
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +472,6 @@ class Model:
     speed: SpeedField | None = None
     material: ElasticMaterial | None = None
     domain: Domain | None = None
-    raw: dict = field(default_factory=dict, repr=False)
 
     def lens_speed(self) -> SpeedField:
         """The field lens/ray operations run on: explicit speed, else c_p."""
@@ -522,7 +523,7 @@ def load_model(source) -> Model:
                 mu=field_from_spec(m["mu"], dim=dim, extent=extent),
                 rho=field_from_spec(m["rho"], dim=dim, extent=extent),
             )
-        return Model(speed=speed, material=material, domain=domain, raw=doc)
+        return Model(speed=speed, material=material, domain=domain)
     except KeyError as e:
         raise ModelError(f"model is missing required key {e.args[0]!r}") from e
     except (AttributeError, IndexError, TypeError, ValueError) as e:

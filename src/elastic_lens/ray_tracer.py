@@ -11,7 +11,6 @@ time, and |dx/dt| = c.  Works in 2 and 3 dimensions.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
@@ -282,29 +281,3 @@ def exit_angle(domain, rec: LensRecord) -> float:
     tang = np.array([-nu[1], nu[0]])
     return math.atan2(float(v @ tang), float(v @ nu))
 
-
-def write_lens_csv(path, domain, rows: list[LensTableRow]):
-    """CSV: entry_s, entry_angle, exit_s, exit_angle, ell, status."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["entry_s", "entry_angle", "exit_s", "exit_angle", "ell", "status"])
-        for row in rows:
-            rec = row.record
-            if rec.status is RayStatus.EXITED:
-                w.writerow([f"{row.entry_s:.12g}", f"{row.entry_angle:.12g}",
-                            f"{domain.boundary_param(np.asarray(rec.exit.x)):.12g}",
-                            f"{exit_angle(domain, rec):.12g}",
-                            f"{rec.ell:.12g}", rec.status.value])
-            else:
-                w.writerow([f"{row.entry_s:.12g}", f"{row.entry_angle:.12g}",
-                            "", "", "", rec.status.value])
-
-
-def read_lens_csv(path):
-    """Rows of the lens CSV as dicts with floats (empty fields -> None)."""
-    out = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            out.append({k: (float(v) if v not in ("", None) and k != "status" else v)
-                        for k, v in rec.items()})
-    return out

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from .errors import NumericalError, PreconditionError, UnsupportedGeometryError
-from .elastic_sim import TractionTrace, ricker
+from .elastic_sim import TractionTrace
 
 # ---------------------------------------------------------------------------
 # Helmholtz mode split
@@ -85,7 +85,6 @@ class ModeFields:
 
     p_part: np.ndarray
     s_part: np.ndarray
-    residual: float
     potential: np.ndarray | None = None
 
 
@@ -103,7 +102,7 @@ def project_modes(u, h) -> ModeFields:
     if nx < _MIN_NODES or ny < _MIN_NODES:
         raise PreconditionError(f"need >= {_MIN_NODES} nodes per axis, got ({nx}, {ny})")
     if not np.all(np.isfinite(u)):
-        raise NumericalError("field contains non-finite values")
+        raise NumericalError("field has non-finite values")
 
     d = discrete_divergence(u, h)
     dhat = dctn(d, type=2)
@@ -118,9 +117,7 @@ def project_modes(u, h) -> ModeFields:
     p = np.empty_like(u)
     p[:, :, 0] = _deriv(phi, h, 0, "even")
     p[:, :, 1] = _deriv(phi, h, 1, "even")
-    s = u - p
-    residual = 0.0             # s is the exact remainder by construction
-    return ModeFields(p, s, residual, phi)
+    return ModeFields(p, u - p, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +198,8 @@ def _first_crossing(t, env, thr, start=0, stop=None):
     return j, _refine_crossing(t, env, j, thr)
 
 
-def pick_first_arrival(trace, eta: float, f0: float, dt: float | None = None):
-    """First time the causal envelope exceeds eta times its maximum.
-
-    `trace` is a TractionTrace or a raw sample array (then dt is required).
-    Returns an ArrivalPick, or None for an all-zero trace.  Picks are
-    invariant under amplitude scaling and deterministic.
-    """
+def _picker_envelope(trace, eta, f0, dt):
+    """(envelope, sample times, dt) of a TractionTrace or a raw sample array."""
     if isinstance(trace, TractionTrace):
         samples, dt = trace.samples, trace.dt
     else:
@@ -218,12 +210,22 @@ def pick_first_arrival(trace, eta: float, f0: float, dt: float | None = None):
         raise PreconditionError(f"threshold eta must lie in (0, 1), got {eta}")
     if len(samples) == 0:
         raise PreconditionError("empty trace")
-
     env = _envelope(samples, dt, f0)
+    return env, dt * np.arange(len(env)), dt
+
+
+def pick_first_arrival(trace, eta: float, f0: float, dt: float | None = None):
+    """First time the causal envelope exceeds eta times its maximum.
+
+    `trace` is a TractionTrace or a raw sample array (then dt is required).
+    Returns an ArrivalPick, or None for an all-zero trace.  Picks are
+    invariant under amplitude scaling and deterministic.
+    """
+    env, t, _ = _picker_envelope(trace, eta, f0, dt)
     peak = env.max()
     if peak <= 0.0:
         return None
-    i, t_pick = _first_crossing(dt * np.arange(len(env)), env, eta * peak)
+    i, t_pick = _first_crossing(t, env, eta * peak)
     pre = env[:max(i, 1)]
     post = env[i:]
     rms_pre = float(np.sqrt(np.mean(pre**2)))
@@ -239,18 +241,11 @@ def pick_arrivals(trace, eta: float, f0: float, dt: float | None = None,
     After each pick the scan resumes once the envelope has fallen back
     below the threshold and the separation gap has elapsed.
     """
-    if isinstance(trace, TractionTrace):
-        samples, dt = trace.samples, trace.dt
-    else:
-        samples = np.asarray(trace, dtype=float)
-        if dt is None:
-            raise PreconditionError("dt is required when picking a raw array")
-    env = _envelope(samples, dt, f0)
+    env, t, dt = _picker_envelope(trace, eta, f0, dt)
     peak = env.max()
     if peak <= 0.0:
         return []
     thr = eta * peak
-    t = dt * np.arange(len(env))
     gap = max(int(round(2.0 / (f0 * dt))), 1)
 
     picks = []
@@ -402,15 +397,10 @@ def neumann_to_cauchy(u, nu, lam, mu, spacing, geometry: str = "flat"):
     if np.any(mu <= 0.0) or np.any(lam + 2.0 * mu <= 0.0):
         raise PreconditionError("need mu > 0 and lam + 2 mu > 0 on the surface")
 
-    n_tan = d - 1
+    grad_un, div_tan = _tangential_gradients(u, spacing)
     dz = np.empty_like(u)
-    div_tan = np.zeros(u.shape[:-1])
-    for a in range(n_tan):
-        ha = spacing[a] if np.ndim(spacing) else spacing
-        dz[..., a] = nu[..., a] / mu - np.gradient(u[..., d - 1], ha, axis=a,
-                                                   edge_order=2)
-        div_tan += np.gradient(u[..., a], ha, axis=a, edge_order=2)
-    dz[..., d - 1] = (nu[..., d - 1] - lam * div_tan) / (lam + 2.0 * mu)
+    dz[..., :-1] = nu[..., :-1] / mu[..., None] - grad_un
+    dz[..., -1] = (nu[..., -1] - lam * div_tan) / (lam + 2.0 * mu)
     return dz
 
 
@@ -422,15 +412,20 @@ def cauchy_to_neumann(u, dz, lam, mu, spacing):
     """
     u = np.asarray(u, dtype=float)
     dz = np.asarray(dz, dtype=float)
-    d = u.shape[-1]
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
+    grad_un, div_tan = _tangential_gradients(u, spacing)
     nu = np.empty_like(u)
-    div_tan = np.zeros(u.shape[:-1])
-    for a in range(d - 1):
-        ha = spacing[a] if np.ndim(spacing) else spacing
-        nu[..., a] = mu * (np.gradient(u[..., d - 1], ha, axis=a, edge_order=2)
-                           + dz[..., a])
-        div_tan += np.gradient(u[..., a], ha, axis=a, edge_order=2)
-    nu[..., d - 1] = lam * (div_tan + dz[..., d - 1]) + 2.0 * mu * dz[..., d - 1]
+    nu[..., :-1] = mu[..., None] * (grad_un + dz[..., :-1])
+    nu[..., -1] = lam * (div_tan + dz[..., -1]) + 2.0 * mu * dz[..., -1]
     return nu
+
+
+def _tangential_gradients(u, spacing):
+    """(d_a u_n stacked over the tangential axes a, div_tan u) of surface
+    values u: centered differences, second-order one-sided at the edges."""
+    n_tan = u.shape[-1] - 1
+    h = np.broadcast_to(spacing, (n_tan,))
+    grads = [np.gradient(u, h[a], axis=a, edge_order=2) for a in range(n_tan)]
+    return (np.stack([g[..., -1] for g in grads], axis=-1),
+            sum(g[..., a] for a, g in enumerate(grads)))

@@ -350,3 +350,38 @@ def test_pipeline_missing_model_key(tmp_path):
     cfg.write_text(json.dumps({"mode": "radial"}))
     assert run(["pipeline", "--config", str(cfg),
                 "--out", str(tmp_path / "run")]) == cli.EXIT_CONFIG
+
+
+def test_lens_on_3d_box_exits_3(tmp_path):
+    # the boundary walk of a lens table is defined for 2D domains only
+    model = write_model(tmp_path, {
+        "format": 1, "speed": 1.0,
+        "domain": {"shape": "box", "lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]}})
+    assert run(["lens", "--model", model, "--points", "2", "--angles", "2",
+                "--out", str(tmp_path / "lens.csv")]) == cli.EXIT_MODEL
+
+
+def test_extract_f0_override_keeps_recorded_t0(tmp_path):
+    model = write_model(tmp_path, UNIT_BOX_MODEL)
+    out = tmp_path / "traces"
+    assert run(["simulate", "--model", model,
+                "--source", "edge=left,center=0.5,width=0.2,f0=20,pol=1,0",
+                "--receivers", "edge=right,count=2", "--T", "0.2", "--h", "0.05",
+                "--out", str(out)]) == 0
+    t0 = json.loads((out / "metadata.json").read_text())["source"]["t0"]
+    _, source, _ = cli._read_traces_dir(out, f0=30.0)
+    assert source.f0 == 30.0
+    assert source.delay == t0 == 1.5 / 20.0
+
+
+def test_extract_metadata_with_empty_grid_exits_2(tmp_path, small_sim):
+    traces = tmp_path / "traces"
+    shutil.copytree(small_sim[0], traces)
+    meta = json.loads((traces / "metadata.json").read_text())
+    meta["grid"]["nx"] = 1
+    (traces / "metadata.json").write_text(json.dumps(meta))
+    lens = tmp_path / "lens.csv"
+    lens.write_text("receiver_index,ell_p,ell_s\n"
+                    + "".join(f"{k},0.5,0.9\n" for k in range(3)))
+    assert run(["extract", "--traces", str(traces), "--lens", str(lens),
+                "--out", str(tmp_path / "out.csv")]) == cli.EXIT_CONFIG

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from elastic_lens.errors import (DataInconsistencyError, FoliationError,
                                  IllPosedInputError, InversionError,
@@ -141,6 +143,42 @@ def test_layer_strip_detects_low_velocity_zone():
     with pytest.raises(IllPosedInputError) as err:
         layer_strip_invert(X, t)
     assert err.value.depth_band is not None
+
+
+@st.composite
+def concave_layered_profiles(draw):
+    """3-8 nodes from c = 1 at the surface, thicknesses in [0.05, 0.3] and
+    gradients in [0.2, 3.0] that do not increase with depth (no triplication)."""
+    n = draw(st.integers(3, 8))
+    dz = draw(st.lists(st.floats(0.05, 0.3), min_size=n - 1, max_size=n - 1))
+    grad = sorted(draw(st.lists(st.floats(0.2, 3.0), min_size=n - 1,
+                                max_size=n - 1)), reverse=True)
+    return DepthProfile(np.concatenate(([0.0], np.cumsum(dz))),
+                        np.concatenate(([1.0], 1.0 + np.cumsum(np.multiply(grad, dz)))))
+
+
+def strip_forward_times(prof, n_rays):
+    """layer_strip_invert on the times of n_rays rays turning uniformly in c."""
+    c_turn = np.linspace(1.001 * prof.c[0], 0.999 * prof.c[-1], n_rays)
+    return layer_strip_invert(*forward_layered_times(prof, 1.0 / c_turn))
+
+
+@given(prof=concave_layered_profiles())
+def test_layer_strip_roundtrips_random_concave_profiles(prof):
+    rec = strip_forward_times(prof, 40)
+    truth = prof(rec.z)
+    assert np.max(np.abs(rec.c - truth) / truth) < 0.01
+
+
+@pytest.mark.xfail(raises=IllPosedInputError, strict=True,
+                   reason="40 rays refuse this concave profile as a "
+                          "low-velocity zone; 80 rays recover it within 0.32 %")
+def test_layer_strip_recovers_steep_concave_profile_from_40_rays():
+    prof = DepthProfile([0.0, 0.06, 0.53, 0.97, 1.36, 1.86, 2.3, 2.62, 2.65],
+                        [1.0, 1.288, 3.121, 4.749, 5.997, 7.397, 8.585, 9.417, 9.471])
+    rec = strip_forward_times(prof, 40)
+    truth = prof(rec.z)
+    assert np.max(np.abs(rec.c - truth) / truth) < 0.01
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from elastic_lens.errors import DomainError, ModelError, PreconditionError
-from elastic_lens.model_core import (BoundingBox, BoxDomain, ConstantField,
-                                     DepthField, DerivedSpeed, DiskDomain,
-                                     ElasticMaterial,
+from elastic_lens.model_core import (EDGES, BoundingBox, BoxDomain,
+                                     ConstantField, DepthField, DerivedSpeed,
+                                     DiskDomain, ElasticMaterial,
                                      GridField, Grid2D, LinearField,
                                      RadialField, field_from_spec, load_model,
                                      wave_speeds)
+from elastic_lens.ray_tracer import (RayStatus, entry_at, fan_angles,
+                                     scattering_relation, scattering_relations)
 
 
 def test_constant_field_value_and_grad():
@@ -39,10 +41,12 @@ def test_radial_field_linear_profile_exact():
 
 
 def test_out_of_bounds_message_shows_plain_numbers():
-    f = ConstantField(1.0, dim=2)
-    with pytest.raises(DomainError, match=r"point \[3\.0, 0\.5\] outside") as err:
-        f.eval(np.array([[0.0, 0.0], [3.0, 0.5]]))
-    assert "np.float64" not in str(err.value)
+    grid = GridField(Grid2D((0.0, 0.0), 0.1, 11, 11), np.ones((11, 11)))
+    depth = DepthField([[0, 1], [1, 2]])
+    for f in (ConstantField(1.0, dim=2), grid, depth):
+        with pytest.raises(DomainError, match=r"point \[3\.0, 0\.5\] outside") as err:
+            f.eval(np.array([[0.0, 0.0], [3.0, 0.5]]))
+        assert "np.float64" not in str(err.value)
 
 
 def test_radial_field_requires_increasing_radii():
@@ -70,6 +74,37 @@ def test_grid_field_interpolates_linear_exactly():
     c, g = f.value_and_grad((0.44, 0.61))
     assert math.isclose(c, 1.0 + 0.3 * 0.44 + 0.2 * 0.61, rel_tol=1e-9)
     assert np.allclose(g, (0.3, 0.2), atol=1e-7)
+
+
+def test_grid_field_covering_its_box_lets_rays_exit(unit_box):
+    # the grid spans the box exactly: the RK4 stages of each exit step leave
+    # the grid and evaluate in the collar
+    grid = Grid2D((0.0, 0.0), 0.1, 11, 11)
+    f = GridField(grid, np.ones((11, 11)))
+    rec = scattering_relation(f, unit_box, entry_at(unit_box, 0.5, 0.0),
+                              t_max=10.0, dt=1e-2)
+    assert rec.status is RayStatus.EXITED
+    assert np.allclose(rec.exit.x, (0.5, 1.0), atol=1e-12)
+    assert rec.ell == pytest.approx(1.0, rel=1e-12)
+
+    xs, ys = grid.nodes()
+    linear = GridField(grid, 1.0 + 0.3 * xs[:, None] + 0.2 * ys[None, :])
+    entries = [entry_at(unit_box, 4.0 * (i + 0.5) / 20, a)
+               for i in range(20) for a in fan_angles(10)]
+    records = scattering_relations(linear, unit_box, entries, t_max=10.0, dt=1e-2)
+    assert all(r.status is RayStatus.EXITED for r in records)
+
+
+def test_box_edges_points_and_nearest_edge(unit_box):
+    box = BoxDomain((0.0, -1.0), (2.0, 3.0))
+    assert [box.edge_point(e, 0.5) for e in EDGES] == [
+        (0.0, 0.5), (2.0, 0.5), (0.5, -1.0), (0.5, 3.0)]
+    for e in EDGES:
+        assert box.nearest_edge(box.edge_point(e, 0.7)) == e
+    # ties keep the order of EDGES: left, right, bottom, top
+    assert unit_box.nearest_edge((0.0, 0.0)) == "left"
+    assert unit_box.nearest_edge((1.0, 1.0)) == "right"
+    assert unit_box.nearest_edge((0.5, 0.5)) == "left"
 
 
 def test_grid_requires_minimum_nodes():

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from elastic_lens.cli import read_lens_csv, write_lens_csv
 from elastic_lens.errors import PreconditionError
 from elastic_lens.model_core import ConstantField, DiskDomain, RadialField
 from elastic_lens.ray_tracer import (BoundaryDirection, RayStatus,
                                      entry_at, fan_angles, hamiltonian,
                                      integrate_bicharacteristic, lens_table,
-                                     read_lens_csv, scattering_relation,
-                                     unit_phase, write_lens_csv)
+                                     scattering_relation, unit_phase)
 
 
 def chord_exit(entry_x, v, R=1.0):

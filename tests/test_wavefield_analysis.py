@@ -120,6 +120,13 @@ def test_pick_requires_valid_threshold():
         pick_first_arrival(np.ones(100), 0.0, 10.0, 1e-3)
 
 
+def test_pick_arrivals_checks_threshold_and_empty_trace():
+    with pytest.raises(PreconditionError, match="eta"):
+        pick_arrivals(np.ones(100), 1.5, 10.0, 1e-3)
+    with pytest.raises(PreconditionError, match="empty"):
+        pick_arrivals(np.zeros(0), 0.05, 10.0, 1e-3)
+
+
 # ---------------------------------------------------------------------------
 # Lens extraction on synthetic traces
 # ---------------------------------------------------------------------------
