@@ -291,15 +291,12 @@ def cmd_trace(args):
     bd = entry_at(model.domain, args.entry_s, args.angle)
     rec = scattering_relation(speed, model.domain, bd, dt=args.dt,
                               t_max=args.tmax)
-    doc = {
-        "status": rec.status.value,
-        "entry": {"x": list(map(float, rec.entry.x)),
-                  "v": list(map(float, rec.entry.v))},
-    }
+
+    def plain(bd):
+        return {"x": list(map(float, bd.x)), "v": list(map(float, bd.v))}
+    doc = {"status": rec.status.value, "entry": plain(rec.entry)}
     if rec.status is RayStatus.EXITED:
-        doc["exit"] = {"x": list(map(float, rec.exit.x)),
-                       "v": list(map(float, rec.exit.v))}
-        doc["ell"] = rec.ell
+        doc.update(exit=plain(rec.exit), ell=rec.ell)
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 

@@ -10,10 +10,12 @@ Neumann data sigma(u).nu at receivers is one column of the
 Dirichlet-to-Neumann kernel.
 
 The stress is assembled pointwise from nodal material fields and its
-divergence taken with the same centered differences (one-sided second
-order at the edges), matching the divergence form of the operator and
-keeping the discretization self-adjoint up to edge effects.  One stress
-evaluation per step yields both the Neumann traces and the update.
+divergence taken with the same centered differences (one-sided first
+order at the edges, as numpy.gradient's default), matching the divergence
+form of the operator and keeping the discretization self-adjoint up to
+edge effects.  One stress evaluation per step yields both the Neumann
+traces and the update.  A step works in place on buffers allocated once
+per run, with the displacement held as planar (2, nx, ny) arrays.
 """
 
 from __future__ import annotations
@@ -106,12 +108,13 @@ class TractionTrace:
 
 @dataclass
 class MaterialGrid:
-    """Material fields sampled at the nodes of a grid."""
+    """Material fields sampled at the nodes of a grid: (nx, ny) arrays, or
+    Python floats for fields that take one value at every node."""
 
     grid: Grid2D
-    lam: np.ndarray
-    mu: np.ndarray
-    rho: np.ndarray
+    lam: np.ndarray | float
+    mu: np.ndarray | float
+    rho: np.ndarray | float
 
     @property
     def cp_max(self):
@@ -121,36 +124,10 @@ class MaterialGrid:
 def sample_material(material: ElasticMaterial, grid: Grid2D) -> MaterialGrid:
     xs, ys = grid.nodes()
     nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    lam, mu, rho = (f.eval(nodes)[0].reshape(len(xs), len(ys))
-                    for f in (material.lam, material.mu, material.rho))
-    return MaterialGrid(grid, lam, mu, rho)
-
-
-def _gradients(u: np.ndarray, h: float):
-    """(dux/dx, dux/dy, duy/dx, duy/dy) by centered differences."""
-    return (np.gradient(u[:, :, 0], h, axis=0),
-            np.gradient(u[:, :, 0], h, axis=1),
-            np.gradient(u[:, :, 1], h, axis=0),
-            np.gradient(u[:, :, 1], h, axis=1))
-
-
-def _stress_fields(mg: MaterialGrid, grads):
-    dux_dx, dux_dy, duy_dx, duy_dy = grads
-    div = dux_dx + duy_dy
-    sxx = mg.lam * div + 2.0 * mg.mu * dux_dx
-    syy = mg.lam * div + 2.0 * mg.mu * duy_dy
-    sxy = mg.mu * (dux_dy + duy_dx)
-    return sxx, syy, sxy
-
-
-def _divergence(mg: MaterialGrid, sxx, syy, sxy) -> np.ndarray:
-    """rho^-1 div sigma on the grid (centered differences)."""
-    h = mg.grid.h
-    out = np.empty(sxx.shape + (2,))
-    out[:, :, 0] = np.gradient(sxx, h, axis=0) + np.gradient(sxy, h, axis=1)
-    out[:, :, 1] = np.gradient(sxy, h, axis=0) + np.gradient(syy, h, axis=1)
-    out /= mg.rho[:, :, None]
-    return out
+    fields = (f.eval(nodes)[0] for f in (material.lam, material.mu, material.rho))
+    # a float gives the same products as an array of that value, at less cost
+    return MaterialGrid(grid, *(float(v[0]) if np.all(v == v[0])
+                                else v.reshape(len(xs), len(ys)) for v in fields))
 
 
 def check_cfl(mg: MaterialGrid, dt: float):
@@ -162,6 +139,61 @@ def check_cfl(mg: MaterialGrid, dt: float):
 
 def stable_dt(mg: MaterialGrid) -> float:
     return CFL_SAFETY * mg.grid.h / mg.cp_max
+
+
+class _Workspace:
+    """The buffers of one FD run, allocated once: planar (nx, ny) gradients
+    and stresses.  A step updates the flattened nodes `inner`, (1, 1) to
+    (nx-2, ny-2): the interior nodes and, between them, wall nodes that
+    _apply_dirichlet overwrites.  Every pass is contiguous."""
+
+    def __init__(self, mg: MaterialGrid):
+        nx, ny = mg.grid.nx, mg.grid.ny
+        self.mg, self.two_mu = mg, 2.0 * mg.mu
+        self.inner = slice(ny + 1, nx * ny - ny - 1)
+        self.rho_inner = mg.rho if isinstance(mg.rho, float) else mg.rho.reshape(-1)[self.inner]
+        self.grad = np.empty((4, nx, ny))     # dux/dx, dux/dy, duy/dx, duy/dy
+        self.sigma = np.empty((3, nx, ny))    # sxx, sxy, syy
+        self.lam_div = np.empty((nx, ny))
+
+    def stress(self, u):
+        """Gradients and stresses of the planar displacement u (2, nx, ny),
+        in numpy.gradient's operation order: centered differences over 2h
+        (along the flattened arrays, so along y they wrap from row to row
+        at the ends), then one-sided differences over h at the ends."""
+        h, g, lam_div = self.mg.grid.h, self.grad, self.lam_div
+        U, G = u.reshape(2, -1), g.reshape(4, -1)
+        for k, s in ((0, self.mg.grid.ny), (1, 1)):     # along x, then y
+            np.subtract(U[:, 2 * s:], U[:, :-2 * s], out=G[k::2, s:-s])
+            G[k::2, s:-s] /= 2.0 * h
+        g[0::2, [0, -1]] = (u[:, [1, -1]] - u[:, [0, -2]]) / h
+        g[1::2, :, [0, -1]] = (u[:, :, [1, -1]] - u[:, :, [0, -2]]) / h
+        np.add(g[0], g[3], out=lam_div)
+        lam_div *= self.mg.lam
+        np.multiply(self.two_mu, g[0::3], out=self.sigma[0::2])
+        self.sigma[0::2] += lam_div
+        np.add(g[1], g[2], out=self.sigma[1])
+        self.sigma[1] *= self.mg.mu
+
+    def step(self, u, u_prev, u_next, dt: float):
+        """Leapfrog over the nodes inner: u_next = 2 u - u_prev + dt^2
+        rho^-1 div sigma, with sigma from the last call of stress.  The
+        gradients are spent by then; their buffer serves as scratch."""
+        inner, ny = self.inner, self.mg.grid.ny
+        lo, hi, h2 = inner.start, inner.stop, 2.0 * self.mg.grid.h
+        s, t = self.sigma.reshape(3, -1), self.grad.reshape(4, -1)[:2, inner]
+        out = u_next.reshape(2, -1)[:, inner]
+        # d/dx (sxx, sxy) + d/dy (sxy, syy), each a centered difference
+        np.subtract(s[:2, lo + ny:hi + ny], s[:2, lo - ny:hi - ny], out=out)
+        out /= h2
+        np.subtract(s[1:, lo + 1:hi + 1], s[1:, lo - 1:hi - 1], out=t)
+        t /= h2
+        out += t
+        out /= self.rho_inner
+        out *= dt * dt
+        np.multiply(u.reshape(2, -1)[:, inner], 2.0, out=t)
+        t -= u_prev.reshape(2, -1)[:, inner]
+        out += t
 
 
 def _edge_nodes(edge):
@@ -180,14 +212,12 @@ def _source_patch(grid: Grid2D, source: BoundarySource):
 
 
 def _apply_dirichlet(u, patch, amp: float):
-    """Zero the walls, then drive the source patch at amplitude amp."""
-    u[0, :, :] = 0.0
-    u[-1, :, :] = 0.0
-    u[:, 0, :] = 0.0
-    u[:, -1, :] = 0.0
+    """Zero the walls of the planar u (2, nx, ny), then drive the source
+    patch at amplitude amp."""
+    u[:, [0, -1], :] = 0.0
+    u[:, :, [0, -1]] = 0.0
     sl, prof, pol = patch
-    u[sl][:, 0] = prof * amp * pol[0]
-    u[sl][:, 1] = prof * amp * pol[1]
+    u[(slice(None),) + sl] = np.multiply.outer(pol, prof * amp)
 
 
 def energy(state: WavefieldState, mg: MaterialGrid) -> float:
@@ -195,18 +225,11 @@ def energy(state: WavefieldState, mg: MaterialGrid) -> float:
     h = mg.grid.h
     v = state.velocity
     kinetic = mg.rho * (v[:, :, 0] ** 2 + v[:, :, 1] ** 2)
-    grads = _gradients(state.u, h)
-    dux_dx, dux_dy, duy_dx, duy_dy = grads
-    sxx, syy, sxy = _stress_fields(mg, grads)
+    ws = _Workspace(mg)
+    ws.stress(np.ascontiguousarray(np.moveaxis(state.u, -1, 0)))
+    (dux_dx, dux_dy, duy_dx, duy_dy), (sxx, sxy, syy) = ws.grad, ws.sigma
     strain = sxx * dux_dx + syy * duy_dy + sxy * (dux_dy + duy_dx)
     return 0.5 * float(np.sum(kinetic + strain)) * h * h
-
-
-def _traction_at(sxx, syy, sxy, edge_nodes, positions):
-    sl, (nx_, ny_) = edge_nodes
-    tx = sxx[sl] * nx_ + sxy[sl] * ny_
-    ty = sxy[sl] * nx_ + syy[sl] * ny_
-    return tx[positions], ty[positions]
 
 
 @dataclass
@@ -224,7 +247,7 @@ def receiver_nodes(domain: BoxDomain, grid: Grid2D, receivers):
     for p in receivers:
         p = np.asarray(p, dtype=float)
         if abs(domain.signed(p)) > grid.h:
-            raise ConfigurationError(f"receiver {tuple(p)} is not on the boundary")
+            raise ConfigurationError(f"receiver {tuple(p.tolist())} is not on the boundary")
         edge = domain.nearest_edge(p)
         along = 1 - EDGES[edge][0]
         k = int(np.argmin(np.abs(grid.nodes()[along] - p[along])))
@@ -240,9 +263,7 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     receivers: list of boundary points (snapped to the nearest boundary
     node).  Returns one TractionTrace per receiver with sample interval dt.
     """
-    w = domain.widths
-    nx = int(round(w[0] / h)) + 1
-    ny = int(round(w[1] / h)) + 1
+    nx, ny = (int(round(w / h)) + 1 for w in domain.widths)
     grid = Grid2D(tuple(domain.lo), h, nx, ny)
     mg = sample_material(material, grid)
     if dt is None:
@@ -250,32 +271,35 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     check_cfl(mg, dt)
 
     rec = receiver_nodes(domain, grid, receivers)
-    edges = {e: _edge_nodes(e) for e, _, _ in rec}
+    # each receiver's flat node index and outward normal
+    nodes = np.arange(nx * ny).reshape(nx, ny)
+    idx = np.array([nodes[_edge_nodes(e)[0]][k] for e, k, _ in rec], dtype=int)
+    nrm_x, nrm_y = np.array([_edge_nodes(e)[1] for e, _, _ in rec]).reshape(-1, 2).T
     n_steps = int(round(T / dt))
     traces = np.zeros((len(rec), n_steps + 1, 2))
     snaps = []
     snap_left = sorted(snapshot_times)
 
+    ws = _Workspace(mg)
     patch = _source_patch(grid, source)
-    u = np.zeros((nx, ny, 2))
-    u_prev = np.zeros_like(u)
+    u_prev, u, u_next = np.zeros((3, 2, nx, ny))
     t = 0.0
     _apply_dirichlet(u, patch, float(source.pulse(t)))
     for n in range(n_steps + 1):
-        sxx, syy, sxy = _stress_fields(mg, _gradients(u, h))
-        for r, (edge, k, _) in enumerate(rec):
-            tx, ty = _traction_at(sxx, syy, sxy, edges[edge], k)
-            traces[r, n, 0] = tx
-            traces[r, n, 1] = ty
+        ws.stress(u)
+        sxx, sxy, syy = ws.sigma.reshape(3, -1)[:, idx]
+        traces[:, n, 0] = sxx * nrm_x + sxy * nrm_y
+        traces[:, n, 1] = sxy * nrm_x + syy * nrm_y
         while snap_left and t >= snap_left[0] - 0.5 * dt:
-            snaps.append(WavefieldState(u.copy(), u_prev.copy(), t, grid, dt))
+            snaps.append(WavefieldState(np.moveaxis(u, 0, -1).copy(),
+                                        np.moveaxis(u_prev, 0, -1).copy(), t, grid, dt))
             snap_left.pop(0)
         if n == n_steps:
             break
-        u_new = 2.0 * u - u_prev + dt * dt * _divergence(mg, sxx, syy, sxy)
+        ws.step(u, u_prev, u_next, dt)
         t += dt
-        _apply_dirichlet(u_new, patch, float(source.pulse(t)))
-        u_prev, u = u, u_new
+        _apply_dirichlet(u_next, patch, float(source.pulse(t)))
+        u_prev, u, u_next = u, u_next, u_prev
         if (n + 1) % _FINITE_CHECK_STEPS == 0 and not np.isfinite(u).all():
             raise NumericalError(f"displacement is not finite at step {n + 1} "
                                  f"(t = {t:.6g}); the scheme blew up")

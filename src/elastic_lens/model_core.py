@@ -311,7 +311,7 @@ class Domain:
     def normal(self, x) -> np.ndarray:
         x = _point(x)
         if abs(self.signed(x)) > 1e-9:
-            raise PreconditionError(f"point {tuple(x)} not on the boundary (b = {self.signed(x):.3g})")
+            raise PreconditionError(f"point {tuple(x.tolist())} not on the boundary (b = {self.signed(x):.3g})")
         return self._normal(x)
 
 
@@ -427,7 +427,7 @@ class BoxDomain(Domain):
             return float(w + h + self.hi[0] - x[0])
         if abs(x[0] - self.lo[0]) < eps:
             return float(2 * w + h + self.hi[1] - x[1])
-        raise PreconditionError(f"point {tuple(x)} not on the box boundary")
+        raise PreconditionError(f"point {tuple(map(float, x))} not on the box boundary")
 
 
 # ---------------------------------------------------------------------------

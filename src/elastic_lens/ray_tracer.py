@@ -131,7 +131,8 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries,
     The boundary crossing inside that step is located by bisection in the
     step parameter (to 1e-12 relative) and the covector re-evaluated at the
     crossing, so exit directions are as accurate as the flow itself.
-    Entries within theta_min of tangent are refused (TANGENT_ENTRY); rays
+    Entries within theta_min of tangent, or whose first move x + 1e-9 v
+    leaves the domain (at a corner), are refused (TANGENT_ENTRY); rays
     still inside at t_max are TRAPPED.
     """
     entries = list(entries)
@@ -139,6 +140,7 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries,
     v0 = np.array([e.v for e in entries], dtype=float)
     steep = np.array([float(v @ domain.normal(x)) <= -math.sin(theta_min)
                       for x, v in zip(x0, v0)], dtype=bool)
+    steep &= domain.signed(x0 + 1e-9 * v0) < 0.0
     records = [LensRecord(e, None, math.nan, RayStatus.TRAPPED if ok
                           else RayStatus.TANGENT_ENTRY)
                for e, ok in zip(entries, steep)]

@@ -42,12 +42,9 @@ def _pad_parity(f, axis, parity):
     pad[axis] = (2, 2)
     g = np.pad(f, pad, mode="symmetric")
     if parity == "odd":
-        lo = [slice(None)] * f.ndim
-        hi = [slice(None)] * f.ndim
-        lo[axis] = slice(0, 2)
-        hi[axis] = slice(-2, None)
-        g[tuple(lo)] = -g[tuple(lo)]
-        g[tuple(hi)] = -g[tuple(hi)]
+        ends = np.moveaxis(g, axis, 0)     # a view of g
+        ends[:2] = -ends[:2]
+        ends[-2:] = -ends[-2:]
     return g
 
 
@@ -138,8 +135,7 @@ def _causal_mean(x, width_samples):
     """Moving average over the past `width_samples` samples (causal)."""
     w = max(int(width_samples), 1)
     c = np.cumsum(np.concatenate(([0.0], x)))
-    n = len(x)
-    idx = np.arange(n)
+    idx = np.arange(len(x))
     lo = np.maximum(idx - w + 1, 0)
     return (c[idx + 1] - c[lo]) / (idx + 1 - lo)
 
@@ -226,10 +222,7 @@ def pick_first_arrival(trace, eta: float, f0: float, dt: float | None = None):
     if peak <= 0.0:
         return None
     i, t_pick = _first_crossing(t, env, eta * peak)
-    pre = env[:max(i, 1)]
-    post = env[i:]
-    rms_pre = float(np.sqrt(np.mean(pre**2)))
-    rms_post = float(np.sqrt(np.mean(post**2)))
+    rms_pre, rms_post = (float(np.sqrt(np.mean(x**2))) for x in (env[:max(i, 1)], env[i:]))
     quality = rms_post / rms_pre if rms_pre > 0.0 else float("inf")
     return ArrivalPick(t_pick, "unknown", quality)
 

@@ -217,6 +217,7 @@ def _malformed_argv(tmp_path, small_sim, kind, value):
     ("receivers", "edge=right,count=4,center=x,width=0.2"),
     ("receivers", "edge=right,count=4,center=0.5"),
     ("receivers", "edge=right,count=4,width=0.5"),
+    ("receivers", "edge=top,count=3,center=2.0,width=0.5"),
     ("metadata", "source"),
     ("metadata", "receivers"),
     ("metadata", "dt"),
@@ -227,9 +228,10 @@ def _malformed_argv(tmp_path, small_sim, kind, value):
     ("config", {"source": {"pol": [1]}}),
     ("config", {"foliation_range": [0.5]}),
 ], ids=["count-not-int", "center-not-number", "center-without-width",
-        "width-without-center", "metadata-no-source", "metadata-no-receivers",
-        "metadata-no-dt", "metadata-no-grid", "config-list", "config-T",
-        "config-receiver-count", "config-pol", "config-foliation-range"])
+        "width-without-center", "receivers-off-the-box", "metadata-no-source",
+        "metadata-no-receivers", "metadata-no-dt", "metadata-no-grid",
+        "config-list", "config-T", "config-receiver-count", "config-pol",
+        "config-foliation-range"])
 def test_malformed_specs_exit_2(tmp_path, small_sim, kind, value):
     argv = _malformed_argv(tmp_path, small_sim, kind, value)
     assert run(argv) == cli.EXIT_CONFIG
@@ -359,6 +361,17 @@ def test_lens_on_3d_box_exits_3(tmp_path):
         "domain": {"shape": "box", "lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]}})
     assert run(["lens", "--model", model, "--points", "2", "--angles", "2",
                 "--out", str(tmp_path / "lens.csv")]) == cli.EXIT_MODEL
+
+
+def test_lens_on_box_refuses_corner_entries(tmp_path):
+    # four entry points, each a corner of the unit box: a direction inward
+    # from one side of a corner may point out through the other side
+    model = write_model(tmp_path, {**UNIT_BOX_MODEL, "speed": 1.0})
+    out = tmp_path / "lens.csv"
+    assert run(["lens", "--model", model, "--points", "4", "--angles", "4",
+                "--out", str(out)]) == 0
+    status = [r["status"] for r in cli.read_lens_csv(out)]
+    assert status.count("Exited") == 8 and status.count("TangentEntry") == 8
 
 
 def test_extract_f0_override_keeps_recorded_t0(tmp_path):

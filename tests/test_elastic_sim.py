@@ -8,7 +8,8 @@ from elastic_lens.elastic_sim import (BoundarySource, MaterialGrid, bump,
                                       ricker, sample_material, simulate_dn,
                                       stable_dt, WavefieldState)
 from elastic_lens.errors import ConfigurationError
-from elastic_lens.model_core import BoxDomain, Grid2D
+from elastic_lens.model_core import (EDGES, BoxDomain, ConstantField,
+                                     ElasticMaterial, Grid2D, LinearField)
 
 
 def test_ricker_vanishes_for_nonpositive_time():
@@ -133,3 +134,79 @@ def test_simulate_requires_time_and_resolution(unit_material, unit_box):
     with pytest.raises(ConfigurationError):
         simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], T=0.5,
                     h=0.02, dt=1.0)
+
+
+def _reference_dn(material, domain, source, receivers, T, h, dt):
+    """The FD step written plainly with np.gradient on (nx, ny, 2) arrays of
+    displacement and nodal material arrays: simulate_dn must reproduce its
+    traces and final displacement bit for bit."""
+    w = domain.widths
+    grid = Grid2D(tuple(domain.lo), h, *(int(round(w[a] / h)) + 1 for a in (0, 1)))
+    xs, ys = grid.nodes()
+    X = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    lam, mu, rho = (f.eval(X)[0].reshape(len(xs), len(ys))
+                    for f in (material.lam, material.mu, material.rho))
+    axis, side = EDGES[source.edge]
+    patch = [slice(None)] * 2
+    patch[axis] = -side
+    prof, pol = source.profile((xs, ys)[1 - axis]), np.asarray(source.polarization)
+
+    def walls(u, t):
+        u[[0, -1]] = 0.0
+        u[:, [0, -1]] = 0.0
+        u[tuple(patch)] = np.outer(prof * float(source.pulse(t)), pol)
+
+    def d(f, a):
+        return np.gradient(f, h, axis=a)
+
+    at = []
+    for edge, k, _ in receiver_nodes(domain, grid, receivers):
+        a, s = EDGES[edge]
+        node, normal = [k, k], [0.0, 0.0]
+        node[a], normal[a] = -s, 2.0 * s - 1.0
+        at.append((tuple(node), normal))
+    u, u_prev, t, traces = np.zeros((len(xs), len(ys), 2)), 0.0, 0.0, []
+    walls(u, t)
+    for n in range(int(round(T / dt)) + 1):
+        div = d(u[:, :, 0], 0) + d(u[:, :, 1], 1)
+        sxx = lam * div + 2.0 * mu * d(u[:, :, 0], 0)
+        syy = lam * div + 2.0 * mu * d(u[:, :, 1], 1)
+        sxy = mu * (d(u[:, :, 0], 1) + d(u[:, :, 1], 0))
+        traces.append([(sxx[i] * nx + sxy[i] * ny, sxy[i] * nx + syy[i] * ny)
+                       for i, (nx, ny) in at])
+        if n == int(round(T / dt)):
+            return np.array(traces).transpose(1, 0, 2), u
+        acc = np.stack([d(sxx, 0) + d(sxy, 1), d(sxy, 0) + d(syy, 1)], axis=-1)
+        u, u_prev = 2.0 * u - u_prev + dt * dt * (acc / rho[:, :, None]), u
+        t += dt
+        walls(u, t)
+
+
+_REFERENCE_MATERIALS = {
+    "unit": ElasticMaterial(*(ConstantField(1.0),) * 3),
+    "constant": ElasticMaterial(ConstantField(2.0), ConstantField(0.7),
+                                ConstantField(1.3)),
+    "linear-lame": ElasticMaterial(LinearField(1.0, (0.5, -0.3)),
+                                   LinearField(1.2, (-0.2, 0.4)),
+                                   ConstantField(1.0)),
+    "variable-rho": ElasticMaterial(LinearField(1.0, (0.5, 0.0)),
+                                    ConstantField(0.8),
+                                    LinearField(1.5, (-0.3, 0.6))),
+}
+
+
+@pytest.mark.parametrize("pol", [(1.0, 0.0), (0.6, 0.8)], ids=["normal", "oblique"])
+@pytest.mark.parametrize("material", list(_REFERENCE_MATERIALS))
+def test_fd_kernel_matches_gradient_reference_bitwise(unit_box, material, pol):
+    mat = _REFERENCE_MATERIALS[material]
+    edge = "bottom" if material == "variable-rho" else "left"
+    src = BoundarySource(edge=edge, center=0.45, width=0.3, f0=8.0,
+                         polarization=pol)
+    # a receiver on each edge, and the corners (1, 0) and (0, 1)
+    receivers = [(1.0, 0.5), (0.3, 1.0), (0.6, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    res = simulate_dn(mat, unit_box, src, receivers, T=0.6, h=0.05,
+                      snapshot_times=(0.6,))
+    traces, u = _reference_dn(mat, unit_box, src, receivers, 0.6, 0.05, res.dt)
+    assert np.array_equal(np.array([tr.samples for tr in res.traces]), traces)
+    assert np.array_equal(res.snapshots[-1].u, u)
+    assert np.abs(traces).max() > 0.0

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from elastic_lens.errors import DomainError, ModelError, PreconditionError
+from elastic_lens.elastic_sim import receiver_nodes
+from elastic_lens.errors import (ConfigurationError, DomainError, ModelError,
+                                 PreconditionError)
 from elastic_lens.model_core import (EDGES, BoundingBox, BoxDomain,
                                      ConstantField, DepthField, DerivedSpeed,
                                      DiskDomain, ElasticMaterial,
@@ -47,6 +49,14 @@ def test_out_of_bounds_message_shows_plain_numbers():
         with pytest.raises(DomainError, match=r"point \[3\.0, 0\.5\] outside") as err:
             f.eval(np.array([[0.0, 0.0], [3.0, 0.5]]))
         assert "np.float64" not in str(err.value)
+    box, inside = BoxDomain((0.0, 0.0), (1.0, 1.0)), np.array([0.25, 0.5])
+    with pytest.raises(PreconditionError, match=r"point \(0\.25, 0\.5\) not on the boundary"):
+        box.normal(inside)
+    with pytest.raises(PreconditionError, match=r"point \(0\.25, 0\.5\) not on the box"):
+        box.boundary_param(inside)
+    with pytest.raises(ConfigurationError, match=r"receiver \(1\.75, 1\.0\) is not"):
+        receiver_nodes(box, Grid2D((0.0, 0.0), 0.1, 11, 11),
+                       [box.edge_point("top", 1.75)])
 
 
 def test_radial_field_requires_increasing_radii():
