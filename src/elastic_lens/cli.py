@@ -246,14 +246,9 @@ def cmd_validate(args):
     findings = []
     domain = model.domain
     # sample a grid of interior points covering the domain
-    if isinstance(domain, BoxDomain):
-        lo, hi = domain.lo, domain.hi
-    elif isinstance(domain, DiskDomain):
-        lo = np.full(domain.dim, -domain.radius)
-        hi = np.full(domain.dim, domain.radius)
-    else:
+    if domain is None:
         raise ConfigurationError("model must define a box or disk domain")
-    axes = [np.linspace(a, b, 48) for a, b in zip(lo, hi)]
+    axes = [np.linspace(a, b, 48) for a, b in zip(domain.lo, domain.hi)]
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
     points = points[domain.signed(points) <= -1e-9]
     # fields refuse non-positive values, so lambda, mu, rho > 0 (and with

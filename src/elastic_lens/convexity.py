@@ -43,6 +43,7 @@ VERDICT_VIOLATED = "violated"
 
 _GOLDEN = math.pi * (3.0 - math.sqrt(5.0))
 _BISECT_STEPS = 50   # halves a ray bracket to below 1e-15 of its length
+_SAMPLES = (32, 64)   # leaves, points per leaf (then tangents per 3D point)
 
 
 @dataclass(frozen=True)
@@ -276,8 +277,7 @@ def _scan_report(s: _Samples, vals):
                             "directions": vals.shape[1]})
 
 
-def check_hwz(speed: SpeedField, r_min: float, r_max: float,
-              samples=(32, 64)) -> ConvexityReport:
+def check_hwz(speed: SpeedField, r_min: float, r_max: float) -> ConvexityReport:
     """Herglotz / Wiechert-Zoeppritz test: d/dr (r / c(r omega)) > 0.
 
     The reported value is d/dr (r/c) = (c - r dc/dr) / c^2, i.e. r/c times
@@ -285,12 +285,12 @@ def check_hwz(speed: SpeedField, r_min: float, r_max: float,
     """
     if not (0 < r_min < r_max):
         raise PreconditionError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
-    s = _sample_foliation(speed, Foliation("spheres", (r_min, r_max)), None, (*samples, 1))
+    s = _sample_foliation(speed, Foliation("spheres", (r_min, r_max)), None, (*_SAMPLES, 1))
     return _scan_report(s, s.form * (s.levels[s.leaf] / s.c)[:, None])
 
 
-def check_plane_foliation(speed: SpeedField, axis: int, c1: float, c2: float,
-                          samples=(32, 64)) -> ConvexityReport:
+def check_plane_foliation(speed: SpeedField, axis: int, c1: float,
+                          c2: float) -> ConvexityReport:
     """Parallel planes x[axis] in [c1, c2]: strictly convex iff dc/dx_axis > 0
     (normals oriented toward decreasing x[axis]).
 
@@ -299,12 +299,12 @@ def check_plane_foliation(speed: SpeedField, axis: int, c1: float, c2: float,
     if not c1 < c2:
         raise PreconditionError(f"need c1 < c2, got {c1}, {c2}")
     fol = Foliation("planes", (c1, c2), axis=axis, orientation=-1)
-    s = _sample_foliation(speed, fol, None, (*samples, 1))
+    s = _sample_foliation(speed, fol, None, (*_SAMPLES, 1))
     return _scan_report(s, s.form * s.c[:, None])
 
 
-def check_foliation(speed: SpeedField, foliation: Foliation, domain: Domain,
-                    samples=(32, 64, 16)) -> ConvexityReport:
+def check_foliation(speed: SpeedField, foliation: Foliation,
+                    domain: Domain) -> ConvexityReport:
     """General leaf-by-leaf convexity check via the conformal form.
 
     Kappa leaves are sampled by ray casting from the origin inside the
@@ -315,7 +315,7 @@ def check_foliation(speed: SpeedField, foliation: Foliation, domain: Domain,
     intersected with the closed domain, and that reading is flagged in the
     report notes.
     """
-    s = _sample_foliation(speed, foliation, domain, samples)
+    s = _sample_foliation(speed, foliation, domain, (*_SAMPLES, 16))
     report = _scan_report(s, s.form)
     report.samples["evaluated"] = s.form.size
     report.notes.append("verification region read as the kappa range intersected "

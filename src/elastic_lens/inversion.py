@@ -30,6 +30,7 @@ from .model_core import DiskDomain, RadialField
 from .ray_tracer import RayStatus, entry_at, scattering_relations
 
 _GL_NODES = 32
+_RAY_T_MAX = 50.0   # travel-time bound of a forward fan; slower rays are TRAPPED
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +128,7 @@ class DepthProfile:
 # ---------------------------------------------------------------------------
 
 
-def forward_travel_times(profile, R: float, angles, dt: float = 1e-3,
-                         t_max: float = 50.0) -> TravelTimeCurve:
+def forward_travel_times(profile, R: float, angles, dt: float = 1e-3) -> TravelTimeCurve:
     """Trace a fan through a radial model and tabulate (Delta, T).
 
     profile: RadialProfile or a radial SpeedField.  angles: inward shooting
@@ -151,7 +151,7 @@ def forward_travel_times(profile, R: float, angles, dt: float = 1e-3,
             raise PreconditionError(f"shooting angle must lie in (0, pi/2), got {a}")
     records = scattering_relations(speed, domain,
                                    [entry_at(domain, 0.0, a) for a in angles],
-                                   dt=dt, t_max=t_max)
+                                   dt=dt, t_max=_RAY_T_MAX)
     deltas, times = [], []
     for a, rec in zip(angles, records):
         if rec.status is not RayStatus.EXITED:
@@ -169,7 +169,7 @@ def _gauss_legendre_01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def herglotz_invert(curve: TravelTimeCurve, R: float | None = None) -> RadialProfile:
+def herglotz_invert(curve: TravelTimeCurve) -> RadialProfile:
     """Abel-invert a travel-time curve to the radial speed on turning radii.
 
     The endpoint square-root singularity of the arccosh integrand is
@@ -178,7 +178,6 @@ def herglotz_invert(curve: TravelTimeCurve, R: float | None = None) -> RadialPro
     32-point Gauss-Legendre rule per ray.  Speeds are reported only at
     radii actually reached by turning rays.
     """
-    R = curve.R if R is None else R
     dm, p = curve.ray_parameters()   # strictly decreasing: the curve checks it
 
     # grazing-ray parameter: linear extrapolation of p(Delta) to Delta = 0;
@@ -200,7 +199,7 @@ def herglotz_invert(curve: TravelTimeCurve, R: float | None = None) -> RadialPro
         s = np.sqrt(dj) * xg
         ratio = np.maximum(p_of_delta(dj - s * s) / pj, 1.0)
         integral = np.sqrt(dj) * float(np.dot(wg, np.arccosh(ratio) * 2.0 * s))
-        r = R * np.exp(-integral / np.pi)
+        r = curve.R * np.exp(-integral / np.pi)
         radii.append(r)
         speeds.append(r / pj)
     order = np.argsort(radii)
@@ -402,7 +401,7 @@ def _constant_profile(distances, times) -> DepthProfile:
     return DepthProfile([0.0, max(float(d.max()), 1e-6)], [c, c])
 
 
-def invert_both_speeds(data_p, data_s, mode: str = "radial", R: float | None = None):
+def invert_both_speeds(data_p, data_s, mode: str = "radial"):
     """Run the applicable inversion once per mode and cross-check the pair.
 
     mode='radial': data are TravelTimeCurve objects -> RadialProfile pair.
@@ -413,8 +412,8 @@ def invert_both_speeds(data_p, data_s, mode: str = "radial", R: float | None = N
     mislabeling upstream and raises a data-inconsistency error.
     """
     if mode == "radial":
-        prof_p = herglotz_invert(data_p, R)
-        prof_s = herglotz_invert(data_s, R)
+        prof_p = herglotz_invert(data_p)
+        prof_s = herglotz_invert(data_s)
         lo = max(prof_p.r[0], prof_s.r[0])
         hi = min(prof_p.r[-1], prof_s.r[-1])
     elif mode == "layered":

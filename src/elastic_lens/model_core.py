@@ -13,6 +13,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -122,7 +123,7 @@ class LinearField(SpeedField):
         corners = np.asarray(_box_corners(self.bounds))
         bad = self.a + corners @ self.b <= 0
         if bad.any():
-            corner = tuple(corners[int(np.argmax(bad))])
+            corner = tuple(corners[int(np.argmax(bad))].tolist())
             raise ModelError(f"affine field non-positive at corner {corner}")
 
     def _eval(self, X):
@@ -299,19 +300,25 @@ def wave_speeds(material: ElasticMaterial, x):
 
 
 class Domain:
-    """Region with signed boundary function b (negative inside) and
-    outward unit normal on the boundary."""
+    """Region with signed boundary function b (negative inside), outward
+    unit normal on the boundary, and bounding box lo..hi."""
 
     dim: int
+    lo: np.ndarray
+    hi: np.ndarray
 
     def signed(self, x):  # pragma: no cover - abstract
         """b at the points along the last axis of x (a float for one point)."""
         raise NotImplementedError
 
     def normal(self, x) -> np.ndarray:
-        x = _point(x)
-        if abs(self.signed(x)) > 1e-9:
-            raise PreconditionError(f"point {tuple(x.tolist())} not on the boundary (b = {self.signed(x):.3g})")
+        """Outward unit normals at the boundary points along the last axis of x."""
+        x = np.asarray(x, dtype=float)
+        b = np.reshape(self.signed(x), -1)
+        off = np.nonzero(np.abs(b) > 1e-9)[0]
+        if off.size:
+            p = x.reshape(-1, x.shape[-1])[off[0]]
+            raise PreconditionError(f"point {tuple(p.tolist())} not on the boundary (b = {b[off[0]]:.3g})")
         return self._normal(x)
 
 
@@ -323,6 +330,8 @@ class DiskDomain(Domain):
             raise ModelError(f"radius must be positive, got {radius}")
         self.radius = float(radius)
         self.dim = dim
+        self.hi = np.full(dim, self.radius)
+        self.lo = -self.hi
 
     def signed(self, x):
         # |x| as np.linalg.norm(x, axis=-1) computes it, without its call
@@ -331,7 +340,7 @@ class DiskDomain(Domain):
         return np.sqrt(np.add.reduce(x * x, axis=-1)) - self.radius
 
     def _normal(self, x):
-        return np.asarray(x) / np.linalg.norm(x)
+        return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
     @property
     def perimeter(self):
@@ -370,11 +379,12 @@ class BoxDomain(Domain):
                         np.linalg.norm(np.maximum(d, 0.0), axis=-1))[()]
 
     def _normal(self, x):
-        d = np.maximum(self.lo - x, x - self.hi)
-        i = int(np.argmax(d))
-        n = np.zeros(self.dim)
-        n[i] = -1.0 if (self.lo[i] - x[i]) >= (x[i] - self.hi[i]) else 1.0
-        return n
+        # the face nearest to x (furthest out of, outside); ties: lower axis, lo face
+        below, above = self.lo - x, x - self.hi
+        i = np.argmax(np.maximum(below, above), axis=-1)[..., None]
+        side = np.where(np.take_along_axis(below, i, -1) >= np.take_along_axis(above, i, -1),
+                        -1.0, 1.0)
+        return np.where(np.arange(self.dim) == i, side, 0.0)
 
     @property
     def widths(self):
@@ -437,10 +447,7 @@ MODEL_FORMAT = 1
 
 
 def _box_corners(bounds: BoundingBox):
-    lo, hi = bounds.lo, bounds.hi
-    if bounds.dim == 2:
-        return [(lo[0], lo[1]), (lo[0], hi[1]), (hi[0], lo[1]), (hi[0], hi[1])]
-    return [(a, b, c) for a in (lo[0], hi[0]) for b in (lo[1], hi[1]) for c in (lo[2], hi[2])]
+    return list(itertools.product(*zip(bounds.lo, bounds.hi)))
 
 
 def field_from_spec(spec, dim=2, extent=1.0) -> SpeedField:
@@ -508,11 +515,7 @@ def load_model(source) -> Model:
     try:
         domain = domain_from_spec(doc["domain"]) if "domain" in doc else None
         dim = domain.dim if domain is not None else 2
-        extent = 1.0
-        if isinstance(domain, DiskDomain):
-            extent = domain.radius + COLLAR
-        elif isinstance(domain, BoxDomain):
-            extent = float(np.max(np.abs(np.concatenate([domain.lo, domain.hi])))) + COLLAR
+        extent = 1.0 if domain is None else float(np.max(np.abs([domain.lo, domain.hi]))) + COLLAR
 
         speed = field_from_spec(doc["speed"], dim=dim, extent=extent) if "speed" in doc else None
         material = None

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import PreconditionError, ResourceError
 from .model_core import Domain, SpeedField
 
-DEFAULT_THETA_MIN = math.radians(2.0)   # tangential entries are refused
+THETA_MIN = math.radians(2.0)   # entries this close to tangent are refused
 HARD_STEP_CAP = 5_000_000
 
 
@@ -115,31 +115,28 @@ def integrate_bicharacteristic(speed: SpeedField, x0, xi0, t_max: float,
 
 
 def scattering_relation(speed: SpeedField, domain: Domain,
-                        entry: BoundaryDirection, t_max: float, dt: float,
-                        theta_min: float = DEFAULT_THETA_MIN) -> LensRecord:
+                        entry: BoundaryDirection, t_max: float, dt: float) -> LensRecord:
     """Trace one ray from a strictly inward boundary direction to its exit."""
-    return scattering_relations(speed, domain, [entry], t_max, dt, theta_min)[0]
+    return scattering_relations(speed, domain, [entry], t_max, dt)[0]
 
 
 def scattering_relations(speed: SpeedField, domain: Domain, entries,
-                         t_max: float, dt: float,
-                         theta_min: float = DEFAULT_THETA_MIN) -> list[LensRecord]:
+                         t_max: float, dt: float) -> list[LensRecord]:
     """Trace rays from strictly inward boundary directions to their exits.
 
     All rays advance together with a shared time t; a ray leaves the active
     set at the step that first takes it from inside the domain to outside.
     The boundary crossing inside that step is located by bisection in the
     step parameter (to 1e-12 relative) and the covector re-evaluated at the
-    crossing, so exit directions are as accurate as the flow itself.
-    Entries within theta_min of tangent, or whose first move x + 1e-9 v
-    leaves the domain (at a corner), are refused (TANGENT_ENTRY); rays
-    still inside at t_max are TRAPPED.
+    crossing, so exit directions are as accurate as the flow itself.  A ray
+    may exit within its first step.  Entries within THETA_MIN of tangent,
+    or whose first move x + 1e-9 v leaves the domain (at a corner), are
+    refused (TANGENT_ENTRY); rays still inside at t_max are TRAPPED.
     """
     entries = list(entries)
-    x0 = np.array([e.x for e in entries], dtype=float)
-    v0 = np.array([e.v for e in entries], dtype=float)
-    steep = np.array([float(v @ domain.normal(x)) <= -math.sin(theta_min)
-                      for x, v in zip(x0, v0)], dtype=bool)
+    x0 = np.array([e.x for e in entries], dtype=float).reshape(-1, domain.dim)
+    v0 = np.array([e.v for e in entries], dtype=float).reshape(-1, domain.dim)
+    steep = np.add.reduce(v0 * domain.normal(x0), axis=1) <= -math.sin(THETA_MIN)
     steep &= domain.signed(x0 + 1e-9 * v0) < 0.0
     records = [LensRecord(e, None, math.nan, RayStatus.TRAPPED if ok
                           else RayStatus.TANGENT_ENTRY)
@@ -157,28 +154,17 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries,
     # phase point, step and time at the start of each ray's exit step
     y_s, step_s, t_s = np.empty_like(y), np.empty(n), np.full(n, math.nan)
     active = np.arange(n)
-    # a ray exits only after it has been inside; the mask is dropped once
-    # every active ray has been
-    been_inside, all_inside = np.zeros(n, dtype=bool), False
     t = 0.0
     for _ in range(n_steps):
         step = min(dt, t_max - t)
         if step <= 0 or active.size == 0:
             break
         y_new = _rk4_step(speed, y, step)
-        b_new = domain.signed(y_new[:, :d])
-        out = b_new > 0.0
-        if not all_inside:
-            out &= been_inside
+        out = domain.signed(y_new[:, :d]) > 0.0
         if np.count_nonzero(out):
             k = active[out]
             y_s[k], step_s[k], t_s[k] = y[out], step, t
-            keep = ~out
-            active, y_new = active[keep], y_new[keep]
-            b_new, been_inside = b_new[keep], been_inside[keep]
-        if not all_inside:
-            been_inside |= b_new < 0.0
-            all_inside = bool(been_inside.all())
+            active, y_new = active[~out], y_new[~out]
         y, t = y_new, t + step
 
     exited = np.nonzero(~np.isnan(t_s))[0]
@@ -214,18 +200,8 @@ def _bisect_crossing(speed, domain, y, dt):
     y_hi = _rk4_step(speed, y, hi[:, None] * dt, k1)
     # snap the exit points onto the boundary along the outward normal
     x_hi = y_hi[:, :d]
-    x_hi -= domain.signed(x_hi)[:, None] * _boundary_normal_near(domain, x_hi)
+    x_hi -= domain.signed(x_hi)[:, None] * domain.normal(x_hi)
     return y_hi, hi
-
-
-def _boundary_normal_near(domain, x):
-    """Outward normals of the boundary points nearest to the points along the
-    last axis of x (each may be off the boundary by ~1e-12)."""
-    eps = 1e-7
-    x = np.asarray(x, dtype=float)[..., None, :]
-    e = eps * np.eye(x.shape[-1])
-    n = (domain.signed(x + e) - domain.signed(x - e)) / (2 * eps)
-    return n / np.linalg.norm(n, axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -235,9 +211,9 @@ class LensTableRow:
     record: LensRecord
 
 
-def fan_angles(count: int, theta_min: float = DEFAULT_THETA_MIN):
+def fan_angles(count: int):
     """count inward angles (from the inward normal), symmetric, tangent-free."""
-    lim = math.pi / 2 - theta_min
+    lim = math.pi / 2 - THETA_MIN
     if count == 1:
         return [0.0]
     return [-lim + (k + 0.5) * 2 * lim / count for k in range(count)]
@@ -253,8 +229,7 @@ def entry_at(domain, s: float, angle: float) -> BoundaryDirection:
 
 
 def lens_table(speed: SpeedField, domain: Domain, n_points: int, angles,
-               t_max: float, dt: float,
-               theta_min: float = DEFAULT_THETA_MIN) -> list[LensTableRow]:
+               t_max: float, dt: float) -> list[LensTableRow]:
     """Scattering relation sampled on n_points boundary points x a fan of angles.
 
     `angles` is either a count (symmetric fan) or an explicit sequence of
@@ -266,12 +241,12 @@ def lens_table(speed: SpeedField, domain: Domain, n_points: int, angles,
     if isinstance(angles, int):
         if angles < 1:
             raise PreconditionError("need at least one angle")
-        angles = fan_angles(angles, theta_min)
+        angles = fan_angles(angles)
     per = domain.perimeter
     grid = [(per * i / n_points, a) for i in range(n_points) for a in angles]
     records = scattering_relations(speed, domain,
                                    [entry_at(domain, s, a) for s, a in grid],
-                                   t_max, dt, theta_min)
+                                   t_max, dt)
     return [LensTableRow(s, a, rec) for (s, a), rec in zip(grid, records)]
 
 
@@ -279,7 +254,7 @@ def exit_angle(domain, rec: LensRecord) -> float:
     """Signed angle of the exit direction from the outward normal."""
     x = np.asarray(rec.exit.x)
     v = np.asarray(rec.exit.v)
-    nu = _boundary_normal_near(domain, x)
+    nu = domain.normal(x)
     tang = np.array([-nu[1], nu[0]])
     return math.atan2(float(v @ tang), float(v @ nu))
 

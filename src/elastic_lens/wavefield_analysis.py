@@ -292,9 +292,9 @@ def reference_onset(source, dt: float, eta: float) -> float:
     return pick.time
 
 
-def _windowed_onset(env, t, center, f0, eta, half: float = 1.5):
-    """First eta-relative envelope crossing inside [center +- half/f0]."""
-    idx = np.nonzero((t >= center - half / f0) & (t <= center + half / f0))[0]
+def _windowed_onset(env, t, center, f0, eta):
+    """First eta-relative envelope crossing inside [center +- 1.5/f0]."""
+    idx = np.nonzero((t >= center - 1.5 / f0) & (t <= center + 1.5 / f0))[0]
     if len(idx) == 0:
         return None
     peak = env[idx].max()

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 from elastic_lens import cli, elastic_sim
+from elastic_lens.model_core import load_model
+from elastic_lens.ray_tracer import RayStatus, entry_at, scattering_relation
 from tests.conftest import (LINEAR_RADIAL_MODEL, UNIT_BOX_MODEL, write_model)
 
 BAD_CONVEXITY_MODEL = {
@@ -122,6 +125,19 @@ def test_trace_json(tmp_path, capsys):
     x_in = np.array(rec["entry"]["x"])
     x_out = np.array(rec["exit"]["x"])
     assert rec["ell"] == pytest.approx(np.linalg.norm(x_out - x_in), abs=1e-5)
+
+
+def test_ray_exits_within_its_first_step(tmp_path, capsys):
+    # the chord 2 cos 1.4 = 0.34 is shorter than one step of 0.5
+    model = load_model(CONSTANT_DISK_MODEL)
+    rec = scattering_relation(model.speed, model.domain,
+                              entry_at(model.domain, 0.3, 1.4), t_max=5.0, dt=0.5)
+    assert rec.status is RayStatus.EXITED
+    assert rec.ell == pytest.approx(2 * math.cos(1.4), abs=1e-9)
+    path = write_model(tmp_path, CONSTANT_DISK_MODEL)
+    assert run(["trace", "--model", path, "--entry-s", "0.3", "--angle", "1.4",
+                "--dt", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["ell"] == pytest.approx(rec.ell, abs=1e-12)
 
 
 def test_lens_csv_header(tmp_path):
@@ -258,15 +274,19 @@ def test_simulate_reruns_byte_identical(small_sim):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_simulate_blow_up_exits_5(tmp_path, monkeypatch):
-    # ten times the default time step: the leapfrog scheme overflows within
-    # a few hundred steps, and the run must stop with a simulation error
-    monkeypatch.setattr(elastic_sim, "CFL_SAFETY", 5.0)
+@pytest.mark.parametrize("safety, T", [(5.0, "40"), (2.0, "20")],
+                         ids=["cfl5-T40", "cfl2-T20"])
+def test_simulate_blow_up_exits_5(tmp_path, monkeypatch, safety, T):
+    # ten (four) times the default time step: the leapfrog scheme grows
+    # without bound, and the run must stop with a simulation error; at four
+    # times u stays finite up to T = 20 (near 1e257), so only its amplitude
+    # shows the blow-up
+    monkeypatch.setattr(elastic_sim, "CFL_SAFETY", safety)
     model = write_model(tmp_path, UNIT_BOX_MODEL)
     assert run(["simulate", "--model", str(model),
                 "--source", "edge=left,center=0.5,width=0.2,f0=8,pol=1,0",
                 "--receivers", "edge=right,count=3",
-                "--T", "40", "--h", "0.05",
+                "--T", T, "--h", "0.05",
                 "--out", str(tmp_path / "out")]) == cli.EXIT_SIMULATION
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elastic_lens.elastic_sim import receiver_nodes
@@ -49,6 +49,9 @@ def test_out_of_bounds_message_shows_plain_numbers():
         with pytest.raises(DomainError, match=r"point \[3\.0, 0\.5\] outside") as err:
             f.eval(np.array([[0.0, 0.0], [3.0, 0.5]]))
         assert "np.float64" not in str(err.value)
+    with pytest.raises(ModelError, match=r"corner \(-2\.5, -2\.5\)") as err:
+        LinearField(1.0, (0.2, 0.3), bounds=BoundingBox.cube(2.5, 2))
+    assert "np.float64" not in str(err.value)
     box, inside = BoxDomain((0.0, 0.0), (1.0, 1.0)), np.array([0.25, 0.5])
     with pytest.raises(PreconditionError, match=r"point \(0\.25, 0\.5\) not on the boundary"):
         box.normal(inside)
@@ -161,6 +164,18 @@ def test_box_normal_off_boundary_raises(unit_box):
         unit_box.normal((0.5, 0.5))
 
 
+def test_normals_of_point_arrays(unit_box, unit_disk):
+    x = np.array([[0.6, 0.8], [-1.0, 0.0]])
+    assert np.array_equal(unit_disk.normal(x), x)
+    # corners go to the lower axis and, on it, to the lo face
+    x = np.array([[0.5, 0.0], [1.0, 0.3], [0.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    assert np.array_equal(unit_box.normal(x),
+                          [[0, -1], [1, 0], [-1, 0], [1, 0], [-1, 0]])
+    assert np.array_equal(unit_box.normal(x[1]), [1, 0])
+    with pytest.raises(PreconditionError, match=r"point \(0\.5, 0\.5\) not on"):
+        unit_box.normal([[0.0, 0.5], [0.5, 0.5]])
+
+
 def test_load_model_radial(model_file):
     from tests.conftest import LINEAR_RADIAL_MODEL
     m = load_model(model_file(LINEAR_RADIAL_MODEL))
@@ -194,6 +209,37 @@ def test_load_model_malformed_json_raises():
 def test_load_model_missing_key_names_it(doc, key):
     with pytest.raises(ModelError, match=key):
         load_model(doc)
+
+
+# JSON values, and model documents built from them that reach every field
+# and domain constructor
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10)
+_NUMBERS = st.lists(st.floats(-2.0, 2.0) | st.integers(-2, 2), max_size=4)
+_VALUE = _JSON | _NUMBERS | st.lists(_NUMBERS, max_size=4)
+_FIELD = _JSON | st.fixed_dictionaries(
+    {"kind": st.sampled_from(["constant", "linear", "radial", "depth", "grid", "x"])},
+    optional={k: _VALUE for k in ("c", "a", "b", "profile", "origin", "h", "values")})
+_DOMAIN = _JSON | st.fixed_dictionaries(
+    {"shape": st.sampled_from(["disk", "ball", "box", "x"])},
+    optional={k: _VALUE for k in ("radius", "lo", "hi")})
+# (a string is read as a file name or as JSON text, not as a document)
+_MODEL_DOC = _JSON.filter(lambda d: not isinstance(d, str)) | st.fixed_dictionaries(
+    {}, optional={"format": st.just(1) | _JSON, "domain": _DOMAIN, "speed": _FIELD,
+                  "material": _JSON | st.fixed_dictionaries(
+                      {}, optional={k: _FIELD for k in ("lambda", "mu", "rho")})})
+
+
+@settings(max_examples=200)
+@given(doc=_MODEL_DOC)
+def test_fuzzed_model_documents_load_or_raise_model_error(doc):
+    try:
+        load_model(doc)
+    except ModelError:
+        pass
 
 
 def test_field_from_spec_bare_number_is_constant():

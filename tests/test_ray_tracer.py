@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from elastic_lens.cli import read_lens_csv, write_lens_csv
 from elastic_lens.errors import PreconditionError
-from elastic_lens.model_core import ConstantField, DiskDomain, RadialField
+from elastic_lens.model_core import ConstantField, DiskDomain, RadialField, load_model
 from elastic_lens.ray_tracer import (BoundaryDirection, RayStatus,
-                                     entry_at, fan_angles, hamiltonian,
+                                     entry_at, exit_angle, fan_angles, hamiltonian,
                                      integrate_bicharacteristic, lens_table,
                                      scattering_relation, unit_phase)
+from tests.conftest import LINEAR_RADIAL_MODEL
 
 
 def chord_exit(entry_x, v, R=1.0):
@@ -102,6 +103,18 @@ def test_radial_ray_in_linear_profile_turns_and_exits(linear_radial_speed,
     assert np.linalg.norm(rec.exit.x) == pytest.approx(1.0, abs=1e-9)
     nu = unit_disk.normal(rec.exit.x)
     assert float(np.dot(rec.exit.v, nu)) > 0.0
+
+
+def test_radial_disk_exit_angles_equal_entry_angles():
+    # in a radial speed r x v is conserved, so every ray leaves at the angle
+    # from the normal at which it entered
+    model = load_model(LINEAR_RADIAL_MODEL)
+    rows = lens_table(model.speed, model.domain, n_points=7, angles=9,
+                      t_max=20.0, dt=1e-3)
+    exited = [r for r in rows if r.record.status is RayStatus.EXITED]
+    assert len(exited) == 63
+    for r in exited:
+        assert abs(exit_angle(model.domain, r.record) - r.entry_angle) <= 1e-12
 
 
 @given(a=st.floats(1.0, 2.0), frac=st.floats(0.1, 0.8))
