@@ -5,10 +5,10 @@ invert, compare, pipeline.  Exit codes: 0 ok, 2 configuration, 3 model,
 4 foliation, 5 simulation, 6 extraction, 7 inversion.
 
 Every command that produces an output directory writes a manifest
-(command, resolved configuration, input digests, version, duration).
-Data files contain no timestamps or seeds, so reruns with identical
-inputs are byte-identical; wall-clock duration lives only in the
-manifest.
+(command, resolved configuration, input digests, version, duration, and
+the seconds and counters of each stage).  Data files contain no
+timestamps or seeds, so reruns with identical inputs are byte-identical;
+wall-clock duration and run health live only in the manifest.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def _write_csv(path, header, rows):
         w.writerows([_cell(v) for v in row] for row in rows)
 
 
-def _write_manifest(out_dir, command, config, inputs, t_start):
+def _write_manifest(out_dir, command, config, inputs, t_start, stages):
     if isinstance(config, dict):
         config = {k: v for k, v in config.items()
                   if k != "func" and not callable(v)}
@@ -100,6 +100,7 @@ def _write_manifest(out_dir, command, config, inputs, t_start):
         "inputs": {str(p): _digest(p) for p in inputs if Path(p).is_file()},
         "version": __version__,
         "duration_seconds": time.monotonic() - t_start,
+        "stages": stages,
     }
     _write_json(Path(out_dir) / "manifest.json", manifest)
 
@@ -332,9 +333,12 @@ def cmd_simulate(args):
     if model.material is None:
         raise ConfigurationError("simulation requires a material in the model")
     receivers = _receiver_points(model.domain, _parse_kv(args.receivers, "receivers"))
-    _simulate_to_dir(args.model, model, source, receivers,
-                     args.T, args.h, args.dt, args.out)
-    _write_manifest(args.out, "simulate", vars(args), [args.model], t0)
+    stages = []
+    with _stage(stages, "simulate") as counters:
+        result = _simulate_to_dir(args.model, model, source, receivers,
+                                  args.T, args.h, args.dt, args.out)
+        counters.update(result.counters)
+    _write_manifest(args.out, "simulate", vars(args), [args.model], t0, stages)
     print(f"wrote {len(receivers)} traces to {args.out}")
     return EXIT_OK
 
@@ -430,12 +434,17 @@ class _Stage(Exception):
 
 
 @contextlib.contextmanager
-def _stage(name, *errors):
-    """Re-raise `errors` from the block as a failure of stage `name`."""
+def _stage(stages, name, *errors):
+    """Run the block as stage `name`: re-raise `errors` from it as a failure
+    of the stage, and when it succeeds append {name, seconds, counters} to
+    `stages`, counters being the dict the block receives to fill."""
+    counters, t0 = {}, time.monotonic()
     try:
-        yield
+        yield counters
     except errors as e:
         raise _Stage(name, e) from e
+    stages.append({"name": name, "seconds": time.monotonic() - t0,
+                   "counters": counters})
 
 
 _STAGE_EXIT = {
@@ -496,7 +505,7 @@ def _resolve_config(path):
     return cfg
 
 
-def _pipeline_homogeneous(cfg, out, model):
+def _pipeline_homogeneous(cfg, out, model, stages):
     """validate -> foliation -> lens predictions -> simulate -> extract ->
     invert -> compare on a constant-coefficient box."""
     domain = model.domain
@@ -514,7 +523,7 @@ def _pipeline_homogeneous(cfg, out, model):
     # foliation stage: vertical planes foliate the box; check the p-speed
     rng = cfg["foliation_range"]
     lo, hi = domain.lo[0], domain.hi[0]
-    with _stage("foliation", FoliationError):
+    with _stage(stages, "foliation", FoliationError):
         report = check_plane_foliation(m.cp_field(), 0, lo + rng[0] * (hi - lo),
                                        lo + rng[1] * (hi - lo))
         _write_json(out / "foliation.json", report.to_dict())
@@ -531,19 +540,20 @@ def _pipeline_homogeneous(cfg, out, model):
     _write_csv(out / "predictions.csv", ["receiver_index", "ell_p", "ell_s"],
                ((k, *p) for k, p in enumerate(predictions)))
 
-    with _stage("simulate", NumericalError, ResourceError, PreconditionError,
-                ConfigurationError, ModelError):
+    with _stage(stages, "simulate", NumericalError, ResourceError, PreconditionError,
+                ConfigurationError, ModelError) as counters:
         result = _simulate_to_dir(cfg["model"], model, source, receivers,
                                   cfg["T"], cfg["h"], cfg["dt"], out / "traces")
+        counters.update(result.counters)
 
-    with _stage("extract", ExtractionError, PreconditionError):
+    with _stage(stages, "extract", ExtractionError, PreconditionError):
         records = extract_lens(result.traces, source, sp, receivers,
                                predictions, eta=cfg["eta"])
         _write_extracted_csv(out / "extracted.csv", records)
         if any(r.t_p is None or r.t_s is None for r in records):
             raise ExtractionError("missing picks at some receivers")
 
-    with _stage("invert", InversionError, PreconditionError):
+    with _stage(stages, "invert", InversionError, PreconditionError):
         prof_p, prof_s = invert_both_speeds(
             (dists, [r.t_p for r in records]),
             (dists, [r.t_s for r in records]), mode="homogeneous")
@@ -560,7 +570,7 @@ def _pipeline_homogeneous(cfg, out, model):
     }
 
 
-def _pipeline_radial(cfg, out, model):
+def _pipeline_radial(cfg, out, model, stages):
     """validate -> foliation (Herglotz) -> forward travel times -> invert ->
     compare on a radial disk model (ray-tracer only; no FD stage)."""
     domain = model.domain
@@ -571,14 +581,14 @@ def _pipeline_radial(cfg, out, model):
     speed = model.lens_speed()
     R = domain.radius
     rng = cfg["foliation_range"]
-    with _stage("foliation", FoliationError):
+    with _stage(stages, "foliation", FoliationError):
         report = check_hwz(speed, rng[0] * R, rng[1] * R)
         _write_json(out / "foliation.json", report.to_dict())
         _require_convex(report)
 
     rcfg = cfg["radial"]
     angles = np.linspace(rcfg["angle_min"], rcfg["angle_max"], rcfg["n_rays"])
-    with _stage("invert", InversionError, FoliationError):
+    with _stage(stages, "invert", InversionError, FoliationError):
         curve = forward_travel_times(speed, R, angles, dt=rcfg["dt"])
         _write_csv(out / "curve.csv", ["delta", "time"], zip(curve.delta, curve.time))
         prof = herglotz_invert(curve)
@@ -597,16 +607,17 @@ def cmd_pipeline(args):
     cfg = _resolve_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with _stage("validate", ModelError, OSError):
+    stages = []
+    with _stage(stages, "validate", ModelError, OSError):
         model = load_model(cfg["model"])
     if cfg["mode"] == "homogeneous":
-        summary = _pipeline_homogeneous(cfg, out, model)
+        summary = _pipeline_homogeneous(cfg, out, model, stages)
     elif cfg["mode"] == "radial":
-        summary = _pipeline_radial(cfg, out, model)
+        summary = _pipeline_radial(cfg, out, model, stages)
     else:
         raise ConfigurationError(f"unknown pipeline mode {cfg['mode']!r}")
     _write_json(out / "report.json", summary)
-    _write_manifest(out, "pipeline", cfg, [args.config, cfg["model"]], t0)
+    _write_manifest(out, "pipeline", cfg, [args.config, cfg["model"]], t0, stages)
     print(json.dumps(summary, indent=2))
     return EXIT_OK
 
@@ -664,7 +675,10 @@ def _build_parser():
                    help="edge=right,count=K[,center=c,width=w]")
     q.add_argument("--T", type=float, required=True)
     q.add_argument("--h", type=float, required=True)
-    q.add_argument("--dt", type=float, default=None)
+    q.add_argument("--dt", type=float, default=None,
+                   help="time step; default h / max c_p.  The scheme is stable "
+                        "below sqrt(2) h / max c_p; a dt over h / max c_p "
+                        "exits 2")
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_simulate)
 

@@ -16,6 +16,16 @@ form of the operator and keeping the discretization self-adjoint up to
 edge effects.  One stress evaluation per step yields both the Neumann
 traces and the update.  A step works in place on buffers allocated once
 per run, with the displacement held as planar (2, nx, ny) arrays.
+
+Stability limit.  Every derivative is the centered difference D0, whose
+symbol on exp(i k.x) is i sin(k h)/h.  With constant coefficients the
+spatial operator rho^-1 div sigma therefore has the symbol
+-(c_s^2 |s|^2 I + (c_p^2 - c_s^2) s s^T), s = (sin(k_x h), sin(k_y h))/h,
+whose eigenvalues are -c_p^2 |s|^2 (along s) and -c_s^2 |s|^2 (across it),
+with |s|^2 <= 2/h^2.  Leapfrog on u_tt = -w^2 u is stable for dt w < 2,
+so the scheme is stable for dt < 2 h / (sqrt(2) c_p,max) = sqrt(2) h / c_p,max.
+The default and largest accepted step is CFL_SAFETY h / c_p,max, 71 % of
+that limit; with variable coefficients c_p,max is the largest nodal c_p.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 from .model_core import EDGES, BoxDomain, ElasticMaterial, Grid2D
 
-CFL_SAFETY = 0.5
+CFL_SAFETY = 1.0            # dt <= CFL_SAFETY h / c_p,max; the limit is sqrt(2)
 _BLOW_UP_CHECK_STEPS = 64   # simulate_dn checks u for blow-up this often:
 _BLOW_UP_FACTOR = 1e3       # max|u| over this times max|pol| (stable runs: < 1.3)
 
@@ -239,7 +249,8 @@ class SimulationResult:
     grid: Grid2D
     dt: float
     snapshots: list = field(default_factory=list)   # WavefieldState objects
-    meta: dict = field(default_factory=dict)
+    meta: dict = field(default_factory=dict)        # the run's data, as written
+    counters: dict = field(default_factory=dict)    # the run's cost and health
 
 
 def receiver_nodes(domain: BoxDomain, grid: Grid2D, receivers):
@@ -284,7 +295,8 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     ws = _Workspace(mg)
     patch = _source_patch(grid, source)
     u_prev, u, u_next = np.zeros((3, 2, nx, ny))
-    u_bound = _BLOW_UP_FACTOR * float(np.abs(source.polarization).max())
+    pol_max = float(np.abs(source.polarization).max())
+    u_bound, u_max = _BLOW_UP_FACTOR * pol_max, None
     t = 0.0
     _apply_dirichlet(u, patch, float(source.pulse(t)))
     for n in range(n_steps + 1):
@@ -303,9 +315,11 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
         _apply_dirichlet(u_next, patch, float(source.pulse(t)))
         u_prev, u, u_next = u, u_next, u_prev
         # max|u| by two reductions (no full-grid temporary); a NaN fails too
-        if (n + 1) % _BLOW_UP_CHECK_STEPS == 0 and not np.maximum(u.max(), -u.min()) <= u_bound:
-            raise NumericalError(f"max |u| = {np.abs(u).max():.3g} exceeds {u_bound:.3g} "
-                                 f"at step {n + 1} (t = {t:.6g}); the scheme blew up")
+        if (n + 1) % _BLOW_UP_CHECK_STEPS == 0:
+            u_max = float(np.maximum(u.max(), -u.min()))
+            if not u_max <= u_bound:
+                raise NumericalError(f"max |u| = {u_max:.3g} exceeds {u_bound:.3g} "
+                                     f"at step {n + 1} (t = {t:.6g}); the scheme blew up")
 
     out = [TractionTrace(rec[r][2], dt, traces[r]) for r in range(len(rec))]
     meta = {"grid": {"nx": nx, "ny": ny, "h": h}, "dt": dt, "steps": n_steps,
@@ -313,4 +327,7 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
             "source": {"edge": source.edge, "center": source.center,
                        "width": source.width, "f0": source.f0, "t0": source.delay,
                        "polarization": list(source.polarization)}}
-    return SimulationResult(out, grid, dt, snaps, meta)
+    counters = {"steps": n_steps, "cell_steps": nx * ny * n_steps, "dt": dt,
+                "dt_over_limit": dt * mg.cp_max / (math.sqrt(2.0) * h),
+                "max_u_over_pol": u_max / pol_max if u_max is not None and pol_max else None}
+    return SimulationResult(out, grid, dt, snaps, meta, counters)

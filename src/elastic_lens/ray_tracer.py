@@ -233,8 +233,10 @@ def lens_table(speed: SpeedField, domain: Domain, n_points: int, angles,
     """Scattering relation sampled on n_points boundary points x a fan of angles.
 
     `angles` is either a count (symmetric fan) or an explicit sequence of
-    angles measured from the inward normal.  Rows are ordered boundary
-    parameter major, angle minor.  2D domains only.
+    angles measured from the inward normal.  The boundary points sit at
+    arclength perimeter (i + 1/2) / n_points, so none is a corner of a box
+    whose sides are multiples of perimeter / n_points.  Rows are ordered
+    boundary parameter major, angle minor.  2D domains only.
     """
     if n_points < 1:
         raise PreconditionError("need at least one boundary point")
@@ -243,7 +245,7 @@ def lens_table(speed: SpeedField, domain: Domain, n_points: int, angles,
             raise PreconditionError("need at least one angle")
         angles = fan_angles(angles)
     per = domain.perimeter
-    grid = [(per * i / n_points, a) for i in range(n_points) for a in angles]
+    grid = [(per * (i + 0.5) / n_points, a) for i in range(n_points) for a in angles]
     records = scattering_relations(speed, domain,
                                    [entry_at(domain, s, a) for s, a in grid],
                                    t_max, dt)

@@ -12,8 +12,10 @@ import pytest
 
 from elastic_lens import cli, elastic_sim
 from elastic_lens.model_core import load_model
-from elastic_lens.ray_tracer import RayStatus, entry_at, scattering_relation
-from tests.conftest import (LINEAR_RADIAL_MODEL, UNIT_BOX_MODEL, write_model)
+from elastic_lens.ray_tracer import (RayStatus, entry_at, fan_angles,
+                                     scattering_relation, scattering_relations)
+from tests.conftest import (LINEAR_RADIAL_MODEL, TALL_BOX_MODEL, UNIT_BOX_MODEL,
+                            write_model)
 
 BAD_CONVEXITY_MODEL = {
     "format": 1,
@@ -262,6 +264,11 @@ def test_simulate_outputs_and_manifest(small_sim):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "simulate"
     assert "inputs" in manifest
+    [stage] = manifest["stages"]
+    assert stage["name"] == "simulate" and stage["seconds"] > 0.0
+    assert stage["counters"]["steps"] == meta["steps"]
+    # 35 steps: no blow-up check ran yet
+    assert stage["counters"]["max_u_over_pol"] is None
 
 
 def test_simulate_reruns_byte_identical(small_sim):
@@ -277,10 +284,10 @@ def test_simulate_reruns_byte_identical(small_sim):
 @pytest.mark.parametrize("safety, T", [(5.0, "40"), (2.0, "20")],
                          ids=["cfl5-T40", "cfl2-T20"])
 def test_simulate_blow_up_exits_5(tmp_path, monkeypatch, safety, T):
-    # ten (four) times the default time step: the leapfrog scheme grows
-    # without bound, and the run must stop with a simulation error; at four
-    # times u stays finite up to T = 20 (near 1e257), so only its amplitude
-    # shows the blow-up
+    # five (two) times the default time step, past the limit sqrt(2) times
+    # it: the leapfrog scheme grows without bound, and the run must stop
+    # with a simulation error; at two times u stays finite up to T = 20
+    # (near 1e257), so only its amplitude shows the blow-up
     monkeypatch.setattr(elastic_sim, "CFL_SAFETY", safety)
     model = write_model(tmp_path, UNIT_BOX_MODEL)
     assert run(["simulate", "--model", str(model),
@@ -367,6 +374,33 @@ def test_homogeneous_pipeline_refuses_heterogeneous_material(tmp_path):
     assert not (out / "traces").exists()
 
 
+def test_homogeneous_pipeline_manifest_records_stages(tmp_path):
+    model = write_model(tmp_path, TALL_BOX_MODEL)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "mode": "homogeneous", "model": str(model), "T": 1.3, "h": 0.02,
+        "source": {"edge": "left", "center": 1.2, "width": 0.1, "f0": 10.0,
+                   "pol": [0.5, 0.8660254037844386]},
+        "receivers": {"edge": "right", "count": 4, "center": 1.2, "width": 0.48}}))
+    out = tmp_path / "run"
+    assert run(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    assert [s["name"] for s in stages] == ["validate", "foliation", "simulate",
+                                           "extract", "invert"]
+    assert all(s["seconds"] >= 0.0 for s in stages)
+    counters = stages[2]["counters"]
+    meta = json.loads((out / "traces" / "metadata.json").read_text())
+    assert counters["steps"] == meta["steps"] == 113
+    assert counters["dt"] == meta["dt"]
+    assert counters["cell_steps"] == meta["grid"]["nx"] * meta["grid"]["ny"] * 113
+    # the default step, h / c_p, against the limit sqrt(2) h / c_p
+    assert counters["dt_over_limit"] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+    # the amplitude at step 64, the only blow-up check of the run
+    assert 0.0 < counters["max_u_over_pol"] < 1.3
+    # run health stays out of the data files
+    assert not {"dt_over_limit", "max_u_over_pol", "cell_steps"} & set(meta)
+
+
 def test_pipeline_missing_model_key(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "radial"}))
@@ -384,14 +418,24 @@ def test_lens_on_3d_box_exits_3(tmp_path):
 
 
 def test_lens_on_box_refuses_corner_entries(tmp_path):
-    # four entry points, each a corner of the unit box: a direction inward
-    # from one side of a corner may point out through the other side
+    # the table walks the unit box at the midpoints of its sides, so every
+    # ray of every fan is traced and exits
     model = write_model(tmp_path, {**UNIT_BOX_MODEL, "speed": 1.0})
     out = tmp_path / "lens.csv"
     assert run(["lens", "--model", model, "--points", "4", "--angles", "4",
                 "--out", str(out)]) == 0
-    status = [r["status"] for r in cli.read_lens_csv(out)]
-    assert status.count("Exited") == 8 and status.count("TangentEntry") == 8
+    rows = cli.read_lens_csv(out)
+    assert [r["entry_s"] for r in rows[::4]] == [0.5, 1.5, 2.5, 3.5]
+    assert [r["status"] for r in rows] == ["Exited"] * 16
+    # at a corner a direction inward from one side may point out through
+    # the other side: those entries are refused
+    box = load_model(model)
+    records = scattering_relations(box.speed, box.domain,
+                                   [entry_at(box.domain, 0.0, a) for a in fan_angles(4)],
+                                   t_max=50.0, dt=1e-3)
+    status = [r.status for r in records]
+    assert status.count(RayStatus.EXITED) == 2
+    assert status.count(RayStatus.TANGENT_ENTRY) == 2
 
 
 def test_extract_f0_override_keeps_recorded_t0(tmp_path):

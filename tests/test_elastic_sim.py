@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from elastic_lens import elastic_sim
 from elastic_lens.elastic_sim import (BoundarySource, MaterialGrid, bump,
                                       check_cfl, energy, receiver_nodes,
                                       ricker, sample_material, simulate_dn,
                                       stable_dt, WavefieldState)
-from elastic_lens.errors import ConfigurationError
+from elastic_lens.errors import ConfigurationError, NumericalError
 from elastic_lens.model_core import (EDGES, BoxDomain, ConstantField,
                                      ElasticMaterial, Grid2D, LinearField)
 
@@ -44,6 +45,35 @@ def test_cfl_guard(unit_material, unit_box):
     check_cfl(mg, dt_ok * 0.99)
     with pytest.raises(ConfigurationError):
         check_cfl(mg, dt_ok * 1.01)
+
+
+_STABILITY_MATERIALS = {
+    "unit": ElasticMaterial(*(ConstantField(1.0),) * 3),
+    "linear": ElasticMaterial(LinearField(1.0, (0.2, 0.1)),
+                              LinearField(0.8, (0.1, 0.1)),
+                              LinearField(1.2, (-0.1, 0.1))),
+    "near-fluid": ElasticMaterial(ConstantField(20.0), ConstantField(0.05),
+                                  ConstantField(1.0)),
+}
+
+
+@pytest.mark.parametrize("material", list(_STABILITY_MATERIALS))
+def test_default_dt_is_stable_and_the_derived_limit_holds(unit_box, monkeypatch,
+                                                           material):
+    # the scheme is stable for dt < sqrt(2) h / c_p,max (module docstring):
+    # the default h / c_p,max stays bounded over a long run, and 1.5 h /
+    # c_p,max, past the limit, blows up within a few blow-up checks
+    mat = _STABILITY_MATERIALS[material]
+    src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
+                         polarization=(0.6, 0.8))
+    res = simulate_dn(mat, unit_box, src, [(1.0, 0.5)], T=30.0, h=0.05)
+    assert res.dt == stable_dt(sample_material(mat, res.grid))
+    assert res.counters["dt_over_limit"] == pytest.approx(1.0 / math.sqrt(2.0))
+    assert res.counters["max_u_over_pol"] < 1.3
+    assert np.all(np.isfinite(res.traces[0].samples))
+    monkeypatch.setattr(elastic_sim, "CFL_SAFETY", 1.5)
+    with pytest.raises(NumericalError):
+        simulate_dn(mat, unit_box, src, [(1.0, 0.5)], T=30.0, h=0.05)
 
 
 def test_receiver_snapping_accepts_boundary_rejects_interior(unit_box):
