@@ -168,8 +168,7 @@ def _kappa_leaves(kappa, levels, omegas, bounds):
     (L, P, d) and the mask of pairs whose ray crosses the leaf.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        reach = np.nanmin(np.maximum(np.asarray(bounds.lo) / omegas,
-                                     np.asarray(bounds.hi) / omegas), axis=1)
+        reach = np.nanmin(np.maximum(bounds.lo / omegas, bounds.hi / omegas), axis=1)
 
     def f(t):
         X = (t[..., None] * omegas).reshape(-1, omegas.shape[1])
@@ -207,11 +206,12 @@ def _sample_foliation(speed: SpeedField, fol: Foliation, domain, samples):
     """The conformal form II(t) - d_nu c / c on every leaf x point x tangent.
 
     Sphere points are q * omega, plane points share one fixed transverse
-    placement, and kappa leaves are found by bisection along t * omega.
-    Points outside `domain` are dropped; the field is evaluated once, at
-    the points kept (DomainError if one lies outside its bounds).  Returns
-    the kept samples in scan order: leaf parameters (L,), points per leaf,
-    leaf index (n,), points (n, d), c (n,), tangents (n, K, d), form (n, K).
+    placement in the middle 90 % of the field's bounds, and kappa leaves
+    are found by bisection along t * omega.  Points outside `domain` are
+    dropped; the field is evaluated once, at the points kept (DomainError
+    if one lies outside its bounds).  Returns the kept samples in scan
+    order: leaf parameters (L,), points per leaf, leaf index (n,), points
+    (n, d), c (n,), tangents (n, K, d), form (n, K).
     """
     n_leaf, n_pt, n_dir = samples
     dim = speed.bounds.dim
@@ -223,12 +223,12 @@ def _sample_foliation(speed: SpeedField, fol: Foliation, domain, samples):
         if not -dim <= fol.axis < dim:
             raise PreconditionError(f"plane axis {fol.axis} outside [{-dim}, {dim})")
         axis = fol.axis % dim
-        lo, hi = np.asarray(speed.bounds.lo, float), np.asarray(speed.bounds.hi, float)
+        lo, hi = speed.bounds.lo, speed.bounds.hi
         trans = [i for i in range(dim) if i != axis]
         rng = np.random.default_rng(20240915)   # fixed placement: reproducible reports
         points = np.zeros((n_leaf, n_pt, dim))
         points[:, :, trans] = (lo[trans] + (hi[trans] - lo[trans])
-                               * rng.random((n_pt, len(trans))) * 0.9)
+                               * (0.05 + 0.9 * rng.random((n_pt, len(trans)))))
         points[:, :, axis] = levels[:, None]
     else:
         points, kept = _kappa_leaves(fol.kappa, levels, _directions(n_pt, dim), speed.bounds)

@@ -141,15 +141,15 @@ def sample_material(material: ElasticMaterial, grid: Grid2D) -> MaterialGrid:
                                 else v.reshape(len(xs), len(ys)) for v in fields))
 
 
-def check_cfl(mg: MaterialGrid, dt: float):
-    limit = CFL_SAFETY * mg.grid.h / mg.cp_max
-    if dt > limit * (1 + 1e-12):
-        raise ConfigurationError(
-            f"dt = {dt:.3g} violates CFL: must be <= {CFL_SAFETY} h / max c_p = {limit:.3g}")
-
-
 def stable_dt(mg: MaterialGrid) -> float:
     return CFL_SAFETY * mg.grid.h / mg.cp_max
+
+
+def check_cfl(mg: MaterialGrid, dt: float):
+    limit = stable_dt(mg)
+    if dt > limit * (1 + 1e-12):
+        raise ConfigurationError(
+            f"dt = {dt!r} violates CFL: must be <= {CFL_SAFETY} h / max c_p = {limit!r}")
 
 
 class _Workspace:
@@ -322,12 +322,13 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
                                      f"at step {n + 1} (t = {t:.6g}); the scheme blew up")
 
     out = [TractionTrace(rec[r][2], dt, traces[r]) for r in range(len(rec))]
+    limit = math.sqrt(2.0) * h / mg.cp_max   # the derived stability limit
     meta = {"grid": {"nx": nx, "ny": ny, "h": h}, "dt": dt, "steps": n_steps,
-            "cfl_limit": stable_dt(mg),
+            "cfl_limit": limit,
             "source": {"edge": source.edge, "center": source.center,
                        "width": source.width, "f0": source.f0, "t0": source.delay,
                        "polarization": list(source.polarization)}}
     counters = {"steps": n_steps, "cell_steps": nx * ny * n_steps, "dt": dt,
-                "dt_over_limit": dt * mg.cp_max / (math.sqrt(2.0) * h),
+                "dt_over_limit": dt / limit,
                 "max_u_over_pol": u_max / pol_max if u_max is not None and pol_max else None}
     return SimulationResult(out, grid, dt, snaps, meta, counters)

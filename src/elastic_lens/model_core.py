@@ -36,40 +36,21 @@ def _point(x):
     return p
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    lo: tuple
-    hi: tuple
-
-    def __post_init__(self):
-        lo, hi = np.asarray(self.lo, float), np.asarray(self.hi, float)
-        if lo.shape != hi.shape or np.any(hi <= lo):
-            raise ModelError(f"invalid bounding box {self.lo}..{self.hi}")
-
-    @property
-    def dim(self):
-        return len(self.lo)
-
-    @staticmethod
-    def cube(half_width, dim=2):
-        return BoundingBox((-half_width,) * dim, (half_width,) * dim)
-
-
 class SpeedField:
     """Scalar positive field c(x), evaluated on arrays of points.
 
     ``eval`` is the field API; subclasses implement ``_eval`` only.  This
-    base class owns the shape check, the bounding-box check (against the
-    box padded by COLLAR, built once in ``_set_bounds``) and the
+    base class owns the shape check, the bounds check (against the box
+    ``bounds`` padded by COLLAR, built once in ``_set_bounds``) and the
     positivity contract; ``value`` and ``value_and_grad`` are batches of one.
     """
 
-    bounds: BoundingBox
+    bounds: BoxDomain
 
-    def _set_bounds(self, bounds: BoundingBox):
+    def _set_bounds(self, bounds: BoxDomain):
         self.bounds = bounds
-        self._lo = np.asarray(bounds.lo, dtype=float) - COLLAR
-        self._hi = np.asarray(bounds.hi, dtype=float) + COLLAR
+        self._lo = bounds.lo - COLLAR
+        self._hi = bounds.hi + COLLAR
 
     def eval(self, X):
         """(c, grad c) at the rows of X: shape (n, d) -> (n,), (n, d)."""
@@ -107,7 +88,7 @@ class ConstantField(SpeedField):
         if not c > 0:
             raise ModelError(f"constant field must be positive, got {c}")
         self.c = float(c)
-        self._set_bounds(bounds or BoundingBox.cube(1.0, dim))
+        self._set_bounds(bounds or BoxDomain.cube(1.0, dim))
 
     def _eval(self, X):
         return np.full(len(X), self.c), np.zeros(X.shape)
@@ -119,8 +100,8 @@ class LinearField(SpeedField):
     def __init__(self, a, b, bounds=None):
         self.a = float(a)
         self.b = np.asarray(b, dtype=float)
-        self._set_bounds(bounds or BoundingBox.cube(1.0, self.b.size))
-        corners = np.asarray(_box_corners(self.bounds))
+        self._set_bounds(bounds or BoxDomain.cube(1.0, self.b.size))
+        corners = np.array(list(itertools.product(*zip(self.bounds.lo, self.bounds.hi))))
         bad = self.a + corners @ self.b <= 0
         if bad.any():
             corner = tuple(corners[int(np.argmax(bad))].tolist())
@@ -159,7 +140,7 @@ class RadialField(SpeedField):
             self._f = lambda s: func(s) + np.zeros_like(s)
             self._df = lambda s: dfunc(s) + np.zeros_like(s)
         self.r_max = float(r_max)
-        self._set_bounds(BoundingBox.cube(self.r_max, dim))
+        self._set_bounds(BoxDomain.cube(self.r_max, dim))
 
     def _eval(self, X):
         r = np.sqrt(np.add.reduce(X * X, axis=1))
@@ -186,7 +167,7 @@ class DepthField(SpeedField):
             w = max(abs(z0), abs(z1), 1.0)
             lo = (-w,) * (dim - 1) + (float(z0),)
             hi = (w,) * (dim - 1) + (float(z1),)
-            bounds = BoundingBox(lo, hi)
+            bounds = BoxDomain(lo, hi)
         self._set_bounds(bounds)
 
     def _eval(self, X):
@@ -215,7 +196,7 @@ class GridField(SpeedField):
         self.values.setflags(write=False)
         xs, ys = grid.nodes()
         self._spline = RectBivariateSpline(xs, ys, vals, kx=3, ky=3)
-        self._set_bounds(BoundingBox((xs[0], ys[0]), (xs[-1], ys[-1])))
+        self._set_bounds(BoxDomain((xs[0], ys[0]), (xs[-1], ys[-1])))
 
     def _eval(self, X):
         X = np.clip(X, self.bounds.lo, self.bounds.hi)
@@ -301,7 +282,7 @@ def wave_speeds(material: ElasticMaterial, x):
 
 class Domain:
     """Region with signed boundary function b (negative inside), outward
-    unit normal on the boundary, and bounding box lo..hi."""
+    unit normal on the boundary, and bounding box lo..hi (read-only arrays)."""
 
     dim: int
     lo: np.ndarray
@@ -332,6 +313,8 @@ class DiskDomain(Domain):
         self.dim = dim
         self.hi = np.full(dim, self.radius)
         self.lo = -self.hi
+        self.lo.setflags(write=False)
+        self.hi.setflags(write=False)
 
     def signed(self, x):
         # |x| as np.linalg.norm(x, axis=-1) computes it, without its call
@@ -362,14 +345,20 @@ EDGES = {"left": (0, 0), "right": (0, 1), "bottom": (1, 0), "top": (1, 1)}
 
 
 class BoxDomain(Domain):
-    """Axis-aligned box."""
+    """Axis-aligned box; also the bounds of every speed field."""
 
     def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
+        self.lo = np.array(lo, dtype=float)
+        self.hi = np.array(hi, dtype=float)
         if self.lo.shape != self.hi.shape or np.any(self.hi <= self.lo):
             raise ModelError(f"invalid box {lo}..{hi}")
+        self.lo.setflags(write=False)
+        self.hi.setflags(write=False)
         self.dim = self.lo.size
+
+    @staticmethod
+    def cube(half_width, dim=2):
+        return BoxDomain((-half_width,) * dim, (half_width,) * dim)
 
     def signed(self, x):
         d = np.maximum(self.lo - x, x - self.hi)
@@ -446,20 +435,16 @@ class BoxDomain(Domain):
 MODEL_FORMAT = 1
 
 
-def _box_corners(bounds: BoundingBox):
-    return list(itertools.product(*zip(bounds.lo, bounds.hi)))
-
-
-def field_from_spec(spec, dim=2, extent=1.0) -> SpeedField:
-    """Build a field from its JSON fragment (a bare number means constant)."""
+def field_from_spec(spec, dim=2, bounds=None) -> SpeedField:
+    """Build a field from its JSON fragment (a bare number means constant);
+    constant and linear fields live on `bounds` (default: [-1, 1]^dim)."""
     if isinstance(spec, (int, float)):
         spec = {"kind": "constant", "c": spec}
     kind = spec.get("kind")
-    box = BoundingBox.cube(extent, dim)
     if kind == "constant":
-        return ConstantField(spec["c"], bounds=box, dim=dim)
+        return ConstantField(spec["c"], bounds=bounds, dim=dim)
     if kind == "linear":
-        return LinearField(spec["a"], spec["b"], bounds=box)
+        return LinearField(spec["a"], spec["b"], bounds=bounds)
     if kind == "radial":
         return RadialField(profile=spec["profile"], dim=dim)
     if kind == "depth":
@@ -515,16 +500,16 @@ def load_model(source) -> Model:
     try:
         domain = domain_from_spec(doc["domain"]) if "domain" in doc else None
         dim = domain.dim if domain is not None else 2
-        extent = 1.0 if domain is None else float(np.max(np.abs([domain.lo, domain.hi]))) + COLLAR
+        box = BoxDomain(domain.lo, domain.hi) if domain is not None else None
 
-        speed = field_from_spec(doc["speed"], dim=dim, extent=extent) if "speed" in doc else None
+        speed = field_from_spec(doc["speed"], dim, box) if "speed" in doc else None
         material = None
         if "material" in doc:
             m = doc["material"]
             material = ElasticMaterial(
-                lam=field_from_spec(m["lambda"], dim=dim, extent=extent),
-                mu=field_from_spec(m["mu"], dim=dim, extent=extent),
-                rho=field_from_spec(m["rho"], dim=dim, extent=extent),
+                lam=field_from_spec(m["lambda"], dim, box),
+                mu=field_from_spec(m["mu"], dim, box),
+                rho=field_from_spec(m["rho"], dim, box),
             )
         return Model(speed=speed, material=material, domain=domain)
     except KeyError as e:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -89,6 +90,24 @@ def test_validate_ball_model(tmp_path, capsys):
                                             "b": [0.1, 0.2, 0.3]}})
     assert run(["validate", "--model", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_validate_affine_field_on_the_domain_box(tmp_path, capsys):
+    # lambda = 0.2 + 0.5 x is at least 0.15 on the unit box and its collar
+    lam = {"kind": "linear", "a": 0.2, "b": [0.5, 0.0]}
+    path = write_model(tmp_path, {**UNIT_BOX_MODEL,
+                                  "material": {**UNIT_BOX_MODEL["material"], "lambda": lam}})
+    assert run(["validate", "--model", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_sphere_check_leaving_the_box_model_exits_2(tmp_path, capsys):
+    # the spheres around the origin leave the unit box's field bounds
+    path = write_model(tmp_path, UNIT_BOX_MODEL)
+    assert run(["check-foliation", "--model", str(path), "--foliation", "spheres",
+                "--range", "0.1,0.5"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert re.search(r"point \[.*\] outside field bounds \(0\.0, 0\.0\)\.\.\(1\.0, 1\.0\)", err)
 
 
 def test_check_foliation_violation(tmp_path):
@@ -297,6 +316,19 @@ def test_simulate_blow_up_exits_5(tmp_path, monkeypatch, safety, T):
                 "--out", str(tmp_path / "out")]) == cli.EXIT_SIMULATION
 
 
+def test_simulate_refused_dt_reads_apart_from_its_bound(tmp_path, capsys):
+    # the bound is h / c_p = 0.05 / sqrt(3) = 0.028867..., just below 0.0289
+    model = write_model(tmp_path, UNIT_BOX_MODEL)
+    assert run(["simulate", "--model", str(model),
+                "--source", "edge=left,center=0.5,width=0.2,f0=8,pol=1,0",
+                "--receivers", "edge=right,count=3", "--T", "0.2", "--h", "0.05",
+                "--dt", "0.0289", "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    dt, bound = re.search(r"dt = (\S+) violates CFL: .* = (\S+)$",
+                          capsys.readouterr().err.strip()).groups()
+    assert float(dt) == 0.0289 and float(bound) == 0.05 / math.sqrt(3.0)
+    assert dt != bound
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     code = "import sys, elastic_lens.cli; print('scipy.signal' in sys.modules)"
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -395,6 +427,8 @@ def test_homogeneous_pipeline_manifest_records_stages(tmp_path):
     assert counters["cell_steps"] == meta["grid"]["nx"] * meta["grid"]["ny"] * 113
     # the default step, h / c_p, against the limit sqrt(2) h / c_p
     assert counters["dt_over_limit"] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+    # metadata.json records that limit, the one dt_over_limit divides by
+    assert meta["dt"] / meta["cfl_limit"] == counters["dt_over_limit"]
     # the amplitude at step 64, the only blow-up check of the run
     assert 0.0 < counters["max_u_over_pol"] < 1.3
     # run health stays out of the data files

@@ -8,8 +8,8 @@ from elastic_lens.convexity import (ConvexityReport, Foliation,
                                     check_hwz, check_plane_foliation,
                                     conformal_second_fundamental_form)
 from elastic_lens.errors import PreconditionError
-from elastic_lens.model_core import (ConstantField, DepthField, DiskDomain,
-                                     RadialField)
+from elastic_lens.model_core import (BoxDomain, ConstantField, DepthField,
+                                     DiskDomain, RadialField, load_model)
 
 
 def test_hwz_passes_for_decreasing_speed(linear_radial_speed):
@@ -50,6 +50,23 @@ def test_hwz_flat_for_conical_speed():
 def test_hwz_input_validation(linear_radial_speed):
     with pytest.raises(PreconditionError):
         check_hwz(linear_radial_speed, 0.9, 0.1)
+
+
+def test_plane_samples_fill_the_middle_90_percent_of_the_bounds():
+    f = ConstantField(1.0, bounds=BoxDomain((2.0, -1.0), (3.0, 0.5)))
+    s = _sample_foliation(f, Foliation("planes", (2.1, 2.9), axis=0), None, (8, 64, 1))
+    u = (s.points[:, 1] - (-1.0)) / 1.5
+    assert np.all((u >= 0.05 - 1e-12) & (u <= 0.95 + 1e-12))
+
+
+def test_plane_samples_of_a_box_model_lie_in_its_domain():
+    lam = {"kind": "linear", "a": 1.0, "b": [0.5, 0.0]}
+    model = load_model({"domain": {"shape": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+                        "material": {"lambda": lam, "mu": lam, "rho": 1.0}})
+    fol = Foliation("planes", (0.01, 0.99), axis=0, orientation=-1)
+    s = _sample_foliation(model.lens_speed(), fol, None, (32, 64, 1))
+    assert len(s.points) == 32 * 64
+    assert np.all(model.domain.signed(s.points) <= 0.0)
 
 
 def test_plane_foliation_increasing_depth_speed():

@@ -82,6 +82,24 @@ def test_herglotz_linear_profile_roundtrip(linear_radial_speed):
     assert np.max(rel) < 0.005
 
 
+@st.composite
+def herglotz_speeds(draw):
+    """c = a - b r + q r^2 with d/dr (r/c) = (a - q r^2) / c^2 > 0 and
+    c >= 0.25 for r <= 1.3, past the unit disk and any ray's exit step."""
+    a, b, q = draw(st.floats(1.8, 2.5)), draw(st.floats(0.0, 0.8)), draw(st.floats(-0.3, 0.3))
+    return a, b, q, RadialField(func=lambda r: a - b * r + q * r * r,
+                                dfunc=lambda r: -b + 2.0 * q * r, r_max=1.2)
+
+
+@given(model=herglotz_speeds())
+def test_herglotz_roundtrips_random_admissible_speeds(model):
+    a, b, q, speed = model
+    curve = forward_travel_times(speed, 1.0, np.linspace(0.08, 1.5, 32), dt=1e-3)
+    prof = herglotz_invert(curve)
+    truth = a - b * prof.r + q * prof.r ** 2
+    assert np.max(np.abs(prof.c - truth) / truth) < 0.01
+
+
 def test_profile_speed_field_roundtrip():
     prof = RadialProfile(np.linspace(0.2, 1.0, 9),
                          2.0 - np.linspace(0.2, 1.0, 9))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from elastic_lens.elastic_sim import receiver_nodes
 from elastic_lens.errors import (ConfigurationError, DomainError, ModelError,
                                  PreconditionError)
-from elastic_lens.model_core import (EDGES, BoundingBox, BoxDomain,
+from elastic_lens.model_core import (EDGES, BoxDomain,
                                      ConstantField, DepthField, DerivedSpeed,
                                      DiskDomain, ElasticMaterial,
                                      GridField, Grid2D, LinearField,
@@ -27,7 +27,7 @@ def test_constant_field_value_and_grad():
 
 
 def test_linear_field_gradient_exact():
-    f = LinearField(1.0, (0.1, -0.2), bounds=BoundingBox.cube(2.0, 2))
+    f = LinearField(1.0, (0.1, -0.2), bounds=BoxDomain.cube(2.0, 2))
     c, g = f.value_and_grad((0.4, 0.2))
     assert math.isclose(c, 1.0 + 0.1 * 0.4 - 0.2 * 0.2)
     assert np.allclose(g, (0.1, -0.2))
@@ -50,7 +50,7 @@ def test_out_of_bounds_message_shows_plain_numbers():
             f.eval(np.array([[0.0, 0.0], [3.0, 0.5]]))
         assert "np.float64" not in str(err.value)
     with pytest.raises(ModelError, match=r"corner \(-2\.5, -2\.5\)") as err:
-        LinearField(1.0, (0.2, 0.3), bounds=BoundingBox.cube(2.5, 2))
+        LinearField(1.0, (0.2, 0.3), bounds=BoxDomain.cube(2.5, 2))
     assert "np.float64" not in str(err.value)
     box, inside = BoxDomain((0.0, 0.0), (1.0, 1.0)), np.array([0.25, 0.5])
     with pytest.raises(PreconditionError, match=r"point \(0\.25, 0\.5\) not on the boundary"):
@@ -245,6 +245,21 @@ def test_fuzzed_model_documents_load_or_raise_model_error(doc):
 def test_field_from_spec_bare_number_is_constant():
     f = field_from_spec(3.0, dim=2)
     assert f.value((0.1, 0.1)) == 3.0
+
+
+def test_model_fields_live_on_read_only_copies_of_the_domain_box():
+    lo = np.zeros(2)
+    box = BoxDomain(lo, (1.0, 2.0))
+    with pytest.raises(ValueError):
+        box.lo[0] = -1.0
+    lo[0] = -1.0   # the caller's array stays writable and unshared
+    assert box.lo.tolist() == [0.0, 0.0]
+    model = load_model({"domain": {"shape": "disk", "radius": 2.0},
+                        "material": {"lambda": 1.0, "mu": 1.0, "rho": 1.0}})
+    for f in (model.material.lam, model.material.mu, model.material.rho):
+        assert (f.bounds.lo.tolist(), f.bounds.hi.tolist()) == ([-2.0, -2.0], [2.0, 2.0])
+        with pytest.raises(ValueError):
+            f.bounds.hi[1] = 5.0
 
 
 # a + b . x with a >= 1 > |b_0| + |b_1| is positive on the cube [-1, 1]^2
