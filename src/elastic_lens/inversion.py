@@ -1,18 +1,17 @@
 """Speed recovery from travel-time data in two classical geometries.
 
-Radial models on a disk of radius R are inverted by the Herglotz-Wiechert
-Abel formula: with ray parameter p(Delta) = dT/dDelta,
+Both are the Herglotz-Wiechert Abel transform of the distance D(p) a ray
+of parameter p travels, the radial disk in angle Delta and the layered
+half-space in surface offset X:
 
-    ln(R / r(p)) = (1/pi) * integral_0^Delta(p) arccosh(p(D')/p) dD',
-    c(r(p)) = r(p) / p,
+    I(p) = (1/pi) * integral_p^p0 D(q) / sqrt(q^2 - p^2) dq,
 
-valid exactly when r/c(r) is strictly increasing (equivalently p(Delta)
-strictly decreasing) — the same condition the convexity checker tests.
-
-Plane-layered profiles c(z) with c increasing in depth are recovered by
-layer stripping: each surface-offset/time sample fixes the speed at its
-ray's turning depth, and the depth follows by matching the observed offset
-through the already-determined shallower stack.
+with p0 the grazing parameter.  On a disk of radius R the ray turns at
+r(p) = R exp(-I(p)) with c(r) = r / p, valid exactly when r/c(r) is
+strictly increasing (p(Delta) strictly decreasing), the condition the
+convexity checker tests.  In plane layers with c increasing in depth the
+ray turns at z(p) = I(p) with c(z) = 1 / p.  The travel-time curve may
+fold (triplicate) in either: D(p) stays single-valued.
 """
 
 from __future__ import annotations
@@ -164,54 +163,88 @@ def forward_travel_times(profile, R: float, angles, dt: float = 1e-3) -> TravelT
     return TravelTimeCurve(np.asarray(deltas)[order], np.asarray(times)[order], R)
 
 
-def _gauss_legendre_01(n):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+def _abel(X, t):
+    """Abel-invert (distance, time) samples to ray parameters and integrals.
+
+    (X, t) are ordered by increasing penetration; the curve is anchored at
+    (0, 0).  Interval secants estimate p at the midpoints.  A turning
+    sample, where X turns back, sits next to a caustic: the secants of its
+    two intervals are dropped and the sample itself becomes a node, its p
+    interpolated monotonically over sample order.  With D(q) the distance
+    of the ray with parameter q, returns (p0, p_j, I_j) with p_j strictly
+    decreasing and
+
+        I_j = (1/pi) * integral_{p_j}^{p0} D(q) / sqrt(q^2 - p_j^2) dq,
+
+    p0 being the grazing parameter, extrapolated linearly to X = 0.  D is
+    a monotone interpolant in u = sqrt(p0 - q), where it is smooth at the
+    surface, and q = p_j + s^2 removes the endpoint singularity before a
+    32-point Gauss-Legendre rule.  Non-decreasing kept secants raise
+    IllPosedInputError with their midpoints and depth_band = (I of the
+    last consistent node, inf), that I from the samples before them.
+    """
+    Xa = np.concatenate(([0.0], X))
+    dX = np.diff(Xa)
+    p = np.diff(np.concatenate(([0.0], t))) / dX
+    xm = 0.5 * (Xa[:-1] + Xa[1:])
+    turn = 1 + np.flatnonzero(dX[:-1] * dX[1:] < 0)
+    keep = np.ones(len(p), dtype=bool)
+    keep[turn - 1] = keep[turn] = False
+    kept = np.flatnonzero(keep)
+    if len(kept) < 2:
+        raise IllPosedInputError("need two ray parameters clear of caustics",
+                                 depth_band=(0.0, np.inf))
+    bad = np.flatnonzero(np.diff(p[kept]) >= 0)
+    if len(bad):
+        i, k = kept[bad[0]], kept[bad[0] + 1]
+        try:
+            top = float(_abel(X[:k], t[:k])[2][-1])
+        except InversionError:
+            top = 0.0
+        raise IllPosedInputError(
+            "ray parameter is not strictly decreasing: the implied speed stops "
+            "increasing with depth (low-velocity zone or mislabeled samples)",
+            violation=(float(xm[i]), float(xm[k])), depth_band=(top, np.inf))
+    if p[kept[-1]] <= 0:
+        raise IllPosedInputError("apparent slowness dt/dX must stay positive "
+                                 "along the curve")
+    # a turning sample outside the kept secants would need p extrapolated,
+    # and PCHIP extrapolation need not stay monotone: it gives no node
+    turn = turn[(turn > kept[0]) & (turn <= kept[-1])]
+    order = np.argsort(np.concatenate((kept + 0.5, turn)))
+    p = np.concatenate((p[kept], PchipInterpolator(kept + 0.5, p[kept])(turn)))[order]
+    x = np.concatenate((xm[kept], Xa[turn]))[order]
+
+    p0 = float(p[0] + (p[0] - p[1]) / (x[0] - x[1]) * (0.0 - x[0]))
+    if p0 <= p[0]:
+        raise IllPosedInputError("extrapolated grazing parameter must exceed "
+                                 "all sampled p")
+    u = np.sqrt(p0 - p)
+    D = PchipInterpolator(np.concatenate(([0.0], u)), np.concatenate(([0.0], x)))
+    xg, wg = np.polynomial.legendre.leggauss(_GL_NODES)
+    xg, wg = 0.5 * (xg + 1.0), 0.5 * wg                # on [0, 1]
+    s = u[:, None] * xg
+    f = D(u[:, None] * np.sqrt(1.0 - xg * xg)) / np.sqrt(2.0 * p[:, None] + s * s)
+    integral = (2.0 / np.pi) * u * (f @ wg)
+    if not np.all(np.diff(integral) > 0):
+        raise InversionError("recovered turning depth is not monotone in p")
+    return p0, p, integral
 
 
 def herglotz_invert(curve: TravelTimeCurve) -> RadialProfile:
     """Abel-invert a travel-time curve to the radial speed on turning radii.
 
-    The endpoint square-root singularity of the arccosh integrand is
-    removed by the substitution q = sqrt(p' - p): the integral is rewritten
-    over q with Delta(p) interpolated monotonically, and evaluated by a
-    32-point Gauss-Legendre rule per ray.  Speeds are reported only at
-    radii actually reached by turning rays.
+    The turning radius of the ray with parameter p is r = R exp(-I) with I
+    the Abel integral of Delta(p) (see _abel), and c(r) = r / p.  Speeds
+    are reported only at radii actually reached by turning rays.
     """
-    dm, p = curve.ray_parameters()   # strictly decreasing: the curve checks it
-
-    # grazing-ray parameter: linear extrapolation of p(Delta) to Delta = 0;
-    # for a concave p this overshoots slightly, erring on the safe side of
-    # the arccosh argument near the surface
-    p0 = float(p[0] + (p[0] - p[1]) / (dm[0] - dm[1]) * (0.0 - dm[0]))
-    if p0 <= p[0]:
-        raise IllPosedInputError("extrapolated grazing parameter must exceed "
-                                 "all sampled p")
-    # monotone interpolant of p as a function of Delta, anchored at (0, p0)
-    p_of_delta = PchipInterpolator(np.concatenate(([0.0], dm)),
-                                   np.concatenate(([p0], p)))
-
-    # the integrand vanishes like sqrt(Delta_j - Delta') at the turning end;
-    # the substitution s = sqrt(Delta_j - Delta') makes it smooth there
-    xg, wg = _gauss_legendre_01(_GL_NODES)
-    radii, speeds = [], []
-    for dj, pj in zip(dm, p):
-        s = np.sqrt(dj) * xg
-        ratio = np.maximum(p_of_delta(dj - s * s) / pj, 1.0)
-        integral = np.sqrt(dj) * float(np.dot(wg, np.arccosh(ratio) * 2.0 * s))
-        r = curve.R * np.exp(-integral / np.pi)
-        radii.append(r)
-        speeds.append(r / pj)
-    order = np.argsort(radii)
-    prof = RadialProfile(np.asarray(radii)[order], np.asarray(speeds)[order])
-    ratio = prof.r / prof.c
-    if not np.all(np.diff(ratio) > 0):
-        raise InversionError("recovered profile violates r/c monotonicity")
-    return prof
+    _, p, integral = _abel(curve.delta, curve.time)
+    r = curve.R * np.exp(-integral[::-1])
+    return RadialProfile(r, r / p[::-1])
 
 
 # ---------------------------------------------------------------------------
-# Plane-layered forward model and layer stripping
+# Plane-layered forward model and inversion
 # ---------------------------------------------------------------------------
 
 
@@ -270,121 +303,26 @@ def forward_layered_times(profile: DepthProfile, ray_parameters):
 def layer_strip_invert(offsets, times) -> DepthProfile:
     """Recover an increasing c(z) from surface offset/time samples.
 
-    Samples must be ordered by increasing penetration (increasing offset).
-    The surface speed comes from the zero-offset slope of the monotone fit
-    of t(X); each subsequent sample contributes one node (z_i, 1/p_i),
-    with z_i fixed in closed form by matching the observed offset through
-    the shallower stack.  A non-increasing implied speed means the
-    increasing-speed condition fails; the error carries the depth band
-    below the last consistent node.
+    Samples must be ordered by increasing penetration; on a retrograde
+    branch offset and time both decrease.  The flat-earth Abel formula
+    gives the turning depth z = I of each ray parameter p (see _abel) and
+    c(z) = 1 / p, with the surface speed 1 / p0.  A non-increasing implied
+    speed means the increasing-speed condition fails; the error carries
+    the depth band below the last consistent node.
     """
     X = np.asarray(offsets, dtype=float)
     t = np.asarray(times, dtype=float)
     if X.shape != t.shape or X.ndim != 1 or len(X) < 2:
         raise PreconditionError("need matching 1-D offset/time arrays, length >= 2")
-    # samples arrive ordered by increasing penetration; on a retrograde
-    # branch both offset and time decrease, so secant slopes stay positive
-    Xa = np.concatenate(([0.0], X))
-    ta = np.concatenate(([0.0], t))
-    dX = np.diff(Xa)
+    dX = np.diff(np.concatenate(([0.0], X)))
     if np.any(dX == 0.0):
         raise PreconditionError("consecutive samples must have distinct offsets")
-    p_raw = np.diff(ta) / dX
-    if np.any(p_raw <= 0):
-        raise IllPosedInputError(
-            "apparent slowness dt/dX must stay positive along the curve")
-    if np.all(np.abs(p_raw - p_raw[0]) < 1e-9 * p_raw[0]):
+    p = np.diff(np.concatenate(([0.0], t))) / dX
+    if np.all(np.abs(p - p[0]) < 1e-9 * p[0]):
         # homogeneous medium: surface-to-surface time is X/c exactly
-        c0 = 1.0 / float(p_raw[0])
-        return DepthProfile([0.0, max(0.5 * float(X[-1]), 1e-6)], [c0, c0])
-
-    # Incremental stripping over consecutive-interval secants.  Local
-    # secants estimate p honestly on every travel-time branch (including
-    # retrograde ones); only the one or two intervals that straddle a
-    # caustic produce spurious slopes.  A candidate node is committed only
-    # if (a) it keeps p strictly decreasing, (b) its turning depth lies
-    # below the stack, and (c) re-tracing the ray through the extended
-    # stack reproduces the observed travel time; straddling artifacts fail
-    # one of these and are skipped.  A run of rejections reaching the end
-    # of the data means the implied speed genuinely stops increasing and
-    # the layer-stripping hypothesis fails below the last committed depth.
-    slopes = [(0.5 * (Xa[i] + Xa[i + 1]), 0.5 * (ta[i] + ta[i + 1]), p_raw[i])
-              for i in range(len(p_raw))]
-    z_nodes = [0.0]
-    c_nodes = []               # surface speed appended once two pairs exist
-    p_prev = np.inf
-    first_pair = None
-    trailing_skips = 0
-    time_tol = 0.01
-
-    for Xm, tm, pi in slopes:
-        if not pi < p_prev * (1.0 - 1e-12):
-            trailing_skips += 1
-            continue
-        ci = 1.0 / pi
-
-        if first_pair is None:
-            first_pair = (Xm, pi)
-            p_prev = pi
-            trailing_skips = 0
-            continue
-        if not c_nodes:
-            # surface speed from the zero-offset asymptote of the slopes
-            X1, p1 = first_pair
-            p_surf = p1 + (p1 - pi) / (X1 - Xm) * (0.0 - X1)
-            p_surf = max(p_surf, p1 * (1.0 + 1e-9))
-            c_nodes.append(1.0 / p_surf)
-            # commit the first pair's node before handling the current one
-            for Xc, pc in ((X1, p1), (Xm, pi)):
-                _commit_node(z_nodes, c_nodes, Xc, pc)
-            p_prev = pi
-            trailing_skips = 0
-            continue
-
-        if ci <= c_nodes[-1] * (1.0 + 1e-12):
-            trailing_skips += 1
-            continue
-        try:
-            z_try = list(z_nodes)
-            c_try = list(c_nodes)
-            _commit_node(z_try, c_try, Xm, pi)
-        except IllPosedInputError:
-            trailing_skips += 1
-            continue
-        t_pred = 2.0 * _stack(pi, c_try, np.diff(z_try))[1]
-        if abs(t_pred - tm) > time_tol * tm:
-            trailing_skips += 1
-            continue
-        z_nodes, c_nodes = z_try, c_try
-        p_prev = pi
-        trailing_skips = 0
-
-    if len(c_nodes) < 3:
-        raise IllPosedInputError(
-            "implied speed stops increasing with depth "
-            "(low-velocity zone or mislabeled samples)",
-            depth_band=(0.0, float("inf")))
-    if trailing_skips >= 2:
-        raise IllPosedInputError(
-            "implied speed stops increasing with depth "
-            "(low-velocity zone or mislabeled samples)",
-            depth_band=(float(z_nodes[-1]), float("inf")))
-    return DepthProfile(z_nodes, c_nodes)
-
-
-def _commit_node(z_nodes, c_nodes, Xm, p):
-    """Append the node (z, 1/p) whose stack offset matches Xm (half = Xm/2)."""
-    ci = 1.0 / p
-    x_last = 0.5 * Xm - _stack(p, c_nodes, np.diff(z_nodes))[0]
-    if x_last <= 0:
-        raise IllPosedInputError(
-            "observed offset is too small given the shallower layers",
-            depth_band=(float(z_nodes[-1]), float("inf")))
-    w_top = np.sqrt(max(1.0 - (p * c_nodes[-1]) ** 2, 0.0))
-    # last segment turns at its bottom (w = 0): dx = w_top * dz / (p * dc)
-    dz = x_last * p * (ci - c_nodes[-1]) / w_top
-    z_nodes.append(z_nodes[-1] + dz)
-    c_nodes.append(ci)
+        return DepthProfile([0.0, max(0.5 * float(X[-1]), 1e-6)], [1.0 / p[0]] * 2)
+    p0, p, z = _abel(X, t)
+    return DepthProfile(np.concatenate(([0.0], z)), 1.0 / np.concatenate(([p0], p)))
 
 
 # ---------------------------------------------------------------------------

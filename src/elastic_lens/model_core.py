@@ -29,13 +29,6 @@ from .errors import DomainError, ModelError, PreconditionError
 COLLAR = 0.1
 
 
-def _point(x):
-    p = np.asarray(x, dtype=float)
-    if p.ndim != 1 or p.size not in (2, 3):
-        raise PreconditionError(f"expected a 2- or 3-vector, got shape {p.shape}")
-    return p
-
-
 class SpeedField:
     """Scalar positive field c(x), evaluated on arrays of points.
 
@@ -269,11 +262,6 @@ class DerivedSpeed(SpeedField):
             c = np.sqrt(mu / rho)
             top = g_mu
         return c, (top - (c * c)[:, None] * g_rho) / (2.0 * rho * c)[:, None]
-
-
-def wave_speeds(material: ElasticMaterial, x):
-    """(c_p, c_s) = (sqrt((lam+2 mu)/rho), sqrt(mu/rho)) at x."""
-    return material.wave_speeds(_point(x))
 
 
 # ---------------------------------------------------------------------------

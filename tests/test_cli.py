@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from elastic_lens import cli, elastic_sim
+from elastic_lens.inversion import DepthProfile, forward_layered_times
 from elastic_lens.model_core import load_model
 from elastic_lens.ray_tracer import (RayStatus, entry_at, fan_angles,
                                      scattering_relation, scattering_relations)
@@ -182,6 +183,37 @@ def test_invert_rejects_nonmonotone_curve(tmp_path):
             w.writerow([d, d ** 2])
     assert run(["invert", "--curve", str(path), "--mode", "radial",
                 "--R", "1.0",
+                "--out", str(tmp_path / "prof.csv")]) == cli.EXIT_INVERSION
+
+
+def _write_curve(path, X, t):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["offset", "time"])
+        w.writerows(zip(X, t))
+
+
+def test_invert_layered_writes_depth_profile(tmp_path):
+    truth = DepthProfile([0.0, 2.0], [1.0, 2.0])
+    X, t = forward_layered_times(truth, 1.0 / np.linspace(1.05, 1.95, 30))
+    _write_curve(tmp_path / "curve.csv", X, t)
+    out = tmp_path / "prof.csv"
+    assert run(["invert", "--curve", str(tmp_path / "curve.csv"),
+                "--mode", "layered", "--out", str(out)]) == cli.EXIT_OK
+    with open(out) as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["z", "c"]
+    z, c = np.array(rows[1:], dtype=float).T
+    assert len(z) == 31
+    assert np.max(np.abs(c - truth(z)) / truth(z)) < 0.02
+
+
+def test_invert_layered_refuses_low_velocity_zone(tmp_path):
+    # secants 1.0, 1.02, 1.08, 1.14 increase with offset
+    _write_curve(tmp_path / "curve.csv", [0.5, 1.0, 1.5, 2.0],
+                 [0.50, 1.01, 1.55, 2.12])
+    assert run(["invert", "--curve", str(tmp_path / "curve.csv"),
+                "--mode", "layered",
                 "--out", str(tmp_path / "prof.csv")]) == cli.EXIT_INVERSION
 
 

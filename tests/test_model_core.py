@@ -13,8 +13,7 @@ from elastic_lens.model_core import (EDGES, BoxDomain,
                                      ConstantField, DepthField, DerivedSpeed,
                                      DiskDomain, ElasticMaterial,
                                      GridField, Grid2D, LinearField,
-                                     RadialField, field_from_spec, load_model,
-                                     wave_speeds)
+                                     RadialField, field_from_spec, load_model)
 from elastic_lens.ray_tracer import (RayStatus, entry_at, fan_angles,
                                      scattering_relation, scattering_relations)
 
@@ -128,7 +127,7 @@ def test_grid_requires_minimum_nodes():
 def test_wave_speeds_homogeneous():
     one = ConstantField(1.0, dim=2)
     mat = ElasticMaterial(lam=one, mu=one, rho=one)
-    cp, cs = wave_speeds(mat, (0.5, 0.5))
+    cp, cs = mat.wave_speeds((0.5, 0.5))
     assert math.isclose(cp, math.sqrt(3.0), rel_tol=1e-15)
     assert math.isclose(cs, 1.0, rel_tol=1e-15)
 
