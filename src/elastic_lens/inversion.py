@@ -95,9 +95,7 @@ class RadialProfile:
             raise PreconditionError("speeds must be positive")
 
     def speed_field(self, r_max=None) -> RadialField:
-        return RadialField(profile=list(zip(self.r, self.c)),
-                           r_max=r_max if r_max is not None else float(self.r[-1]),
-                           dim=2)
+        return RadialField(profile=list(zip(self.r, self.c)), r_max=r_max, dim=2)
 
     def __call__(self, r):
         return PchipInterpolator(self.r, self.c)(r)

@@ -232,9 +232,6 @@ class ElasticMaterial:
     def cp_field(self) -> SpeedField:
         return DerivedSpeed(self, "p")
 
-    def cs_field(self) -> SpeedField:
-        return DerivedSpeed(self, "s")
-
 
 class DerivedSpeed(SpeedField):
     """c_p or c_s of a material as a SpeedField.

@@ -222,6 +222,19 @@ def test_layer_strip_curve_ending_past_a_caustic():
     assert np.max(np.abs(rec.c - prof(rec.z)) / prof(rec.z)) < 0.01
 
 
+@pytest.mark.xfail(raises=IllPosedInputError, strict=True,
+                   reason="the retrograde branch falls between two samples: no "
+                          "sample turns back, and the secant across the fold "
+                          "reads as a low-velocity zone, violation (1.34, 1.59)")
+def test_layer_strip_recovers_fold_between_samples():
+    z1, g1, g2 = 0.2, 0.55, 0.9
+    c1 = 1.0 + g1 * z1
+    prof = DepthProfile([0.0, z1, 2.0], [1.0, c1, c1 + g2 * (2.0 - z1)])
+    rec = strip_forward_times(prof, 40)
+    truth = prof(rec.z)
+    assert np.max(np.abs(rec.c - truth) / truth) < 0.06
+
+
 @st.composite
 def triplicating_layered_profiles(draw):
     """c = 1 at the surface, a gradient g1 down to z1, then a steeper g2 down
