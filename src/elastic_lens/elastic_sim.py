@@ -280,6 +280,10 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     receivers: list of boundary points (snapped to the nearest boundary
     node).  Returns one TractionTrace per receiver with sample interval dt.
     """
+    if not (0.0 < T < math.inf and 0.0 < h < math.inf
+            and (dt is None or 0.0 < dt < math.inf)):
+        raise ConfigurationError(f"T, h and dt must be finite and positive, "
+                                 f"got T = {T}, h = {h}, dt = {dt}")
     nx, ny = (int(round(w / h)) + 1 for w in domain.widths)
     grid = Grid2D(tuple(domain.lo), h, nx, ny)
     mg = sample_material(material, grid)

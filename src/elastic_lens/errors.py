@@ -45,11 +45,6 @@ class DegenerateFoliationError(FoliationError):
     """|grad kappa| fell below the configured threshold at a sample."""
 
 
-class UnsupportedGeometryError(ElasticLensError):
-    """Requested geometry is outside the implemented scope (e.g. curved
-    surfaces in the Neumann-to-Cauchy conversion)."""
-
-
 class ExtractionError(ElasticLensError):
     """Arrival extraction failed in a way the caller must handle."""
 

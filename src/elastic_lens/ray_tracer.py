@@ -33,8 +33,9 @@ class BoundaryDirection:
 
     def __post_init__(self):
         n = np.linalg.norm(self.v)
-        if abs(n - 1.0) > 1e-9:
-            raise PreconditionError(f"direction must be Euclidean-unit, |v| = {n}")
+        if not (np.all(np.isfinite(self.x)) and abs(n - 1.0) <= 1e-9):
+            raise PreconditionError(f"need a finite point and a Euclidean-unit "
+                                    f"direction, got x = {self.x}, |v| = {n}")
 
 
 class RayStatus(enum.Enum):
@@ -97,8 +98,8 @@ def integrate_bicharacteristic(speed: SpeedField, x0, xi0, t_max: float,
     """Sample the flow from the starts (rows of x0, xi0, shape (n, d)) at
     times k dt up to t_max; every start must satisfy H = 1/2.  Returns x and
     xi of shape (steps + 1, n, d), row 0 being the starts."""
-    if dt <= 0 or t_max <= 0:
-        raise PreconditionError(f"dt and t_max must be positive, got {dt}, {t_max}")
+    if not (0.0 < dt < math.inf and 0.0 < t_max < math.inf):
+        raise PreconditionError(f"dt and t_max must be finite and positive, got {dt}, {t_max}")
     x0, xi0 = np.asarray(x0, dtype=float), np.asarray(xi0, dtype=float)
     h0 = hamiltonian(speed, x0, xi0)
     k = int(np.argmax(np.abs(h0 - 0.5)))
@@ -133,6 +134,8 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries,
     or whose first move x + 1e-9 v leaves the domain (at a corner), are
     refused (TANGENT_ENTRY); rays still inside at t_max are TRAPPED.
     """
+    if not (0.0 < dt < math.inf and 0.0 < t_max < math.inf):
+        raise PreconditionError(f"dt and t_max must be finite and positive, got {dt}, {t_max}")
     entries = list(entries)
     x0 = np.array([e.x for e in entries], dtype=float).reshape(-1, domain.dim)
     v0 = np.array([e.v for e in entries], dtype=float).reshape(-1, domain.dim)
@@ -143,8 +146,6 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries,
                for e, ok in zip(entries, steep)]
     if not steep.any():
         return records
-    if dt <= 0 or t_max <= 0:
-        raise PreconditionError(f"dt and t_max must be positive, got {dt}, {t_max}")
     n_steps = _step_count(int(math.ceil(t_max / dt)))
 
     traced = np.nonzero(steep)[0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import dctn, idctn
 
-from .errors import NumericalError, PreconditionError, UnsupportedGeometryError
+from .errors import NumericalError, PreconditionError
 from .elastic_sim import TractionTrace
 
 # ---------------------------------------------------------------------------
@@ -124,10 +124,9 @@ def project_modes(u, h) -> ModeFields:
 
 @dataclass(frozen=True)
 class ArrivalPick:
-    """First-arrival pick: onset time, mode tag, and an onset-contrast quality."""
+    """First-arrival pick: onset time and an onset-contrast quality."""
 
     time: float
-    mode: str = "unknown"
     quality: float = float("inf")
 
 
@@ -166,36 +165,29 @@ def _envelope(samples, dt, f0):
     return _causal_mean(np.sqrt(mag2), 0.25 / (f0 * dt))
 
 
-def _refine_crossing(t, env, i, thr):
-    """Sub-sample crossing time via a quadratic fit around sample i."""
-    if i == 0:
-        return t[0]
-    if 1 <= i < len(env) - 1:
-        coeff = np.polyfit(t[i - 1:i + 2], env[i - 1:i + 2], 2)
-        roots = np.roots(np.polyadd(coeff, [0.0, 0.0, -thr]))
-        roots = roots[np.isreal(roots)].real
-        roots = roots[(roots >= t[i - 1]) & (roots <= t[i])]
-        if len(roots):
-            return float(roots.max())
-    # fall back to linear interpolation between the bracketing samples
-    e0, e1 = env[i - 1], env[i]
-    if e0 < thr < e1:
-        return float(t[i - 1] + (thr - e0) / (e1 - e0) * (t[i] - t[i - 1]))
-    return float(t[i])
-
-
-def _first_crossing(t, env, thr, start=0, stop=None):
-    """(j, time) of the first envelope sample j in [start, stop) at or above
-    thr, with the crossing time refined before it; None when there is none."""
-    above = np.nonzero(env[start:stop] >= thr)[0]
-    if len(above) == 0:
+def _onset(env, t, eta, lo, hi):
+    """(j, onset time) in the span [lo, hi) of the envelope env sampled at
+    times t, or None when env is zero on the span.  j is the first sample
+    reaching eta times the span's maximum; the onset is interpolated
+    linearly from sample j - 1, and is t[lo] when the span opens above the
+    threshold."""
+    thr = eta * env[lo:hi].max(initial=0.0)
+    if thr <= 0.0:
         return None
-    j = start + int(above[0])
-    return j, _refine_crossing(t, env, j, thr)
+    j = lo + int(np.argmax(env[lo:hi] >= thr))
+    if j == lo:
+        return j, float(t[lo])
+    e0, e1 = env[j - 1], env[j]
+    return j, float(t[j - 1] + (thr - e0) / (e1 - e0) * (t[j] - t[j - 1]))
 
 
-def _picker_envelope(trace, eta, f0, dt):
-    """(envelope, sample times, dt) of a TractionTrace or a raw sample array."""
+def pick_first_arrival(trace, eta: float, f0: float, dt: float | None = None):
+    """First time the causal envelope reaches eta times its maximum.
+
+    `trace` is a TractionTrace or a raw sample array (then dt is required).
+    Returns an ArrivalPick, or None for an all-zero trace.  Picks are
+    invariant under amplitude scaling and deterministic.
+    """
     if isinstance(trace, TractionTrace):
         samples, dt = trace.samples, trace.dt
     else:
@@ -207,55 +199,13 @@ def _picker_envelope(trace, eta, f0, dt):
     if len(samples) == 0:
         raise PreconditionError("empty trace")
     env = _envelope(samples, dt, f0)
-    return env, dt * np.arange(len(env)), dt
-
-
-def pick_first_arrival(trace, eta: float, f0: float, dt: float | None = None):
-    """First time the causal envelope exceeds eta times its maximum.
-
-    `trace` is a TractionTrace or a raw sample array (then dt is required).
-    Returns an ArrivalPick, or None for an all-zero trace.  Picks are
-    invariant under amplitude scaling and deterministic.
-    """
-    env, t, _ = _picker_envelope(trace, eta, f0, dt)
-    peak = env.max()
-    if peak <= 0.0:
+    onset = _onset(env, dt * np.arange(len(env)), eta, 0, len(env))
+    if onset is None:
         return None
-    i, t_pick = _first_crossing(t, env, eta * peak)
+    i, t_pick = onset
     rms_pre, rms_post = (float(np.sqrt(np.mean(x**2))) for x in (env[:max(i, 1)], env[i:]))
     quality = rms_post / rms_pre if rms_pre > 0.0 else float("inf")
-    return ArrivalPick(t_pick, "unknown", quality)
-
-
-def pick_arrivals(trace, eta: float, f0: float, dt: float | None = None,
-                  max_picks: int = 2):
-    """Successive envelope-threshold picks separated by at least 2/f0.
-
-    After each pick the scan resumes once the envelope has fallen back
-    below the threshold and the separation gap has elapsed.
-    """
-    env, t, dt = _picker_envelope(trace, eta, f0, dt)
-    peak = env.max()
-    if peak <= 0.0:
-        return []
-    thr = eta * peak
-    gap = max(int(round(2.0 / (f0 * dt))), 1)
-
-    picks = []
-    i = 0
-    n = len(env)
-    while len(picks) < max_picks and i < n:
-        crossing = _first_crossing(t, env, thr, i)
-        if crossing is None:
-            break
-        j, t_pick = crossing
-        picks.append(t_pick)
-        # wait for the envelope to fall below threshold, then apply the gap
-        below = np.nonzero(env[j:] < thr)[0]
-        if len(below) == 0:
-            break
-        i = j + int(below[0]) + gap
-    return picks
+    return ArrivalPick(t_pick, quality)
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +242,15 @@ def reference_onset(source, dt: float, eta: float) -> float:
     return pick.time
 
 
-def _windowed_onset(env, t, center, f0, eta):
-    """First eta-relative envelope crossing inside [center +- 1.5/f0]."""
-    idx = np.nonzero((t >= center - 1.5 / f0) & (t <= center + 1.5 / f0))[0]
-    if len(idx) == 0:
+def _travel_time(env, t, ell, t_ref, f0, eta):
+    """Onset inside the window [ell + t_ref +- 1.5/f0] less t_ref; None
+    without a prediction ell or an onset."""
+    if ell is None:
         return None
-    peak = env[idx].max()
-    if peak <= 0.0:
-        return None
-    j, t_on = _first_crossing(t, env, eta * peak, idx[0], idx[-1] + 1)
-    # the window opens above threshold; the onset is not bracketed,
-    # so the best deterministic estimate is the window start itself
-    return float(t[j]) if j == idx[0] else t_on
+    lo = np.searchsorted(t, ell + t_ref - 1.5 / f0)
+    hi = np.searchsorted(t, ell + t_ref + 1.5 / f0, side="right")
+    onset = _onset(env, t, eta, lo, hi)
+    return None if onset is None else onset[1] - t_ref
 
 
 def extract_lens(traces, source, source_point, receivers, predictions,
@@ -335,13 +282,7 @@ def extract_lens(traces, source, source_point, receivers, predictions,
         if ell_p is None and ell_s is None:
             flags.append("no-prediction")
 
-        t_p = t_s = None
-        if ell_p is not None:
-            raw = _windowed_onset(env, t, ell_p + t_ref, f0, eta)
-            t_p = raw - t_ref if raw is not None else None
-        if ell_s is not None:
-            raw = _windowed_onset(env, t, ell_s + t_ref, f0, eta)
-            t_s = raw - t_ref if raw is not None else None
+        t_p, t_s = (_travel_time(env, t, ell, t_ref, f0, eta) for ell in (ell_p, ell_s))
         if t_p is None and t_s is None:
             flags.append("no-pick")
         if t_p is not None and t_s is not None:
@@ -362,7 +303,7 @@ def extract_lens(traces, source, source_point, receivers, predictions,
 # ---------------------------------------------------------------------------
 
 
-def neumann_to_cauchy(u, nu, lam, mu, spacing, geometry: str = "flat"):
+def neumann_to_cauchy(u, nu, lam, mu, spacing):
     """Recover the normal derivative of u on a flat surface x_n = const.
 
     u, nu: arrays of shape (m_1, ..., m_{d-1}, d) holding the displacement
@@ -375,9 +316,6 @@ def neumann_to_cauchy(u, nu, lam, mu, spacing, geometry: str = "flat"):
     d_n u_a = (nu_a)/mu - d_a u_n, and the normal component from the normal
     row, d_n u_n = (nu_n - lam * div_tan u) / (lam + 2 mu).
     """
-    if geometry != "flat":
-        raise UnsupportedGeometryError(
-            f"only flat surfaces are supported, got geometry={geometry!r}")
     u = np.asarray(u, dtype=float)
     nu = np.asarray(nu, dtype=float)
     d = u.shape[-1]

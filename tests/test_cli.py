@@ -361,6 +361,50 @@ def test_simulate_refused_dt_reads_apart_from_its_bound(tmp_path, capsys):
     assert dt != bound
 
 
+def _run_settings_argv(tmp_path, command, flags):
+    """argv of a small valid `command` run with `flags` replacing its own."""
+    if command == "pipeline":
+        return _malformed_argv(tmp_path, None, "config", flags)
+    model = write_model(tmp_path, UNIT_BOX_MODEL if command == "simulate"
+                        else CONSTANT_DISK_MODEL)
+    out = str(tmp_path / "out")
+    argv, own = {
+        "simulate": (["--source", "edge=left,center=0.5,width=0.2,f0=8,pol=1,0",
+                      "--receivers", "edge=right,count=3", "--out", out],
+                     {"--T": "0.2", "--h": "0.05"}),
+        "trace": ([], {"--entry-s": "0.3", "--angle": "0.2"}),
+        "lens": (["--points", "2", "--angles", "2", "--out", out], {}),
+    }[command]
+    return [command, "--model", model, *argv,
+            *(v for kv in {**own, **flags}.items() for v in kv)]
+
+
+@pytest.mark.parametrize("command, flags, code", [
+    ("simulate", {"--h": "0"}, cli.EXIT_CONFIG),
+    ("simulate", {"--h": "nan"}, cli.EXIT_CONFIG),
+    ("simulate", {"--h": "-0.05"}, cli.EXIT_CONFIG),
+    ("simulate", {"--T": "-1"}, cli.EXIT_CONFIG),
+    ("simulate", {"--T": "inf"}, cli.EXIT_CONFIG),
+    ("simulate", {"--dt": "0"}, cli.EXIT_CONFIG),
+    ("simulate", {"--dt": "-0.01"}, cli.EXIT_CONFIG),
+    ("pipeline", {"h": 0}, cli.EXIT_SIMULATION),
+    ("pipeline", {"T": -1}, cli.EXIT_SIMULATION),
+    ("pipeline", {"dt": 0}, cli.EXIT_SIMULATION),
+    ("trace", {"--dt": "nan"}, cli.EXIT_CONFIG),
+    ("trace", {"--tmax": "inf"}, cli.EXIT_CONFIG),
+    ("trace", {"--entry-s": "nan"}, cli.EXIT_CONFIG),
+    ("trace", {"--angle": "nan"}, cli.EXIT_CONFIG),
+    ("lens", {"--dt": "nan"}, cli.EXIT_CONFIG),
+], ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items()) if isinstance(v, dict) else None)
+def test_nonpositive_or_nonfinite_run_settings_exit_with_their_code(
+        tmp_path, capsys, command, flags, code):
+    # times, spacings and steps must be finite and positive, and entries
+    # finite: a labelled refusal, no traceback and no NaN in the JSON output
+    assert run(_run_settings_argv(tmp_path, command, flags)) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(("configuration error: ", "error: "))
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     code = "import sys, elastic_lens.cli; print('scipy.signal' in sys.modules)"
     src = str(Path(cli.__file__).resolve().parents[1])

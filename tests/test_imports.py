@@ -30,3 +30,46 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_modules_import_nothing_unused(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def unused_private_names(sources):
+    """Module-level ``_name`` definitions and ``_method`` methods of the
+    modules in `sources` (module name -> source) that no module reads, as
+    a Name or as an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, node.lineno))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, n.id, n.lineno) for t in targets
+                            for n in ast.walk(t) if isinstance(n, ast.Name)]
+            if isinstance(node, ast.ClassDef):
+                defined += [(module, m.name, m.lineno) for m in node.body
+                            if isinstance(m, ast.FunctionDef)]
+    return sorted(f"{module}: {name} (line {line})" for module, name, line in defined
+                  if _is_private(name) and name not in read)
+
+
+def test_unused_private_names_are_found():
+    sources = {"a": "def _f(): pass\n_K, _L = 1, 2\nclass C:\n"
+                    "    def _m(self): pass\n    def __init__(self): self._g()\n"
+                    "    def _g(self): pass\n",
+               "b": "from a import _K\nprint(_K)\n"}
+    assert unused_private_names(sources) == [
+        "a: _L (line 2)", "a: _f (line 1)", "a: _m (line 4)"]
+
+
+def test_package_defines_no_unused_private_names():
+    assert unused_private_names({p.stem: p.read_text()
+                                 for p in sorted(PACKAGE.glob("*.py"))}) == []

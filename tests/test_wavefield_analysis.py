@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from elastic_lens.elastic_sim import BoundarySource, TractionTrace, ricker
-from elastic_lens.errors import PreconditionError, UnsupportedGeometryError
-from elastic_lens.wavefield_analysis import (cauchy_to_neumann,
+from elastic_lens.errors import PreconditionError
+from elastic_lens.wavefield_analysis import (_onset, cauchy_to_neumann,
                                              discrete_curl,
                                              discrete_divergence,
                                              extract_lens,
                                              neumann_to_cauchy,
-                                             pick_arrivals,
                                              pick_first_arrival,
                                              project_modes, reference_onset)
 
@@ -106,25 +105,29 @@ def test_pick_amplitude_invariance():
     assert a.time == pytest.approx(b.time, abs=1e-12)
 
 
-def test_pick_arrivals_finds_separated_pulses():
-    f0, dt = 12.0, 1e-3
-    t = np.arange(0.0, 3.0, dt)
-    sig = ricker(t - 0.5, f0, 1.5 / f0) + ricker(t - 1.8, f0, 1.5 / f0)
-    picks = pick_arrivals(sig, 0.05, f0, dt, max_picks=2)
-    assert len(picks) == 2
-    assert abs(picks[1] - picks[0] - 1.3) < 2.0 / f0
-
-
 def test_pick_requires_valid_threshold():
     with pytest.raises(PreconditionError):
         pick_first_arrival(np.ones(100), 0.0, 10.0, 1e-3)
-
-
-def test_pick_arrivals_checks_threshold_and_empty_trace():
     with pytest.raises(PreconditionError, match="eta"):
-        pick_arrivals(np.ones(100), 1.5, 10.0, 1e-3)
+        pick_first_arrival(np.ones(100), 1.5, 10.0, 1e-3)
     with pytest.raises(PreconditionError, match="empty"):
-        pick_arrivals(np.zeros(0), 0.05, 10.0, 1e-3)
+        pick_first_arrival(np.zeros(0), 0.05, 10.0, 1e-3)
+
+
+def test_onset_interpolates_linearly_between_samples():
+    t = 0.1 * np.arange(8)
+    env = np.array([0.0, 0.0, 1.0, 3.0, 10.0, 4.0, 2.0, 0.0])
+    # threshold 0.2 * 10 = 2 lies a half of the way from sample 2 to 3
+    j, time = _onset(env, t, 0.2, 0, 8)
+    assert j == 3 and time == pytest.approx(0.25, abs=1e-15)
+    # a sample exactly at the threshold is the crossing itself
+    assert _onset(env, t, 0.1, 0, 8) == (2, pytest.approx(0.2, abs=1e-15))
+    # the span [5, 8) has maximum 4 and opens above 0.2 * 4: its start
+    assert _onset(env, t, 0.2, 5, 8) == (5, t[5])
+    # zero on the span, or an empty span: no onset
+    assert _onset(env, t, 0.2, 7, 8) is None
+    assert _onset(env, t, 0.2, 0, 2) is None
+    assert _onset(env, t, 0.2, 4, 4) is None
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +186,15 @@ def test_extract_lens_alignment_check():
         extract_lens([], src, (0.0, 0.5), [(1.0, 0.5)], [(0.6, 1.1)])
 
 
+def test_extract_lens_refuses_threshold_above_one():
+    f0, dt = 15.0, 5e-4
+    src = BoundarySource(edge="left", center=0.5, width=0.1, f0=f0,
+                         polarization=(1.0, 0.0))
+    trace = make_trace((0.6, 1.1), (1.0, 0.7), f0, dt, 2.0)
+    with pytest.raises(PreconditionError, match="eta"):
+        extract_lens([trace], src, (0.0, 0.5), [(1.0, 0.5)], [(0.6, 1.1)], eta=2.0)
+
+
 # ---------------------------------------------------------------------------
 # Neumann-to-Cauchy on a flat surface
 # ---------------------------------------------------------------------------
@@ -225,12 +237,6 @@ def test_neumann_cauchy_3d_surface():
     nu = cauchy_to_neumann(u, dz, lam, mu, h)
     dz_rec = neumann_to_cauchy(u, nu, lam, mu, h)
     assert np.max(np.abs(dz_rec - dz)) <= 1e-12
-
-
-def test_neumann_to_cauchy_rejects_curved_geometry():
-    u = np.zeros((8, 2))
-    with pytest.raises(UnsupportedGeometryError):
-        neumann_to_cauchy(u, u, 1.0, 1.0, 0.1, geometry="sphere")
 
 
 def test_neumann_to_cauchy_rejects_degenerate_moduli():
