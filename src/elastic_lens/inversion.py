@@ -20,12 +20,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from numpy.polynomial.legendre import leggauss   # at load: numpy imports it lazily
 
 from .convexity import check_hwz
 from .errors import (DataInconsistencyError, FoliationError, IllPosedInputError,
                      InversionError, PreconditionError)
-from .model_core import DiskDomain, RadialField
+from .model_core import Cubic, DiskDomain, RadialField
 from .ray_tracer import RayStatus, entry_at, scattering_relations
 
 _GL_NODES = 32
@@ -98,7 +98,7 @@ class RadialProfile:
         return RadialField(profile=list(zip(self.r, self.c)), r_max=r_max, dim=2)
 
     def __call__(self, r):
-        return PchipInterpolator(self.r, self.c)(r)
+        return _pchip(self.r, self.c).eval(np.asarray(r, dtype=float))[0]
 
 
 @dataclass
@@ -161,6 +161,25 @@ def forward_travel_times(profile, R: float, angles, dt: float = 1e-3) -> TravelT
     return TravelTimeCurve(np.asarray(deltas)[order], np.asarray(times)[order], R)
 
 
+def _pchip(x, y) -> Cubic:
+    """Monotone (Fritsch-Carlson) cubic through (x, y), with the knot slopes
+    of scipy's PchipInterpolator: inside, the weighted harmonic mean of the
+    two secants, 0 where they differ in sign or one vanishes; at the ends a
+    one-sided three-point estimate, kept from overshooting."""
+    h, k = np.diff(x), np.diff(y) / np.diff(x)
+    if len(k) == 1:
+        return Cubic(x, y, [k[0], k[0]])
+    m = np.zeros(len(x))
+    same = np.sign(k[:-1]) * np.sign(k[1:]) > 0
+    w1, w2 = (2 * h[1:] + h[:-1])[same], (h[1:] + 2 * h[:-1])[same]
+    m[1:-1][same] = 1.0 / ((w1 / k[:-1][same] + w2 / k[1:][same]) / (w1 + w2))
+    e, f = [0, -1], [1, -2]                             # the ends, their neighbours
+    d = ((2 * h[e] + h[f]) * k[e] - h[e] * k[f]) / (h[e] + h[f])
+    overshoot = (np.sign(k[e]) != np.sign(k[f])) & (np.abs(d) > 3 * np.abs(k[e]))
+    m[e] = np.where(np.sign(d) != np.sign(k[e]), 0.0, np.where(overshoot, 3 * k[e], d))
+    return Cubic(x, y, m)
+
+
 def _abel(X, t):
     """Abel-invert (distance, time) samples to ray parameters and integrals.
 
@@ -210,7 +229,7 @@ def _abel(X, t):
     # and PCHIP extrapolation need not stay monotone: it gives no node
     turn = turn[(turn > kept[0]) & (turn <= kept[-1])]
     order = np.argsort(np.concatenate((kept + 0.5, turn)))
-    p = np.concatenate((p[kept], PchipInterpolator(kept + 0.5, p[kept])(turn)))[order]
+    p = np.concatenate((p[kept], _pchip(kept + 0.5, p[kept]).eval(turn)[0]))[order]
     x = np.concatenate((xm[kept], Xa[turn]))[order]
 
     p0 = float(p[0] + (p[0] - p[1]) / (x[0] - x[1]) * (0.0 - x[0]))
@@ -218,11 +237,11 @@ def _abel(X, t):
         raise IllPosedInputError("extrapolated grazing parameter must exceed "
                                  "all sampled p")
     u = np.sqrt(p0 - p)
-    D = PchipInterpolator(np.concatenate(([0.0], u)), np.concatenate(([0.0], x)))
-    xg, wg = np.polynomial.legendre.leggauss(_GL_NODES)
+    D = _pchip(np.concatenate(([0.0], u)), np.concatenate(([0.0], x)))
+    xg, wg = leggauss(_GL_NODES)
     xg, wg = 0.5 * (xg + 1.0), 0.5 * wg                # on [0, 1]
     s = u[:, None] * xg
-    f = D(u[:, None] * np.sqrt(1.0 - xg * xg)) / np.sqrt(2.0 * p[:, None] + s * s)
+    f = D.eval(u[:, None] * np.sqrt(1.0 - xg * xg))[0] / np.sqrt(2.0 * p[:, None] + s * s)
     integral = (2.0 / np.pi) * u * (f @ wg)
     if not np.all(np.diff(integral) > 0):
         raise InversionError("recovered turning depth is not monotone in p")

@@ -20,13 +20,48 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from .errors import DomainError, ModelError, PreconditionError
 
 # Width of the evaluation collar outside the nominal bounding box.
 # Models are defined on the closed domain plus this collar only.
 COLLAR = 0.1
+
+
+class Cubic:
+    """Piecewise cubic through the knots (x, y) with slopes m there, by default
+    the natural spline's; the end pieces extrapolate.  The pieces of scipy's
+    CubicSpline (natural) and CubicHermiteSpline, in the power basis."""
+
+    def __init__(self, x, y, m=None):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        h, slope = np.diff(x), np.diff(y) / np.diff(x)
+        if m is None:
+            # natural ends: a Thomas sweep turns r (held in m) into the slopes m of
+            # h[i] m[i-1] + 2 (h[i-1] + h[i]) m[i] + h[i-1] m[i+1] = r[i]
+            lo, up = [0.0, *h[1:], h[-1]], [h[0], *h[:-1], 0.0]
+            dg = [2 * h[0], *(2 * (h[:-1] + h[1:])), 2 * h[-1]]
+            m = [3 * (y[1] - y[0]), *(3 * (h[1:] * slope[:-1] + h[:-1] * slope[1:])),
+                 3 * (y[-1] - y[-2]), 0.0]              # a zero past the end
+            for i in range(1, len(x)):
+                w = lo[i] / dg[i - 1]
+                dg[i] -= w * up[i - 1]
+                m[i] -= w * m[i - 1]
+            for i in range(len(x) - 1, -1, -1):
+                m[i] = (m[i] - up[i] * m[i + 1]) / dg[i]
+        m = np.asarray(m[:len(x)], dtype=float)         # without the sweep's end zero
+        t = (m[:-1] + m[1:] - 2 * slope) / h
+        a, b = t / h, (slope - m[:-1]) / h - t
+        self._x, self._inner = x, x[1:-1]
+        # a d^3 + b d^2 + m d + y on each interval, d = s - x[i]; 3a, 2b for d/ds
+        self._c = np.stack((a, b, m[:-1], y[:-1], 3 * a, 2 * b))
+
+    def eval(self, s):
+        """(value, first derivative) at the points of the array s."""
+        i = np.searchsorted(self._inner, s, side="right")   # the end pieces extend
+        d = s - self._x.take(i)
+        a, b, m, y, a3, b2 = self._c.take(i, axis=1)
+        return ((a * d + b) * d + m) * d + y, (a3 * d + b2) * d + m
 
 
 class SpeedField:
@@ -122,24 +157,21 @@ class RadialField(SpeedField):
             if np.any(c <= 0):
                 bad = int(np.argmax(c <= 0))
                 raise ModelError(f"radial profile node {bad} (r={r[bad]}) has non-positive speed {c[bad]}")
-            spline = CubicSpline(r, c, bc_type="natural")
-            self._f = spline
-            self._df = lambda s: spline(s, 1)
+            self._c_dc = Cubic(r, c).eval
             r_max = r_max if r_max is not None else float(r[-1])
         else:
             if func is None or dfunc is None or r_max is None:
                 raise ModelError("callable radial field needs func, dfunc and r_max")
             # adding zeros turns a scalar return value into an array
-            self._f = lambda s: func(s) + np.zeros_like(s)
-            self._df = lambda s: dfunc(s) + np.zeros_like(s)
+            self._c_dc = lambda s: (func(s) + np.zeros_like(s), dfunc(s) + np.zeros_like(s))
         self.r_max = float(r_max)
         self._set_bounds(BoxDomain.cube(self.r_max, dim))
 
     def _eval(self, X):
         r = np.sqrt(np.add.reduce(X * X, axis=1))
+        c, dc = self._c_dc(r)
         at_origin = r < 1e-14
-        dc_r = np.where(at_origin, 0.0, self._df(r) / np.where(at_origin, 1.0, r))
-        return self._f(r), dc_r[:, None] * X
+        return c, np.where(at_origin, 0.0, dc / np.where(at_origin, 1.0, r))[:, None] * X
 
 
 class DepthField(SpeedField):
@@ -153,7 +185,7 @@ class DepthField(SpeedField):
             raise ModelError("depth profile depths must increase")
         if np.any(prof[:, 1] <= 0):
             raise ModelError("depth profile speeds must be positive")
-        self._spline = CubicSpline(prof[:, 0], prof[:, 1], bc_type="natural")
+        self._cubic = Cubic(prof[:, 0], prof[:, 1])
         self.dim = dim
         if bounds is None:
             z0, z1 = prof[0, 0], prof[-1, 0]
@@ -164,9 +196,8 @@ class DepthField(SpeedField):
         self._set_bounds(bounds)
 
     def _eval(self, X):
-        g = np.zeros_like(X)
-        g[:, -1] = self._spline(X[:, -1], 1)
-        return self._spline(X[:, -1]), g
+        c, dc = self._cubic.eval(X[:, -1])
+        return c, np.concatenate((np.zeros_like(X[:, 1:]), dc[:, None]), axis=1)
 
 
 class GridField(SpeedField):
@@ -188,6 +219,7 @@ class GridField(SpeedField):
         self.values = vals.copy()
         self.values.setflags(write=False)
         xs, ys = grid.nodes()
+        from scipy.interpolate import RectBivariateSpline   # loaded for grid fields only
         self._spline = RectBivariateSpline(xs, ys, vals, kx=3, ky=3)
         self._set_bounds(BoxDomain((xs[0], ys[0]), (xs[-1], ys[-1])))
 

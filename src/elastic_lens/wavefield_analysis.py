@@ -13,10 +13,10 @@ Four independent tools:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from .errors import NumericalError, PreconditionError
 from .elastic_sim import TractionTrace
@@ -101,6 +101,7 @@ def project_modes(u, h) -> ModeFields:
     if not np.all(np.isfinite(u)):
         raise NumericalError("field has non-finite values")
 
+    from scipy.fft import dctn, idctn   # loaded on first use: no command splits modes
     d = discrete_divergence(u, h)
     dhat = dctn(d, type=2)
     sx = _stencil_symbol(nx, h)
@@ -139,6 +140,22 @@ def _causal_mean(x, width_samples):
     return (c[idx + 1] - c[lo]) / (idx + 1 - lo)
 
 
+def _highpass(x, dt, fc):
+    """Causal 4th-order Butterworth high-pass of x with corner fc: two
+    biquads from the bilinear transform prewarped to fc, each run in
+    transposed direct form II (the recurrence of scipy's sosfilt)."""
+    k, y = math.tan(math.pi * fc * dt), x.tolist()
+    for q in (0.5 / math.cos(math.pi / 8), 0.5 / math.cos(3 * math.pi / 8)):
+        n = 1.0 / (1.0 + k / q + k * k)
+        b0, b1, a1, a2 = n, -2.0 * n, 2.0 * (k * k - 1.0) * n, (1.0 - k / q + k * k) * n
+        z0 = z1 = 0.0
+        for j, v in enumerate(y):
+            y[j] = out = b0 * v + z0
+            z0 = b1 * v - a1 * out + z1
+            z1 = b0 * v - a2 * out                  # b2 = b0
+    return np.array(y)
+
+
 def _envelope(samples, dt, f0):
     """Causal envelope of a (possibly multi-component) oscillatory trace.
 
@@ -149,17 +166,12 @@ def _envelope(samples, dt, f0):
     derivative as a quadrature component; the combined magnitude is
     smoothed causally over a window of width 1/(4 f0).
     """
-    # imported on first use: scipy.signal alone roughly doubles the import
-    # time of the CLI, and most commands never pick arrivals
-    from scipy.signal import butter, sosfilt
-
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    sos = butter(4, 0.25 * f0, btype="highpass", fs=1.0 / dt, output="sos")
     mag2 = np.zeros(x.shape[0])
     for c in range(x.shape[1]):
-        hp = sosfilt(sos, x[:, c])
+        hp = _highpass(x[:, c], dt, 0.25 * f0)
         q = np.gradient(hp, dt) / (2.0 * np.pi * f0)
         mag2 += hp * hp + q * q
     return _causal_mean(np.sqrt(mag2), 0.25 / (f0 * dt))

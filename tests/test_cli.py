@@ -405,14 +405,40 @@ def test_nonpositive_or_nonfinite_run_settings_exit_with_their_code(
     assert out == "" and err.startswith(("configuration error: ", "error: "))
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    code = "import sys, elastic_lens.cli; print('scipy.signal' in sys.modules)"
+def _fresh_python(code, *args):
+    """The last line `code` prints, run in a new interpreter on this source."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
                          text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_loads_no_scipy():
+    assert _fresh_python(f"import sys, elastic_lens.cli; print({LOADED_SCIPY})") == "[]"
+
+
+def test_radial_and_homogeneous_pipelines_load_no_scipy(tmp_path):
+    radial = tmp_path / "radial.json"
+    radial.write_text(json.dumps({
+        "mode": "radial", "model": write_model(tmp_path, LINEAR_RADIAL_MODEL),
+        "radial": {"n_rays": 16, "dt": 2e-3}}))
+    homogeneous = tmp_path / "homogeneous.json"
+    homogeneous.write_text(json.dumps({
+        "mode": "homogeneous", "model": write_model(tmp_path / "box.json", TALL_BOX_MODEL),
+        "T": 1.3, "h": 0.02,
+        "source": {"edge": "left", "center": 1.2, "width": 0.1, "f0": 10.0,
+                   "pol": [0.5, 0.8660254037844386]},
+        "receivers": {"edge": "right", "count": 4, "center": 1.2, "width": 0.48}}))
+    code = ("import sys, elastic_lens.cli as cli\n"
+            "codes = [cli.main(['pipeline', '--config', c, '--out', c + '.out'])"
+            " for c in sys.argv[1:]]\n"
+            f"print(codes, {LOADED_SCIPY})")
+    assert _fresh_python(code, str(radial), str(homogeneous)) == "[0, 0] []"
 
 
 def test_radial_pipeline(tmp_path, capsys):

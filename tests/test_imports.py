@@ -32,6 +32,38 @@ def test_package_modules_import_nothing_unused(path):
     assert unused_imports(path.read_text()) == []
 
 
+def module_level_imports(source):
+    """(top-level package, line) of each import outside function bodies."""
+    found, stack = [], list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            found += [(alias.name.split(".")[0], node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.module.split(".")[0], node.lineno))
+        stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_module_level_imports_are_found():
+    source = ("import scipy.fft\nfrom scipy import signal\nfrom . import errors\n"
+              "class C:\n    import json\n    def m(self):\n        import os\n"
+              "def f():\n    from scipy.interpolate import CubicSpline\n"
+              "try:\n    import numpy as np\nexcept ImportError:\n    pass\n")
+    assert module_level_imports(source) == [
+        ("json", 5), ("numpy", 11), ("scipy", 1), ("scipy", 2)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_modules_import_no_scipy_at_module_level(path):
+    # scipy costs about half a second to import; the package loads it only
+    # inside the functions that need it
+    assert [line for name, line in module_level_imports(path.read_text())
+            if name == "scipy"] == []
+
+
 def _is_private(name):
     return name.startswith("_") and not name.endswith("__")
 

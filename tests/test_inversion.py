@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from elastic_lens.errors import (DataInconsistencyError, FoliationError,
                                  IllPosedInputError, InversionError,
                                  PreconditionError)
-from elastic_lens.inversion import (DepthProfile, RadialProfile,
+from elastic_lens.inversion import (DepthProfile, RadialProfile, _pchip,
                                     TravelTimeCurve, forward_layered_times,
                                     forward_travel_times, herglotz_invert,
                                     invert_both_speeds, layer_strip_invert)
@@ -18,6 +19,24 @@ from elastic_lens.model_core import ConstantField, RadialField
 # ---------------------------------------------------------------------------
 # Travel-time curves
 # ---------------------------------------------------------------------------
+
+
+def test_pchip_agrees_with_scipy_and_keeps_monotone_data_monotone():
+    rng = np.random.default_rng(13)
+    for n in (2, 3, 6, 30):
+        x = np.cumsum(rng.uniform(0.5, 1.5, n))
+        s = np.linspace(x[0] - 1.0, x[-1] + 1.0, 401)
+        inside = np.linspace(x[0], x[-1], 2001)
+        for monotone, y in ((False, rng.standard_normal(n)),
+                            (True, np.cumsum(rng.uniform(0.0, 1.0, n)))):
+            got, want = _pchip(x, y).eval(s)[0], PchipInterpolator(x, y)(s)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            if monotone:
+                assert np.all(np.diff(_pchip(x, y).eval(inside)[0]) >= 0.0)
+    # a flat step stays flat
+    x, y = np.arange(6.0), np.array([0.0, 1.0, 1.0, 2.0, 5.0, 5.5])
+    step = _pchip(x, y).eval(np.linspace(1.0, 2.0, 11))[0]
+    assert np.all(step == 1.0)
 
 
 def constant_speed_curve(c=1.0, R=1.0, n=24):

@@ -5,17 +5,30 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 from elastic_lens.elastic_sim import receiver_nodes
 from elastic_lens.errors import (ConfigurationError, DomainError, ModelError,
                                  PreconditionError)
-from elastic_lens.model_core import (EDGES, BoxDomain,
-                                     ConstantField, DepthField, DerivedSpeed,
+from elastic_lens.model_core import (EDGES, BoxDomain, ConstantField, Cubic, DepthField, DerivedSpeed,
                                      DiskDomain, ElasticMaterial,
                                      GridField, Grid2D, LinearField,
                                      RadialField, field_from_spec, load_model)
 from elastic_lens.ray_tracer import (RayStatus, entry_at, fan_angles,
                                      scattering_relation, scattering_relations)
+
+
+def test_natural_cubic_agrees_with_scipy_cubic_spline():
+    # values and derivatives inside and in extrapolation, on well-spaced knots
+    rng = np.random.default_rng(12)
+    for n in (2, 3, 5, 12, 40):
+        x = np.cumsum(rng.uniform(0.5, 1.5, n))
+        y = rng.standard_normal(n)
+        s = np.linspace(x[0] - 1.0, x[-1] + 1.0, 401)
+        spline = CubicSpline(x, y, bc_type="natural")
+        value, slope = Cubic(x, y).eval(s)
+        for got, want in ((value, spline(s)), (slope, spline(s, 1))):
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def test_constant_field_value_and_grad():

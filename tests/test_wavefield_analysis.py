@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import butter, sosfilt
 
 from elastic_lens.elastic_sim import BoundarySource, TractionTrace, ricker
 from elastic_lens.errors import PreconditionError
-from elastic_lens.wavefield_analysis import (_onset, cauchy_to_neumann,
+from elastic_lens.wavefield_analysis import (_highpass, _onset, cauchy_to_neumann,
                                              discrete_curl,
                                              discrete_divergence,
                                              extract_lens,
@@ -72,6 +73,19 @@ def test_plane_wave_leakage_small():
 # ---------------------------------------------------------------------------
 # Arrival picking
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dt", [0.0025 / math.sqrt(3.0), 0.005],
+                         ids=["A3", "coarse"])
+def test_highpass_agrees_with_scipy_butterworth(dt):
+    # the A3 source frequency and time step (h / c_p), and a coarser step;
+    # a pulse on a slow background the filter must remove
+    f0 = 20.0
+    t = dt * np.arange(1801)
+    x = ricker(t, f0, 0.1) + 0.3 * t + 0.05 * np.sin(np.pi * t)
+    want = sosfilt(butter(4, f0 / 4, "highpass", fs=1.0 / dt, output="sos"), x)
+    got = _highpass(x, dt, f0 / 4)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_pick_single_ricker_near_onset():
