@@ -308,9 +308,14 @@ def cmd_lens(args):
     return EXIT_OK
 
 
-def _simulate_to_dir(model_path, model, source, receivers, T, h, dt, out_dir):
-    """Run the FD simulator on a box model with a material; write one CSV
-    per receiver trace and metadata.json."""
+def _simulate_to_dir(model_path, model, source, receiver_spec, T, h, dt, out_dir):
+    """Run the FD simulator on a box model with a material and receivers
+    placed by `receiver_spec`; write one CSV per trace and metadata.json."""
+    if not isinstance(model.domain, BoxDomain):
+        raise ConfigurationError("the FD simulator supports box domains only")
+    if model.material is None:
+        raise ConfigurationError("simulation requires a material in the model")
+    receivers = _receiver_points(model.domain, receiver_spec)
     result = simulate_dn(model.material, model.domain, source, receivers,
                          T=T, h=h, dt=dt)
     out = Path(out_dir)
@@ -328,18 +333,14 @@ def cmd_simulate(args):
     t0 = time.monotonic()
     model = load_model(args.model)
     source = _source(_parse_kv(args.source, "source"))
-    if not isinstance(model.domain, BoxDomain):
-        raise ConfigurationError("the FD simulator supports box domains only")
-    if model.material is None:
-        raise ConfigurationError("simulation requires a material in the model")
-    receivers = _receiver_points(model.domain, _parse_kv(args.receivers, "receivers"))
     stages = []
     with _stage(stages, "simulate") as counters:
-        result = _simulate_to_dir(args.model, model, source, receivers,
+        result = _simulate_to_dir(args.model, model, source,
+                                  _parse_kv(args.receivers, "receivers"),
                                   args.T, args.h, args.dt, args.out)
         counters.update(result.counters)
     _write_manifest(args.out, "simulate", vars(args), [args.model], t0, stages)
-    print(f"wrote {len(receivers)} traces to {args.out}")
+    print(f"wrote {len(result.traces)} traces to {args.out}")
     return EXIT_OK
 
 
@@ -542,7 +543,7 @@ def _pipeline_homogeneous(cfg, out, model, stages):
 
     with _stage(stages, "simulate", NumericalError, ResourceError, PreconditionError,
                 ConfigurationError, ModelError) as counters:
-        result = _simulate_to_dir(cfg["model"], model, source, receivers,
+        result = _simulate_to_dir(cfg["model"], model, source, cfg["receivers"],
                                   cfg["T"], cfg["h"], cfg["dt"], out / "traces")
         counters.update(result.counters)
 

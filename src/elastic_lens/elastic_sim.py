@@ -16,8 +16,11 @@ form of the operator and keeping the discretization self-adjoint up to
 edge effects.  One stress evaluation per step yields both the Neumann
 traces and the update.  A step works in place on float32 buffers allocated
 once per run (the step is memory-bound), with the displacement held as
-planar (2, nx, ny) arrays; dt and the traces are float64.  On A3 the traces
-stay within 5.2e-6 (relative L2) of a float64 run, the picks within 7.5e-8 s.
+planar (2, nx, ny) arrays; dt and the traces are float64.  On A3 the
+traces stay within 5.2e-6 (relative L2) of a float64 run, the picks within
+7.5e-8 s.  On large grids each core steps one strip of rows; every node
+sees the same float32 operations in any strips, so the output does not
+depend on the core count.
 
 Stability limit.  Every derivative is the centered difference D0, whose
 symbol on exp(i k.x) is i sin(k h)/h.  With constant coefficients the
@@ -32,7 +35,9 @@ that limit; with variable coefficients c_p,max is the largest nodal c_p.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +48,7 @@ from .model_core import EDGES, BoxDomain, ElasticMaterial, Grid2D
 CFL_SAFETY = 1.0            # dt <= CFL_SAFETY h / c_p,max; the limit is sqrt(2)
 _BLOW_UP_CHECK_STEPS = 64   # simulate_dn checks u for blow-up this often:
 _BLOW_UP_FACTOR = 1e3       # max|u| over this times max|pol| (stable runs: < 1.3)
+_MIN_NODES_PER_STRIP = 75_000    # below this a strip costs more in handoff than it saves
 
 
 def ricker(t, f0: float, t0: float):
@@ -156,59 +162,67 @@ def check_cfl(mg: MaterialGrid, dt: float):
 
 class _Workspace:
     """The buffers of one FD run, allocated once: planar (nx, ny) gradients
-    and stresses in `dtype`, and the array-valued materials cast to it.  A
-    step updates the flattened nodes `inner`, (1, 1) to (nx-2, ny-2): the
-    interior nodes and, between them, wall nodes that _apply_dirichlet
-    overwrites.  Every pass is contiguous."""
+    and stresses in `dtype`, and the array-valued materials cast to it.
+    `stress` and `step` work on the rows r0 to r1 - 1, rows = (r0, r1); a
+    step updates the strip's flat nodes from (1, 1) to (nx-2, ny-2): interior
+    nodes and, between them, wall nodes that _apply_dirichlet overwrites.
+    Every pass is contiguous; a node gets the same operations in any strips."""
 
     def __init__(self, mg: MaterialGrid, dtype):
         nx, ny = mg.grid.nx, mg.grid.ny
         self.mg = mg = MaterialGrid(mg.grid, *(v if isinstance(v, float) else v.astype(dtype)
                                                for v in (mg.lam, mg.mu, mg.rho)))
         self.two_mu = 2.0 * mg.mu
-        self.inner = slice(ny + 1, nx * ny - ny - 1)
-        self.rho_inner = mg.rho if isinstance(mg.rho, float) else mg.rho.reshape(-1)[self.inner]
         self.grad = np.empty((4, nx, ny), dtype)    # dux/dx, dux/dy, duy/dx, duy/dy
         self.sigma = np.empty((3, nx, ny), dtype)   # sxx, sxy, syy
         self.lam_div = np.empty((nx, ny), dtype)
 
-    def stress(self, u):
-        """Gradients and stresses of the planar displacement u (2, nx, ny),
-        in numpy.gradient's operation order: centered differences over 2h
-        (along the flattened arrays, so along y they wrap from row to row
-        at the ends), then one-sided differences over h at the ends."""
-        h, g, lam_div = self.mg.grid.h, self.grad, self.lam_div
+    def stress(self, u, rows):
+        """Gradients and stresses of the planar displacement u (2, nx, ny)
+        on the strip, in numpy.gradient's operation order: centered
+        differences over 2h (along the flattened arrays, so along y they
+        wrap from row to row at the ends), then one-sided differences over
+        h at the ends."""
+        (r0, r1), h, nx, ny = rows, self.mg.grid.h, self.mg.grid.nx, self.mg.grid.ny
+        a, b, g = r0 * ny, r1 * ny, self.grad
         U, G = u.reshape(2, -1), g.reshape(4, -1)
-        for k, s in ((0, self.mg.grid.ny), (1, 1)):     # along x, then y
-            np.subtract(U[:, 2 * s:], U[:, :-2 * s], out=G[k::2, s:-s])
-            G[k::2, s:-s] /= 2.0 * h
-        g[0::2, [0, -1]] = (u[:, [1, -1]] - u[:, [0, -2]]) / h
-        g[1::2, :, [0, -1]] = (u[:, :, [1, -1]] - u[:, :, [0, -2]]) / h
-        np.add(g[0], g[3], out=lam_div)
-        lam_div *= self.mg.lam
-        np.multiply(self.two_mu, g[0::3], out=self.sigma[0::2])
-        self.sigma[0::2] += lam_div
-        np.add(g[1], g[2], out=self.sigma[1])
-        self.sigma[1] *= self.mg.mu
+        for k, s in ((0, ny), (1, 1)):     # along x, then y
+            lo, hi = max(a, s), min(b, nx * ny - s)
+            np.subtract(U[:, lo + s:hi + s], U[:, lo - s:hi - s], out=G[k::2, lo:hi])
+            G[k::2, lo:hi] /= 2.0 * h
+        for i, p, q in ((0, 1, 0), (nx - 1, nx - 1, nx - 2)):    # row i: (u_p - u_q) / h
+            if r0 <= i < r1:
+                g[0::2, i] = (u[:, p] - u[:, q]) / h
+        g[1::2, r0:r1, [0, -1]] = (u[:, r0:r1, [1, -1]] - u[:, r0:r1, [0, -2]]) / h
+        lam, mu, two_mu = (v if isinstance(v, float) else v.reshape(-1)[a:b]
+                           for v in (self.mg.lam, self.mg.mu, self.two_mu))
+        G, S, lam_div = G[:, a:b], self.sigma.reshape(3, -1)[:, a:b], self.lam_div.reshape(-1)[a:b]
+        np.add(G[0], G[3], out=lam_div)
+        lam_div *= lam
+        np.multiply(two_mu, G[0::3], out=S[0::2])
+        S[0::2] += lam_div
+        np.add(G[1], G[2], out=S[1])
+        S[1] *= mu
 
-    def step(self, u, u_prev, u_next, dt: float):
-        """Leapfrog over the nodes inner: u_next = 2 u - u_prev + dt^2
-        rho^-1 div sigma, with sigma from the last call of stress.  The
+    def step(self, u, u_prev, u_next, dt: float, rows):
+        """Leapfrog on the strip: u_next = 2 u - u_prev + dt^2 rho^-1 div
+        sigma, with sigma from the last stress of every strip.  The
         gradients are spent by then; their buffer serves as scratch."""
-        inner, ny = self.inner, self.mg.grid.ny
-        lo, hi, h2 = inner.start, inner.stop, 2.0 * self.mg.grid.h
-        s, t = self.sigma.reshape(3, -1), self.grad.reshape(4, -1)[:2, inner]
-        out = u_next.reshape(2, -1)[:, inner]
+        nx, ny, h2 = self.mg.grid.nx, self.mg.grid.ny, 2.0 * self.mg.grid.h
+        lo, hi = max(rows[0] * ny, ny + 1), min(rows[1] * ny, nx * ny - ny - 1)
+        s, t = self.sigma.reshape(3, -1), self.grad.reshape(4, -1)[:2, lo:hi]
+        out = u_next.reshape(2, -1)[:, lo:hi]
         # d/dx (sxx, sxy) + d/dy (sxy, syy), each a centered difference
         np.subtract(s[:2, lo + ny:hi + ny], s[:2, lo - ny:hi - ny], out=out)
         out /= h2
         np.subtract(s[1:, lo + 1:hi + 1], s[1:, lo - 1:hi - 1], out=t)
         t /= h2
         out += t
-        out /= self.rho_inner
+        rho = self.mg.rho
+        out /= rho if isinstance(rho, float) else rho.reshape(-1)[lo:hi]
         out *= dt * dt
-        np.multiply(u.reshape(2, -1)[:, inner], 2.0, out=t)
-        t -= u_prev.reshape(2, -1)[:, inner]
+        np.multiply(u.reshape(2, -1)[:, lo:hi], 2.0, out=t)
+        t -= u_prev.reshape(2, -1)[:, lo:hi]
         out += t
 
 
@@ -242,7 +256,8 @@ def energy(state: WavefieldState, mg: MaterialGrid) -> float:
     v = state.velocity
     kinetic = mg.rho * (v[:, :, 0] ** 2 + v[:, :, 1] ** 2)
     ws = _Workspace(mg, np.float64)
-    ws.stress(np.ascontiguousarray(np.moveaxis(state.u, -1, 0), dtype=float))
+    ws.stress(np.ascontiguousarray(np.moveaxis(state.u, -1, 0), dtype=float),
+              (0, mg.grid.nx))
     (dux_dx, dux_dy, duy_dx, duy_dy), (sxx, sxy, syy) = ws.grad, ws.sigma
     strain = sxx * dux_dx + syy * duy_dy + sxy * (dux_dy + duy_dx)
     return 0.5 * float(np.sum(kinetic + strain)) * h * h
@@ -270,6 +285,23 @@ def receiver_nodes(domain: BoxDomain, grid: Grid2D, receivers):
         k = int(np.argmin(np.abs(grid.nodes()[along] - p[along])))
         out.append((edge, k, tuple(p)))
     return out
+
+
+def _row_strips(nx: int, ny: int):
+    """Row ranges (r0, r1) covering the nx rows, one per core, as equal as
+    rows allow and no more than one per _MIN_NODES_PER_STRIP nodes."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n = max(1, min(cores or 1, nx * ny // _MIN_NODES_PER_STRIP))
+    return [(nx * k // n, nx * (k + 1) // n) for k in range(n)]
+
+
+def _on_strips(pool, strips, fn, *args):
+    """fn(*args, rows) on every strip, the first in this thread and the
+    others on the pool; returns once all are done, raising their errors."""
+    others = [pool.submit(fn, *args, rows) for rows in strips[1:]]
+    fn(*args, strips[0])
+    for f in others:
+        f.result()
 
 
 def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
@@ -308,27 +340,32 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     u_bound, u_max = _BLOW_UP_FACTOR * pol_max, None
     t = 0.0
     _apply_dirichlet(u, patch, float(source.pulse(t)))
-    for n in range(n_steps + 1):
-        ws.stress(u)
-        sxx, sxy, syy = ws.sigma.reshape(3, -1)[:, idx]
-        traces[:, n, 0] = sxx * nrm_x + sxy * nrm_y
-        traces[:, n, 1] = sxy * nrm_x + syy * nrm_y
-        while snap_left and t >= snap_left[0] - 0.5 * dt:
-            snaps.append(WavefieldState(np.moveaxis(u, 0, -1).copy(),
-                                        np.moveaxis(u_prev, 0, -1).copy(), t, grid, dt))
-            snap_left.pop(0)
-        if n == n_steps:
-            break
-        ws.step(u, u_prev, u_next, dt)
-        t += dt
-        _apply_dirichlet(u_next, patch, float(source.pulse(t)))
-        u_prev, u, u_next = u, u_next, u_prev
-        # max|u| by two reductions (no full-grid temporary); a NaN fails too
-        if (n + 1) % _BLOW_UP_CHECK_STEPS == 0:
-            u_max = float(np.maximum(u.max(), -u.min()))
-            if not u_max <= u_bound:
-                raise NumericalError(f"max |u| = {u_max:.3g} exceeds {u_bound:.3g} "
-                                     f"at step {n + 1} (t = {t:.6g}); the scheme blew up")
+    strips = _row_strips(nx, ny)
+    if len(strips) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+    with (ThreadPoolExecutor(len(strips) - 1) if len(strips) > 1
+          else contextlib.nullcontext()) as pool:
+        for n in range(n_steps + 1):
+            _on_strips(pool, strips, ws.stress, u)
+            sxx, sxy, syy = ws.sigma.reshape(3, -1)[:, idx]
+            traces[:, n, 0] = sxx * nrm_x + sxy * nrm_y
+            traces[:, n, 1] = sxy * nrm_x + syy * nrm_y
+            while snap_left and t >= snap_left[0] - 0.5 * dt:
+                snaps.append(WavefieldState(np.moveaxis(u, 0, -1).copy(),
+                                            np.moveaxis(u_prev, 0, -1).copy(), t, grid, dt))
+                snap_left.pop(0)
+            if n == n_steps:
+                break
+            _on_strips(pool, strips, ws.step, u, u_prev, u_next, dt)
+            t += dt
+            _apply_dirichlet(u_next, patch, float(source.pulse(t)))
+            u_prev, u, u_next = u, u_next, u_prev
+            # max|u| by two reductions (no full-grid temporary); a NaN fails too
+            if (n + 1) % _BLOW_UP_CHECK_STEPS == 0:
+                u_max = float(np.maximum(u.max(), -u.min()))
+                if not u_max <= u_bound:
+                    raise NumericalError(f"max |u| = {u_max:.3g} exceeds {u_bound:.3g} "
+                                         f"at step {n + 1} (t = {t:.6g}); the scheme blew up")
 
     out = [TractionTrace(rec[r][2], dt, traces[r]) for r in range(len(rec))]
     limit = math.sqrt(2.0) * h / mg.cp_max   # the derived stability limit
@@ -339,5 +376,6 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
                        "polarization": list(source.polarization)}}
     counters = {"steps": n_steps, "cell_steps": nx * ny * n_steps, "dt": dt,
                 "dt_over_limit": dt / limit,
-                "max_u_over_pol": u_max / pol_max if u_max is not None and pol_max else None}
+                "max_u_over_pol": u_max / pol_max if u_max is not None and pol_max else None,
+                "threads": len(strips)}
     return SimulationResult(out, grid, dt, snaps, meta, counters)

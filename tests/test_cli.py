@@ -1,4 +1,6 @@
 import csv
+import functools
+import inspect
 import json
 import math
 import os
@@ -6,12 +8,14 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from elastic_lens import cli, elastic_sim
+from elastic_lens import (cli, convexity, elastic_sim, errors, inversion, model_core,
+                          ray_tracer, wavefield_analysis)
 from elastic_lens.inversion import DepthProfile, forward_layered_times
 from elastic_lens.model_core import load_model
 from elastic_lens.ray_tracer import (RayStatus, entry_at, fan_angles,
@@ -348,6 +352,61 @@ def test_simulate_blow_up_exits_5(tmp_path, monkeypatch, safety, T):
                 "--out", str(tmp_path / "out")]) == cli.EXIT_SIMULATION
 
 
+def _simulate_on_two_strips(tmp_path, monkeypatch, T):
+    monkeypatch.setattr(elastic_sim, "_MIN_NODES_PER_STRIP", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return run(["simulate", "--model", write_model(tmp_path, UNIT_BOX_MODEL),
+                "--source", "edge=left,center=0.5,width=0.2,f0=8,pol=1,0",
+                "--receivers", "edge=right,count=3", "--T", T, "--h", "0.05",
+                "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_simulate_blow_up_on_two_strips_exits_5_and_leaves_no_thread(tmp_path,
+                                                                    monkeypatch):
+    monkeypatch.setattr(elastic_sim, "CFL_SAFETY", 5.0)
+    threads = threading.active_count()
+    assert _simulate_on_two_strips(tmp_path, monkeypatch, "40") == cli.EXIT_SIMULATION
+    assert threading.active_count() == threads
+
+
+def test_two_strips_call_the_package_from_the_main_thread_only(tmp_path, monkeypatch):
+    # perfbench's tracer keeps one span stack for all public functions: a
+    # call from a strip's thread would nest its span in the wrong parent
+    calls = []
+
+    def recorded(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__name__, threading.current_thread() is threading.main_thread()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, convexity, elastic_sim, errors, inversion, model_core,
+                   ray_tracer, wavefield_analysis):
+        for name, obj in list(vars(module).items()):
+            if inspect.isfunction(obj) and not name.startswith("_") \
+                    and obj.__module__.startswith("elastic_lens."):
+                monkeypatch.setattr(module, name, recorded(obj))
+    assert _simulate_on_two_strips(tmp_path, monkeypatch, "0.3") == cli.EXIT_OK
+    assert ("simulate_dn", True) in calls and all(main for _, main in calls)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["stages"][0]["counters"]["threads"] == 2
+    assert "threads" not in (tmp_path / "out" / "metadata.json").read_text()
+
+
+@pytest.mark.parametrize("doc", [LINEAR_RADIAL_MODEL, {
+    "format": 1, "domain": UNIT_BOX_MODEL["domain"], "speed": {"kind": "constant", "c": 1.0}}],
+    ids=["disk", "no-material"])
+def test_simulate_needs_a_box_and_a_material(tmp_path, capsys, doc):
+    assert run(["simulate", "--model", write_model(tmp_path, doc),
+                "--source", "edge=left,center=0.5,width=0.2,f0=8,pol=1,0",
+                "--receivers", "edge=right,count=3", "--T", "0.2", "--h", "0.05",
+                "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
 def test_simulate_refused_dt_reads_apart_from_its_bound(tmp_path, capsys):
     # the bound is h / c_p = 0.05 / sqrt(3) = 0.028867..., just below 0.0289
     model = write_model(tmp_path, UNIT_BOX_MODEL)
@@ -419,7 +478,9 @@ LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_cli_import_loads_no_scipy():
-    assert _fresh_python(f"import sys, elastic_lens.cli; print({LOADED_SCIPY})") == "[]"
+    # nor the thread pool that the FD step loads on large grids only
+    assert _fresh_python(f"import sys, elastic_lens.cli; print({LOADED_SCIPY}, "
+                         "'concurrent.futures' in sys.modules)") == "[] False"
 
 
 def test_radial_and_homogeneous_pipelines_load_no_scipy(tmp_path):

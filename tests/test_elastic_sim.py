@@ -1,4 +1,7 @@
 import math
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -286,3 +289,76 @@ def test_float32_wavefield_tracks_float64_reference(unit_box, material, h):
     for g, r in zip(got, ref):
         t_got, t_ref = (pick_first_arrival(x, 0.05, src.f0, res.dt).time for x in (g, r))
         assert abs(t_got - t_ref) <= 1e-6
+
+
+def _force_strips(monkeypatch, n):
+    """Run simulate_dn on n row strips, as on n cores with no node minimum."""
+    monkeypatch.setattr(elastic_sim, "_MIN_NODES_PER_STRIP", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_row_strips_one_per_core_above_the_node_minimum(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    # measured: two strips lose below ~120k nodes and win above ~150k, so
+    # hetero_box (201 x 201) runs on one strip and fd_chain (401 x 961) on two
+    assert elastic_sim._row_strips(201, 201) == [(0, 201)]
+    assert elastic_sim._row_strips(401, 961) == [(0, 200), (200, 401)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(elastic_sim, "_MIN_NODES_PER_STRIP", 100)
+    assert elastic_sim._row_strips(10, 19) == [(0, 10)]
+    assert elastic_sim._row_strips(10, 20) == [(0, 5), (5, 10)]
+    assert elastic_sim._row_strips(10, 100) == [(0, 3), (3, 6), (6, 10)]
+
+
+@pytest.mark.parametrize("h", [0.05, 0.01])
+@pytest.mark.parametrize("material", ["unit", "linear-lame"])
+def test_row_strips_reproduce_one_strip_bitwise(unit_box, monkeypatch, material, h):
+    # every split of the rows gives each node the same float32 operations,
+    # a strip of a single wall row included
+    mat = _REFERENCE_MATERIALS[material]
+    src = BoundarySource(edge="left", center=0.45, width=0.3, f0=8.0,
+                         polarization=(0.6, 0.8))
+    receivers = [(1.0, 0.5), (0.3, 1.0), (0.6, 0.0), (1.0, 0.0), (0.0, 1.0)]
+
+    def run():
+        res = simulate_dn(mat, unit_box, src, receivers, T=0.6, h=h,
+                          snapshot_times=(0.6,))
+        traces = np.array([tr.samples for tr in res.traces])
+        return res, traces, res.snapshots[-1].u
+
+    one, traces, u = run()
+    assert one.counters["threads"] == 1
+    ref, ref_u = _reference_dn(mat, unit_box, src, receivers, 0.6, h, one.dt)
+    assert np.array_equal(traces, ref) and np.array_equal(u, ref_u)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)     # switch threads often: a missed wait shows
+    try:
+        for n, strips in ((2, None), (3, None), (3, lambda nx, ny: [(0, 1), (1, nx - 1),
+                                                                    (nx - 1, nx)])):
+            _force_strips(monkeypatch, n)
+            if strips is not None:
+                monkeypatch.setattr(elastic_sim, "_row_strips", strips)
+            res, got, got_u = run()
+            assert res.counters["threads"] == n
+            assert np.array_equal(got, traces) and np.array_equal(got_u, u)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_strip_error_reaches_the_caller_and_leaves_no_thread(unit_material, unit_box,
+                                                            monkeypatch):
+    _force_strips(monkeypatch, 2)
+    step = elastic_sim._Workspace.step
+
+    def step_failing_off_main(self, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raise NumericalError("strip failed")
+        step(self, *args)
+
+    monkeypatch.setattr(elastic_sim._Workspace, "step", step_failing_off_main)
+    threads = threading.active_count()
+    src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
+                         polarization=(1.0, 0.0))
+    with pytest.raises(NumericalError, match="strip failed"):
+        simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], T=0.2, h=0.05)
+    assert threading.active_count() == threads
