@@ -11,16 +11,19 @@ Dirichlet-to-Neumann kernel.
 
 The stress is assembled pointwise from nodal material fields and its
 divergence taken with the same centered differences (one-sided first
-order at the edges, as numpy.gradient's default), matching the divergence
-form of the operator and keeping the discretization self-adjoint up to
-edge effects.  One stress evaluation per step yields both the Neumann
-traces and the update.  A step works in place on float32 buffers allocated
-once per run (the step is memory-bound), with the displacement held as
-planar (2, nx, ny) arrays; dt and the traces are float64.  On A3 the
-traces stay within 5.2e-6 (relative L2) of a float64 run, the picks within
-7.5e-8 s.  On large grids each core steps one strip of rows; every node
-sees the same float32 operations in any strips, so the output does not
-depend on the core count.
+order at the edges), matching the divergence form of the operator and
+keeping the discretization self-adjoint up to edge effects.  The
+differences are undivided (stresses times 2h, divergence times 4h^2): one
+coefficient dt^2 / (4 h^2 rho) takes all scales; traces are divided by 2h.
+One stress evaluation per step yields both the Neumann traces and the
+update.  A step works in place on float32 buffers allocated once per run
+(the step is memory-bound), with the displacement held as planar
+(2, nx, ny) arrays; dt and the traces are float64.  On A3 the traces stay
+within 1.8e-6 (relative L2) of a float64 run, the picks within 1e-8 s.
+Step n skips the rows more than 2 n + 2 from those the source drives:
+they are still exactly zero.  On large grids each core steps one strip of
+rows; every node sees the same float32 operations in any strips, so the
+output does not depend on the core count.
 
 Stability limit.  Every derivative is the centered difference D0, whose
 symbol on exp(i k.x) is i sin(k h)/h.  With constant coefficients the
@@ -161,41 +164,42 @@ def check_cfl(mg: MaterialGrid, dt: float):
 
 
 class _Workspace:
-    """The buffers of one FD run, allocated once: planar (nx, ny) gradients
-    and stresses in `dtype`, and the array-valued materials cast to it.
-    `stress` and `step` work on the rows r0 to r1 - 1, rows = (r0, r1); a
-    step updates the strip's flat nodes from (1, 1) to (nx-2, ny-2): interior
-    nodes and, between them, wall nodes that _apply_dirichlet overwrites.
-    Every pass is contiguous; a node gets the same operations in any strips."""
+    """The buffers of one FD run, allocated once: planar (nx, ny) differences
+    and stresses in `dtype`, and the array-valued Lame fields and update
+    coefficient cast to it.  `stress` and `step` work on the rows r0 to
+    r1 - 1, rows = (r0, r1); a step updates the strip's flat nodes from
+    (1, 1) to (nx-2, ny-2): interior nodes and, between them, wall nodes
+    that _apply_dirichlet overwrites.  Every pass is contiguous; a node
+    gets the same operations in any strips."""
 
-    def __init__(self, mg: MaterialGrid, dtype):
-        nx, ny = mg.grid.nx, mg.grid.ny
-        self.mg = mg = MaterialGrid(mg.grid, *(v if isinstance(v, float) else v.astype(dtype)
-                                               for v in (mg.lam, mg.mu, mg.rho)))
-        self.two_mu = 2.0 * mg.mu
+    def __init__(self, mg: MaterialGrid, dtype, dt: float):
+        nx, ny, h = mg.grid.nx, mg.grid.ny, mg.grid.h
+        self.lam, self.mu = (v if isinstance(v, float) else v.astype(dtype)
+                             for v in (mg.lam, mg.mu))
+        self.two_mu = 2.0 * self.mu
+        coef = dt * dt / (4.0 * h * h * mg.rho)
+        self.coef = coef if isinstance(coef, float) else coef.astype(dtype).reshape(-1)
         self.grad = np.empty((4, nx, ny), dtype)    # dux/dx, dux/dy, duy/dx, duy/dy
-        self.sigma = np.empty((3, nx, ny), dtype)   # sxx, sxy, syy
+        self.sigma = np.zeros((3, nx, ny), dtype)   # sxx, sxy, syy; zero rows unwritten
         self.lam_div = np.empty((nx, ny), dtype)
 
     def stress(self, u, rows):
-        """Gradients and stresses of the planar displacement u (2, nx, ny)
-        on the strip, in numpy.gradient's operation order: centered
-        differences over 2h (along the flattened arrays, so along y they
-        wrap from row to row at the ends), then one-sided differences over
-        h at the ends."""
-        (r0, r1), h, nx, ny = rows, self.mg.grid.h, self.mg.grid.nx, self.mg.grid.ny
+        """Differences and stresses of the planar displacement u (2, nx, ny)
+        on the strip, times 2h: u[i+1] - u[i-1] (along the flattened arrays,
+        so along y they wrap from row to row at the ends), then one-sided
+        2 (u_p - u_q) at the walls."""
+        (r0, r1), (nx, ny) = rows, u.shape[1:]
         a, b, g = r0 * ny, r1 * ny, self.grad
         U, G = u.reshape(2, -1), g.reshape(4, -1)
         for k, s in ((0, ny), (1, 1)):     # along x, then y
             lo, hi = max(a, s), min(b, nx * ny - s)
             np.subtract(U[:, lo + s:hi + s], U[:, lo - s:hi - s], out=G[k::2, lo:hi])
-            G[k::2, lo:hi] /= 2.0 * h
-        for i, p, q in ((0, 1, 0), (nx - 1, nx - 1, nx - 2)):    # row i: (u_p - u_q) / h
+        for i, p, q in ((0, 1, 0), (nx - 1, nx - 1, nx - 2)):    # row i
             if r0 <= i < r1:
-                g[0::2, i] = (u[:, p] - u[:, q]) / h
-        g[1::2, r0:r1, [0, -1]] = (u[:, r0:r1, [1, -1]] - u[:, r0:r1, [0, -2]]) / h
+                g[0::2, i] = 2.0 * (u[:, p] - u[:, q])
+        g[1::2, r0:r1, [0, -1]] = 2.0 * (u[:, r0:r1, [1, -1]] - u[:, r0:r1, [0, -2]])
         lam, mu, two_mu = (v if isinstance(v, float) else v.reshape(-1)[a:b]
-                           for v in (self.mg.lam, self.mg.mu, self.two_mu))
+                           for v in (self.lam, self.mu, self.two_mu))
         G, S, lam_div = G[:, a:b], self.sigma.reshape(3, -1)[:, a:b], self.lam_div.reshape(-1)[a:b]
         np.add(G[0], G[3], out=lam_div)
         lam_div *= lam
@@ -204,23 +208,20 @@ class _Workspace:
         np.add(G[1], G[2], out=S[1])
         S[1] *= mu
 
-    def step(self, u, u_prev, u_next, dt: float, rows):
-        """Leapfrog on the strip: u_next = 2 u - u_prev + dt^2 rho^-1 div
-        sigma, with sigma from the last stress of every strip.  The
-        gradients are spent by then; their buffer serves as scratch."""
-        nx, ny, h2 = self.mg.grid.nx, self.mg.grid.ny, 2.0 * self.mg.grid.h
+    def step(self, u, u_prev, u_next, rows):
+        """Leapfrog on the strip: u_next = coef div sigma + (2 u - u_prev),
+        with sigma from the last stress of every strip and its divergence
+        undivided.  The differences are spent by then; their buffer serves
+        as scratch."""
+        (nx, ny), coef = u.shape[1:], self.coef
         lo, hi = max(rows[0] * ny, ny + 1), min(rows[1] * ny, nx * ny - ny - 1)
         s, t = self.sigma.reshape(3, -1), self.grad.reshape(4, -1)[:2, lo:hi]
         out = u_next.reshape(2, -1)[:, lo:hi]
         # d/dx (sxx, sxy) + d/dy (sxy, syy), each a centered difference
         np.subtract(s[:2, lo + ny:hi + ny], s[:2, lo - ny:hi - ny], out=out)
-        out /= h2
         np.subtract(s[1:, lo + 1:hi + 1], s[1:, lo - 1:hi - 1], out=t)
-        t /= h2
         out += t
-        rho = self.mg.rho
-        out /= rho if isinstance(rho, float) else rho.reshape(-1)[lo:hi]
-        out *= dt * dt
+        out *= coef if isinstance(coef, float) else coef[lo:hi]
         np.multiply(u.reshape(2, -1)[:, lo:hi], 2.0, out=t)
         t -= u_prev.reshape(2, -1)[:, lo:hi]
         out += t
@@ -255,11 +256,12 @@ def energy(state: WavefieldState, mg: MaterialGrid) -> float:
     h = mg.grid.h
     v = state.velocity
     kinetic = mg.rho * (v[:, :, 0] ** 2 + v[:, :, 1] ** 2)
-    ws = _Workspace(mg, np.float64)
+    ws = _Workspace(mg, np.float64, state.dt)
     ws.stress(np.ascontiguousarray(np.moveaxis(state.u, -1, 0), dtype=float),
               (0, mg.grid.nx))
     (dux_dx, dux_dy, duy_dx, duy_dy), (sxx, sxy, syy) = ws.grad, ws.sigma
-    strain = sxx * dux_dx + syy * duy_dy + sxy * (dux_dy + duy_dx)
+    # differences and stresses both come out times 2h
+    strain = (sxx * dux_dx + syy * duy_dy + sxy * (dux_dy + duy_dx)) / (4.0 * h * h)
     return 0.5 * float(np.sum(kinetic + strain)) * h * h
 
 
@@ -289,9 +291,9 @@ def receiver_nodes(domain: BoxDomain, grid: Grid2D, receivers):
 
 def _row_strips(nx: int, ny: int):
     """Row ranges (r0, r1) covering the nx rows, one per core, as equal as
-    rows allow and no more than one per _MIN_NODES_PER_STRIP nodes."""
+    rows allow and no more than one per row or _MIN_NODES_PER_STRIP nodes."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n = max(1, min(cores or 1, nx * ny // _MIN_NODES_PER_STRIP))
+    n = max(1, min(cores or 1, nx, nx * ny // _MIN_NODES_PER_STRIP))
     return [(nx * k // n, nx * (k + 1) // n) for k in range(n)]
 
 
@@ -324,30 +326,36 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     check_cfl(mg, dt)
 
     rec = receiver_nodes(domain, grid, receivers)
+    def flat(sl):       # flat indices of the edge nodes that sl picks out
+        return np.arange(nx)[sl[0]] * ny + np.arange(ny)[sl[1]]
     # each receiver's flat node index and outward normal
-    nodes = np.arange(nx * ny).reshape(nx, ny)
-    idx = np.array([nodes[_edge_nodes(e)[0]][k] for e, k, _ in rec], dtype=int)
+    idx = np.array([flat(_edge_nodes(e)[0])[k] for e, k, _ in rec], dtype=int)
     nrm_x, nrm_y = np.array([_edge_nodes(e)[1] for e, _, _ in rec]).reshape(-1, 2).T
     n_steps = int(round(T / dt))
     traces = np.zeros((len(rec), n_steps + 1, 2))
     snaps = []
     snap_left = sorted(snapshot_times)
 
-    ws = _Workspace(mg, np.float32)
+    ws = _Workspace(mg, np.float32, dt)
     patch = _source_patch(grid, source)
+    on = flat(patch[0])[patch[1] != 0] // ny       # the rows of nonzero patch nodes
+    p_lo, p_hi = (int(on.min()), int(on.max()) + 1) if on.size else (0, 0)  # else u stays 0
     u_prev, u, u_next = np.zeros((3, 2, nx, ny), np.float32)
     pol_max = float(np.abs(source.polarization).max())
     u_bound, u_max = _BLOW_UP_FACTOR * pol_max, None
     t = 0.0
     _apply_dirichlet(u, patch, float(source.pulse(t)))
-    strips = _row_strips(nx, ny)
-    if len(strips) > 1:
+    threads, window_cell_steps = len(_row_strips(nx, ny)), 0
+    if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
-    with (ThreadPoolExecutor(len(strips) - 1) if len(strips) > 1
+    with (ThreadPoolExecutor(threads - 1) if threads > 1
           else contextlib.nullcontext()) as pool:
         for n in range(n_steps + 1):
+            # skip the rows past 2 n + 2 of the driven ones: still zero in every buffer
+            a, b = max(0, p_lo - 2 * n - 2), min(nx, p_hi + 2 * n + 2)
+            strips = [(a + r0, a + r1) for r0, r1 in _row_strips(b - a, ny)]
             _on_strips(pool, strips, ws.stress, u)
-            sxx, sxy, syy = ws.sigma.reshape(3, -1)[:, idx]
+            sxx, sxy, syy = ws.sigma.reshape(3, -1)[:, idx].astype(float) / (2.0 * h)
             traces[:, n, 0] = sxx * nrm_x + sxy * nrm_y
             traces[:, n, 1] = sxy * nrm_x + syy * nrm_y
             while snap_left and t >= snap_left[0] - 0.5 * dt:
@@ -356,7 +364,8 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
                 snap_left.pop(0)
             if n == n_steps:
                 break
-            _on_strips(pool, strips, ws.step, u, u_prev, u_next, dt)
+            _on_strips(pool, strips, ws.step, u, u_prev, u_next)
+            window_cell_steps += (b - a) * ny
             t += dt
             _apply_dirichlet(u_next, patch, float(source.pulse(t)))
             u_prev, u, u_next = u, u_next, u_prev
@@ -374,8 +383,9 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
             "source": {"edge": source.edge, "center": source.center,
                        "width": source.width, "f0": source.f0, "t0": source.delay,
                        "polarization": list(source.polarization)}}
-    counters = {"steps": n_steps, "cell_steps": nx * ny * n_steps, "dt": dt,
+    counters = {"steps": n_steps, "cell_steps": nx * ny * n_steps,
+                "window_cell_steps": window_cell_steps, "dt": dt,
                 "dt_over_limit": dt / limit,
                 "max_u_over_pol": u_max / pol_max if u_max is not None and pol_max else None,
-                "threads": len(strips)}
+                "threads": threads}
     return SimulationResult(out, grid, dt, snaps, meta, counters)

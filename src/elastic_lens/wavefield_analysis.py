@@ -177,16 +177,17 @@ def _envelope(samples, dt, f0):
     return _causal_mean(np.sqrt(mag2), 0.25 / (f0 * dt))
 
 
-def _onset(env, t, eta, lo, hi):
+def _onset(env, t, eta, lo, hi, top=None):
     """(j, onset time) in the span [lo, hi) of the envelope env sampled at
-    times t, or None when env is zero on the span.  j is the first sample
-    reaching eta times the span's maximum; the onset is interpolated
-    linearly from sample j - 1, and is t[lo] when the span opens above the
-    threshold."""
-    thr = eta * env[lo:hi].max(initial=0.0)
-    if thr <= 0.0:
+    times t, or None when no sample of it reaches a positive threshold, eta
+    times the maximum over [lo, top) (by default, the span).  j is the first
+    sample reaching it; the onset is interpolated linearly from sample
+    j - 1, and is t[lo] when the span opens above the threshold."""
+    thr = eta * env[lo:hi if top is None else top].max(initial=0.0)
+    above = env[lo:hi] >= thr
+    if thr <= 0.0 or not above.any():
         return None
-    j = lo + int(np.argmax(env[lo:hi] >= thr))
+    j = lo + int(np.argmax(above))
     if j == lo:
         return j, float(t[lo])
     e0, e1 = env[j - 1], env[j]
@@ -254,15 +255,21 @@ def reference_onset(source, dt: float, eta: float) -> float:
     return pick.time
 
 
-def _travel_time(env, t, ell, t_ref, f0, eta):
-    """Onset inside the window [ell + t_ref +- 1.5/f0] less t_ref; None
-    without a prediction ell or an onset."""
+def _travel_time(env, t, ell, t_ref, f0, eta, other=None):
+    """(onset in the window [ell + t_ref +- 1.5/f0] less t_ref, whether the
+    envelope peaks on the last sample of the pulse span), or (None, False).
+    The threshold comes from the span of the predicted pulse, which the
+    window may cut: from the window's start to 3/f0 (the pulse's duration)
+    past the predicted onset, or to the start of a later arrival `other`."""
     if ell is None:
-        return None
+        return None, False
     lo = np.searchsorted(t, ell + t_ref - 1.5 / f0)
     hi = np.searchsorted(t, ell + t_ref + 1.5 / f0, side="right")
-    onset = _onset(env, t, eta, lo, hi)
-    return None if onset is None else onset[1] - t_ref
+    end = ell + t_ref + 3.0 / f0
+    top = np.searchsorted(t, min(end, other) if other is not None and other > ell else end)
+    onset = _onset(env, t, eta, lo, hi, top)
+    return ((None, False) if onset is None
+            else (onset[1] - t_ref, bool(env[top - 1] == env[lo:top].max())))
 
 
 def extract_lens(traces, source, source_point, receivers, predictions,
@@ -272,12 +279,13 @@ def extract_lens(traces, source, source_point, receivers, predictions,
     predictions: per-receiver (ell_p, ell_s) travel times from the ray
     tracer (use None for an unavailable mode).  Each predicted arrival is
     picked inside a window of half-width 1.5/f0 around the predicted time,
-    as the first crossing of eta times the in-window envelope maximum
-    (same onset convention as the reference pulse, so the picker bias
-    cancels).  Windowing keeps later boundary-converted phases out of the
-    onset search; ambiguity (predictions closer than 3/f0, i.e.
-    overlapping windows) and pick collisions are flagged rather than
-    silently resolved.
+    as the first crossing of eta times the envelope's peak over the whole
+    predicted pulse (same onset convention as the reference pulse, so the
+    picker bias cancels), which moving the window's edges does not move.
+    Windowing keeps later boundary-converted phases out of the onset
+    search; ambiguity (predictions closer than 3/f0, i.e. overlapping
+    windows), pick collisions and a peak on the pulse span's last sample
+    are flagged rather than silently resolved.
     """
     if not (len(traces) == len(receivers) == len(predictions)):
         raise PreconditionError("traces, receivers and predictions must align")
@@ -294,7 +302,9 @@ def extract_lens(traces, source, source_point, receivers, predictions,
         if ell_p is None and ell_s is None:
             flags.append("no-prediction")
 
-        t_p, t_s = (_travel_time(env, t, ell, t_ref, f0, eta) for ell in (ell_p, ell_s))
+        (t_p, edge_p), (t_s, edge_s) = (_travel_time(env, t, ell, t_ref, f0, eta, other)
+                                        for ell, other in ((ell_p, ell_s), (ell_s, ell_p)))
+        flags += [f"{m}-peak-on-edge" for m, edge in (("p", edge_p), ("s", edge_s)) if edge]
         if t_p is None and t_s is None:
             flags.append("no-pick")
         if t_p is not None and t_s is not None:

@@ -588,6 +588,8 @@ def test_homogeneous_pipeline_manifest_records_stages(tmp_path):
     assert counters["steps"] == meta["steps"] == 113
     assert counters["dt"] == meta["dt"]
     assert counters["cell_steps"] == meta["grid"]["nx"] * meta["grid"]["ny"] * 113
+    # a left source drives row 0; step n runs on rows [0, 2 n + 3) of the 51
+    assert counters["window_cell_steps"] == sum(min(51, 2 * n + 3) for n in range(113)) * 121
     # the default step, h / c_p, against the limit sqrt(2) h / c_p
     assert counters["dt_over_limit"] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
     # metadata.json records that limit, the one dt_over_limit divides by
@@ -595,7 +597,7 @@ def test_homogeneous_pipeline_manifest_records_stages(tmp_path):
     # the amplitude at step 64, the only blow-up check of the run
     assert 0.0 < counters["max_u_over_pol"] < 1.3
     # run health stays out of the data files
-    assert not {"dt_over_limit", "max_u_over_pol", "cell_steps"} & set(meta)
+    assert not {"dt_over_limit", "max_u_over_pol", "cell_steps", "window_cell_steps"} & set(meta)
 
 
 def test_pipeline_missing_model_key(tmp_path):

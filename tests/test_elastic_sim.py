@@ -2,10 +2,13 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from elastic_lens import elastic_sim
 from elastic_lens.elastic_sim import (BoundarySource, MaterialGrid, bump,
@@ -115,6 +118,26 @@ def test_energy_accumulates_in_float64(unit_material, unit_box):
     assert energy(s32, mg) == energy(s64, mg) > 0.0
 
 
+@pytest.mark.parametrize("strain, v", [((0.3, -0.2), (0.0, 0.0)),
+                                        ((0.0, 0.0), (0.4, 0.5)),
+                                        ((0.3, -0.2), (0.4, 0.5))],
+                         ids=["strain", "kinetic", "both"])
+def test_energy_of_uniform_strain_and_velocity_is_closed_form(strain, v):
+    # every difference, one-sided ones included, is exact on u = (a x, b y),
+    # and u_prev = u - dt v gives the uniform velocity v
+    lam, mu, rho, (a, b), h, nx, ny, dt = 2.0, 0.7, 1.3, strain, 0.05, 21, 17, 0.01
+    grid = Grid2D((0.0, 0.0), h, nx, ny)
+    X, Y = np.meshgrid(*grid.nodes(), indexing="ij")
+    u = np.stack([a * X, b * Y], axis=-1)
+    state = WavefieldState(u, u - dt * np.asarray(v), 0.0, grid, dt)
+    mg = sample_material(ElasticMaterial(ConstantField(lam), ConstantField(mu),
+                                         ConstantField(rho)), grid)
+    strain_energy = 0.5 * (lam * (a + b) ** 2 + 2.0 * mu * (a * a + b * b))
+    kinetic = 0.5 * rho * (v[0] ** 2 + v[1] ** 2)
+    assert energy(state, mg) == pytest.approx((strain_energy + kinetic) * nx * ny * h * h,
+                                              rel=1e-12)
+
+
 def test_wavefield_is_float32_traces_and_dt_float64(unit_box):
     mat = _REFERENCE_MATERIALS["linear-lame"]
     src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
@@ -193,17 +216,26 @@ def test_simulate_requires_time_and_resolution(unit_material, unit_box):
                     h=0.02, dt=1.0)
 
 
-def _reference_dn(material, domain, source, receivers, T, h, dt, dtype=np.float32):
-    """The FD step written plainly with np.gradient on (nx, ny, 2) arrays of
-    displacement and nodal material arrays of the given dtype, with the
-    traces formed in float64: in float32, simulate_dn must reproduce its
-    traces and final displacement bit for bit."""
+def _reference_dn(material, domain, source, receivers, T, h, dt, dtype=np.float32,
+                  physical=False):
+    """The FD scheme written plainly over the full grid, on (nx, ny, 2)
+    arrays of displacement and nodal material arrays of the given dtype,
+    with the traces formed in float64.  By default it follows the folded
+    order: undivided differences f[i+1] - f[i-1], one-sided 2 (f_p - f_q)
+    at the ends; stresses (2 mu G) + lam div, times 2h; their undivided
+    divergence times dt^2 / (4 h^2 rho); then + (2 u - u_prev).  In float32
+    simulate_dn must reproduce its traces and final displacement bit for
+    bit.  physical=True takes np.gradient's derivatives over h instead,
+    and dt^2 / rho: the same scheme in physical units."""
     w = domain.widths
     grid = Grid2D(tuple(domain.lo), h, *(int(round(w[a] / h)) + 1 for a in (0, 1)))
     xs, ys = grid.nodes()
     X = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    lam, mu, rho = (f.eval(X)[0].reshape(len(xs), len(ys)).astype(dtype)
+    lam, mu, rho = (f.eval(X)[0].reshape(len(xs), len(ys))
                     for f in (material.lam, material.mu, material.rho))
+    scale = 1.0 if physical else 2.0 * h       # of a difference against the derivative
+    coef = (dt * dt / (scale * scale * rho)).astype(dtype)[:, :, None]
+    lam, mu = lam.astype(dtype), mu.astype(dtype)
     axis, side = EDGES[source.edge]
     patch = [slice(None)] * 2
     patch[axis] = -side
@@ -215,7 +247,12 @@ def _reference_dn(material, domain, source, receivers, T, h, dt, dtype=np.float3
         u[tuple(patch)] = np.outer(prof * float(source.pulse(t)), pol)
 
     def d(f, a):
-        return np.gradient(f, h, axis=a)
+        if physical:
+            return np.gradient(f, h, axis=a)
+        f = np.moveaxis(f, a, 0)
+        g = np.concatenate([2.0 * (f[1:2] - f[:1]), f[2:] - f[:-2],
+                            2.0 * (f[-1:] - f[-2:-1])])
+        return np.moveaxis(g, 0, a)
 
     at = []
     for edge, k, _ in receiver_nodes(domain, grid, receivers):
@@ -227,17 +264,17 @@ def _reference_dn(material, domain, source, receivers, T, h, dt, dtype=np.float3
     walls(u, t)
     for n in range(int(round(T / dt)) + 1):
         div = d(u[:, :, 0], 0) + d(u[:, :, 1], 1)
-        sxx = lam * div + 2.0 * mu * d(u[:, :, 0], 0)
-        syy = lam * div + 2.0 * mu * d(u[:, :, 1], 1)
+        sxx = 2.0 * mu * d(u[:, :, 0], 0) + lam * div
+        syy = 2.0 * mu * d(u[:, :, 1], 1) + lam * div
         sxy = mu * (d(u[:, :, 0], 1) + d(u[:, :, 1], 0))
-        # a float32 scalar times a Python float stays float32: upcast first
-        sxx64, sxy64, syy64 = (s.astype(float) for s in (sxx, sxy, syy))
+        # a float32 array over a Python float stays float32: upcast first
+        sxx64, sxy64, syy64 = (s.astype(float) / scale for s in (sxx, sxy, syy))
         traces.append([(sxx64[i] * nx + sxy64[i] * ny, sxy64[i] * nx + syy64[i] * ny)
                        for i, (nx, ny) in at])
         if n == int(round(T / dt)):
             return np.array(traces).transpose(1, 0, 2), u
         acc = np.stack([d(sxx, 0) + d(sxy, 1), d(sxy, 0) + d(syy, 1)], axis=-1)
-        u, u_prev = 2.0 * u - u_prev + dt * dt * (acc / rho[:, :, None]), u
+        u, u_prev = coef * acc + (2.0 * u - u_prev), u
         t += dt
         walls(u, t)
 
@@ -252,6 +289,9 @@ _REFERENCE_MATERIALS = {
     "variable-rho": ElasticMaterial(LinearField(1.0, (0.5, 0.0)),
                                     ConstantField(0.8),
                                     LinearField(1.5, (-0.3, 0.6))),
+    "linear-lame-rho": ElasticMaterial(LinearField(1.0, (0.5, -0.3)),
+                                       LinearField(1.2, (-0.2, 0.4)),
+                                       LinearField(1.5, (-0.3, 0.6))),
 }
 
 
@@ -283,7 +323,8 @@ def test_float32_wavefield_tracks_float64_reference(unit_box, material, h):
                          polarization=(1.0, 0.0))
     receivers = [(1.0, 0.5), (0.3, 1.0), (0.6, 0.0)]
     res = simulate_dn(mat, unit_box, src, receivers, T=0.9, h=h)
-    ref, _ = _reference_dn(mat, unit_box, src, receivers, 0.9, h, res.dt, dtype=float)
+    ref, _ = _reference_dn(mat, unit_box, src, receivers, 0.9, h, res.dt, dtype=float,
+                           physical=True)
     got = np.array([tr.samples for tr in res.traces])
     assert np.linalg.norm(got - ref) <= 1e-4 * np.linalg.norm(ref)
     for g, r in zip(got, ref):
@@ -308,6 +349,7 @@ def test_row_strips_one_per_core_above_the_node_minimum(monkeypatch):
     assert elastic_sim._row_strips(10, 19) == [(0, 10)]
     assert elastic_sim._row_strips(10, 20) == [(0, 5), (5, 10)]
     assert elastic_sim._row_strips(10, 100) == [(0, 3), (3, 6), (6, 10)]
+    assert elastic_sim._row_strips(2, 1000) == [(0, 1), (1, 2)]     # no empty strip
 
 
 @pytest.mark.parametrize("h", [0.05, 0.01])
@@ -362,3 +404,68 @@ def test_strip_error_reaches_the_caller_and_leaves_no_thread(unit_material, unit
     with pytest.raises(NumericalError, match="strip failed"):
         simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], T=0.2, h=0.05)
     assert threading.active_count() == threads
+
+
+@example(edge="left", center=0.525, width=0.02, angle=1.0, h=0.05,
+         material="constant", strips=3)          # the bump holds no node
+@given(edge=st.sampled_from(list(EDGES)), center=st.floats(0.2, 0.8),
+       width=st.floats(0.01, 0.4), angle=st.floats(0.0, 2.0 * math.pi),
+       h=st.sampled_from([0.02, 0.025, 0.04, 0.05]),
+       material=st.sampled_from(["constant", "linear-lame-rho"]),
+       strips=st.integers(1, 3))
+def test_row_window_is_invisible(edge, center, width, angle, h, material, strips):
+    # step n runs only on the rows within 2 n + 2 of the driven ones; the
+    # full-grid reference must not see the difference, in any strips
+    mat, unit_box = _REFERENCE_MATERIALS[material], BoxDomain((0.0, 0.0), (1.0, 1.0))
+    src = BoundarySource(edge=edge, center=center, width=width, f0=8.0,
+                         polarization=(math.cos(angle), math.sin(angle)))
+    receivers = [(1.0, 0.5), (0.3, 1.0), (0.6, 0.0), (0.0, 0.4)]
+    nx = int(round(1.0 / h)) + 1
+    dt = stable_dt(sample_material(mat, Grid2D((0.0, 0.0), h, nx, nx)))
+    n = nx // 4                                  # the front is 2 n rows out
+    # the rows of nonzero patch nodes: the profile's support along a bottom
+    # or top edge, the one wall row of a left or right edge
+    axis, side = EDGES[edge]
+    prof = src.profile(np.linspace(0.0, 1.0, nx))
+    driven = np.flatnonzero(prof) if axis == 1 else np.flatnonzero([prof.any()]) + (nx - 1) * side
+    with pytest.MonkeyPatch.context() as mp:
+        _force_strips(mp, strips)
+        res = simulate_dn(mat, unit_box, src, receivers, T=0.5, h=h, dt=dt,
+                          snapshot_times=(n * dt, 0.5))
+    traces, u = _reference_dn(mat, unit_box, src, receivers, 0.5, h, dt)
+    assert np.array_equal(np.array([tr.samples for tr in res.traces]), traces)
+    assert np.array_equal(res.snapshots[-1].u, u)
+    rows = np.flatnonzero(np.any(res.snapshots[0].u != 0.0, axis=(1, 2)))
+    if driven.size:
+        assert driven.min() - 2 * n <= rows.min() and rows.max() < driven.max() + 1 + 2 * n
+        assert np.abs(u).max() > 0.0
+    else:
+        assert rows.size == 0 and not np.any(u) and not np.any(traces)
+
+
+def test_stress_and_step_allocate_no_plane(unit_material, unit_box, monkeypatch):
+    # the kernel works in place: no call allocates a plane-sized temporary
+    nx = ny = 101
+    peaks = []
+
+    def traced(fn):
+        def call(self, *args):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fn(self, *args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return call
+
+    for name in ("stress", "step"):
+        monkeypatch.setattr(elastic_sim._Workspace, name,
+                            traced(getattr(elastic_sim._Workspace, name)))
+    src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
+                         polarization=(0.6, 0.8))
+    tracemalloc.start()
+    try:
+        res = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], T=0.4, h=1.0 / (nx - 1))
+    finally:
+        tracemalloc.stop()
+    assert res.grid.nx == nx and res.counters["threads"] == 1
+    assert len(peaks) == 2 * res.counters["steps"] + 1
+    assert 0 < max(peaks) < nx * ny * 4

@@ -171,6 +171,42 @@ def test_extract_lens_matches_synthetic_arrivals():
     assert "mode-order-violation" not in rec.flags
 
 
+def test_window_picks_do_not_depend_on_the_window_edge():
+    # the S arrival is broader than the source pulse, so its envelope still
+    # rises where its window ends, as on the acceptance traces; moving both
+    # predictions, and so the window ends, by 1 or 3 samples must leave the
+    # picks where they are
+    f0, dt = 15.0, 5e-4
+    src = BoundarySource(edge="left", center=0.5, width=0.1, f0=f0,
+                         polarization=(1.0, 0.0))
+    t = np.arange(0.0, 2.0, dt)
+    sig = ricker(t - 0.6, f0, 1.5 / f0) + 0.7 * ricker(t - 1.1, f0 / 1.6, 2.4 / f0)
+    trace = TractionTrace((1.0, 0.5), dt, np.column_stack([sig, 0.3 * sig]))
+
+    def picks(k):
+        rec, = extract_lens([trace], src, (0.0, 0.5), [(1.0, 0.5)],
+                            [(0.6 + k * dt, 1.1 + k * dt)], eta=0.05)
+        assert rec.flags == []
+        return rec.t_p, rec.t_s
+
+    base = picks(0)
+    for k in (-3, -1, 1, 3):
+        assert picks(k) == pytest.approx(base, abs=1e-12)
+
+
+def test_extract_lens_flags_a_peak_on_the_pulse_span_edge():
+    # an S pulse so broad that its envelope peaks past the span 3/f0 beyond
+    # the predicted onset
+    f0, dt = 15.0, 5e-4
+    src = BoundarySource(edge="left", center=0.5, width=0.1, f0=f0,
+                         polarization=(1.0, 0.0))
+    t = np.arange(0.0, 2.0, dt)
+    sig = ricker(t - 0.6, f0, 1.5 / f0) + ricker(t - 1.1, f0 / 3.0, 4.5 / f0)
+    trace = TractionTrace((1.0, 0.5), dt, np.column_stack([sig, 0.3 * sig]))
+    rec, = extract_lens([trace], src, (0.0, 0.5), [(1.0, 0.5)], [(0.6, 1.1)], eta=0.05)
+    assert rec.flags == ["s-peak-on-edge"]
+
+
 def test_extract_lens_flags_ambiguous_predictions():
     f0, dt = 15.0, 5e-4
     src = BoundarySource(edge="left", center=0.5, width=0.1, f0=f0,
