@@ -15,15 +15,16 @@ order at the edges), matching the divergence form of the operator and
 keeping the discretization self-adjoint up to edge effects.  The
 differences are undivided (stresses times 2h, divergence times 4h^2): one
 coefficient dt^2 / (4 h^2 rho) takes all scales; traces are divided by 2h.
-One stress evaluation per step yields both the Neumann traces and the
-update.  A step works in place on float32 buffers allocated once per run
-(the step is memory-bound), with the displacement held as planar
-(2, nx, ny) arrays; dt and the traces are float64.  On A3 the traces stay
-within 1.8e-6 (relative L2) of a float64 run, the picks within 1e-8 s.
-Step n skips the rows more than 2 n + 2 from those the source drives:
-they are still exactly zero.  On large grids each core steps one strip of
-rows; every node sees the same float32 operations in any strips, so the
-output does not depend on the core count.
+One stress evaluation per step, formed in place over the differences,
+yields both the Neumann traces and the update.  A step works on float32
+buffers allocated once per run (it is memory-bound), the displacement held
+as planar (2, nx, ny) arrays; dt and the traces are float64.  On A3 the
+traces stay within 1.8e-6 (relative L2) of a float64 run, the picks within
+1e-8 s.  Step n skips the rows past 2 n + 2 of those the source drives
+(still exactly zero) and, once no snapshot is pending, past 2 (N - n) of
+the receivers' (no later trace reads them).  On large grids each core steps
+one strip of rows; every node sees the same float32 operations in any
+strips, so the output does not depend on the core count.
 
 Stability limit.  Every derivative is the centered difference D0, whose
 symbol on exp(i k.x) is i sin(k h)/h.  With constant coefficients the
@@ -164,13 +165,13 @@ def check_cfl(mg: MaterialGrid, dt: float):
 
 
 class _Workspace:
-    """The buffers of one FD run, allocated once: planar (nx, ny) differences
-    and stresses in `dtype`, and the array-valued Lame fields and update
-    coefficient cast to it.  `stress` and `step` work on the rows r0 to
-    r1 - 1, rows = (r0, r1); a step updates the strip's flat nodes from
-    (1, 1) to (nx-2, ny-2): interior nodes and, between them, wall nodes
-    that _apply_dirichlet overwrites.  Every pass is contiguous; a node
-    gets the same operations in any strips."""
+    """The buffers of one FD run, allocated once: planes (5, nx, ny) in `dtype`,
+    [dux/dx, dux/dy, duy/dy, duy/dx, lam div u], the first three turned into
+    sxx, sxy, syy in place; the array-valued Lame fields and update
+    coefficient cast to it.  `stress` and `step` work on the rows r0 to r1 - 1,
+    rows = (r0, r1); a step updates the strip's flat nodes from (1, 1) to
+    (nx-2, ny-2): interior nodes and, between them, wall nodes that
+    _apply_dirichlet overwrites.  A node gets the same operations in any strips."""
 
     def __init__(self, mg: MaterialGrid, dtype, dt: float):
         nx, ny, h = mg.grid.nx, mg.grid.ny, mg.grid.h
@@ -179,47 +180,49 @@ class _Workspace:
         self.two_mu = 2.0 * self.mu
         coef = dt * dt / (4.0 * h * h * mg.rho)
         self.coef = coef if isinstance(coef, float) else coef.astype(dtype).reshape(-1)
-        self.grad = np.empty((4, nx, ny), dtype)    # dux/dx, dux/dy, duy/dx, duy/dy
-        self.sigma = np.zeros((3, nx, ny), dtype)   # sxx, sxy, syy; zero rows unwritten
-        self.lam_div = np.empty((nx, ny), dtype)
+        self.planes = np.zeros((5, nx, ny), dtype)    # rows never stepped stay zero
+        self.sigma = self.planes[:3]
 
-    def stress(self, u, rows):
-        """Differences and stresses of the planar displacement u (2, nx, ny)
-        on the strip, times 2h: u[i+1] - u[i-1] (along the flattened arrays,
-        so along y they wrap from row to row at the ends), then one-sided
-        2 (u_p - u_q) at the walls."""
+    def differences(self, u, rows):
+        """Differences of the planar u (2, nx, ny) on the strip, times 2h, into
+        planes 0-3: u[i+1] - u[i-1] along the flattened arrays (so along y they
+        wrap from row to row at the ends), then one-sided 2 (u_p - u_q) at walls."""
         (r0, r1), (nx, ny) = rows, u.shape[1:]
-        a, b, g = r0 * ny, r1 * ny, self.grad
-        U, G = u.reshape(2, -1), g.reshape(4, -1)
-        for k, s in ((0, ny), (1, 1)):     # along x, then y
+        a, b, g = r0 * ny, r1 * ny, self.planes
+        U, G = u.reshape(2, -1), g.reshape(5, -1)
+        for k, s in ((slice(0, 4, 3), ny), (slice(1, 3), 1)):     # along x, then y
             lo, hi = max(a, s), min(b, nx * ny - s)
-            np.subtract(U[:, lo + s:hi + s], U[:, lo - s:hi - s], out=G[k::2, lo:hi])
+            np.subtract(U[:, lo + s:hi + s], U[:, lo - s:hi - s], out=G[k, lo:hi])
         for i, p, q in ((0, 1, 0), (nx - 1, nx - 1, nx - 2)):    # row i
             if r0 <= i < r1:
-                g[0::2, i] = 2.0 * (u[:, p] - u[:, q])
-        g[1::2, r0:r1, [0, -1]] = 2.0 * (u[:, r0:r1, [1, -1]] - u[:, r0:r1, [0, -2]])
+                g[0:4:3, i] = 2.0 * (u[:, p] - u[:, q])
+        g[1:3, r0:r1, [0, -1]] = 2.0 * (u[:, r0:r1, [1, -1]] - u[:, r0:r1, [0, -2]])
+
+    def stress(self, u, rows):
+        """The strip's stresses, times 2h, formed in place over its differences."""
+        self.differences(u, rows)
+        a, b = rows[0] * u.shape[2], rows[1] * u.shape[2]
         lam, mu, two_mu = (v if isinstance(v, float) else v.reshape(-1)[a:b]
                            for v in (self.lam, self.mu, self.two_mu))
-        G, S, lam_div = G[:, a:b], self.sigma.reshape(3, -1)[:, a:b], self.lam_div.reshape(-1)[a:b]
-        np.add(G[0], G[3], out=lam_div)
-        lam_div *= lam
-        np.multiply(two_mu, G[0::3], out=S[0::2])
-        S[0::2] += lam_div
-        np.add(G[1], G[2], out=S[1])
-        S[1] *= mu
+        P = self.planes.reshape(5, -1)[:, a:b]
+        np.add(P[0], P[2], out=P[4])
+        P[4] *= lam
+        P[0:3:2] *= two_mu
+        P[0:3:2] += P[4]
+        P[1] += P[3]
+        P[1] *= mu
 
     def step(self, u, u_prev, u_next, rows):
         """Leapfrog on the strip: u_next = coef div sigma + (2 u - u_prev),
         with sigma from the last stress of every strip and its divergence
-        undivided.  The differences are spent by then; their buffer serves
-        as scratch."""
+        undivided.  Planes 3 and 4 are spent by then and serve as scratch."""
         (nx, ny), coef = u.shape[1:], self.coef
         lo, hi = max(rows[0] * ny, ny + 1), min(rows[1] * ny, nx * ny - ny - 1)
-        s, t = self.sigma.reshape(3, -1), self.grad.reshape(4, -1)[:2, lo:hi]
+        s, t = self.planes.reshape(5, -1), self.planes.reshape(5, -1)[3:5, lo:hi]
         out = u_next.reshape(2, -1)[:, lo:hi]
         # d/dx (sxx, sxy) + d/dy (sxy, syy), each a centered difference
         np.subtract(s[:2, lo + ny:hi + ny], s[:2, lo - ny:hi - ny], out=out)
-        np.subtract(s[1:, lo + 1:hi + 1], s[1:, lo - 1:hi - 1], out=t)
+        np.subtract(s[1:3, lo + 1:hi + 1], s[1:3, lo - 1:hi - 1], out=t)
         out += t
         out *= coef if isinstance(coef, float) else coef[lo:hi]
         np.multiply(u.reshape(2, -1)[:, lo:hi], 2.0, out=t)
@@ -257,11 +260,11 @@ def energy(state: WavefieldState, mg: MaterialGrid) -> float:
     v = state.velocity
     kinetic = mg.rho * (v[:, :, 0] ** 2 + v[:, :, 1] ** 2)
     ws = _Workspace(mg, np.float64, state.dt)
-    ws.stress(np.ascontiguousarray(np.moveaxis(state.u, -1, 0), dtype=float),
-              (0, mg.grid.nx))
-    (dux_dx, dux_dy, duy_dx, duy_dy), (sxx, sxy, syy) = ws.grad, ws.sigma
-    # differences and stresses both come out times 2h
-    strain = (sxx * dux_dx + syy * duy_dy + sxy * (dux_dy + duy_dx)) / (4.0 * h * h)
+    ws.differences(np.ascontiguousarray(np.moveaxis(state.u, -1, 0), dtype=float),
+                   (0, mg.grid.nx))
+    dxx, dxy, dyy, dyx = ws.planes[:4]      # times 2h
+    strain = (mg.lam * (dxx + dyy) ** 2 + 2.0 * mg.mu * (dxx * dxx + dyy * dyy)
+              + mg.mu * (dxy + dyx) ** 2) / (4.0 * h * h)      # sigma(u) : grad u
     return 0.5 * float(np.sum(kinetic + strain)) * h * h
 
 
@@ -301,7 +304,8 @@ def _on_strips(pool, strips, fn, *args):
     """fn(*args, rows) on every strip, the first in this thread and the
     others on the pool; returns once all are done, raising their errors."""
     others = [pool.submit(fn, *args, rows) for rows in strips[1:]]
-    fn(*args, strips[0])
+    for rows in strips[:1]:
+        fn(*args, rows)
     for f in others:
         f.result()
 
@@ -340,6 +344,7 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     patch = _source_patch(grid, source)
     on = flat(patch[0])[patch[1] != 0] // ny       # the rows of nonzero patch nodes
     p_lo, p_hi = (int(on.min()), int(on.max()) + 1) if on.size else (0, 0)  # else u stays 0
+    r_lo, r_hi = (int(idx.min()) // ny, int(idx.max()) // ny + 1) if idx.size else (0, nx)
     u_prev, u, u_next = np.zeros((3, 2, nx, ny), np.float32)
     pol_max = float(np.abs(source.polarization).max())
     u_bound, u_max = _BLOW_UP_FACTOR * pol_max, None
@@ -351,10 +356,15 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     with (ThreadPoolExecutor(threads - 1) if threads > 1
           else contextlib.nullcontext()) as pool:
         for n in range(n_steps + 1):
-            # skip the rows past 2 n + 2 of the driven ones: still zero in every buffer
-            a, b = max(0, p_lo - 2 * n - 2), min(nx, p_hi + 2 * n + 2)
-            strips = [(a + r0, a + r1) for r0, r1 in _row_strips(b - a, ny)]
-            _on_strips(pool, strips, ws.stress, u)
+            # Rows past 2 n + 2 of the driven ones are still zero.  With no snapshot
+            # pending, rows past m = 2 (n_steps - n) of the receivers' go unstepped:
+            # sigma^k reads u^k one row out, which read sigma^(k-1) one row further,
+            # so the traces from step n on need sigma^n within m rows and u^n within
+            # m + 1, exact after a step on the rows within m (m - 1 would not do).
+            m = nx if snap_left else 2 * (n_steps - n)
+            a, b = max(0, p_lo - 2 * n - 2, r_lo - m), min(nx, p_hi + 2 * n + 2, r_hi + m)
+            strips = [(a + r0, a + r1) for r0, r1 in _row_strips(b - a, ny)] if a < b else []
+            _on_strips(pool, strips, ws.stress, u)     # none: the receivers' sigma stays 0
             sxx, sxy, syy = ws.sigma.reshape(3, -1)[:, idx].astype(float) / (2.0 * h)
             traces[:, n, 0] = sxx * nrm_x + sxy * nrm_y
             traces[:, n, 1] = sxy * nrm_x + syy * nrm_y
@@ -365,7 +375,7 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
             if n == n_steps:
                 break
             _on_strips(pool, strips, ws.step, u, u_prev, u_next)
-            window_cell_steps += (b - a) * ny
+            window_cell_steps += max(b - a, 0) * ny
             t += dt
             _apply_dirichlet(u_next, patch, float(source.pulse(t)))
             u_prev, u, u_next = u, u_next, u_prev

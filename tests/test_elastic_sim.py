@@ -401,8 +401,9 @@ def test_strip_error_reaches_the_caller_and_leaves_no_thread(unit_material, unit
     threads = threading.active_count()
     src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
                          polarization=(1.0, 0.0))
+    # by T = 0.4 the source row 0 can reach the receiver row 20, so strips run
     with pytest.raises(NumericalError, match="strip failed"):
-        simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], T=0.2, h=0.05)
+        simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], T=0.4, h=0.05)
     assert threading.active_count() == threads
 
 
@@ -441,6 +442,64 @@ def test_row_window_is_invisible(edge, center, width, angle, h, material, strips
         assert np.abs(u).max() > 0.0
     else:
         assert rows.size == 0 and not np.any(u) and not np.any(traces)
+
+
+def _edge_point(edge, s):
+    """The point s along the given edge of the unit box."""
+    axis, side = EDGES[edge]
+    p = [s, s]
+    p[axis] = float(side)
+    return tuple(p)
+
+
+@given(edge=st.sampled_from(list(EDGES)), center=st.floats(0.2, 0.8),
+       width=st.floats(0.05, 0.4), angle=st.floats(0.0, 2.0 * math.pi),
+       receivers=st.lists(st.tuples(st.sampled_from(list(EDGES)), st.floats(0.05, 0.95),
+                                    st.floats(0.05, 0.95)),
+                          min_size=1, max_size=2, unique_by=lambda r: r[0]),
+       T=st.floats(0.2, 0.8), snapshot=st.none() | st.floats(0.0, 1.0),
+       h=st.sampled_from([0.02, 0.025, 0.04, 0.05]),
+       material=st.sampled_from(["constant", "linear-lame-rho"]),
+       strips=st.integers(1, 3))
+def test_receiver_cone_is_invisible(edge, center, width, angle, receivers, T, snapshot,
+                                    h, material, strips):
+    # once no snapshot is pending, step n runs only on the rows within
+    # 2 (N - n) of the receivers'; the full-grid reference must see the
+    # same traces and snapshot, in any strips.  Two receivers per edge
+    # make the receiver rows span a range on a bottom or top edge.
+    mat, unit_box = _REFERENCE_MATERIALS[material], BoxDomain((0.0, 0.0), (1.0, 1.0))
+    src = BoundarySource(edge=edge, center=center, width=width, f0=8.0,
+                         polarization=(math.cos(angle), math.sin(angle)))
+    points = [_edge_point(e, s) for e, s1, s2 in receivers for s in (s1, s2)]
+    nx = int(round(1.0 / h)) + 1
+    dt = stable_dt(sample_material(mat, Grid2D((0.0, 0.0), h, nx, nx)))
+    times = () if snapshot is None else (round(snapshot * round(T / dt)) * dt,)
+    with pytest.MonkeyPatch.context() as mp:
+        _force_strips(mp, strips)
+        res = simulate_dn(mat, unit_box, src, points, T=T, h=h, dt=dt, snapshot_times=times)
+    traces, _ = _reference_dn(mat, unit_box, src, points, T, h, dt)
+    assert np.array_equal(np.array([tr.samples for tr in res.traces]), traces)
+    if times:
+        _, u = _reference_dn(mat, unit_box, src, points, times[0], h, dt)
+        assert np.array_equal(res.snapshots[0].u, u)
+
+
+def test_receivers_out_of_reach_get_zero_traces_and_no_strip_work(unit_material, unit_box,
+                                                                  monkeypatch):
+    # the left source drives row 0 and the receiver sits on row 20: in the
+    # 7 steps to T = 0.2 the source's rows cannot reach it, so no step runs
+    calls = []
+    for name in ("stress", "step"):
+        fn = getattr(elastic_sim._Workspace, name)
+        monkeypatch.setattr(elastic_sim._Workspace, name,
+                            lambda self, *args, fn=fn: calls.append(fn(self, *args)))
+    src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
+                         polarization=(0.6, 0.8))
+    res = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], T=0.2, h=0.05)
+    traces, _ = _reference_dn(unit_material, unit_box, src, [(1.0, 0.5)], 0.2, 0.05, res.dt)
+    assert res.counters["steps"] == 7
+    assert calls == [] and res.counters["window_cell_steps"] == 0
+    assert not np.any(traces) and np.array_equal(res.traces[0].samples, traces[0])
 
 
 def test_stress_and_step_allocate_no_plane(unit_material, unit_box, monkeypatch):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
 from scipy.signal import butter, sosfilt
 
-from elastic_lens.elastic_sim import BoundarySource, TractionTrace, ricker
+from elastic_lens.elastic_sim import BoundarySource, TractionTrace, ricker, simulate_dn
 from elastic_lens.errors import PreconditionError
+from elastic_lens.model_core import BoxDomain, ConstantField, ElasticMaterial
 from elastic_lens.wavefield_analysis import (_highpass, _onset, cauchy_to_neumann,
                                              discrete_curl,
                                              discrete_divergence,
@@ -205,6 +208,64 @@ def test_extract_lens_flags_a_peak_on_the_pulse_span_edge():
     trace = TractionTrace((1.0, 0.5), dt, np.column_stack([sig, 0.3 * sig]))
     rec, = extract_lens([trace], src, (0.0, 0.5), [(1.0, 0.5)], [(0.6, 1.1)], eta=0.05)
     assert rec.flags == ["s-peak-on-edge"]
+
+
+_CHAIN = dict(h=st.sampled_from([0.02, 0.025, 0.04, 0.05]), kappa=st.floats(1.5, 2.5),
+              mu=st.floats(0.5, 2.0), rho=st.floats(0.5, 2.0), center=st.floats(0.1, 0.9),
+              angle=st.floats(0.0, 2.0 * math.pi),
+              receivers=st.lists(st.tuples(st.sampled_from(["right", "bottom", "top"]),
+                                           st.floats(0.1, 0.9)), min_size=1, max_size=2))
+
+
+def _simulate_and_extract(h, kappa, mu, rho, center, angle, receivers):
+    """simulate -> extract on the unit box with constant lam, mu, rho and
+    c_p = kappa c_s: a narrow source at `center` on the left edge, f0 such
+    that the S wavelength spans 10 h, receivers (edge, position) and the
+    straight-ray predictions.  Returns (rows, chords, c_p, c_s, f0, dt)."""
+    cs = math.sqrt(mu / rho)
+    cp = kappa * cs
+    mat = ElasticMaterial(ConstantField(rho * cp * cp - 2.0 * mu), ConstantField(mu),
+                          ConstantField(rho))
+    f0 = cs / (10.0 * h)
+    src = BoundarySource(edge="left", center=center, width=0.1, f0=f0,
+                         polarization=(math.cos(angle), math.sin(angle)))
+    points = [{"right": (1.0, s), "bottom": (s, 0.0), "top": (s, 1.0)}[e] for e, s in receivers]
+    chords = [math.dist((0.0, center), p) for p in points]
+    res = simulate_dn(mat, BoxDomain((0.0, 0.0), (1.0, 1.0)), src, points,
+                      T=src.delay + max(chords) / cs + 3.0 / f0, h=h)
+    rows = extract_lens(res.traces, src, (0.0, center), points,
+                        [(d / cp, d / cs) for d in chords], eta=0.05)
+    return rows, chords, cp, cs, f0, res.dt
+
+
+@example(h=0.02, kappa=2.5, mu=1.0, rho=1.0, center=0.1, angle=0.0,
+         receivers=[("right", 0.9), ("top", 0.9)])         # S - P gaps past 3/f0
+@given(**_CHAIN)
+def test_simulated_arrivals_come_in_mode_order(h, kappa, mu, rho, center, angle, receivers):
+    rows, chords, cp, cs, f0, _ = _simulate_and_extract(h, kappa, mu, rho, center, angle,
+                                                        receivers)
+    for row, d in zip(rows, chords):
+        assert row.t_p is not None and row.t_s is not None and row.t_p < row.t_s
+        if d / cs - d / cp >= 3.0 / f0:
+            assert not {"pick-collision", "mode-order-violation"} & set(row.flags)
+
+
+@pytest.mark.xfail(strict=True, reason="P picks run ~3 samples late against the bare-pulse "
+                   "calibration, and up to 13 samples early where the P pulse span is cut "
+                   "at the S prediction (CHANGES.md FOUND)")
+@settings(phases=[Phase.explicit, Phase.generate])     # a known failure: no shrinking
+# reporting the failure imports libcst, which warns about a mypy_extensions API
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+@given(**_CHAIN)
+def test_simulated_p_pick_lies_within_three_samples_of_the_chord_time(h, kappa, mu, rho,
+                                                                       center, angle,
+                                                                       receivers):
+    # t_p is the trace's onset less the reference onset: the pick against
+    # chord / c_p plus the reference onset
+    rows, chords, cp, _, _, dt = _simulate_and_extract(h, kappa, mu, rho, center, angle,
+                                                       receivers)
+    for row, d in zip(rows, chords):
+        assert abs(row.t_p - d / cp) <= 3.0 * dt
 
 
 def test_extract_lens_flags_ambiguous_predictions():
