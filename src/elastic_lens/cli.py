@@ -31,12 +31,12 @@ from .elastic_sim import BoundarySource, TractionTrace, simulate_dn
 from .errors import (ConfigurationError, ElasticLensError, ExtractionError,
                      FoliationError, InversionError, ModelError, NumericalError,
                      PreconditionError, ResourceError)
-from .inversion import (RadialProfile, TravelTimeCurve, forward_travel_times,
-                        herglotz_invert, invert_both_speeds, layer_strip_invert)
+from .inversion import (RadialProfile, forward_travel_times, herglotz_invert,
+                        invert_both_speeds, layer_strip_invert)
 from .model_core import (EDGES, BoxDomain, ConstantField, DepthField,
                          DiskDomain, load_model)
-from .ray_tracer import (RayStatus, entry_at, exit_angle, fan_angles,
-                         lens_table, scattering_relation)
+from .ray_tracer import (RayStatus, entry_at, exit_angle, lens_table,
+                         scattering_relation)
 from .wavefield_analysis import extract_lens
 
 EXIT_OK = 0
@@ -301,7 +301,7 @@ def cmd_lens(args):
     model = load_model(args.model)
     speed = model.lens_speed()
     records = lens_table(speed, model.domain, n_points=args.points,
-                         angles=fan_angles(args.angles), t_max=args.tmax,
+                         angles=args.angles, t_max=args.tmax,
                          dt=args.dt)
     write_lens_csv(args.out, model.domain, records)
     print(f"wrote {len(records)} lens records to {args.out}")
@@ -405,7 +405,7 @@ def cmd_extract(args):
 def cmd_invert(args):
     rows = _read_csv(args.curve, 2)
     if args.mode == "radial":
-        prof = herglotz_invert(TravelTimeCurve(rows[:, 0], rows[:, 1], R=args.R))
+        prof = herglotz_invert(rows[:, 0], rows[:, 1], args.R)
     else:
         prof = layer_strip_invert(rows[:, 0], rows[:, 1])
     _write_profile(args.out, prof)
@@ -590,9 +590,9 @@ def _pipeline_radial(cfg, out, model, stages):
     rcfg = cfg["radial"]
     angles = np.linspace(rcfg["angle_min"], rcfg["angle_max"], rcfg["n_rays"])
     with _stage(stages, "invert", InversionError, FoliationError):
-        curve = forward_travel_times(speed, R, angles, dt=rcfg["dt"])
-        _write_csv(out / "curve.csv", ["delta", "time"], zip(curve.delta, curve.time))
-        prof = herglotz_invert(curve)
+        delta, times = forward_travel_times(speed, R, angles, dt=rcfg["dt"])
+        _write_csv(out / "curve.csv", ["delta", "time"], zip(delta, times))
+        prof = herglotz_invert(delta, times, R)
         _write_profile(out / "profile.csv", prof)
 
     return {

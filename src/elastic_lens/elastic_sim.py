@@ -107,11 +107,10 @@ class BoundarySource:
 
 @dataclass
 class WavefieldState:
-    """Displacement, previous displacement and time; velocity is derived, in float64."""
+    """Displacement and previous displacement; velocity is derived, in float64."""
 
     u: np.ndarray            # (nx, ny, 2)
     u_prev: np.ndarray
-    t: float
     grid: Grid2D
     dt: float
 
@@ -370,7 +369,7 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
             traces[:, n, 1] = sxy * nrm_x + syy * nrm_y
             while snap_left and t >= snap_left[0] - 0.5 * dt:
                 snaps.append(WavefieldState(np.moveaxis(u, 0, -1).copy(),
-                                            np.moveaxis(u_prev, 0, -1).copy(), t, grid, dt))
+                                            np.moveaxis(u_prev, 0, -1).copy(), grid, dt))
                 snap_left.pop(0)
             if n == n_steps:
                 break

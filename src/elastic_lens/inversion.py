@@ -25,7 +25,7 @@ from numpy.polynomial.legendre import leggauss   # at load: numpy imports it laz
 from .convexity import check_hwz
 from .errors import (DataInconsistencyError, FoliationError, IllPosedInputError,
                      InversionError, PreconditionError)
-from .model_core import Cubic, DiskDomain, RadialField
+from .model_core import Cubic, DiskDomain
 from .ray_tracer import RayStatus, entry_at, scattering_relations
 
 _GL_NODES = 32
@@ -35,48 +35,6 @@ _RAY_T_MAX = 50.0   # travel-time bound of a forward fan; slower rays are TRAPPE
 # ---------------------------------------------------------------------------
 # Types
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TravelTimeCurve:
-    """Travel time T versus epicentral angle Delta for a radial model."""
-
-    delta: np.ndarray
-    time: np.ndarray
-    R: float
-
-    def __post_init__(self):
-        self.delta = np.asarray(self.delta, dtype=float)
-        self.time = np.asarray(self.time, dtype=float)
-        if self.delta.shape != self.time.shape or self.delta.ndim != 1:
-            raise PreconditionError("delta and time must be matching 1-D arrays")
-        if len(self.delta) < 3:
-            raise PreconditionError("need at least 3 travel-time samples")
-        if not np.all(np.diff(self.delta) > 0):
-            raise PreconditionError("delta samples must be strictly increasing")
-        if not np.all(np.diff(self.time) > 0):
-            raise PreconditionError("travel times must be increasing with delta")
-        # Abel inversion needs p = dT/dDelta strictly decreasing
-        dm, p = self.ray_parameters()
-        bad = np.nonzero(np.diff(p) >= 0)[0]
-        if len(bad):
-            i = int(bad[0])
-            raise IllPosedInputError(
-                "ray parameter dT/dDelta is not strictly decreasing",
-                violation=(float(dm[i]), float(dm[i + 1])))
-
-    def ray_parameters(self):
-        """Ray parameter estimates p = dT/dDelta at interval midpoints.
-
-        Interval secant slopes are second-order accurate at the midpoints
-        and are strictly decreasing exactly when the sampled curve is
-        strictly concave, so no fitting artifacts can fake or mask a
-        violation.  The curve is anchored at (0, 0): a ray of vanishing
-        depth has vanishing time.
-        """
-        d = np.concatenate(([0.0], self.delta))
-        t = np.concatenate(([0.0], self.time))
-        return 0.5 * (d[:-1] + d[1:]), np.diff(t) / np.diff(d)
 
 
 @dataclass
@@ -93,9 +51,6 @@ class RadialProfile:
             raise PreconditionError("radii must be strictly increasing")
         if not np.all(self.c > 0):
             raise PreconditionError("speeds must be positive")
-
-    def speed_field(self, r_max=None) -> RadialField:
-        return RadialField(profile=list(zip(self.r, self.c)), r_max=r_max, dim=2)
 
     def __call__(self, r):
         return _pchip(self.r, self.c).eval(np.asarray(r, dtype=float))[0]
@@ -125,17 +80,17 @@ class DepthProfile:
 # ---------------------------------------------------------------------------
 
 
-def forward_travel_times(profile, R: float, angles, dt: float = 1e-3) -> TravelTimeCurve:
-    """Trace a fan through a radial model and tabulate (Delta, T).
+def forward_travel_times(speed, R: float, angles, dt: float = 1e-3):
+    """Trace a fan through a radial speed field and tabulate (Delta, T).
 
-    profile: RadialProfile or a radial SpeedField.  angles: inward shooting
-    angles in (0, pi/2) measured from the inward normal at the single
-    source point; by symmetry they sample the full travel-time curve.
-    Refuses models that fail the strict-convexity (Herglotz) condition,
-    attaching the check report to the error.
+    angles: inward shooting angles in (0, pi/2) measured from the inward
+    normal at the single source point; by symmetry they sample the full
+    travel-time curve.  Returns (delta, time) in penetration order, by
+    decreasing shooting angle; Delta need not be monotone in that order
+    when a gradient jump folds the curve.  Refuses models that fail the
+    strict-convexity (Herglotz) condition, attaching the check report to
+    the error.
     """
-    speed = profile.speed_field(r_max=1.5 * R) if isinstance(profile, RadialProfile) \
-        else profile
     report = check_hwz(speed, 1e-3 * R, R)
     if not report.strictly_convex:
         raise FoliationError(
@@ -157,8 +112,8 @@ def forward_travel_times(profile, R: float, angles, dt: float = 1e-3) -> TravelT
         cosd = float(np.dot(x_in, x_out)) / (R * R)
         deltas.append(float(np.arccos(np.clip(cosd, -1.0, 1.0))))
         times.append(rec.ell)
-    order = np.argsort(deltas)
-    return TravelTimeCurve(np.asarray(deltas)[order], np.asarray(times)[order], R)
+    order = np.argsort(-np.asarray(angles))
+    return np.asarray(deltas)[order], np.asarray(times)[order]
 
 
 def _pchip(x, y) -> Cubic:
@@ -178,6 +133,19 @@ def _pchip(x, y) -> Cubic:
     overshoot = (np.sign(k[e]) != np.sign(k[f])) & (np.abs(d) > 3 * np.abs(k[e]))
     m[e] = np.where(np.sign(d) != np.sign(k[e]), 0.0, np.where(overshoot, 3 * k[e], d))
     return Cubic(x, y, m)
+
+
+def _samples(X, t):
+    """(X, t) as float arrays: matching 1-D, >= 2 finite samples, and no
+    sample at the distance of the one before it (or of the anchor, X = 0)."""
+    X, t = np.asarray(X, dtype=float), np.asarray(t, dtype=float)
+    if X.shape != t.shape or X.ndim != 1 or len(X) < 2:
+        raise PreconditionError("need matching 1-D distance/time arrays, length >= 2")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(t))):
+        raise PreconditionError("distances and times must be finite")
+    if np.any(np.diff(np.concatenate(([0.0], X))) == 0.0):
+        raise PreconditionError("consecutive samples must have distinct distances")
+    return X, t
 
 
 def _abel(X, t):
@@ -248,15 +216,21 @@ def _abel(X, t):
     return p0, p, integral
 
 
-def herglotz_invert(curve: TravelTimeCurve) -> RadialProfile:
-    """Abel-invert a travel-time curve to the radial speed on turning radii.
+def herglotz_invert(delta, time, R: float) -> RadialProfile:
+    """Abel-invert a travel-time curve on a disk of radius R to the radial
+    speed on turning radii.
 
-    The turning radius of the ray with parameter p is r = R exp(-I) with I
-    the Abel integral of Delta(p) (see _abel), and c(r) = r / p.  Speeds
-    are reported only at radii actually reached by turning rays.
+    Samples must be ordered by increasing penetration, as
+    forward_travel_times returns them; on a retrograde branch Delta and T
+    both decrease.  The turning radius of the ray with parameter p is
+    r = R exp(-I) with I the Abel integral of Delta(p) (see _abel), and
+    c(r) = r / p.  Speeds are reported only at radii actually reached by
+    turning rays.
     """
-    _, p, integral = _abel(curve.delta, curve.time)
-    r = curve.R * np.exp(-integral[::-1])
+    if not (np.isfinite(R) and R > 0):
+        raise PreconditionError(f"disk radius R must be finite and positive, got {R}")
+    _, p, integral = _abel(*_samples(delta, time))
+    r = R * np.exp(-integral[::-1])
     return RadialProfile(r, r / p[::-1])
 
 
@@ -327,14 +301,8 @@ def layer_strip_invert(offsets, times) -> DepthProfile:
     speed means the increasing-speed condition fails; the error carries
     the depth band below the last consistent node.
     """
-    X = np.asarray(offsets, dtype=float)
-    t = np.asarray(times, dtype=float)
-    if X.shape != t.shape or X.ndim != 1 or len(X) < 2:
-        raise PreconditionError("need matching 1-D offset/time arrays, length >= 2")
-    dX = np.diff(np.concatenate(([0.0], X)))
-    if np.any(dX == 0.0):
-        raise PreconditionError("consecutive samples must have distinct offsets")
-    p = np.diff(np.concatenate(([0.0], t))) / dX
+    X, t = _samples(offsets, times)
+    p = np.diff(np.concatenate(([0.0], t))) / np.diff(np.concatenate(([0.0], X)))
     if np.all(np.abs(p - p[0]) < 1e-9 * p[0]):
         # homogeneous medium: surface-to-surface time is X/c exactly
         return DepthProfile([0.0, max(0.5 * float(X[-1]), 1e-6)], [1.0 / p[0]] * 2)
@@ -356,33 +324,25 @@ def _constant_profile(distances, times) -> DepthProfile:
     return DepthProfile([0.0, max(float(d.max()), 1e-6)], [c, c])
 
 
+_INVERSES = {"radial": herglotz_invert, "layered": layer_strip_invert,
+             "homogeneous": _constant_profile}
+
+
 def invert_both_speeds(data_p, data_s, mode: str = "radial"):
     """Run the applicable inversion once per mode and cross-check the pair.
 
-    mode='radial': data are TravelTimeCurve objects -> RadialProfile pair.
+    mode='radial': data are (delta, time, R) -> RadialProfile pair.
     mode='layered': data are (offsets, times) pairs -> DepthProfile pair.
     mode='homogeneous': data are (straight-ray distances, times) pairs ->
     constant DepthProfile pair.  In every case the recovered profiles must
     satisfy c_p > c_s on their common support; a violation signals mode
     mislabeling upstream and raises a data-inconsistency error.
     """
-    if mode == "radial":
-        prof_p = herglotz_invert(data_p)
-        prof_s = herglotz_invert(data_s)
-        lo = max(prof_p.r[0], prof_s.r[0])
-        hi = min(prof_p.r[-1], prof_s.r[-1])
-    elif mode == "layered":
-        prof_p = layer_strip_invert(*data_p)
-        prof_s = layer_strip_invert(*data_s)
-        lo = max(prof_p.z[0], prof_s.z[0])
-        hi = min(prof_p.z[-1], prof_s.z[-1])
-    elif mode == "homogeneous":
-        prof_p = _constant_profile(*data_p)
-        prof_s = _constant_profile(*data_s)
-        lo, hi = 0.0, min(prof_p.z[-1], prof_s.z[-1])
-    else:
+    if mode not in _INVERSES:
         raise PreconditionError(f"unknown inversion mode {mode!r}")
-
+    prof_p, prof_s = (_INVERSES[mode](*data) for data in (data_p, data_s))
+    x_p, x_s = (q.r if isinstance(q, RadialProfile) else q.z for q in (prof_p, prof_s))
+    lo, hi = max(x_p[0], x_s[0]), min(x_p[-1], x_s[-1])
     if hi <= lo:
         raise DataInconsistencyError("p and s recoveries have no common support")
     xs = np.linspace(lo, hi, 64)

@@ -82,7 +82,6 @@ class ModeFields:
 
     p_part: np.ndarray
     s_part: np.ndarray
-    potential: np.ndarray | None = None
 
 
 def project_modes(u, h) -> ModeFields:
@@ -115,20 +114,12 @@ def project_modes(u, h) -> ModeFields:
     p = np.empty_like(u)
     p[:, :, 0] = _deriv(phi, h, 0, "even")
     p[:, :, 1] = _deriv(phi, h, 1, "even")
-    return ModeFields(p, u - p, phi)
+    return ModeFields(p, u - p)
 
 
 # ---------------------------------------------------------------------------
 # Arrival picking
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ArrivalPick:
-    """First-arrival pick: onset time and an onset-contrast quality."""
-
-    time: float
-    quality: float = float("inf")
 
 
 def _causal_mean(x, width_samples):
@@ -178,27 +169,27 @@ def _envelope(samples, dt, f0):
 
 
 def _onset(env, t, eta, lo, hi, top=None):
-    """(j, onset time) in the span [lo, hi) of the envelope env sampled at
-    times t, or None when no sample of it reaches a positive threshold, eta
-    times the maximum over [lo, top) (by default, the span).  j is the first
-    sample reaching it; the onset is interpolated linearly from sample
-    j - 1, and is t[lo] when the span opens above the threshold."""
+    """Onset time in the span [lo, hi) of the envelope env sampled at times
+    t, or None when no sample of it reaches a positive threshold, eta times
+    the maximum over [lo, top) (by default, the span).  The onset is
+    interpolated linearly from the sample before the first one reaching
+    the threshold, and is t[lo] when the span opens above it."""
     thr = eta * env[lo:hi if top is None else top].max(initial=0.0)
     above = env[lo:hi] >= thr
     if thr <= 0.0 or not above.any():
         return None
     j = lo + int(np.argmax(above))
     if j == lo:
-        return j, float(t[lo])
+        return float(t[lo])
     e0, e1 = env[j - 1], env[j]
-    return j, float(t[j - 1] + (thr - e0) / (e1 - e0) * (t[j] - t[j - 1]))
+    return float(t[j - 1] + (thr - e0) / (e1 - e0) * (t[j] - t[j - 1]))
 
 
 def pick_first_arrival(trace, eta: float, f0: float, dt: float | None = None):
     """First time the causal envelope reaches eta times its maximum.
 
     `trace` is a TractionTrace or a raw sample array (then dt is required).
-    Returns an ArrivalPick, or None for an all-zero trace.  Picks are
+    Returns the onset time, or None for an all-zero trace.  Picks are
     invariant under amplitude scaling and deterministic.
     """
     if isinstance(trace, TractionTrace):
@@ -212,13 +203,7 @@ def pick_first_arrival(trace, eta: float, f0: float, dt: float | None = None):
     if len(samples) == 0:
         raise PreconditionError("empty trace")
     env = _envelope(samples, dt, f0)
-    onset = _onset(env, dt * np.arange(len(env)), eta, 0, len(env))
-    if onset is None:
-        return None
-    i, t_pick = onset
-    rms_pre, rms_post = (float(np.sqrt(np.mean(x**2))) for x in (env[:max(i, 1)], env[i:]))
-    quality = rms_post / rms_pre if rms_pre > 0.0 else float("inf")
-    return ArrivalPick(t_pick, quality)
+    return _onset(env, dt * np.arange(len(env)), eta, 0, len(env))
 
 
 # ---------------------------------------------------------------------------
@@ -249,10 +234,10 @@ def reference_onset(source, dt: float, eta: float) -> float:
     removed by picking the source wavelet itself with identical settings.
     """
     t = dt * np.arange(int(round((source.delay + 3.0 / source.f0) / dt)) + 1)
-    pick = pick_first_arrival(source.pulse(t), eta, source.f0, dt)
-    if pick is None:
+    onset = pick_first_arrival(source.pulse(t), eta, source.f0, dt)
+    if onset is None:
         raise PreconditionError("source pulse produced no reference onset")
-    return pick.time
+    return onset
 
 
 def _travel_time(env, t, ell, t_ref, f0, eta, other=None):
@@ -269,7 +254,7 @@ def _travel_time(env, t, ell, t_ref, f0, eta, other=None):
     top = np.searchsorted(t, min(end, other) if other is not None and other > ell else end)
     onset = _onset(env, t, eta, lo, hi, top)
     return ((None, False) if onset is None
-            else (onset[1] - t_ref, bool(env[top - 1] == env[lo:top].max())))
+            else (onset - t_ref, bool(env[top - 1] == env[lo:top].max())))
 
 
 def extract_lens(traces, source, source_point, receivers, predictions,

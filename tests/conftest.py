@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from elastic_lens.inversion import forward_travel_times
 from elastic_lens.model_core import (BoxDomain, ConstantField, DiskDomain,
                                      ElasticMaterial, RadialField)
 
@@ -59,6 +60,20 @@ def linear_radial_speed():
     # c(r) = 2 - r, exactly representable by the natural-spline profile
     return RadialField(profile=[(0.0, 2.0), (0.5, 1.5), (1.0, 1.0), (1.2, 0.8)],
                        dim=2)
+
+
+def triplicating_speed(r):
+    """c = 1.3 - 0.3 r above r = 0.75 and a gradient of 2.5 below: r / c
+    stays increasing, and the gradient jump folds the travel-time curve."""
+    return np.where(r >= 0.75, 1.3 - 0.3 * r, 1.075 + 2.5 * (0.75 - r))
+
+
+@pytest.fixture(scope="session")
+def triplicating_curve():
+    """(delta, time) of 48 rays through triplicating_speed on the unit disk."""
+    speed = RadialField(func=triplicating_speed,
+                        dfunc=lambda r: np.where(r >= 0.75, -0.3, -2.5), r_max=1.2)
+    return forward_travel_times(speed, 1.0, np.linspace(0.06, 1.51, 48))
 
 
 def write_model(path, doc):

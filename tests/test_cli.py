@@ -178,6 +178,15 @@ def test_lens_csv_header(tmp_path):
     assert len(rows) == 1 + 4 * 3
 
 
+@pytest.mark.parametrize("angles", ["0", "-2"])
+def test_lens_refuses_fewer_than_one_angle(tmp_path, angles):
+    path = write_model(tmp_path, LINEAR_RADIAL_MODEL)
+    out = tmp_path / "lens.csv"
+    assert run(["lens", "--model", path, "--points", "4", f"--angles={angles}",
+                "--out", str(out)]) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_invert_rejects_nonmonotone_curve(tmp_path):
     path = tmp_path / "curve.csv"
     with open(path, "w", newline="") as f:
@@ -195,6 +204,20 @@ def _write_curve(path, X, t):
         w = csv.writer(f)
         w.writerow(["offset", "time"])
         w.writerows(zip(X, t))
+
+
+def test_invert_radial_inverts_a_folded_curve(tmp_path, triplicating_curve):
+    # Delta turns back twice along the curve: inverted as a layered fold is,
+    # not refused; the disk radius must be finite and positive
+    _write_curve(tmp_path / "curve.csv", *triplicating_curve)
+    out = tmp_path / "prof.csv"
+    argv = ["invert", "--curve", str(tmp_path / "curve.csv"), "--mode", "radial",
+            "--out", str(out)]
+    assert run(argv) == cli.EXIT_OK
+    with open(out) as f:
+        assert len(list(csv.reader(f))) == 1 + 46
+    for R in ("0", "nan", "-1"):
+        assert run([*argv, f"--R={R}"]) == cli.EXIT_CONFIG
 
 
 def test_invert_layered_writes_depth_profile(tmp_path):

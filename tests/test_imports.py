@@ -105,3 +105,38 @@ def test_unused_private_names_are_found():
 def test_package_defines_no_unused_private_names():
     assert unused_private_names({p.stem: p.read_text()
                                  for p in sorted(PACKAGE.glob("*.py"))}) == []
+
+
+def unread_dataclass_fields(sources, readers):
+    """Fields of the ``@dataclass`` classes of the modules in `sources`
+    (module name -> source) that neither they nor the `readers` sources
+    read as an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = {node.attr for tree in [*trees.values(), *map(ast.parse, readers)]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                    getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                    == "dataclass" for d in cls.decorator_list):
+                unread += [f"{module}: {cls.name}.{f.target.id} (line {f.lineno})"
+                           for f in cls.body if isinstance(f, ast.AnnAssign)
+                           and f.target.id not in read]
+    return sorted(unread)
+
+
+def test_unread_dataclass_fields_are_found():
+    sources = {"a": "from dataclasses import dataclass\n@dataclass\nclass P:\n"
+                    "    x: float\n    y: float = 0.0\n@dataclass(frozen=True)\n"
+                    "class Q:\n    z: int\nclass R:\n    w: int\n"}
+    readers = ["def f(p, q):\n    p.y = 1\n    return p.x + q.z\n"]
+    assert unread_dataclass_fields(sources, readers) == ["a: P.y (line 5)"]
+
+
+def test_package_dataclass_fields_are_all_read():
+    tests = Path(__file__).resolve().parent
+    assert unread_dataclass_fields({p.stem: p.read_text()
+                                    for p in sorted(PACKAGE.glob("*.py"))},
+                                   [p.read_text() for p in sorted(tests.glob("*.py"))]) == []
