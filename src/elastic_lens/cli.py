@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -276,7 +277,7 @@ def cmd_check_foliation(args):
         report = check_hwz(speed, a, b)
     else:
         report = check_plane_foliation(speed, args.axis, a, b)
-    _emit(report.to_dict(), args.out)
+    _emit(asdict(report), args.out)
     _require_convex(report)
     return EXIT_OK
 
@@ -527,7 +528,7 @@ def _pipeline_homogeneous(cfg, out, model, stages):
     with _stage(stages, "foliation", FoliationError):
         report = check_plane_foliation(m.cp_field(), 0, lo + rng[0] * (hi - lo),
                                        lo + rng[1] * (hi - lo))
-        _write_json(out / "foliation.json", report.to_dict())
+        _write_json(out / "foliation.json", asdict(report))
         _require_convex(report, accept_flat=True)
 
     source = _source(cfg["source"])
@@ -584,7 +585,7 @@ def _pipeline_radial(cfg, out, model, stages):
     rng = cfg["foliation_range"]
     with _stage(stages, "foliation", FoliationError):
         report = check_hwz(speed, rng[0] * R, rng[1] * R)
-        _write_json(out / "foliation.json", report.to_dict())
+        _write_json(out / "foliation.json", asdict(report))
         _require_convex(report)
 
     rcfg = cfg["radial"]

@@ -95,16 +95,6 @@ class ConvexityReport:
     def strictly_convex(self):
         return self.verdict == VERDICT_CONVEX
 
-    def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "margin": self.margin,
-            "leaf_minima": [[q, v] for q, v in self.leaf_minima],
-            "witness": self.witness,
-            "samples": self.samples,
-            "notes": self.notes,
-        }
-
 
 def conformal_second_fundamental_form(speed: SpeedField, x, tangent, normal,
                                       ambient_form: float) -> float:
@@ -142,8 +132,9 @@ def _fd_grad(kappa, X, h=1e-6):
                      for e in h * np.eye(X.shape[1])], axis=-1)
 
 
-def _fd_hess(kappa, X, h=1e-4):
+def _fd_hess(kappa, X):
     """Central differences of the central-difference gradient: (n, d, d)."""
+    h = 1e-4
     return np.stack([(_fd_grad(kappa, X + e, h) - _fd_grad(kappa, X - e, h)) / (2 * h)
                      for e in h * np.eye(X.shape[1])], axis=-1)
 

@@ -87,9 +87,12 @@ def forward_travel_times(speed, R: float, angles, dt: float = 1e-3):
     normal at the single source point; by symmetry they sample the full
     travel-time curve.  Returns (delta, time) in penetration order, by
     decreasing shooting angle; Delta need not be monotone in that order
-    when a gradient jump folds the curve.  Refuses models that fail the
-    strict-convexity (Herglotz) condition, attaching the check report to
-    the error.
+    when a gradient jump folds the curve, and may exceed pi (a ray that
+    runs further than half way round).  Delta is the exit's polar angle
+    from the source, unwrapped along the fan: neighbouring rays must differ
+    by less than pi and the shallowest ray by less than pi from the source.
+    Refuses models that fail the strict-convexity (Herglotz) condition,
+    attaching the check report to the error.
     """
     report = check_hwz(speed, 1e-3 * R, R)
     if not report.strictly_convex:
@@ -104,16 +107,14 @@ def forward_travel_times(speed, R: float, angles, dt: float = 1e-3):
     records = scattering_relations(speed, domain,
                                    [entry_at(domain, 0.0, a) for a in angles],
                                    dt=dt, t_max=_RAY_T_MAX)
-    deltas, times = [], []
     for a, rec in zip(angles, records):
         if rec.status is not RayStatus.EXITED:
             raise InversionError(f"ray at angle {a} did not exit ({rec.status.value})")
-        x_in, x_out = np.asarray(rec.entry.x), np.asarray(rec.exit.x)
-        cosd = float(np.dot(x_in, x_out)) / (R * R)
-        deltas.append(float(np.arccos(np.clip(cosd, -1.0, 1.0))))
-        times.append(rec.ell)
     order = np.argsort(-np.asarray(angles))
-    return np.asarray(deltas)[order], np.asarray(times)[order]
+    x_out = np.array([records[i].exit.x for i in order])
+    # the source sits at (R, 0): the exit's polar angle is Delta, up to sign
+    delta = np.abs(np.unwrap(np.arctan2(x_out[:, 1], x_out[:, 0])))
+    return delta, np.array([records[i].ell for i in order])
 
 
 def _pchip(x, y) -> Cubic:

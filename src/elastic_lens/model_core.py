@@ -175,9 +175,10 @@ class RadialField(SpeedField):
 
 
 class DepthField(SpeedField):
-    """c depending on the last coordinate only (depth profile)."""
+    """c depending on the last coordinate only (depth profile), on the box
+    spanned by the profile's depths and +-max(|depth|, 1) across."""
 
-    def __init__(self, profile, bounds=None, dim=2):
+    def __init__(self, profile, dim=2):
         prof = np.asarray(profile, dtype=float)
         if prof.ndim != 2 or prof.shape[1] != 2 or prof.shape[0] < 2:
             raise ModelError("depth profile must be [[depth, c], ...] with >= 2 rows")
@@ -187,13 +188,9 @@ class DepthField(SpeedField):
             raise ModelError("depth profile speeds must be positive")
         self._cubic = Cubic(prof[:, 0], prof[:, 1])
         self.dim = dim
-        if bounds is None:
-            z0, z1 = prof[0, 0], prof[-1, 0]
-            w = max(abs(z0), abs(z1), 1.0)
-            lo = (-w,) * (dim - 1) + (float(z0),)
-            hi = (w,) * (dim - 1) + (float(z1),)
-            bounds = BoxDomain(lo, hi)
-        self._set_bounds(bounds)
+        z0, z1 = float(prof[0, 0]), float(prof[-1, 0])
+        w = max(abs(z0), abs(z1), 1.0)
+        self._set_bounds(BoxDomain((-w,) * (dim - 1) + (z0,), (w,) * (dim - 1) + (z1,)))
 
     def _eval(self, X):
         c, dc = self._cubic.eval(X[:, -1])

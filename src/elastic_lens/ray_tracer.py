@@ -75,12 +75,10 @@ def _rhs(speed, y):
                            -c * np.add.reduce(xi * xi, axis=1, keepdims=True) * g), axis=1)
 
 
-def _rk4_step(speed, y, dt, k1=None):
-    """One RK4 step of every row of y = [x | xi]; dt is a scalar or (n, 1).
-    k1, the flow at y, may be passed in when the caller already has it."""
+def _rk4_step(speed, y, dt):
+    """One RK4 step of every row of y = [x | xi] by the scalar dt."""
     half = 0.5 * dt
-    if k1 is None:
-        k1 = _rhs(speed, y)
+    k1 = _rhs(speed, y)
     k2 = _rhs(speed, y + half * k1)
     k3 = _rhs(speed, y + half * k2)
     k4 = _rhs(speed, y + dt * k3)
@@ -127,12 +125,13 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries,
 
     All rays advance together with a shared time t; a ray leaves the active
     set at the step that first takes it from inside the domain to outside.
-    The boundary crossing inside that step is located by bisection in the
-    step parameter (to 1e-12 relative) and the covector re-evaluated at the
-    crossing, so exit directions are as accurate as the flow itself.  A ray
-    may exit within its first step.  Entries within THETA_MIN of tangent,
-    or whose first move x + 1e-9 v leaves the domain (at a corner), are
-    refused (TANGENT_ENTRY); rays still inside at t_max are TRAPPED.
+    The crossing inside that step is located by bisection (to 1e-12
+    relative) on the step's cubic Hermite interpolant, built from the phase
+    points and the flow at both ends, and the exit phase point is read off
+    that cubic (exact on straight rays).  A ray may exit within its first
+    step.  Entries within THETA_MIN of tangent, or whose first move
+    x + 1e-9 v leaves the domain (at a corner), are refused (TANGENT_ENTRY);
+    rays still inside at t_max are TRAPPED.
     """
     if not (0.0 < dt < math.inf and 0.0 < t_max < math.inf):
         raise PreconditionError(f"dt and t_max must be finite and positive, got {dt}, {t_max}")
@@ -152,8 +151,9 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries,
     d = x0.shape[1]
     y = np.hstack([x0[traced], v0[traced] / speed.eval(x0[traced])[0][:, None]])
     n = len(traced)
-    # phase point, step and time at the start of each ray's exit step
-    y_s, step_s, t_s = np.empty_like(y), np.empty(n), np.full(n, math.nan)
+    # phase points at both ends, step and time of each ray's exit step
+    y_s, y_e = np.empty_like(y), np.empty_like(y)
+    step_s, t_s = np.empty(n), np.full(n, math.nan)
     active = np.arange(n)
     t = 0.0
     for _ in range(n_steps):
@@ -164,15 +164,15 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries,
         out = domain.signed(y_new[:, :d]) > 0.0
         if np.count_nonzero(out):
             k = active[out]
-            y_s[k], step_s[k], t_s[k] = y[out], step, t
+            y_s[k], y_e[k], step_s[k], t_s[k] = y[out], y_new[out], step, t
             active, y_new = active[~out], y_new[~out]
         y, t = y_new, t + step
 
     exited = np.nonzero(~np.isnan(t_s))[0]
     if exited.size:
-        y_e, f = _bisect_crossing(speed, domain, y_s[exited], step_s[exited])
+        y_x, f = _exit_on_cubic(speed, domain, y_s[exited], y_e[exited], step_s[exited])
         ell = t_s[exited] + f * step_s[exited]
-        x_e, xi_e = y_e[:, :d], y_e[:, d:]
+        x_e, xi_e = y_x[:, :d], y_x[:, d:]
         v_out = xi_e / np.linalg.norm(xi_e, axis=1, keepdims=True)
         for j, k in enumerate(exited):
             i = traced[k]
@@ -182,23 +182,25 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries,
     return records
 
 
-# the bracket [hi - width, hi] halves exactly each iteration: 2**-40 < 1e-12
-_BISECT_ITERATIONS = 40
+def _exit_on_cubic(speed, domain, y0, y1, dt):
+    """Phase points on the boundary and fractions f of the exit steps (y0 to
+    y1, length dt per ray) where b changes sign, on each step's cubic
+    Hermite interpolant; the flow is evaluated at the two ends only."""
+    d = y0.shape[1] // 2
+    dy0, dy1 = dt[:, None] * _rhs(speed, y0), dt[:, None] * _rhs(speed, y1)
+    a2, a3 = 3 * (y1 - y0) - 2 * dy0 - dy1, 2 * (y0 - y1) + dy0 + dy1
 
+    def cubic(f):
+        f = f[:, None]
+        return y0 + f * (dy0 + f * (a2 + f * a3))
 
-def _bisect_crossing(speed, domain, y, dt):
-    """Phase points on the boundary and fractions f of the last steps (length
-    dt per ray) where b changes sign."""
-    d = y.shape[1] // 2
-    dt = dt[:, None]
-    k1 = _rhs(speed, y)       # the same for every trial step from y
-    hi, width = np.ones(len(y)), 1.0
-    for _ in range(_BISECT_ITERATIONS):
+    # the bracket [hi - width, hi] halves exactly each iteration: 2**-40 < 1e-12
+    hi, width = np.ones(len(y0)), 1.0
+    for _ in range(40):
         width *= 0.5
         mid = hi - width      # exact: hi is a multiple of 2 * width
-        out = domain.signed(_rk4_step(speed, y, mid[:, None] * dt, k1)[:, :d]) > 0.0
-        hi = np.where(out, mid, hi)
-    y_hi = _rk4_step(speed, y, hi[:, None] * dt, k1)
+        hi = np.where(domain.signed(cubic(mid)[:, :d]) > 0.0, mid, hi)
+    y_hi = cubic(hi)
     # snap the exit points onto the boundary along the outward normal
     x_hi = y_hi[:, :d]
     x_hi -= domain.signed(x_hi)[:, None] * domain.normal(x_hi)
@@ -229,24 +231,19 @@ def entry_at(domain, s: float, angle: float) -> BoundaryDirection:
     return BoundaryDirection(tuple(x), tuple(v / np.linalg.norm(v)))
 
 
-def lens_table(speed: SpeedField, domain: Domain, n_points: int, angles,
+def lens_table(speed: SpeedField, domain: Domain, n_points: int, angles: int,
                t_max: float, dt: float) -> list[LensTableRow]:
-    """Scattering relation sampled on n_points boundary points x a fan of angles.
+    """Scattering relation on n_points boundary points x a fan of `angles` angles.
 
-    `angles` is either a count (symmetric fan) or an explicit sequence of
-    angles measured from the inward normal.  The boundary points sit at
-    arclength perimeter (i + 1/2) / n_points, so none is a corner of a box
-    whose sides are multiples of perimeter / n_points.  Rows are ordered
-    boundary parameter major, angle minor.  2D domains only.
+    The boundary points sit at arclength perimeter (i + 1/2) / n_points, so
+    none is a corner of a box whose sides are multiples of
+    perimeter / n_points.  Rows are ordered boundary parameter major, angle
+    minor.  2D domains only.
     """
-    if n_points < 1:
-        raise PreconditionError("need at least one boundary point")
-    if isinstance(angles, int):
-        if angles < 1:
-            raise PreconditionError("need at least one angle")
-        angles = fan_angles(angles)
-    per = domain.perimeter
-    grid = [(per * (i + 0.5) / n_points, a) for i in range(n_points) for a in angles]
+    if n_points < 1 or angles < 1:
+        raise PreconditionError("need at least one boundary point and one angle")
+    fan, per = fan_angles(angles), domain.perimeter
+    grid = [(per * (i + 0.5) / n_points, a) for i in range(n_points) for a in fan]
     records = scattering_relations(speed, domain,
                                    [entry_at(domain, s, a) for s, a in grid],
                                    t_max, dt)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalError, PreconditionError
-from .elastic_sim import TractionTrace
 
 # ---------------------------------------------------------------------------
 # Helmholtz mode split
@@ -185,19 +184,14 @@ def _onset(env, t, eta, lo, hi, top=None):
     return float(t[j - 1] + (thr - e0) / (e1 - e0) * (t[j] - t[j - 1]))
 
 
-def pick_first_arrival(trace, eta: float, f0: float, dt: float | None = None):
-    """First time the causal envelope reaches eta times its maximum.
+def pick_first_arrival(samples, eta: float, f0: float, dt: float):
+    """First time the causal envelope of `samples` (sample interval dt)
+    reaches eta times its maximum.
 
-    `trace` is a TractionTrace or a raw sample array (then dt is required).
     Returns the onset time, or None for an all-zero trace.  Picks are
     invariant under amplitude scaling and deterministic.
     """
-    if isinstance(trace, TractionTrace):
-        samples, dt = trace.samples, trace.dt
-    else:
-        samples = np.asarray(trace, dtype=float)
-        if dt is None:
-            raise PreconditionError("dt is required when picking a raw array")
+    samples = np.asarray(samples, dtype=float)
     if not 0.0 < eta < 1.0:
         raise PreconditionError(f"threshold eta must lie in (0, 1), got {eta}")
     if len(samples) == 0:

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -82,9 +84,10 @@ def test_plane_foliation_constant_speed_is_flat():
 
 def test_report_dict_shape(linear_radial_speed):
     report = check_hwz(linear_radial_speed, 0.2, 0.8)
-    doc = report.to_dict()
-    for key in ("verdict", "margin", "leaf_minima", "witness", "samples"):
-        assert key in doc
+    # the order `check-foliation` prints; the (leaf, minimum) pairs as JSON arrays
+    doc = json.loads(json.dumps(asdict(report)))
+    assert list(doc) == ["verdict", "margin", "leaf_minima", "witness", "samples", "notes"]
+    assert doc["leaf_minima"] == [list(m) for m in report.leaf_minima]
 
 
 def test_conformal_form_constant_speed_keeps_euclidean_value():

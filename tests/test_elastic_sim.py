@@ -158,7 +158,8 @@ def test_p_arrival_speed_oracle(unit_material, unit_box):
     res = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)],
                       T=0.9, h=0.01)
     t_ref = reference_onset(src, res.dt, 0.05)
-    pick = pick_first_arrival(res.traces[0], 0.05, 10.0)
+    trace = res.traces[0]
+    pick = pick_first_arrival(trace.samples, 0.05, 10.0, trace.dt)
     assert pick is not None
     assert pick - t_ref == pytest.approx(1.0 / math.sqrt(3.0), rel=0.06)
 

@@ -107,6 +107,60 @@ def test_package_defines_no_unused_private_names():
                                  for p in sorted(PACKAGE.glob("*.py"))}) == []
 
 
+def unpassed_defaults(sources, callers):
+    """Defaulted parameters of the functions and methods of the modules in
+    `sources` (module name -> source) that no call in them or in the
+    `callers` sources passes.  Calls resolve by simple or attribute name, a
+    class name standing for its ``__init__``; a call with ``*args`` or
+    ``**kw`` passes every parameter."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    calls = {}
+    for tree in [*trees.values(), *map(ast.parse, callers)]:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                calls.setdefault(name, []).append(call)
+    unpassed = []
+    for module, tree in trees.items():
+        owner = {id(f): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for f in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = owner.get(id(fn))
+            name = cls.name if cls and fn.name == "__init__" else fn.name
+            bound = cls is not None and "staticmethod" not in {
+                getattr(d, "id", None) for d in fn.decorator_list}
+            positional = [*fn.args.posonlyargs, *fn.args.args][bound:]
+            defaulted = [(i, a) for i, a in enumerate(positional)
+                         if i >= len(positional) - len(fn.args.defaults)]
+            defaulted += [(None, a) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            for i, arg in defaulted:
+                if not any(any(isinstance(a, ast.Starred) for a in call.args)
+                           or any(k.arg in (None, arg.arg) for k in call.keywords)
+                           or i is not None and len(call.args) > i
+                           for call in calls.get(name, [])):
+                    unpassed.append(f"{module}: {name}({arg.arg}) (line {fn.lineno})")
+    return sorted(unpassed)
+
+
+def test_unpassed_defaults_are_found():
+    sources = {"a": "def f(x, y=1, *, z=2): pass\nclass C:\n"
+                    "    def __init__(self, p=0, q=1): pass\n"
+                    "    def m(self, r=3): pass\n"
+                    "    @staticmethod\n    def s(t=4): pass\n"
+                    "f(1, 2)\nC(q=5).m(*args)\n"}
+    callers = ["from a import C\nC.s(**kw)\n"]
+    assert unpassed_defaults(sources, callers) == ["a: C(p) (line 3)", "a: f(z) (line 1)"]
+
+
+def test_package_defaults_are_all_passed():
+    tests = Path(__file__).resolve().parent
+    assert unpassed_defaults({p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))},
+                             [p.read_text() for p in sorted(tests.glob("*.py"))]) == []
+
+
 def unread_dataclass_fields(sources, readers):
     """Fields of the ``@dataclass`` classes of the modules in `sources`
     (module name -> source) that neither they nor the `readers` sources

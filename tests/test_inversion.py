@@ -114,6 +114,22 @@ def test_herglotz_linear_profile_roundtrip(linear_radial_speed):
     assert np.max(rel) < 0.005
 
 
+@pytest.mark.parametrize("c, dc, delta_min", [
+    # the deepest rays run further than half way round: arccos of the
+    # entry-exit angle would fold them back past pi
+    (lambda r: np.sqrt(r + 0.05), lambda r: 0.5 / np.sqrt(r + 0.05), math.pi),
+    # and further than once round, past what Delta mod 2 pi can tell
+    (lambda r: (r + 0.01) ** 0.7, lambda r: 0.7 * (r + 0.01) ** -0.3, 2 * math.pi),
+], ids=["past-pi", "past-two-pi"])
+def test_forward_times_unwrap_rays_that_run_far_round(c, dc, delta_min):
+    speed = RadialField(func=c, dfunc=dc, r_max=1.2)
+    delta, time = forward_travel_times(speed, 1.0, np.linspace(0.06, 1.51, 24))
+    assert delta.max() > delta_min
+    prof = herglotz_invert(delta, time, 1.0)
+    assert len(prof.r) == 23
+    assert np.max(np.abs(prof.c - c(prof.r)) / c(prof.r)) < 0.01
+
+
 @st.composite
 def herglotz_speeds(draw):
     """c = a - b r + q r^2 with d/dr (r/c) = (a - q r^2) / c^2 > 0 and

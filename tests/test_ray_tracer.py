@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from elastic_lens import ray_tracer
 from elastic_lens.cli import read_lens_csv, write_lens_csv
 from elastic_lens.errors import PreconditionError
 from elastic_lens.model_core import ConstantField, DiskDomain, RadialField, load_model
@@ -37,6 +38,24 @@ def test_constant_disk_rays_are_chords(unit_disk):
             assert np.allclose(rec.exit.x, x_exit, atol=1e-9)
             assert np.allclose(rec.exit.v, bd.v, atol=1e-9)
             assert rec.ell == pytest.approx(chord / 1.3, abs=1e-9)
+
+
+def test_exit_costs_two_flow_evaluations_beyond_its_steps(unit_disk, monkeypatch):
+    # four flow evaluations per RK4 step taken, and the exit is located on
+    # the exit step's cubic from the flow at the step's two ends
+    calls, rhs = [], ray_tracer._rhs
+
+    def counted(speed, y):
+        calls.append(len(y))
+        return rhs(speed, y)
+
+    monkeypatch.setattr(ray_tracer, "_rhs", counted)
+    dt = 0.05
+    rec = scattering_relation(ConstantField(1.0, dim=2), unit_disk,
+                              entry_at(unit_disk, 0.0, 0.3), t_max=5.0, dt=dt)
+    assert rec.ell == pytest.approx(2.0 * math.cos(0.3), abs=1e-12)
+    steps = math.floor(rec.ell / dt) + 1                     # 1.91 / 0.05: 39
+    assert len(calls) == 4 * steps + 2
 
 
 def test_hamiltonian_conserved_along_flow(linear_radial_speed):
