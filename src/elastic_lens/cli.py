@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .convexity import VERDICT_FLAT, check_hwz, check_plane_foliation
-from .elastic_sim import BoundarySource, TractionTrace, simulate_dn
+from .elastic_sim import BoundarySource, simulate_dn
 from .errors import (ConfigurationError, ElasticLensError, ExtractionError,
                      FoliationError, InversionError, ModelError, NumericalError,
                      PreconditionError, ResourceError)
@@ -180,8 +180,8 @@ def _receiver_points(domain, spec):
         span = None if center is None else (float(center), float(width))
     except (TypeError, ValueError) as e:
         raise ConfigurationError(f"bad receiver spec {spec!r}: {e}")
-    if count < 1:
-        raise ConfigurationError("receiver count must be >= 1")
+    if count < 1 or span is not None and not all(map(math.isfinite, span)):
+        raise ConfigurationError("receiver count must be >= 1, center and width finite")
     axis = 1 - EDGES[edge][0]
     c0, c1 = domain.lo[axis], domain.hi[axis]
     if span is None:
@@ -320,9 +320,9 @@ def _simulate_to_dir(model_path, model, source, receiver_spec, T, h, dt, out_dir
     result = simulate_dn(model.material, model.domain, source, receivers,
                          T=T, h=h, dt=dt)
     out = Path(out_dir)
-    for k, trace in enumerate(result.traces):
+    for k, samples in enumerate(result.traces):
         _write_csv(out / f"receiver_{k:03d}.csv", ["t", "Nu_x", "Nu_y"],
-                   ((n * trace.dt, nx, ny) for n, (nx, ny) in enumerate(trace.samples)))
+                   ((n * result.dt, nx, ny) for n, (nx, ny) in enumerate(samples)))
     _write_json(out / "metadata.json", {
         **result.meta, "origin": [float(v) for v in result.grid.origin],
         "receivers": [list(map(float, r)) for r in receivers],
@@ -346,8 +346,9 @@ def cmd_simulate(args):
 
 
 def _read_traces_dir(traces_dir, f0=None):
-    """Traces, source (with f0 replaced when given; the recorded delay t0 is
-    kept) and source-patch center of a directory written by `simulate`."""
+    """(traces, dt, source) of a directory written by `simulate`: the receiver
+    CSVs' tractions as one array (receivers, steps + 1, 2) sampled every dt,
+    and the source, with f0 replaced when given (the recorded delay t0 is kept)."""
     d = Path(traces_dir)
     meta_path = d / "metadata.json"
     if not meta_path.is_file():
@@ -355,20 +356,20 @@ def _read_traces_dir(traces_dir, f0=None):
     try:
         meta = json.loads(meta_path.read_text())
         src = meta["source"]
-        source = _source({**src, "pol": src["polarization"], "f0": f0 or src["f0"]},
-                         t0=float(src["t0"]))
+        source = _source({**src, "pol": src["polarization"],
+                          "f0": src["f0"] if f0 is None else f0}, t0=float(src["t0"]))
         g = meta["grid"]
         ox, oy = meta.get("origin", (0.0, 0.0))
-        box = BoxDomain((ox, oy), (ox + (g["nx"] - 1) * g["h"],
-                                   oy + (g["ny"] - 1) * g["h"]))
-        point = box.edge_point(source.edge, source.center)
+        BoxDomain((ox, oy), (ox + (g["nx"] - 1) * g["h"],     # refuses an empty grid
+                             oy + (g["ny"] - 1) * g["h"]))
         dt = float(meta["dt"])
-        traces = [TractionTrace(tuple(rec), dt,
-                                _read_csv(d / f"receiver_{k:03d}.csv", 3)[:, 1:3])
-                  for k, rec in enumerate(meta["receivers"])]
+        traces = [_read_csv(d / f"receiver_{k:03d}.csv", 3)[:, 1:3]
+                  for k in range(len(meta["receivers"]))]
     except (KeyError, TypeError, ValueError, ModelError) as e:
         raise ConfigurationError(f"malformed {meta_path}: {e!r}")
-    return traces, source, point
+    if len({len(t) for t in traces}) > 1:
+        raise ConfigurationError(f"the receiver CSVs in {traces_dir} differ in length")
+    return np.array(traces), dt, source
 
 
 def _read_predictions(path, n):
@@ -388,12 +389,10 @@ def _write_extracted_csv(path, records):
 
 
 def cmd_extract(args):
-    traces, source, point = _read_traces_dir(args.traces, args.f0)
+    traces, dt, source = _read_traces_dir(args.traces, args.f0)
     predictions = _read_predictions(args.lens, len(traces))
-    receivers = [t.receiver for t in traces]
     try:
-        records = extract_lens(traces, source, point, receivers,
-                               predictions, eta=args.eta)
+        records = extract_lens(traces, dt, source, predictions, eta=args.eta)
     except ElasticLensError as e:
         raise ExtractionError(f"extraction failed: {e}") from e
     _write_extracted_csv(args.out, records)
@@ -549,8 +548,8 @@ def _pipeline_homogeneous(cfg, out, model, stages):
         counters.update(result.counters)
 
     with _stage(stages, "extract", ExtractionError, PreconditionError):
-        records = extract_lens(result.traces, source, sp, receivers,
-                               predictions, eta=cfg["eta"])
+        records = extract_lens(result.traces, result.dt, source, predictions,
+                               eta=cfg["eta"])
         _write_extracted_csv(out / "extracted.csv", records)
         if any(r.t_p is None or r.t_s is None for r in records):
             raise ExtractionError("missing picks at some receivers")

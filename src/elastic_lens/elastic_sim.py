@@ -91,8 +91,9 @@ class BoundarySource:
     def __post_init__(self):
         if self.edge not in EDGES:
             raise ConfigurationError(f"edge must be one of {tuple(EDGES)}, got {self.edge!r}")
-        if self.width <= 0 or self.f0 <= 0:
-            raise ConfigurationError("source width and f0 must be positive")
+        if not (self.width > 0 and self.f0 > 0 and all(map(math.isfinite, (
+                self.center, self.width, self.f0, self.delay, *self.polarization)))):
+            raise ConfigurationError(f"source settings must be finite, width, f0 > 0: {self}")
 
     @property
     def delay(self):
@@ -111,21 +112,11 @@ class WavefieldState:
 
     u: np.ndarray            # (nx, ny, 2)
     u_prev: np.ndarray
-    grid: Grid2D
     dt: float
 
     @property
     def velocity(self):
         return (self.u.astype(float) - self.u_prev) / self.dt
-
-
-@dataclass(frozen=True)
-class TractionTrace:
-    """Time series of sigma(u).nu at one boundary receiver."""
-
-    receiver: tuple
-    dt: float
-    samples: np.ndarray      # (nt, 2)
 
 
 @dataclass
@@ -269,7 +260,7 @@ def energy(state: WavefieldState, mg: MaterialGrid) -> float:
 
 @dataclass
 class SimulationResult:
-    traces: list
+    traces: np.ndarray       # sigma(u).nu, (receivers, steps + 1, 2), every dt
     grid: Grid2D
     dt: float
     snapshots: list = field(default_factory=list)   # WavefieldState objects
@@ -282,12 +273,12 @@ def receiver_nodes(domain: BoxDomain, grid: Grid2D, receivers):
     out = []
     for p in receivers:
         p = np.asarray(p, dtype=float)
-        if abs(domain.signed(p)) > grid.h:
+        if not abs(domain.signed(p)) <= grid.h:       # a NaN point fails too
             raise ConfigurationError(f"receiver {tuple(p.tolist())} is not on the boundary")
         edge = domain.nearest_edge(p)
         along = 1 - EDGES[edge][0]
         k = int(np.argmin(np.abs(grid.nodes()[along] - p[along])))
-        out.append((edge, k, tuple(p)))
+        out.append((edge, k))
     return out
 
 
@@ -315,7 +306,7 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     """Drive the box with a Dirichlet source and record sigma(u).nu traces.
 
     receivers: list of boundary points (snapped to the nearest boundary
-    node).  Returns one TractionTrace per receiver with sample interval dt.
+    node).  The traces: one float64 array (receivers, steps + 1, 2), every dt.
     """
     if not (0.0 < T < math.inf and 0.0 < h < math.inf
             and (dt is None or 0.0 < dt < math.inf)):
@@ -332,8 +323,8 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     def flat(sl):       # flat indices of the edge nodes that sl picks out
         return np.arange(nx)[sl[0]] * ny + np.arange(ny)[sl[1]]
     # each receiver's flat node index and outward normal
-    idx = np.array([flat(_edge_nodes(e)[0])[k] for e, k, _ in rec], dtype=int)
-    nrm_x, nrm_y = np.array([_edge_nodes(e)[1] for e, _, _ in rec]).reshape(-1, 2).T
+    idx = np.array([flat(_edge_nodes(e)[0])[k] for e, k in rec], dtype=int)
+    nrm_x, nrm_y = np.array([_edge_nodes(e)[1] for e, _ in rec]).reshape(-1, 2).T
     n_steps = int(round(T / dt))
     traces = np.zeros((len(rec), n_steps + 1, 2))
     snaps = []
@@ -369,7 +360,7 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
             traces[:, n, 1] = sxy * nrm_x + syy * nrm_y
             while snap_left and t >= snap_left[0] - 0.5 * dt:
                 snaps.append(WavefieldState(np.moveaxis(u, 0, -1).copy(),
-                                            np.moveaxis(u_prev, 0, -1).copy(), grid, dt))
+                                            np.moveaxis(u_prev, 0, -1).copy(), dt))
                 snap_left.pop(0)
             if n == n_steps:
                 break
@@ -385,7 +376,6 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
                     raise NumericalError(f"max |u| = {u_max:.3g} exceeds {u_bound:.3g} "
                                          f"at step {n + 1} (t = {t:.6g}); the scheme blew up")
 
-    out = [TractionTrace(rec[r][2], dt, traces[r]) for r in range(len(rec))]
     limit = math.sqrt(2.0) * h / mg.cp_max   # the derived stability limit
     meta = {"grid": {"nx": nx, "ny": ny, "h": h}, "dt": dt, "steps": n_steps,
             "cfl_limit": limit,
@@ -397,4 +387,4 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
                 "dt_over_limit": dt / limit,
                 "max_u_over_pol": u_max / pol_max if u_max is not None and pol_max else None,
                 "threads": threads}
-    return SimulationResult(out, grid, dt, snaps, meta, counters)
+    return SimulationResult(traces, grid, dt, snaps, meta, counters)

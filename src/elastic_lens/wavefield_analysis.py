@@ -209,8 +209,6 @@ def pick_first_arrival(samples, eta: float, f0: float, dt: float):
 class ExtractedLens:
     """Per-receiver travel-time pair with ray-theoretic comparison slots."""
 
-    source: tuple
-    receiver: tuple
     t_p: float | None
     t_s: float | None
     ell_p: float | None
@@ -251,31 +249,30 @@ def _travel_time(env, t, ell, t_ref, f0, eta, other=None):
             else (onset - t_ref, bool(env[top - 1] == env[lo:top].max())))
 
 
-def extract_lens(traces, source, source_point, receivers, predictions,
-                 eta: float = 0.05) -> list:
+def extract_lens(traces, dt: float, source, predictions, eta: float = 0.05) -> list:
     """Turn traction traces into (t_p, t_s) pairs matched to ray predictions.
 
-    predictions: per-receiver (ell_p, ell_s) travel times from the ray
-    tracer (use None for an unavailable mode).  Each predicted arrival is
-    picked inside a window of half-width 1.5/f0 around the predicted time,
-    as the first crossing of eta times the envelope's peak over the whole
-    predicted pulse (same onset convention as the reference pulse, so the
-    picker bias cancels), which moving the window's edges does not move.
+    traces: one run's tractions, (receivers, samples, 2) sampled every dt, as
+    `simulate_dn` returns them.  predictions: per-receiver (ell_p, ell_s)
+    travel times from the ray tracer (use None for an unavailable mode).
+    Each predicted arrival is picked inside a window of half-width 1.5/f0
+    around the predicted time, as the first crossing of eta times the
+    envelope's peak over the whole predicted pulse (same onset convention as
+    the reference pulse, so the picker bias cancels), which moving the
+    window's edges does not move.
     Windowing keeps later boundary-converted phases out of the onset
     search; ambiguity (predictions closer than 3/f0, i.e. overlapping
     windows), pick collisions and a peak on the pulse span's last sample
     are flagged rather than silently resolved.
     """
-    if not (len(traces) == len(receivers) == len(predictions)):
-        raise PreconditionError("traces, receivers and predictions must align")
-    f0 = source.f0
-    t_refs = {dt: reference_onset(source, dt, eta) for dt in {tr.dt for tr in traces}}
+    if len(traces) != len(predictions):
+        raise PreconditionError("traces and predictions must align")
+    f0, t_ref = source.f0, reference_onset(source, dt, eta)
     out = []
-    for trace, rec, (ell_p, ell_s) in zip(traces, receivers, predictions):
-        t_ref = t_refs[trace.dt]
+    for samples, (ell_p, ell_s) in zip(traces, predictions):
         flags = []
-        env = _envelope(trace.samples, trace.dt, f0)
-        t = trace.dt * np.arange(len(env))
+        env = _envelope(samples, dt, f0)
+        t = dt * np.arange(len(env))
         if ell_p is not None and ell_s is not None and abs(ell_s - ell_p) < 3.0 / f0:
             flags.append("ambiguous-prediction")
         if ell_p is None and ell_s is None:
@@ -294,8 +291,7 @@ def extract_lens(traces, source, source_point, receivers, predictions,
 
         rel_p = abs(t_p - ell_p) / ell_p if (t_p is not None and ell_p) else None
         rel_s = abs(t_s - ell_s) / ell_s if (t_s is not None and ell_s) else None
-        out.append(ExtractedLens(tuple(source_point), tuple(rec), t_p, t_s,
-                                 ell_p, ell_s, rel_p, rel_s, flags))
+        out.append(ExtractedLens(t_p, t_s, ell_p, ell_s, rel_p, rel_s, flags))
     return out
 
 

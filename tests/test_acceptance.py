@@ -18,8 +18,7 @@ import pytest
 
 from elastic_lens import cli
 from elastic_lens.convexity import conformal_second_fundamental_form
-from elastic_lens.elastic_sim import (BoundarySource, TractionTrace, bump,
-                                      simulate_dn)
+from elastic_lens.elastic_sim import BoundarySource, bump, simulate_dn
 from elastic_lens.model_core import (BoxDomain, ConstantField, DiskDomain,
                                      ElasticMaterial, RadialField)
 from elastic_lens.ray_tracer import (RayStatus, entry_at, hamiltonian,
@@ -147,26 +146,24 @@ def test_a3_manifest_pins_the_cell_steps(end_to_end):
 
 def test_a3_picks_stable_under_smooth_background(end_to_end):
     traces_dir = end_to_end["runs"][0] / "traces"
-    traces, source, sp = cli._read_traces_dir(traces_dir)
+    traces, dt, source = cli._read_traces_dir(traces_dir)
     predictions = cli._read_predictions(
         end_to_end["runs"][0] / "predictions.csv", len(traces))
-    receivers = [t.receiver for t in traces]
-    base = extract_lens(traces, source, sp, receivers, predictions, eta=0.05)
+    base = extract_lens(traces, dt, source, predictions, eta=0.05)
 
     rng = np.random.default_rng(7)
-    amp0 = 0.5 * max(float(np.max(np.abs(t.samples))) for t in traces)
+    amp0 = 0.5 * max(float(np.max(np.abs(tr))) for tr in traces)
     perturbed = []
     for tr in traces:
-        t = tr.dt * np.arange(len(tr.samples))
-        bg = np.zeros_like(tr.samples)
+        t = dt * np.arange(len(tr))
+        bg = np.zeros_like(tr)
         for k in range(3):
             freq = 0.3 * (F0 / 10.0) * (k + 1)       # well below f0
             for comp in range(2):
                 bg[:, comp] += (amp0 / (k + 1)) * np.sin(
                     2 * np.pi * freq * t + rng.uniform(0.0, 2 * np.pi))
-        perturbed.append(TractionTrace(tr.receiver, tr.dt, tr.samples + bg))
-    shifted = extract_lens(perturbed, source, sp, receivers, predictions,
-                           eta=0.05)
+        perturbed.append(tr + bg)
+    shifted = extract_lens(np.array(perturbed), dt, source, predictions, eta=0.05)
 
     worst = 0.0
     for a, b in zip(base, shifted):
@@ -334,9 +331,9 @@ def test_a8_source_receiver_swap_reciprocity():
                              polarization=tuple(src_patch["pol"]))
         pts, w = patch_nodes(rec_patch)
         res = simulate_dn(mat, box, src, pts, T=1.6, h=h)
-        sig = np.zeros(len(res.traces[0].samples))
+        sig = np.zeros(len(res.traces[0]))
         for trace, wk in zip(res.traces, w):
-            sig += wk * (trace.samples @ rec_patch["pol"]) * h
+            sig += wk * (trace @ rec_patch["pol"]) * h
         return sig
 
     a = weighted_trace(patch_a, patch_b)

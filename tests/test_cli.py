@@ -314,6 +314,8 @@ def _malformed_argv(tmp_path, small_sim, kind, value):
     ("receivers", "edge=right,count=4,center=0.5"),
     ("receivers", "edge=right,count=4,width=0.5"),
     ("receivers", "edge=top,count=3,center=2.0,width=0.5"),
+    ("receivers", "edge=right,count=2,center=nan,width=0.1"),
+    ("receivers", "edge=right,count=2,center=0.5,width=inf"),
     ("metadata", "source"),
     ("metadata", "receivers"),
     ("metadata", "dt"),
@@ -324,7 +326,8 @@ def _malformed_argv(tmp_path, small_sim, kind, value):
     ("config", {"source": {"pol": [1]}}),
     ("config", {"foliation_range": [0.5]}),
 ], ids=["count-not-int", "center-not-number", "center-without-width",
-        "width-without-center", "receivers-off-the-box", "metadata-no-source",
+        "width-without-center", "receivers-off-the-box", "receivers-center-nan",
+        "receivers-width-inf", "metadata-no-source",
         "metadata-no-receivers", "metadata-no-dt", "metadata-no-grid",
         "config-list", "config-T", "config-receiver-count", "config-pol",
         "config-foliation-range"])
@@ -670,7 +673,7 @@ def test_extract_f0_override_keeps_recorded_t0(tmp_path):
                 "--receivers", "edge=right,count=2", "--T", "0.2", "--h", "0.05",
                 "--out", str(out)]) == 0
     t0 = json.loads((out / "metadata.json").read_text())["source"]["t0"]
-    _, source, _ = cli._read_traces_dir(out, f0=30.0)
+    _, _, source = cli._read_traces_dir(out, f0=30.0)
     assert source.f0 == 30.0
     assert source.delay == t0 == 1.5 / 20.0
 
@@ -686,3 +689,49 @@ def test_extract_metadata_with_empty_grid_exits_2(tmp_path, small_sim):
                     + "".join(f"{k},0.5,0.9\n" for k in range(3)))
     assert run(["extract", "--traces", str(traces), "--lens", str(lens),
                 "--out", str(tmp_path / "out.csv")]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, value", [
+    ("simulate", "f0=nan"), ("simulate", "f0=inf"), ("simulate", "center=nan"),
+    ("simulate", "width=inf"), ("simulate", "pol=nan,0"),
+    ("extract", "nan"), ("extract", "inf"), ("extract", "0"),
+    ("pipeline", math.nan),
+])
+def test_nonfinite_or_zero_source_settings_exit_2(tmp_path, capsys, small_sim, command,
+                                                  value):
+    # a NaN or infinite source setting would reach metadata.json, which is
+    # then not JSON, or the picker as a traceback; an f0 of 0 is refused,
+    # not replaced by the recorded one
+    out = str(tmp_path / "out")
+    if command == "simulate":
+        spec = {"edge": "left", "center": "0.5", "width": "0.2", "f0": "8", "pol": "1,0"}
+        spec.update([value.split("=")])
+        argv = ["simulate", "--model", write_model(tmp_path, UNIT_BOX_MODEL),
+                "--source", ",".join(f"{k}={v}" for k, v in spec.items()),
+                "--receivers", "edge=right,count=2", "--T", "0.2", "--h", "0.05",
+                "--out", out]
+    elif command == "extract":
+        lens = tmp_path / "lens.csv"
+        lens.write_text("receiver_index,ell_p,ell_s\n"
+                        + "".join(f"{k},0.5,0.9\n" for k in range(3)))
+        argv = ["extract", "--traces", str(small_sim[0]), "--lens", str(lens),
+                "--f0", value, "--out", out]
+    else:
+        argv = _malformed_argv(tmp_path, small_sim, "config", {"source": {"f0": value}})
+    assert run(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out" / "metadata.json").exists()
+
+
+def test_extract_refuses_receiver_csvs_of_different_lengths(tmp_path, capsys, small_sim):
+    # the traces of one simulate run share one length and one dt
+    traces = tmp_path / "traces"
+    shutil.copytree(small_sim[0], traces)
+    csv_path = traces / "receiver_001.csv"
+    csv_path.write_text("".join(csv_path.read_text().splitlines(keepends=True)[:-1]))
+    lens = tmp_path / "lens.csv"
+    lens.write_text("receiver_index,ell_p,ell_s\n"
+                    + "".join(f"{k},0.5,0.9\n" for k in range(3)))
+    assert run(["extract", "--traces", str(traces), "--lens", str(lens),
+                "--out", str(tmp_path / "out.csv")]) == cli.EXIT_CONFIG
+    assert str(traces) in capsys.readouterr().err

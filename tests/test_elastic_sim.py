@@ -77,7 +77,7 @@ def test_default_dt_is_stable_and_the_derived_limit_holds(unit_box, monkeypatch,
     assert res.dt == stable_dt(sample_material(mat, res.grid))
     assert res.counters["dt_over_limit"] == pytest.approx(1.0 / math.sqrt(2.0))
     assert res.counters["max_u_over_pol"] < 1.3
-    assert np.all(np.isfinite(res.traces[0].samples))
+    assert np.all(np.isfinite(res.traces[0]))
     monkeypatch.setattr(elastic_sim, "CFL_SAFETY", 1.5)
     with pytest.raises(NumericalError):
         simulate_dn(mat, unit_box, src, [(1.0, 0.5)], T=30.0, h=0.05)
@@ -86,10 +86,18 @@ def test_default_dt_is_stable_and_the_derived_limit_holds(unit_box, monkeypatch,
 def test_receiver_snapping_accepts_boundary_rejects_interior(unit_box):
     grid = Grid2D((0.0, 0.0), 0.1, 11, 11)
     nodes = receiver_nodes(unit_box, grid, [(1.0, 0.52)])
-    edge, k, pos = nodes[0]
+    edge, k = nodes[0]
     assert edge == "right" and k == 5
     with pytest.raises(ConfigurationError):
         receiver_nodes(unit_box, grid, [(0.5, 0.5)])
+
+
+def test_receiver_snapping_rejects_nan_points(unit_box):
+    # a NaN distance to the boundary is no distance within h
+    grid = Grid2D((0.0, 0.0), 0.1, 11, 11)
+    for point in [(1.0, math.nan), (math.nan, 0.5)]:
+        with pytest.raises(ConfigurationError, match="not on the boundary"):
+            receiver_nodes(unit_box, grid, [point])
 
 
 def test_energy_stays_bounded_after_source_stops(unit_material, unit_box):
@@ -129,7 +137,7 @@ def test_energy_of_uniform_strain_and_velocity_is_closed_form(strain, v):
     grid = Grid2D((0.0, 0.0), h, nx, ny)
     X, Y = np.meshgrid(*grid.nodes(), indexing="ij")
     u = np.stack([a * X, b * Y], axis=-1)
-    state = WavefieldState(u, u - dt * np.asarray(v), grid, dt)
+    state = WavefieldState(u, u - dt * np.asarray(v), dt)
     mg = sample_material(ElasticMaterial(ConstantField(lam), ConstantField(mu),
                                          ConstantField(rho)), grid)
     strain_energy = 0.5 * (lam * (a + b) ** 2 + 2.0 * mu * (a * a + b * b))
@@ -145,7 +153,7 @@ def test_wavefield_is_float32_traces_and_dt_float64(unit_box):
     res = simulate_dn(mat, unit_box, src, [(1.0, 0.5)], T=0.3, h=0.05,
                       snapshot_times=(0.2,))
     assert res.snapshots[0].u.dtype == np.float32
-    assert res.traces[0].samples.dtype == np.float64
+    assert res.traces.dtype == np.float64
     assert res.dt == stable_dt(sample_material(mat, res.grid))
 
 
@@ -158,8 +166,7 @@ def test_p_arrival_speed_oracle(unit_material, unit_box):
     res = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)],
                       T=0.9, h=0.01)
     t_ref = reference_onset(src, res.dt, 0.05)
-    trace = res.traces[0]
-    pick = pick_first_arrival(trace.samples, 0.05, 10.0, trace.dt)
+    pick = pick_first_arrival(res.traces[0], 0.05, 10.0, res.dt)
     assert pick is not None
     assert pick - t_ref == pytest.approx(1.0 / math.sqrt(3.0), rel=0.06)
 
@@ -172,18 +179,18 @@ def test_polarization_selects_mode_energy(unit_material, unit_box):
                            polarization=(0.0, 1.0))
     cp = math.sqrt(3.0)
 
-    def window_energy(trace, t_center, half=0.12):
-        t = trace.dt * np.arange(len(trace.samples))
+    def window_energy(samples, dt, t_center, half=0.12):
+        t = dt * np.arange(len(samples))
         sel = (t >= t_center - half) & (t <= t_center + half)
-        return float(np.sum(trace.samples[sel] ** 2))
+        return float(np.sum(samples[sel] ** 2))
 
     out = {}
     for tag, src in (("p", src_p), ("s", src_s)):
         res = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)],
                           T=1.45, h=0.005)
         tr = res.traces[0]
-        out[tag] = (window_energy(tr, 1.0 / cp + src.delay),
-                    window_energy(tr, 1.0 + src.delay))
+        out[tag] = (window_energy(tr, res.dt, 1.0 / cp + src.delay),
+                    window_energy(tr, res.dt, 1.0 + src.delay))
     assert out["p"][0] > 5.0 * out["p"][1]
     assert out["s"][1] > 5.0 * out["s"][0]
 
@@ -194,7 +201,7 @@ def test_simulation_is_deterministic(unit_material, unit_box):
     kw = dict(T=0.5, h=0.02)
     a = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], **kw)
     b = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], **kw)
-    assert np.array_equal(a.traces[0].samples, b.traces[0].samples)
+    assert np.array_equal(a.traces[0], b.traces[0])
 
 
 def test_dirichlet_walls_are_zero_off_source(unit_material, unit_box):
@@ -256,7 +263,7 @@ def _reference_dn(material, domain, source, receivers, T, h, dt, dtype=np.float3
         return np.moveaxis(g, 0, a)
 
     at = []
-    for edge, k, _ in receiver_nodes(domain, grid, receivers):
+    for edge, k in receiver_nodes(domain, grid, receivers):
         a, s = EDGES[edge]
         node, normal = [k, k], [0.0, 0.0]
         node[a], normal[a] = -s, 2.0 * s - 1.0
@@ -308,7 +315,7 @@ def test_fd_kernel_matches_gradient_reference_bitwise(unit_box, material, pol):
     res = simulate_dn(mat, unit_box, src, receivers, T=0.6, h=0.05,
                       snapshot_times=(0.6,))
     traces, u = _reference_dn(mat, unit_box, src, receivers, 0.6, 0.05, res.dt)
-    assert np.array_equal(np.array([tr.samples for tr in res.traces]), traces)
+    assert np.array_equal(res.traces, traces)
     assert np.array_equal(res.snapshots[-1].u, u)
     assert np.abs(traces).max() > 0.0
 
@@ -326,7 +333,7 @@ def test_float32_wavefield_tracks_float64_reference(unit_box, material, h):
     res = simulate_dn(mat, unit_box, src, receivers, T=0.9, h=h)
     ref, _ = _reference_dn(mat, unit_box, src, receivers, 0.9, h, res.dt, dtype=float,
                            physical=True)
-    got = np.array([tr.samples for tr in res.traces])
+    got = res.traces
     assert np.linalg.norm(got - ref) <= 1e-4 * np.linalg.norm(ref)
     for g, r in zip(got, ref):
         t_got, t_ref = (pick_first_arrival(x, 0.05, src.f0, res.dt) for x in (g, r))
@@ -366,8 +373,7 @@ def test_row_strips_reproduce_one_strip_bitwise(unit_box, monkeypatch, material,
     def run():
         res = simulate_dn(mat, unit_box, src, receivers, T=0.6, h=h,
                           snapshot_times=(0.6,))
-        traces = np.array([tr.samples for tr in res.traces])
-        return res, traces, res.snapshots[-1].u
+        return res, res.traces, res.snapshots[-1].u
 
     one, traces, u = run()
     assert one.counters["threads"] == 1
@@ -435,7 +441,7 @@ def test_row_window_is_invisible(edge, center, width, angle, h, material, strips
         res = simulate_dn(mat, unit_box, src, receivers, T=0.5, h=h, dt=dt,
                           snapshot_times=(n * dt, 0.5))
     traces, u = _reference_dn(mat, unit_box, src, receivers, 0.5, h, dt)
-    assert np.array_equal(np.array([tr.samples for tr in res.traces]), traces)
+    assert np.array_equal(res.traces, traces)
     assert np.array_equal(res.snapshots[-1].u, u)
     rows = np.flatnonzero(np.any(res.snapshots[0].u != 0.0, axis=(1, 2)))
     if driven.size:
@@ -479,7 +485,7 @@ def test_receiver_cone_is_invisible(edge, center, width, angle, receivers, T, sn
         _force_strips(mp, strips)
         res = simulate_dn(mat, unit_box, src, points, T=T, h=h, dt=dt, snapshot_times=times)
     traces, _ = _reference_dn(mat, unit_box, src, points, T, h, dt)
-    assert np.array_equal(np.array([tr.samples for tr in res.traces]), traces)
+    assert np.array_equal(res.traces, traces)
     if times:
         _, u = _reference_dn(mat, unit_box, src, points, times[0], h, dt)
         assert np.array_equal(res.snapshots[0].u, u)
@@ -500,7 +506,7 @@ def test_receivers_out_of_reach_get_zero_traces_and_no_strip_work(unit_material,
     traces, _ = _reference_dn(unit_material, unit_box, src, [(1.0, 0.5)], 0.2, 0.05, res.dt)
     assert res.counters["steps"] == 7
     assert calls == [] and res.counters["window_cell_steps"] == 0
-    assert not np.any(traces) and np.array_equal(res.traces[0].samples, traces[0])
+    assert not np.any(traces) and np.array_equal(res.traces[0], traces[0])
 
 
 def test_stress_and_step_allocate_no_plane(unit_material, unit_box, monkeypatch):

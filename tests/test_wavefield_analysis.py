@@ -6,7 +6,7 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import butter, sosfilt
 
-from elastic_lens.elastic_sim import BoundarySource, TractionTrace, ricker, simulate_dn
+from elastic_lens.elastic_sim import BoundarySource, ricker, simulate_dn
 from elastic_lens.errors import PreconditionError
 from elastic_lens.model_core import BoxDomain, ConstantField, ElasticMaterial
 from elastic_lens.wavefield_analysis import (_highpass, _onset, cauchy_to_neumann,
@@ -153,7 +153,7 @@ def test_onset_interpolates_linearly_between_samples():
 def make_trace(arrivals, amps, f0, dt, T):
     t = np.arange(0.0, T, dt)
     sig = sum(a * ricker(t - tt, f0, 1.5 / f0) for tt, a in zip(arrivals, amps))
-    return TractionTrace((1.0, 0.5), dt, np.column_stack([sig, 0.3 * sig]))
+    return np.column_stack([sig, 0.3 * sig])[None]
 
 
 def test_extract_lens_matches_synthetic_arrivals():
@@ -164,8 +164,7 @@ def test_extract_lens_matches_synthetic_arrivals():
     # each arrival replays the delayed source pulse shifted by the travel
     # time, exactly the structure whose picker bias reference_onset cancels
     trace = make_trace((ell_p, ell_s), (1.0, 0.7), f0, dt, 2.0)
-    recs = extract_lens([trace], src, (0.0, 0.5), [(1.0, 0.5)],
-                        [(ell_p, ell_s)], eta=0.05)
+    recs = extract_lens(trace, dt, src, [(ell_p, ell_s)], eta=0.05)
     rec = recs[0]
     assert rec.rel_err_p < 0.01
     assert rec.rel_err_s < 0.01
@@ -182,11 +181,10 @@ def test_window_picks_do_not_depend_on_the_window_edge():
                          polarization=(1.0, 0.0))
     t = np.arange(0.0, 2.0, dt)
     sig = ricker(t - 0.6, f0, 1.5 / f0) + 0.7 * ricker(t - 1.1, f0 / 1.6, 2.4 / f0)
-    trace = TractionTrace((1.0, 0.5), dt, np.column_stack([sig, 0.3 * sig]))
+    trace = np.column_stack([sig, 0.3 * sig])[None]
 
     def picks(k):
-        rec, = extract_lens([trace], src, (0.0, 0.5), [(1.0, 0.5)],
-                            [(0.6 + k * dt, 1.1 + k * dt)], eta=0.05)
+        rec, = extract_lens(trace, dt, src, [(0.6 + k * dt, 1.1 + k * dt)], eta=0.05)
         assert rec.flags == []
         return rec.t_p, rec.t_s
 
@@ -203,8 +201,8 @@ def test_extract_lens_flags_a_peak_on_the_pulse_span_edge():
                          polarization=(1.0, 0.0))
     t = np.arange(0.0, 2.0, dt)
     sig = ricker(t - 0.6, f0, 1.5 / f0) + ricker(t - 1.1, f0 / 3.0, 4.5 / f0)
-    trace = TractionTrace((1.0, 0.5), dt, np.column_stack([sig, 0.3 * sig]))
-    rec, = extract_lens([trace], src, (0.0, 0.5), [(1.0, 0.5)], [(0.6, 1.1)], eta=0.05)
+    trace = np.column_stack([sig, 0.3 * sig])[None]
+    rec, = extract_lens(trace, dt, src, [(0.6, 1.1)], eta=0.05)
     assert rec.flags == ["s-peak-on-edge"]
 
 
@@ -231,8 +229,8 @@ def _simulate_and_extract(h, kappa, mu, rho, center, angle, receivers):
     chords = [math.dist((0.0, center), p) for p in points]
     res = simulate_dn(mat, BoxDomain((0.0, 0.0), (1.0, 1.0)), src, points,
                       T=src.delay + max(chords) / cs + 3.0 / f0, h=h)
-    rows = extract_lens(res.traces, src, (0.0, center), points,
-                        [(d / cp, d / cs) for d in chords], eta=0.05)
+    rows = extract_lens(res.traces, res.dt, src, [(d / cp, d / cs) for d in chords],
+                        eta=0.05)
     return rows, chords, cp, cs, f0, res.dt
 
 
@@ -271,8 +269,7 @@ def test_extract_lens_flags_ambiguous_predictions():
     src = BoundarySource(edge="left", center=0.5, width=0.1, f0=f0,
                          polarization=(1.0, 0.0))
     trace = make_trace((0.8,), (1.0,), f0, dt, 2.0)
-    recs = extract_lens([trace], src, (0.0, 0.5), [(1.0, 0.5)],
-                        [(0.70, 0.75)], eta=0.05)
+    recs = extract_lens(trace, dt, src, [(0.70, 0.75)], eta=0.05)
     assert "ambiguous-prediction" in recs[0].flags
 
 
@@ -280,9 +277,7 @@ def test_extract_lens_reports_missing_pick():
     f0, dt = 15.0, 5e-4
     src = BoundarySource(edge="left", center=0.5, width=0.1, f0=f0,
                          polarization=(1.0, 0.0))
-    trace = TractionTrace((1.0, 0.5), dt, np.zeros((2000, 2)))
-    recs = extract_lens([trace], src, (0.0, 0.5), [(1.0, 0.5)],
-                        [(0.6, 1.1)], eta=0.05)
+    recs = extract_lens(np.zeros((1, 2000, 2)), dt, src, [(0.6, 1.1)], eta=0.05)
     assert recs[0].t_p is None and recs[0].t_s is None
     assert "no-pick" in recs[0].flags
 
@@ -292,7 +287,7 @@ def test_extract_lens_alignment_check():
     src = BoundarySource(edge="left", center=0.5, width=0.1, f0=f0,
                          polarization=(1.0, 0.0))
     with pytest.raises(PreconditionError):
-        extract_lens([], src, (0.0, 0.5), [(1.0, 0.5)], [(0.6, 1.1)])
+        extract_lens(np.zeros((0, 2000, 2)), dt, src, [(0.6, 1.1)])
 
 
 def test_extract_lens_refuses_threshold_above_one():
@@ -301,7 +296,7 @@ def test_extract_lens_refuses_threshold_above_one():
                          polarization=(1.0, 0.0))
     trace = make_trace((0.6, 1.1), (1.0, 0.7), f0, dt, 2.0)
     with pytest.raises(PreconditionError, match="eta"):
-        extract_lens([trace], src, (0.0, 0.5), [(1.0, 0.5)], [(0.6, 1.1)], eta=2.0)
+        extract_lens(trace, dt, src, [(0.6, 1.1)], eta=2.0)
 
 
 # ---------------------------------------------------------------------------
