@@ -119,10 +119,11 @@ def _is_number(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _read_csv(path, columns):
-    """Numeric rows of a CSV file with one header line and >= `columns` columns."""
+def _read_csv(path, columns, cell=None):
+    """Numeric rows of a CSV file with one header line and >= `columns`
+    columns, each cell read by `cell` when given."""
     try:
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, converters=cell)
     except ValueError as e:
         raise ConfigurationError(f"malformed CSV {path}: {e}")
     if rows.shape[1] < columns:
@@ -372,13 +373,25 @@ def _read_traces_dir(traces_dir, f0=None):
     return np.array(traces), dt, source
 
 
+def _finite_or_empty(text):
+    """A finite number, or NaN for an empty cell."""
+    if not text.strip():
+        return math.nan
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)          # loadtxt names the cell
+    return value
+
+
 def _read_predictions(path, n):
-    rows = _read_csv(path, 3)
+    """(ell_p, ell_s) of each of the n receivers, from columns 2 and 3: travel
+    times >= 0, or an empty cell for no prediction."""
+    rows = _read_csv(path, 3, _finite_or_empty)
     if rows.shape[0] != n:
         raise ConfigurationError(
             f"prediction table {path} has {rows.shape[0]} rows, expected {n}")
-    return [(float(r[1]) if np.isfinite(r[1]) else None,
-             float(r[2]) if np.isfinite(r[2]) else None) for r in rows]
+    if np.any(rows[:, 1:3] < 0.0):
+        raise ConfigurationError(f"prediction table {path} holds a negative travel time")
+    return [tuple(None if math.isnan(v) else float(v) for v in r[1:3]) for r in rows]
 
 
 def _write_extracted_csv(path, records):
@@ -389,6 +402,8 @@ def _write_extracted_csv(path, records):
 
 
 def cmd_extract(args):
+    if not 0.0 < args.eta < 1.0:          # a NaN fails too
+        raise ConfigurationError(f"--eta must lie in (0, 1), got {args.eta}")
     traces, dt, source = _read_traces_dir(args.traces, args.f0)
     predictions = _read_predictions(args.lens, len(traces))
     try:

@@ -136,12 +136,12 @@ def test_a3_arrival_times_within_three_percent(end_to_end):
 
 def test_a3_manifest_pins_the_cell_steps(end_to_end):
     # the source drives row 0 and the receivers sit on row 400 of 401: step
-    # n of 901 runs on rows [0, 2 n + 3) cut to [400 - 2 (901 - n), 401)
+    # n of 693 runs on rows [0, 2 n + 3) cut to [400 - 2 (693 - n), 401)
     stages = json.loads((end_to_end["runs"][0] / "manifest.json").read_text())["stages"]
     counters = next(s["counters"] for s in stages if s["name"] == "simulate")
-    assert counters["cell_steps"] == 401 * 961 * 901 == 347_210_261
-    assert counters["window_cell_steps"] == 270_714_661 == 961 * sum(
-        min(401, 2 * n + 3) - max(0, 400 - 2 * (901 - n)) for n in range(901))
+    assert counters["cell_steps"] == 401 * 961 * 693 == 267_055_173
+    assert counters["window_cell_steps"] == 190_559_573 == 961 * sum(
+        min(401, 2 * n + 3) - max(0, 400 - 2 * (693 - n)) for n in range(693))
 
 
 def test_a3_picks_stable_under_smooth_background(end_to_end):

@@ -365,8 +365,8 @@ def test_simulate_reruns_byte_identical(small_sim):
 @pytest.mark.parametrize("safety, T", [(5.0, "40"), (2.0, "20")],
                          ids=["cfl5-T40", "cfl2-T20"])
 def test_simulate_blow_up_exits_5(tmp_path, monkeypatch, safety, T):
-    # five (two) times the default time step, past the limit sqrt(2) times
-    # it: the leapfrog scheme grows without bound, and the run must stop
+    # five (two) times h / c_p, past the limit sqrt(2) times it: the
+    # leapfrog scheme grows without bound, and the run must stop
     # with a simulation error; at two times u stays finite up to T = 20
     # (near 1e257), so only its amplitude shows the blow-up
     monkeypatch.setattr(elastic_sim, "CFL_SAFETY", safety)
@@ -434,15 +434,15 @@ def test_simulate_needs_a_box_and_a_material(tmp_path, capsys, doc):
 
 
 def test_simulate_refused_dt_reads_apart_from_its_bound(tmp_path, capsys):
-    # the bound is h / c_p = 0.05 / sqrt(3) = 0.028867..., just below 0.0289
+    # the bound is 1.3 h / c_p = 1.3 0.05 / sqrt(3) = 0.0375277..., just below 0.03753
     model = write_model(tmp_path, UNIT_BOX_MODEL)
     assert run(["simulate", "--model", str(model),
                 "--source", "edge=left,center=0.5,width=0.2,f0=8,pol=1,0",
                 "--receivers", "edge=right,count=3", "--T", "0.2", "--h", "0.05",
-                "--dt", "0.0289", "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+                "--dt", "0.03753", "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
     dt, bound = re.search(r"dt = (\S+) violates CFL: .* = (\S+)$",
                           capsys.readouterr().err.strip()).groups()
-    assert float(dt) == 0.0289 and float(bound) == 0.05 / math.sqrt(3.0)
+    assert float(dt) == 0.03753 and float(bound) == 1.3 * 0.05 / math.sqrt(3.0)
     assert dt != bound
 
 
@@ -611,15 +611,15 @@ def test_homogeneous_pipeline_manifest_records_stages(tmp_path):
     assert all(s["seconds"] >= 0.0 for s in stages)
     counters = stages[2]["counters"]
     meta = json.loads((out / "traces" / "metadata.json").read_text())
-    assert counters["steps"] == meta["steps"] == 113
+    assert counters["steps"] == meta["steps"] == 87
     assert counters["dt"] == meta["dt"]
-    assert counters["cell_steps"] == meta["grid"]["nx"] * meta["grid"]["ny"] * 113
+    assert counters["cell_steps"] == meta["grid"]["nx"] * meta["grid"]["ny"] * 87
     # a left source drives row 0 and the receivers sit on row 50: step n runs
-    # on rows [0, 2 n + 3) of the 51, cut to [50 - 2 (113 - n), 51)
+    # on rows [0, 2 n + 3) of the 51, cut to [50 - 2 (87 - n), 51)
     assert counters["window_cell_steps"] == sum(
-        min(51, 2 * n + 3) - max(0, 50 - 2 * (113 - n)) for n in range(113)) * 121
-    # the default step, h / c_p, against the limit sqrt(2) h / c_p
-    assert counters["dt_over_limit"] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+        min(51, 2 * n + 3) - max(0, 50 - 2 * (87 - n)) for n in range(87)) * 121
+    # the default step, 1.3 h / c_p, against the limit sqrt(2) h / c_p
+    assert counters["dt_over_limit"] == pytest.approx(1.3 / math.sqrt(2.0), rel=1e-12)
     # metadata.json records that limit, the one dt_over_limit divides by
     assert meta["dt"] / meta["cfl_limit"] == counters["dt_over_limit"]
     # the amplitude at step 64, the only blow-up check of the run
@@ -721,6 +721,40 @@ def test_nonfinite_or_zero_source_settings_exit_2(tmp_path, capsys, small_sim, c
     assert run(argv) == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not (tmp_path / "out" / "metadata.json").exists()
+
+
+def _extract_argv(tmp_path, small_sim, row1="1,0.5,0.9", eta="0.05"):
+    """argv of `extract` on small_sim's 3 receivers, with prediction row 1
+    and --eta as given."""
+    lens = tmp_path / "lens.csv"
+    lens.write_text(f"receiver_index,ell_p,ell_s\n0,0.5,0.9\n{row1}\n2,0.5,0.9\n")
+    return ["extract", "--traces", str(small_sim[0]), "--lens", str(lens),
+            "--eta", eta, "--out", str(tmp_path / "out.csv")]
+
+
+@pytest.mark.parametrize("setting", [
+    {"eta": "2"}, {"eta": "nan"}, {"eta": "0"},
+    {"row1": "1,-1,0.9"}, {"row1": "1,0.5,-0.1"}, {"row1": "1,inf,0.9"},
+    {"row1": "1,0.5,nan"},
+], ids=["eta-2", "eta-nan", "eta-0", "ell-p-negative", "ell-s-negative", "ell-p-inf",
+        "ell-s-nan"])
+def test_extract_refuses_bad_eta_and_travel_times_with_exit_2(tmp_path, capsys, small_sim,
+                                                               setting):
+    # a bad run setting or prediction table is a configuration error, not an
+    # extraction failure; only an empty cell says "no prediction"
+    assert run(_extract_argv(tmp_path, small_sim, **setting)) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("row1, ell_p, ell_s", [("1,,0.9", "", "0.9"), ("1,,", "", "")],
+                         ids=["p", "both"])
+def test_extract_reads_an_empty_prediction_cell_as_no_prediction(tmp_path, small_sim,
+                                                                 row1, ell_p, ell_s):
+    assert run(_extract_argv(tmp_path, small_sim, row1=row1)) == cli.EXIT_OK
+    rows = list(csv.DictReader((tmp_path / "out.csv").read_text().splitlines()))
+    assert (rows[1]["ell_p"], rows[1]["ell_s"]) == (ell_p, ell_s)
+    assert ("no-prediction" in rows[1]["flags"]) == (ell_s == "")
 
 
 def test_extract_refuses_receiver_csvs_of_different_lengths(tmp_path, capsys, small_sim):

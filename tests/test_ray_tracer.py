@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from elastic_lens import ray_tracer
 from elastic_lens.cli import read_lens_csv, write_lens_csv
 from elastic_lens.errors import PreconditionError
-from elastic_lens.model_core import ConstantField, DiskDomain, RadialField, load_model
-from elastic_lens.ray_tracer import (BoundaryDirection, RayStatus,
+from elastic_lens.model_core import (BoxDomain, ConstantField, DiskDomain, LinearField,
+                                     RadialField, load_model)
+from elastic_lens.ray_tracer import (THETA_MIN, BoundaryDirection, RayStatus,
                                      entry_at, exit_angle, fan_angles, hamiltonian,
                                      integrate_bicharacteristic, lens_table,
-                                     scattering_relation, unit_phase)
+                                     scattering_relation, scattering_relations,
+                                     unit_phase)
 from tests.conftest import LINEAR_RADIAL_MODEL
 
 
@@ -152,3 +154,30 @@ def test_lens_table_rows_match_single_rays(a, frac):
         assert np.allclose(single.exit.x, row.record.exit.x, rtol=0, atol=1e-12)
         assert np.allclose(single.exit.v, row.record.exit.v, rtol=0, atol=1e-12)
         assert abs(single.ell - row.record.ell) <= 1e-12
+
+
+@given(kind=st.sampled_from(["disk", "box"]), bx=st.floats(-0.3, 0.3),
+       by=st.floats(-0.3, 0.3))
+def test_curved_rays_retrace_their_path_backwards(kind, bx, by):
+    # time reversal: the ray from (x, v) exits at (y, w) after ell, so the
+    # ray from (y, -w) exits at (x, -v) after ell.  c = 1 + b . x has no
+    # symmetry, so the rays curve every way; the bounds are RK4's at dt =
+    # 1e-2 (at most 1.3e-10 in x and ell, 3.9e-11 in v, on 144-ray fans at
+    # |b_i| = 0.3) with a margin
+    domain = DiskDomain(1.0) if kind == "disk" else BoxDomain((0.0, 0.0), (1.0, 2.0))
+    # positive on the box: 1 - 0.3 - 0.6 > 0; the default bounds hold the disk
+    speed = LinearField(1.0, (bx, by), bounds=None if kind == "disk" else domain)
+    rows = lens_table(speed, domain, n_points=6, angles=6, t_max=20.0, dt=1e-2)
+    assert all(r.record.status is RayStatus.EXITED for r in rows)
+    # an exit within THETA_MIN of tangent is no valid entry; keep a margin
+    rows = [r for r in rows
+            if abs(exit_angle(domain, r.record)) < math.pi / 2 - 2 * THETA_MIN]
+    assert len(rows) >= 30
+    back = scattering_relations(speed, domain, [
+        BoundaryDirection(r.record.exit.x, tuple(-np.asarray(r.record.exit.v)))
+        for r in rows], t_max=20.0, dt=1e-2)
+    for row, rec in zip(rows, back):
+        assert rec.status is RayStatus.EXITED
+        assert np.abs(np.subtract(rec.exit.x, row.record.entry.x)).max() <= 1e-9
+        assert np.abs(np.add(rec.exit.v, row.record.entry.v)).max() <= 3e-10
+        assert abs(rec.ell - row.record.ell) <= 1e-9
