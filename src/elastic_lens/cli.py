@@ -692,9 +692,10 @@ def _build_parser():
     q.add_argument("--T", type=float, required=True)
     q.add_argument("--h", type=float, required=True)
     q.add_argument("--dt", type=float, default=None,
-                   help="time step; default h / max c_p.  The scheme is stable "
-                        "below sqrt(2) h / max c_p; a dt over h / max c_p "
-                        "exits 2")
+                   help="time step; default 1.3 h / c, with c the speed of the "
+                        "step's stability bound (c_p for a constant material).  "
+                        "The scheme is stable below sqrt(2) h / c; a dt over "
+                        "1.3 h / c exits 2")
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_simulate)
 

@@ -32,15 +32,28 @@ spatial operator rho^-1 div sigma therefore has the symbol
 -(c_s^2 |s|^2 I + (c_p^2 - c_s^2) s s^T), s = (sin(k_x h), sin(k_y h))/h,
 whose eigenvalues are -c_p^2 |s|^2 (along s) and -c_s^2 |s|^2 (across it),
 with |s|^2 <= 2/h^2.  Leapfrog on u_tt = -w^2 u is stable for dt w < 2,
-so the scheme is stable for dt < 2 h / (sqrt(2) c_p,max) = sqrt(2) h / c_p,max.
-The default and largest accepted step is CFL_SAFETY h / c_p,max = 1.3 h / c_p,max,
-92 % of that limit; with variable coefficients c_p,max is the largest nodal c_p.
-With the walls and one-sided edge differences the operator's eigenvalues
-stay real and >= 0; in float64 on a 21 x 21 grid the discrete limit is
-1.43 to 1.50 h / c_p,max (unit, near-fluid, mu = 3 lam, and two linear
-materials).  Leapfrog's time error offsets part of the wide stencil's
-lag, so the larger step brings P picks closer to the chord time (on A3
-+7.3 to +8.7 ms late at 1.3 h / c_p,max, against +8.1 to +9.4 ms at 1.0).
+so the scheme is stable for dt < 2 h / (sqrt(2) c_p) = sqrt(2) h / c_p.
+With variable coefficients node i's update reads lam and mu at its four
+neighbours and divides by its own rho, so the nodal c_p does not bound it:
+across a 10x jump in rho and lam + 2 mu at equal c_p the limit is 1.06
+h / c_p, across a 100x jump 0.39 h / c_p.  The bound therefore uses the
+operator's Gershgorin row sums, which no eigenvalue exceeds: the
+absolute entries of row (u_x, i) sum to [(lam + mu) at i's two
+x-neighbours + mu at its two y-neighbours] / (h^2 rho_i), those of row
+(u_y, i) likewise with x and y swapped (next to a wall the one-sided
+differences drop terms).  MaterialGrid.c_bound is the speed c with
+2 c^2 / h^2 the largest of these over the interior nodes: c_p for
+constant coefficients, the interior nodes' c_p up to O(h^2) for smooth
+ones.  The scheme is stable for dt < sqrt(2) h / c_bound, and the
+default and largest accepted step is CFL_SAFETY h / c_bound = 1.3 h /
+c_bound, 92 % of that limit.  With the walls and one-sided edge
+differences the operator's eigenvalues stay real and >= 0; in float64
+the discrete limit is 1.43 to 1.50 h / c_p on a 21 x 21 grid (unit,
+near-fluid, mu = 3 lam, and two linear materials) and at least 1.42
+h / c_bound on 13 x 13 grids with layered, single-node, wall and
+node-by-node contrasts up to 1000x.  Leapfrog's time error offsets part
+of the wide stencil's lag, so the larger step brings P picks closer to
+the chord time.
 """
 
 from __future__ import annotations
@@ -55,7 +68,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError
 from .model_core import EDGES, BoxDomain, ElasticMaterial, Grid2D
 
-CFL_SAFETY = 1.3            # dt <= CFL_SAFETY h / c_p,max: 92 % of the limit sqrt(2)
+CFL_SAFETY = 1.3            # dt <= CFL_SAFETY h / c_bound: 92 % of the limit sqrt(2)
 _BLOW_UP_CHECK_STEPS = 64   # simulate_dn checks u for blow-up this often:
 _BLOW_UP_FACTOR = 1e3       # max|u| over this times max|pol| (stable runs: < 1.3)
 _MIN_NODES_PER_STRIP = 75_000    # below this a strip costs more in handoff than it saves
@@ -136,8 +149,20 @@ class MaterialGrid:
     rho: np.ndarray | float
 
     @property
-    def cp_max(self):
-        return float(np.sqrt(np.max((self.lam + 2 * self.mu) / self.rho)))
+    def c_bound(self):
+        """The speed c with 2 c^2 / h^2 the step operator's largest Gershgorin
+        row sum over the interior nodes (module docstring); c_p if constant."""
+        def pair(f, axis):      # f at the two neighbours along axis of each interior node
+            if isinstance(f, float):
+                return 2.0 * f
+            return f[2:, 1:-1] + f[:-2, 1:-1] if axis == 0 else f[1:-1, 2:] + f[1:-1, :-2]
+        lam_mu, rho = self.lam + self.mu, self.rho
+        x_rows = pair(lam_mu, 0)        # rows (u_x, i), then (u_y, i), times 2 h^2 rho_i
+        x_rows += pair(self.mu, 1)
+        y_rows = pair(lam_mu, 1)
+        y_rows += pair(self.mu, 0)
+        rho_i = rho if isinstance(rho, float) else rho[1:-1, 1:-1]
+        return float(np.sqrt(np.max(np.maximum(x_rows, y_rows) / (2.0 * rho_i))))
 
 
 def sample_material(material: ElasticMaterial, grid: Grid2D) -> MaterialGrid:
@@ -150,14 +175,14 @@ def sample_material(material: ElasticMaterial, grid: Grid2D) -> MaterialGrid:
 
 
 def stable_dt(mg: MaterialGrid) -> float:
-    return CFL_SAFETY * mg.grid.h / mg.cp_max
+    return CFL_SAFETY * mg.grid.h / mg.c_bound
 
 
 def check_cfl(mg: MaterialGrid, dt: float):
     limit = stable_dt(mg)
     if dt > limit * (1 + 1e-12):
         raise ConfigurationError(
-            f"dt = {dt!r} violates CFL: must be <= {CFL_SAFETY} h / max c_p = {limit!r}")
+            f"dt = {dt!r} violates CFL: must be <= {CFL_SAFETY} h / c_bound = {limit!r}")
 
 
 class _Workspace:
@@ -321,6 +346,7 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     nx, ny = (int(round(w / h)) + 1 for w in domain.widths)
     grid = Grid2D(tuple(domain.lo), h, nx, ny)
     mg = sample_material(material, grid)
+    limit = math.sqrt(2.0) * h / mg.c_bound   # the derived stability limit
     if dt is None:
         dt = stable_dt(mg)
     check_cfl(mg, dt)
@@ -382,7 +408,6 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
                     raise NumericalError(f"max |u| = {u_max:.3g} exceeds {u_bound:.3g} "
                                          f"at step {n + 1} (t = {t:.6g}); the scheme blew up")
 
-    limit = math.sqrt(2.0) * h / mg.cp_max   # the derived stability limit
     meta = {"grid": {"nx": nx, "ny": ny, "h": h}, "dt": dt, "steps": n_steps,
             "cfl_limit": limit,
             "source": {"edge": source.edge, "center": source.center,

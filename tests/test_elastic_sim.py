@@ -17,7 +17,8 @@ from elastic_lens.elastic_sim import (BoundarySource, MaterialGrid, bump,
                                       stable_dt, WavefieldState)
 from elastic_lens.errors import ConfigurationError, NumericalError
 from elastic_lens.model_core import (EDGES, BoxDomain, ConstantField,
-                                     ElasticMaterial, Grid2D, LinearField)
+                                     ElasticMaterial, Grid2D, GridField,
+                                     LinearField)
 
 
 def test_ricker_vanishes_for_nonpositive_time():
@@ -67,9 +68,10 @@ _STABILITY_MATERIALS = {
 @pytest.mark.parametrize("material", list(_STABILITY_MATERIALS))
 def test_default_dt_is_stable_and_the_derived_limit_holds(unit_box, monkeypatch,
                                                            material):
-    # the scheme is stable for dt < sqrt(2) h / c_p,max (module docstring):
-    # the default 1.3 h / c_p,max stays bounded over a long run, and 1.5 h /
-    # c_p,max, past the limit, blows up within a few blow-up checks
+    # the scheme is stable for dt < sqrt(2) h / c_bound (module docstring),
+    # and c_bound is the largest interior c_p for these smooth materials: the
+    # default 1.3 h / c_bound stays bounded over a long run, and 1.5 h /
+    # c_bound, past the limit, blows up within a few blow-up checks
     mat = _STABILITY_MATERIALS[material]
     src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
                          polarization=(0.6, 0.8))
@@ -103,22 +105,67 @@ def _spatial_operator(mg):
     return op
 
 
+_BOX_13 = Grid2D((0.0, 0.0), 1.0 / 12, 13, 13)
+
+
+def _two_layers(grid, axis, k, low, high):
+    """(lam, mu, rho) sampled node by node: `low` on the nodes up to index k
+    along axis, `high` past it."""
+    past = np.indices((grid.nx, grid.ny))[axis] > k
+    return MaterialGrid(grid, *(np.where(past, b, a) for a, b in zip(low, high)))
+
+
+# a 10x jump in rho and lam + 2 mu at equal c_p: node i beside the jump reads
+# lam + 2 mu = 10 from its neighbour over rho_i = 1, so the nodal c_p = 1
+# bounds nothing (the discrete limit is 1.06 h / c_p)
+_SHARP_JUMP = ((1 / 3, 1 / 3, 1.0), (10 / 3, 10 / 3, 10.0))
+
 # a (1 + s . x), positive over the unit box (and the field's default bounds)
 _affine = st.builds(lambda a, sx, sy: LinearField(a, (a * sx, a * sy)),
                     st.floats(0.1, 3.0), st.floats(-0.45, 0.45), st.floats(-0.45, 0.45))
+_smooth = st.builds(lambda lam, mu, rho: sample_material(ElasticMaterial(lam, mu, rho), _BOX_13),
+                    _affine, _affine, _affine)
+# lam, mu and rho each jump by up to 1000x across a row or column of nodes
+_side = st.tuples(*(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),) * 3)
+_layered = st.builds(_two_layers, st.just(_BOX_13), st.integers(0, 1), st.integers(0, 11),
+                     _side, _side)
 
 
-@example(*(ConstantField(1.0),) * 3)
-@given(lam=_affine, mu=_affine, rho=_affine)
-def test_default_dt_is_inside_the_discrete_stability_limit(lam, mu, rho):
+@example(sample_material(ElasticMaterial(*(ConstantField(1.0),) * 3), _BOX_13))
+@example(_two_layers(_BOX_13, 0, 5, *_SHARP_JUMP))
+@given(mg=st.one_of(_smooth, _layered))
+def test_default_dt_is_inside_the_discrete_stability_limit(mg):
     # leapfrog u^(n+1) = 2 u^n - u^(n-1) - dt^2 A u^n is stable for dt <
     # 2 / sqrt(max eig A) when every eigenvalue of A is real and >= 0; A is
     # the step's own operator, walls and one-sided edge differences included
-    mg = sample_material(ElasticMaterial(lam, mu, rho), Grid2D((0.0, 0.0), 1.0 / 12, 13, 13))
-    eig = np.linalg.eigvals(_spatial_operator(mg))
+    op = _spatial_operator(mg)
+    eig = np.linalg.eigvals(op)
     top = eig.real.max()
     assert np.abs(eig.imag).max() <= 1e-9 * top and eig.real.min() >= -1e-9 * top
     assert stable_dt(mg) <= 0.95 * 2.0 / math.sqrt(top)
+    # 2 c_bound^2 / h^2 bounds every Gershgorin row sum (walls drop terms),
+    # and so top; stable_dt is then 1.3 / sqrt(2) of a limit it cannot exceed
+    rows = np.abs(op).sum(axis=1).max()
+    assert top <= rows <= 2.0 * mg.c_bound ** 2 / mg.grid.h ** 2 * (1 + 1e-12)
+
+
+def test_default_dt_is_stable_across_a_sharp_impedance_jump(unit_box, monkeypatch):
+    # _SHARP_JUMP across x = 0.5 on the simulation's own nodes (a grid field
+    # interpolates its nodes): c_bound = 2 c_p, and the default 1.3 h /
+    # c_bound stays bounded over a long run, where 1.3 h / c_p, which reads
+    # only the nodal c_p, blows up
+    grid = Grid2D((0.0, 0.0), 0.05, 21, 21)
+    X = np.indices((21, 21))[0]
+    mat = ElasticMaterial(*(GridField(grid, np.where(X > 10, b, a)) for a, b in zip(*_SHARP_JUMP)))
+    src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
+                         polarization=(0.6, 0.8))
+    res = simulate_dn(mat, unit_box, src, [(1.0, 0.5)], T=30.0, h=0.05)
+    mg = sample_material(mat, res.grid)
+    assert mg.c_bound == pytest.approx(2.0) and res.dt == stable_dt(mg)
+    assert res.counters["max_u_over_pol"] < 1.3
+    monkeypatch.setattr(elastic_sim, "CFL_SAFETY", 1.3 * mg.c_bound)
+    with pytest.raises(NumericalError):
+        simulate_dn(mat, unit_box, src, [(1.0, 0.5)], T=30.0, h=0.05)
 
 
 def test_receiver_snapping_accepts_boundary_rejects_interior(unit_box):
