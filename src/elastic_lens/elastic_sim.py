@@ -24,7 +24,9 @@ traces stay within 1.8e-6 (relative L2) of a float64 run, the picks within
 (still exactly zero) and, once no snapshot is pending, past 2 (N - n) of
 the receivers' (no later trace reads them).  On large grids each core steps
 one strip of rows; every node sees the same float32 operations in any
-strips, so the output does not depend on the core count.
+strips, so the output does not depend on the core count.  The source pulse
+is evaluated once per run, and a run whose arrays would need more than
+MAX_RUN_BYTES is refused (ResourceError) before they are allocated.
 
 Stability limit.  Every derivative is the centered difference D0, whose
 symbol on exp(i k.x) is i sin(k h)/h.  With constant coefficients the
@@ -61,17 +63,20 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, ResourceError
 from .model_core import EDGES, BoxDomain, ElasticMaterial, Grid2D
 
 CFL_SAFETY = 1.3            # dt <= CFL_SAFETY h / c_bound: 92 % of the limit sqrt(2)
 _BLOW_UP_CHECK_STEPS = 64   # simulate_dn checks u for blow-up this often:
 _BLOW_UP_FACTOR = 1e3       # max|u| over this times max|pol| (stable runs: < 1.3)
 _MIN_NODES_PER_STRIP = 75_000    # below this a strip costs more in handoff than it saves
+_SAMPLE_BLOCK_NODES = 32_768     # sample_material evaluates this many nodes at a time, or a row
+MAX_RUN_BYTES = 4 << 30          # simulate_dn refuses a run whose arrays would need more
 
 
 def ricker(t, f0: float, t0: float):
@@ -166,12 +171,22 @@ class MaterialGrid:
 
 
 def sample_material(material: ElasticMaterial, grid: Grid2D) -> MaterialGrid:
+    """The fields at the nodes, a block of rows at a time; one with a single
+    value is a float (the same products as an array of it, at less cost)."""
     xs, ys = grid.nodes()
-    nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    fields = (f.eval(nodes)[0] for f in (material.lam, material.mu, material.rho))
-    # a float gives the same products as an array of that value, at less cost
-    return MaterialGrid(grid, *(float(v[0]) if np.all(v == v[0])
-                                else v.reshape(len(xs), len(ys)) for v in fields))
+    rows = max(1, _SAMPLE_BLOCK_NODES // len(ys))
+    def sample(f):
+        v = c0 = None
+        for r in range(0, len(xs), rows):
+            nodes = np.stack(np.meshgrid(xs[r:r + rows], ys, indexing="ij"), axis=-1)
+            c = f.eval(nodes.reshape(-1, 2))[0].reshape(-1, len(ys))
+            c0 = c[0, 0] if c0 is None else c0
+            if v is None and np.any(c != c0):
+                v = np.full((len(xs), len(ys)), c0)     # the rows before all equal c0
+            if v is not None:
+                v[r:r + rows] = c
+        return float(c0) if v is None else v
+    return MaterialGrid(grid, *map(sample, (material.lam, material.mu, material.rho)))
 
 
 def stable_dt(mg: MaterialGrid) -> float:
@@ -266,11 +281,17 @@ def _source_patch(grid: Grid2D, source: BoundarySource):
             np.asarray(source.polarization, dtype=float))
 
 
+def _pulse_at_steps(source: BoundarySource, dt: float, n_steps: int):
+    """The steps' times, bitwise those of t += dt (accumulate is sequential), and the pulse."""
+    times = np.add.accumulate(np.r_[0.0, np.full(n_steps, dt)])
+    return times, source.pulse(times)
+
+
 def _apply_dirichlet(u, patch, amp: float):
     """Zero the walls of the planar u (2, nx, ny), then drive the source
     patch at amplitude amp."""
-    u[:, [0, -1], :] = 0.0
-    u[:, :, [0, -1]] = 0.0
+    u[:, 0] = u[:, -1] = 0.0
+    u[:, :, 0] = u[:, :, -1] = 0.0
     sl, prof, pol = patch
     u[(slice(None),) + sl] = np.multiply.outer(pol, prof * amp)
 
@@ -313,6 +334,15 @@ def receiver_nodes(domain: BoxDomain, grid: Grid2D, receivers):
     return out
 
 
+def _check_size(nodes, steps, receivers, snapshots):
+    """ResourceError unless the run's arrays fit in MAX_RUN_BYTES: about 84 bytes
+    a node, 16 a node and snapshot, 48 a step and 96 a step and receiver."""
+    need = nodes * (84 + 16 * snapshots) + (steps + 1) * (48 + 96 * receivers)
+    if not need <= MAX_RUN_BYTES:      # inf fails too
+        raise ResourceError(f"the run would need about {need / 2**30:.3g} GiB, over the "
+                            f"cap of {MAX_RUN_BYTES / 2**30:g} GiB; raise h or lower T")
+
+
 def _row_strips(nx: int, ny: int):
     """Row ranges (r0, r1) covering the nx rows, one per core, as equal as
     rows allow and no more than one per row or _MIN_NODES_PER_STRIP nodes."""
@@ -343,7 +373,9 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
             and (dt is None or 0.0 < dt < math.inf)):
         raise ConfigurationError(f"T, h and dt must be finite and positive, "
                                  f"got T = {T}, h = {h}, dt = {dt}")
-    nx, ny = (int(round(w / h)) + 1 for w in domain.widths)
+    cells = [float(w) / h for w in domain.widths]
+    _check_size(math.prod(c + 1 for c in cells), 0, 0, len(snapshot_times))
+    nx, ny = (int(round(c)) + 1 for c in cells)
     grid = Grid2D(tuple(domain.lo), h, nx, ny)
     mg = sample_material(material, grid)
     limit = math.sqrt(2.0) * h / mg.c_bound   # the derived stability limit
@@ -357,8 +389,10 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     # each receiver's flat node index and outward normal
     idx = np.array([flat(_edge_nodes(e)[0])[k] for e, k in rec], dtype=int)
     nrm_x, nrm_y = np.array([_edge_nodes(e)[1] for e, _ in rec]).reshape(-1, 2).T
+    _check_size(nx * ny, T / dt, len(rec), len(snapshot_times))
     n_steps = int(round(T / dt))
-    traces = np.zeros((len(rec), n_steps + 1, 2))
+    times, amps = _pulse_at_steps(source, dt, n_steps)
+    sig = np.empty((n_steps + 1, 3, len(idx)), np.float32)     # receivers' sigma, times 2h
     snaps = []
     snap_left = sorted(snapshot_times)
 
@@ -370,9 +404,8 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     u_prev, u, u_next = np.zeros((3, 2, nx, ny), np.float32)
     pol_max = float(np.abs(source.polarization).max())
     u_bound, u_max = _BLOW_UP_FACTOR * pol_max, None
-    t = 0.0
-    _apply_dirichlet(u, patch, float(source.pulse(t)))
-    threads, window_cell_steps = len(_row_strips(nx, ny)), 0
+    _apply_dirichlet(u, patch, amps[0])
+    threads, window_cell_steps, loop_start = len(_row_strips(nx, ny)), 0, time.perf_counter()
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
     with (ThreadPoolExecutor(threads - 1) if threads > 1
@@ -387,10 +420,8 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
             a, b = max(0, p_lo - 2 * n - 2, r_lo - m), min(nx, p_hi + 2 * n + 2, r_hi + m)
             strips = [(a + r0, a + r1) for r0, r1 in _row_strips(b - a, ny)] if a < b else []
             _on_strips(pool, strips, ws.stress, u)     # none: the receivers' sigma stays 0
-            sxx, sxy, syy = ws.sigma.reshape(3, -1)[:, idx].astype(float) / (2.0 * h)
-            traces[:, n, 0] = sxx * nrm_x + sxy * nrm_y
-            traces[:, n, 1] = sxy * nrm_x + syy * nrm_y
-            while snap_left and t >= snap_left[0] - 0.5 * dt:
+            ws.sigma.reshape(3, -1).take(idx, axis=1, out=sig[n], mode="clip")
+            while snap_left and times[n] >= snap_left[0] - 0.5 * dt:
                 snaps.append(WavefieldState(np.moveaxis(u, 0, -1).copy(),
                                             np.moveaxis(u_prev, 0, -1).copy(), dt))
                 snap_left.pop(0)
@@ -398,15 +429,20 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
                 break
             _on_strips(pool, strips, ws.step, u, u_prev, u_next)
             window_cell_steps += max(b - a, 0) * ny
-            t += dt
-            _apply_dirichlet(u_next, patch, float(source.pulse(t)))
+            _apply_dirichlet(u_next, patch, amps[n + 1])
             u_prev, u, u_next = u, u_next, u_prev
             # max|u| by two reductions (no full-grid temporary); a NaN fails too
             if (n + 1) % _BLOW_UP_CHECK_STEPS == 0:
                 u_max = float(np.maximum(u.max(), -u.min()))
                 if not u_max <= u_bound:
-                    raise NumericalError(f"max |u| = {u_max:.3g} exceeds {u_bound:.3g} "
-                                         f"at step {n + 1} (t = {t:.6g}); the scheme blew up")
+                    raise NumericalError(f"max |u| = {u_max:.3g} exceeds {u_bound:.3g} at step "
+                                         f"{n + 1} (t = {times[n + 1]:.6g}); the scheme blew up")
+    loop_seconds = time.perf_counter() - loop_start
+    traces = np.empty((len(idx), n_steps + 1, 2))
+    for k in range(len(idx)):       # a receiver at a time: no run-sized float64 temporaries
+        sxx, sxy, syy = sig[:, :, k].T.astype(float) / (2.0 * h)
+        traces[k, :, 0] = sxx * nrm_x[k] + sxy * nrm_y[k]
+        traces[k, :, 1] = sxy * nrm_x[k] + syy * nrm_y[k]
 
     meta = {"grid": {"nx": nx, "ny": ny, "h": h}, "dt": dt, "steps": n_steps,
             "cfl_limit": limit,
@@ -417,5 +453,5 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
                 "window_cell_steps": window_cell_steps, "dt": dt,
                 "dt_over_limit": dt / limit,
                 "max_u_over_pol": u_max / pol_max if u_max is not None and pol_max else None,
-                "threads": threads}
+                "threads": threads, "step_loop_seconds": loop_seconds}
     return SimulationResult(traces, grid, dt, snaps, meta, counters)

@@ -1,5 +1,6 @@
 import csv
 import functools
+import hashlib
 import inspect
 import json
 import math
@@ -8,11 +9,15 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from elastic_lens import (cli, convexity, elastic_sim, errors, inversion, model_core,
                           ray_tracer, wavefield_analysis)
@@ -348,8 +353,77 @@ def test_simulate_outputs_and_manifest(small_sim):
     [stage] = manifest["stages"]
     assert stage["name"] == "simulate" and stage["seconds"] > 0.0
     assert stage["counters"]["steps"] == meta["steps"]
+    loop, write = stage["counters"]["step_loop_seconds"], stage["counters"]["write_seconds"]
+    assert 0.0 < loop < stage["seconds"] and 0.0 < write < stage["seconds"] - loop
     # 35 steps: no blow-up check ran yet
     assert stage["counters"]["max_u_over_pol"] is None
+
+
+def test_simulate_trace_bytes_are_pinned(tmp_path):
+    # the first trace's bytes, pinned: a change to the trace arithmetic,
+    # the pulse or the CSV formatting shows here
+    linear = {"kind": "linear", "a": 1.0, "b": [0.5, -0.1]}
+    model = write_model(tmp_path, {**UNIT_BOX_MODEL, "material": {
+        "lambda": linear, "mu": linear, "rho": 1.0}})
+    assert run(["simulate", "--model", model,
+                "--source", "edge=left,center=0.5,width=0.2,f0=8,pol=0.5,0.866",
+                "--receivers", "edge=right,count=3,center=0.5,width=0.4",
+                "--T", "0.8", "--h", "0.02", "--out", str(tmp_path / "out")]) == 0
+    assert hashlib.sha256((tmp_path / "out" / "receiver_000.csv").read_bytes()).hexdigest() \
+        == "8b47a6cfdcac6fe83b93bb73fc79be4f76005cb0e7e429f05cae920993a13dd2"
+
+
+_CSV_SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2250738585072e-308,
+                 1e-300, -3.3e-300, 1e300, -1.7976931348623157e308, 0.1 + 0.2]
+
+
+@example(rows=[_CSV_SPECIALS[k:k + 3] for k in range(0, len(_CSV_SPECIALS), 3)])
+@example(rows=[])
+@given(rows=st.lists(st.lists(st.one_of(st.sampled_from(_CSV_SPECIALS), st.floats()),
+                              min_size=3, max_size=3), max_size=12))
+def test_array_rows_write_the_bytes_of_the_csv_writer(rows):
+    # a float array's rows go through one format string; the list of the same
+    # rows goes through csv.writer and _cell, and the bytes must agree
+    with tempfile.TemporaryDirectory() as d:
+        array, lists = Path(d) / "array.csv", Path(d) / "lists.csv"
+        cli._write_csv(array, ["t", "Nu_x", "Nu_y"], np.array(rows).reshape(-1, 3))
+        cli._write_csv(lists, ["t", "Nu_x", "Nu_y"], rows)
+        assert array.read_bytes() == lists.read_bytes()
+
+
+@pytest.mark.parametrize("flags", [["--T", "1e9", "--h", "0.05"], ["--T", "1", "--h", "1e-5"],
+                                   ["--T", "1", "--h", "1e-320"]],
+                         ids=["traces", "grid", "grid-overflows"])
+def test_oversized_simulate_exits_5_before_allocating(tmp_path, capsys, flags):
+    # 1.9 TiB of traces, a 75 GiB grid, a node count past any float: each is
+    # refused against elastic_sim.MAX_RUN_BYTES before its arrays exist
+    model = write_model(tmp_path, UNIT_BOX_MODEL)
+    tracemalloc.start()
+    try:
+        code = run(["simulate", "--model", model, "--source",
+                    "edge=left,center=0.5,width=0.2,f0=8,pol=1,0",
+                    "--receivers", "edge=right,count=16", *flags,
+                    "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_SIMULATION and peak < 16 << 20
+    assert "GiB, over the cap of 4 GiB" in capsys.readouterr().err
+
+
+def test_oversized_pipeline_fails_the_simulate_stage(tmp_path, capsys):
+    model = write_model(tmp_path, UNIT_BOX_MODEL)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "homogeneous", "model": str(model), "h": 1e-5,
+                               "source": {"center": 0.5}, "receivers": {"count": 4}}))
+    tracemalloc.start()
+    try:
+        code = run(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == cli.EXIT_SIMULATION and peak < 16 << 20
+    assert "stage 'simulate' failed" in capsys.readouterr().err
 
 
 def test_simulate_reruns_byte_identical(small_sim):

@@ -46,6 +46,43 @@ def test_source_default_delay():
     assert src.delay == pytest.approx(0.15)
 
 
+@pytest.mark.parametrize("hi, b, h, T", [((1.0, 2.4), (0.0, 0.0), 0.0025, 1.3),
+                                      ((1.0, 1.0), (0.5, 0.0), 0.005, 1.0)],
+                         ids=["A3", "hetero_box"])
+def test_pulse_at_steps_is_the_scalar_pulse_as_t_accumulates(hi, b, h, T):
+    # simulate_dn evaluates the pulse once per run: bitwise the per-step
+    # float(source.pulse(t)) with t += dt, on the acceptance and hetero_box runs
+    box = BoxDomain((0.0, 0.0), hi)
+    lam_mu = LinearField(1.0, b, box)
+    mat = ElasticMaterial(lam_mu, lam_mu, ConstantField(1.0, box))
+    dt = stable_dt(sample_material(mat, Grid2D((0.0, 0.0), h, *(round(w / h) + 1 for w in hi))))
+    src = BoundarySource(edge="left", center=0.5, width=0.1, f0=20.0,
+                         polarization=(0.5, math.sqrt(3.0) / 2.0))
+    n_steps = int(round(T / dt))
+    times, amps = elastic_sim._pulse_at_steps(src, dt, n_steps)
+    t, scalar = 0.0, []
+    for n in range(n_steps + 1):
+        assert times[n] == t
+        scalar.append(float(src.pulse(t)))
+        t += dt
+    assert len(amps) == n_steps + 1 > 300 and np.array_equal(amps, scalar)
+
+
+def test_sample_material_by_row_blocks_matches_one_evaluation(monkeypatch):
+    # one-row blocks: lam is constant along row 0, so its array is made at the
+    # second block and row 0 must come back with the value it read there
+    grid = Grid2D((0.0, 0.0), 0.05, 21, 13)
+    mat = ElasticMaterial(LinearField(1.0, (0.5, 0.0)), LinearField(1.2, (-0.2, 0.4)),
+                          ConstantField(1.3))
+    xs, ys = grid.nodes()
+    nodes = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    monkeypatch.setattr(elastic_sim, "_SAMPLE_BLOCK_NODES", 1)
+    mg = sample_material(mat, grid)
+    for f, v in ((mat.lam, mg.lam), (mat.mu, mg.mu)):
+        assert v.shape == (21, 13) and np.array_equal(v.ravel(), f.eval(nodes)[0])
+    assert type(mg.rho) is float and mg.rho == 1.3
+
+
 def test_cfl_guard(unit_material, unit_box):
     grid = Grid2D((0.0, 0.0), 0.05, 21, 21)
     mg = sample_material(unit_material, grid)
