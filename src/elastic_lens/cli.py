@@ -138,8 +138,15 @@ def _read_csv(path, columns, cell=None):
     return rows
 
 
+def _check_keys(spec, known, what):
+    """ConfigurationError naming the keys of spec that are not in known."""
+    if unknown := sorted(set(spec) - set(known)):
+        raise ConfigurationError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+
+
 def _parse_kv(text, what):
-    """Parse 'key=a,other=b,pol=px,py' allowing bare continuation tokens."""
+    """Parse 'key=a,other=b,pol=px,py' allowing bare continuation tokens; the
+    keys must be those of the pipeline config's block `what`."""
     out = {}
     last = None
     for token in text.split(","):
@@ -151,6 +158,7 @@ def _parse_kv(text, what):
             out[last] += "," + token.strip()
         else:
             raise ConfigurationError(f"cannot parse {what} spec near {token!r}")
+    _check_keys(out, _PIPELINE_DEFAULTS[what], what)
     return out
 
 
@@ -495,7 +503,7 @@ _PIPELINE_DEFAULTS = {
 
 def _resolve_config(path):
     """The pipeline defaults updated by the JSON object at `path`; blocks
-    merge key by key.  Numeric settings must be numbers."""
+    merge key by key.  Keys must be known, numeric settings numbers."""
     try:
         with open(path) as f:
             user = json.load(f)
@@ -505,10 +513,12 @@ def _resolve_config(path):
     if not isinstance(user, dict):
         raise ConfigurationError("pipeline config must be a JSON object")
     cfg = json.loads(json.dumps(_PIPELINE_DEFAULTS))
+    _check_keys(user, [*cfg, "model"], "config")
     for key, val in user.items():
         if isinstance(cfg.get(key), dict):
             if not isinstance(val, dict):
                 raise ConfigurationError(f"config {key!r} must be an object")
+            _check_keys(val, cfg[key], f"config {key!r}")
             cfg[key].update(val)
         else:
             cfg[key] = val

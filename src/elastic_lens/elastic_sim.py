@@ -21,8 +21,8 @@ buffers allocated once per run (it is memory-bound), the displacement held
 as planar (2, nx, ny) arrays; dt and the traces are float64.  On A3 the
 traces stay within 1.8e-6 (relative L2) of a float64 run, the picks within
 1e-8 s.  Step n skips the rows past 2 n + 2 of those the source drives
-(still exactly zero) and, once no snapshot is pending, past 2 (N - n) of
-the receivers' (no later trace reads them).  On large grids each core steps
+(still exactly zero) and past 2 (N - n) of the receivers' (no later trace
+reads them, so they keep stale values).  On large grids each core steps
 one strip of rows; every node sees the same float32 operations in any
 strips, so the output does not depend on the core count.  The source pulse
 is evaluated once per run, and a run whose arrays would need more than
@@ -128,19 +128,6 @@ class BoundarySource:
 
     def profile(self, s):
         return bump(s, self.center, self.width)
-
-
-@dataclass
-class WavefieldState:
-    """Displacement and previous displacement; velocity is derived, in float64."""
-
-    u: np.ndarray            # (nx, ny, 2)
-    u_prev: np.ndarray
-    dt: float
-
-    @property
-    def velocity(self):
-        return (self.u.astype(float) - self.u_prev) / self.dt
 
 
 @dataclass
@@ -296,26 +283,11 @@ def _apply_dirichlet(u, patch, amp: float):
     u[(slice(None),) + sl] = np.multiply.outer(pol, prof * amp)
 
 
-def energy(state: WavefieldState, mg: MaterialGrid) -> float:
-    """Discrete total energy in float64: (1/2) sum (rho |u_t|^2 + sigma(u):sym grad u) h^2."""
-    h = mg.grid.h
-    v = state.velocity
-    kinetic = mg.rho * (v[:, :, 0] ** 2 + v[:, :, 1] ** 2)
-    ws = _Workspace(mg, np.float64, state.dt)
-    ws.differences(np.ascontiguousarray(np.moveaxis(state.u, -1, 0), dtype=float),
-                   (0, mg.grid.nx))
-    dxx, dxy, dyy, dyx = ws.planes[:4]      # times 2h
-    strain = (mg.lam * (dxx + dyy) ** 2 + 2.0 * mg.mu * (dxx * dxx + dyy * dyy)
-              + mg.mu * (dxy + dyx) ** 2) / (4.0 * h * h)      # sigma(u) : grad u
-    return 0.5 * float(np.sum(kinetic + strain)) * h * h
-
-
 @dataclass
 class SimulationResult:
     traces: np.ndarray       # sigma(u).nu, (receivers, steps + 1, 2), every dt
     grid: Grid2D
     dt: float
-    snapshots: list = field(default_factory=list)   # WavefieldState objects
     meta: dict = field(default_factory=dict)        # the run's data, as written
     counters: dict = field(default_factory=dict)    # the run's cost and health
 
@@ -334,10 +306,10 @@ def receiver_nodes(domain: BoxDomain, grid: Grid2D, receivers):
     return out
 
 
-def _check_size(nodes, steps, receivers, snapshots):
+def _check_size(nodes, steps, receivers):
     """ResourceError unless the run's arrays fit in MAX_RUN_BYTES: about 84 bytes
-    a node, 16 a node and snapshot, 48 a step and 96 a step and receiver."""
-    need = nodes * (84 + 16 * snapshots) + (steps + 1) * (48 + 96 * receivers)
+    a node, 48 a step and 96 a step and receiver."""
+    need = nodes * 84 + (steps + 1) * (48 + 96 * receivers)
     if not need <= MAX_RUN_BYTES:      # inf fails too
         raise ResourceError(f"the run would need about {need / 2**30:.3g} GiB, over the "
                             f"cap of {MAX_RUN_BYTES / 2**30:g} GiB; raise h or lower T")
@@ -363,7 +335,7 @@ def _on_strips(pool, strips, fn, *args):
 
 def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
                 source: BoundarySource, receivers, T: float, h: float,
-                dt: float | None = None, snapshot_times=()) -> SimulationResult:
+                dt: float | None = None) -> SimulationResult:
     """Drive the box with a Dirichlet source and record sigma(u).nu traces.
 
     receivers: list of boundary points (snapped to the nearest boundary
@@ -374,7 +346,7 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
         raise ConfigurationError(f"T, h and dt must be finite and positive, "
                                  f"got T = {T}, h = {h}, dt = {dt}")
     cells = [float(w) / h for w in domain.widths]
-    _check_size(math.prod(c + 1 for c in cells), 0, 0, len(snapshot_times))
+    _check_size(math.prod(c + 1 for c in cells), 0, 0)
     nx, ny = (int(round(c)) + 1 for c in cells)
     grid = Grid2D(tuple(domain.lo), h, nx, ny)
     mg = sample_material(material, grid)
@@ -389,12 +361,10 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     # each receiver's flat node index and outward normal
     idx = np.array([flat(_edge_nodes(e)[0])[k] for e, k in rec], dtype=int)
     nrm_x, nrm_y = np.array([_edge_nodes(e)[1] for e, _ in rec]).reshape(-1, 2).T
-    _check_size(nx * ny, T / dt, len(rec), len(snapshot_times))
+    _check_size(nx * ny, T / dt, len(rec))
     n_steps = int(round(T / dt))
     times, amps = _pulse_at_steps(source, dt, n_steps)
     sig = np.empty((n_steps + 1, 3, len(idx)), np.float32)     # receivers' sigma, times 2h
-    snaps = []
-    snap_left = sorted(snapshot_times)
 
     ws = _Workspace(mg, np.float32, dt)
     patch = _source_patch(grid, source)
@@ -411,20 +381,16 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     with (ThreadPoolExecutor(threads - 1) if threads > 1
           else contextlib.nullcontext()) as pool:
         for n in range(n_steps + 1):
-            # Rows past 2 n + 2 of the driven ones are still zero.  With no snapshot
-            # pending, rows past m = 2 (n_steps - n) of the receivers' go unstepped:
-            # sigma^k reads u^k one row out, which read sigma^(k-1) one row further,
-            # so the traces from step n on need sigma^n within m rows and u^n within
+            # Rows past 2 n + 2 of the driven ones are still zero.  Rows past
+            # m = 2 (n_steps - n) of the receivers' go unstepped: sigma^k reads
+            # u^k one row out, which read sigma^(k-1) one row further, so the
+            # traces from step n on need sigma^n within m rows and u^n within
             # m + 1, exact after a step on the rows within m (m - 1 would not do).
-            m = nx if snap_left else 2 * (n_steps - n)
+            m = 2 * (n_steps - n)
             a, b = max(0, p_lo - 2 * n - 2, r_lo - m), min(nx, p_hi + 2 * n + 2, r_hi + m)
             strips = [(a + r0, a + r1) for r0, r1 in _row_strips(b - a, ny)] if a < b else []
             _on_strips(pool, strips, ws.stress, u)     # none: the receivers' sigma stays 0
             ws.sigma.reshape(3, -1).take(idx, axis=1, out=sig[n], mode="clip")
-            while snap_left and times[n] >= snap_left[0] - 0.5 * dt:
-                snaps.append(WavefieldState(np.moveaxis(u, 0, -1).copy(),
-                                            np.moveaxis(u_prev, 0, -1).copy(), dt))
-                snap_left.pop(0)
             if n == n_steps:
                 break
             _on_strips(pool, strips, ws.step, u, u_prev, u_next)
@@ -454,4 +420,4 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
                 "dt_over_limit": dt / limit,
                 "max_u_over_pol": u_max / pol_max if u_max is not None and pol_max else None,
                 "threads": threads, "step_loop_seconds": loop_seconds}
-    return SimulationResult(traces, grid, dt, snaps, meta, counters)
+    return SimulationResult(traces, grid, dt, meta, counters)

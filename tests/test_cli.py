@@ -291,10 +291,11 @@ def test_malformed_csv_exits_2(tmp_path, small_sim, command, text):
 def _malformed_argv(tmp_path, small_sim, kind, value):
     model = write_model(tmp_path, UNIT_BOX_MODEL)
     out = str(tmp_path / "out")
-    if kind == "receivers":
-        return ["simulate", "--model", model,
-                "--source", "edge=left,center=0.5,width=0.2,f0=8,pol=1,0",
-                "--receivers", value, "--T", "0.2", "--h", "0.05", "--out", out]
+    if kind in ("source", "receivers"):
+        spec = {"source": "edge=left,center=0.5,width=0.2,f0=8,pol=1,0",
+                "receivers": "edge=right,count=2", kind: value}
+        return ["simulate", "--model", model, "--source", spec["source"],
+                "--receivers", spec["receivers"], "--T", "0.2", "--h", "0.05", "--out", out]
     if kind == "metadata":
         traces = tmp_path / "traces"
         shutil.copytree(small_sim[0], traces)
@@ -321,6 +322,8 @@ def _malformed_argv(tmp_path, small_sim, kind, value):
     ("receivers", "edge=top,count=3,center=2.0,width=0.5"),
     ("receivers", "edge=right,count=2,center=nan,width=0.1"),
     ("receivers", "edge=right,count=2,center=0.5,width=inf"),
+    ("receivers", "edge=right,cuont=2"),
+    ("source", "edg=bottom,center=0.5,width=0.2,f0=8,pol=1,0"),
     ("metadata", "source"),
     ("metadata", "receivers"),
     ("metadata", "dt"),
@@ -330,12 +333,15 @@ def _malformed_argv(tmp_path, small_sim, kind, value):
     ("config", {"receivers": {"count": "x"}}),
     ("config", {"source": {"pol": [1]}}),
     ("config", {"foliation_range": [0.5]}),
+    ("config", {"foliaton_range": [0.1, 0.9]}),
+    ("config", {"radial": {"nrays": 8}}),
 ], ids=["count-not-int", "center-not-number", "center-without-width",
         "width-without-center", "receivers-off-the-box", "receivers-center-nan",
-        "receivers-width-inf", "metadata-no-source",
+        "receivers-width-inf", "receivers-unknown-key", "source-unknown-key",
+        "metadata-no-source",
         "metadata-no-receivers", "metadata-no-dt", "metadata-no-grid",
         "config-list", "config-T", "config-receiver-count", "config-pol",
-        "config-foliation-range"])
+        "config-foliation-range", "config-unknown-key", "config-unknown-block-key"])
 def test_malformed_specs_exit_2(tmp_path, small_sim, kind, value):
     argv = _malformed_argv(tmp_path, small_sim, kind, value)
     assert run(argv) == cli.EXIT_CONFIG

@@ -3,7 +3,6 @@ import os
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +11,8 @@ from hypothesis import strategies as st
 
 from elastic_lens import elastic_sim
 from elastic_lens.elastic_sim import (BoundarySource, MaterialGrid, bump,
-                                      check_cfl, energy, receiver_nodes,
-                                      ricker, sample_material, simulate_dn,
-                                      stable_dt, WavefieldState)
+                                      check_cfl, receiver_nodes, ricker,
+                                      sample_material, simulate_dn, stable_dt)
 from elastic_lens.errors import ConfigurationError, NumericalError
 from elastic_lens.model_core import (EDGES, BoxDomain, ConstantField,
                                      ElasticMaterial, Grid2D, GridField,
@@ -222,30 +220,54 @@ def test_receiver_snapping_rejects_nan_points(unit_box):
             receiver_nodes(unit_box, grid, [point])
 
 
-def test_energy_stays_bounded_after_source_stops(unit_material, unit_box):
+def _capture_u(mp):
+    """The list that the next simulate_dn runs fill with their displacements
+    u^n as (nx, ny, 2) copies: _apply_dirichlet, patched through mp, completes
+    u^0 and every u^(n+1) in the main thread.  Rows outside the receiver cone
+    hold stale values; with a receiver on the left and on the right edge the
+    cone covers every row."""
+    states, apply = [], elastic_sim._apply_dirichlet
+
+    def capture(u, patch, amp):
+        apply(u, patch, amp)
+        states.append(np.moveaxis(u, 0, -1).copy())
+    mp.setattr(elastic_sim, "_apply_dirichlet", capture)
+    return states
+
+
+def _undivided(f, a):
+    """The step's differences of f along axis a, undivided: f[i+1] - f[i-1],
+    and one-sided 2 (f_p - f_q) at the ends."""
+    f = np.moveaxis(f, a, 0)
+    g = np.concatenate([2.0 * (f[1:2] - f[:1]), f[2:] - f[:-2], 2.0 * (f[-1:] - f[-2:-1])])
+    return np.moveaxis(g, 0, a)
+
+
+def _energy(u, u_prev, dt, mg):
+    """Discrete total energy in float64 of the (nx, ny, 2) displacements u^n and
+    u^(n-1): (1/2) sum (rho |u_t|^2 + sigma(u):sym grad u) h^2, u_t = (u^n - u^(n-1)) / dt."""
+    h, u = mg.grid.h, u.astype(float)
+    v = (u - u_prev) / dt
+    kinetic = mg.rho * (v[:, :, 0] ** 2 + v[:, :, 1] ** 2)
+    (dxx, dxy), (dyx, dyy) = [[_undivided(u[:, :, i], a) for a in (0, 1)] for i in (0, 1)]
+    strain = (mg.lam * (dxx + dyy) ** 2 + 2.0 * mg.mu * (dxx * dxx + dyy * dyy)
+              + mg.mu * (dxy + dyx) ** 2) / (4.0 * h * h)      # sigma(u) : grad u
+    return 0.5 * float(np.sum(kinetic + strain)) * h * h
+
+
+def test_energy_stays_bounded_after_source_stops(unit_material, unit_box, monkeypatch):
     src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
                          polarization=(1.0, 0.0))
-    res = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)],
-                      T=1.2, h=0.02, snapshot_times=(0.5, 0.8, 1.1))
-    grid = res.grid
-    mg = sample_material(unit_material, grid)
-    e = [energy(snap, mg) for snap in res.snapshots]
+    states = _capture_u(monkeypatch)
+    res = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5), (0.0, 0.5)],
+                      T=1.2, h=0.02)
+    mg = sample_material(unit_material, res.grid)
+    steps = [int(round(t / res.dt)) for t in (0.5, 0.8, 1.1)]
+    e = [_energy(states[n], states[n - 1], res.dt, mg) for n in steps]
     # Dirichlet walls trap the energy once the source is quiet (t > ~0.44);
     # the centered-difference functional wobbles a few percent per period,
     # so test boundedness rather than exact conservation
     assert max(e) <= min(e) * 1.15
-
-
-def test_energy_accumulates_in_float64(unit_material, unit_box):
-    src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
-                         polarization=(0.6, 0.8))
-    res = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)],
-                      T=0.5, h=0.05, snapshot_times=(0.3,))
-    s32 = replace(res.snapshots[0], u=res.snapshots[0].u.astype(np.float32),
-                  u_prev=res.snapshots[0].u_prev.astype(np.float32))
-    s64 = replace(s32, u=s32.u.astype(float), u_prev=s32.u_prev.astype(float))
-    mg = sample_material(unit_material, res.grid)
-    assert energy(s32, mg) == energy(s64, mg) > 0.0
 
 
 @pytest.mark.parametrize("strain, v", [((0.3, -0.2), (0.0, 0.0)),
@@ -259,22 +281,21 @@ def test_energy_of_uniform_strain_and_velocity_is_closed_form(strain, v):
     grid = Grid2D((0.0, 0.0), h, nx, ny)
     X, Y = np.meshgrid(*grid.nodes(), indexing="ij")
     u = np.stack([a * X, b * Y], axis=-1)
-    state = WavefieldState(u, u - dt * np.asarray(v), dt)
     mg = sample_material(ElasticMaterial(ConstantField(lam), ConstantField(mu),
                                          ConstantField(rho)), grid)
     strain_energy = 0.5 * (lam * (a + b) ** 2 + 2.0 * mu * (a * a + b * b))
     kinetic = 0.5 * rho * (v[0] ** 2 + v[1] ** 2)
-    assert energy(state, mg) == pytest.approx((strain_energy + kinetic) * nx * ny * h * h,
-                                              rel=1e-12)
+    assert _energy(u, u - dt * np.asarray(v), dt, mg) == \
+        pytest.approx((strain_energy + kinetic) * nx * ny * h * h, rel=1e-12)
 
 
-def test_wavefield_is_float32_traces_and_dt_float64(unit_box):
+def test_wavefield_is_float32_traces_and_dt_float64(unit_box, monkeypatch):
     mat = _REFERENCE_MATERIALS["linear-lame"]
     src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
                          polarization=(1.0, 0.0))
-    res = simulate_dn(mat, unit_box, src, [(1.0, 0.5)], T=0.3, h=0.05,
-                      snapshot_times=(0.2,))
-    assert res.snapshots[0].u.dtype == np.float32
+    states = _capture_u(monkeypatch)
+    res = simulate_dn(mat, unit_box, src, [(1.0, 0.5)], T=0.3, h=0.05)
+    assert {u.dtype for u in states} == {np.dtype(np.float32)}
     assert res.traces.dtype == np.float64
     assert res.dt == stable_dt(sample_material(mat, res.grid))
 
@@ -326,16 +347,16 @@ def test_simulation_is_deterministic(unit_material, unit_box):
     assert np.array_equal(a.traces[0], b.traces[0])
 
 
-def test_dirichlet_walls_are_zero_off_source(unit_material, unit_box):
+def test_dirichlet_walls_are_zero_off_source(unit_material, unit_box, monkeypatch):
     src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
                          polarization=(1.0, 0.0))
-    res = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)],
-                      T=0.6, h=0.02, snapshot_times=(0.55,))
-    u = res.snapshots[0].u
-    assert isinstance(res.snapshots[0], WavefieldState)
-    assert np.all(u[-1, :, :] == 0.0)          # right edge
-    assert np.all(u[:, 0, :] == 0.0)           # bottom edge
-    assert np.all(u[:, -1, :] == 0.0)          # top edge
+    states = _capture_u(monkeypatch)
+    simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], T=0.6, h=0.02)
+    assert len(states) > 1 and np.any(states[-1])
+    for u in states:
+        assert np.all(u[-1, :, :] == 0.0)          # right edge
+        assert np.all(u[:, 0, :] == 0.0)           # bottom edge
+        assert np.all(u[:, -1, :] == 0.0)          # top edge
 
 
 def test_simulate_requires_time_and_resolution(unit_material, unit_box):
@@ -350,13 +371,14 @@ def _reference_dn(material, domain, source, receivers, T, h, dt, dtype=np.float3
                   physical=False):
     """The FD scheme written plainly over the full grid, on (nx, ny, 2)
     arrays of displacement and nodal material arrays of the given dtype,
-    with the traces formed in float64.  By default it follows the folded
-    order: undivided differences f[i+1] - f[i-1], one-sided 2 (f_p - f_q)
-    at the ends; stresses (2 mu G) + lam div, times 2h; their undivided
-    divergence times dt^2 / (4 h^2 rho); then + (2 u - u_prev).  In float32
-    simulate_dn must reproduce its traces and final displacement bit for
-    bit.  physical=True takes np.gradient's derivatives over h instead,
-    and dt^2 / rho: the same scheme in physical units."""
+    with the traces formed in float64; returns the traces and the list of
+    every step's displacement u^0 to u^N.  By default it follows the folded
+    order: undivided differences (_undivided); stresses (2 mu G) + lam div,
+    times 2h; their undivided divergence times dt^2 / (4 h^2 rho); then +
+    (2 u - u_prev).  In float32 simulate_dn must reproduce its traces bit
+    for bit, and its displacements on the rows its receiver cone covers.
+    physical=True takes np.gradient's derivatives over h instead, and dt^2
+    / rho: the same scheme in physical units."""
     w = domain.widths
     grid = Grid2D(tuple(domain.lo), h, *(int(round(w[a] / h)) + 1 for a in (0, 1)))
     xs, ys = grid.nodes()
@@ -377,12 +399,7 @@ def _reference_dn(material, domain, source, receivers, T, h, dt, dtype=np.float3
         u[tuple(patch)] = np.outer(prof * float(source.pulse(t)), pol)
 
     def d(f, a):
-        if physical:
-            return np.gradient(f, h, axis=a)
-        f = np.moveaxis(f, a, 0)
-        g = np.concatenate([2.0 * (f[1:2] - f[:1]), f[2:] - f[:-2],
-                            2.0 * (f[-1:] - f[-2:-1])])
-        return np.moveaxis(g, 0, a)
+        return np.gradient(f, h, axis=a) if physical else _undivided(f, a)
 
     at = []
     for edge, k in receiver_nodes(domain, grid, receivers):
@@ -392,6 +409,7 @@ def _reference_dn(material, domain, source, receivers, T, h, dt, dtype=np.float3
         at.append((tuple(node), normal))
     u, u_prev, t, traces = np.zeros((len(xs), len(ys), 2), dtype), 0.0, 0.0, []
     walls(u, t)
+    states = [u]
     for n in range(int(round(T / dt)) + 1):
         div = d(u[:, :, 0], 0) + d(u[:, :, 1], 1)
         sxx = 2.0 * mu * d(u[:, :, 0], 0) + lam * div
@@ -402,11 +420,12 @@ def _reference_dn(material, domain, source, receivers, T, h, dt, dtype=np.float3
         traces.append([(sxx64[i] * nx + sxy64[i] * ny, sxy64[i] * nx + syy64[i] * ny)
                        for i, (nx, ny) in at])
         if n == int(round(T / dt)):
-            return np.array(traces).transpose(1, 0, 2), u
+            return np.array(traces).transpose(1, 0, 2), states
         acc = np.stack([d(sxx, 0) + d(sxy, 1), d(sxy, 0) + d(syy, 1)], axis=-1)
         u, u_prev = coef * acc + (2.0 * u - u_prev), u
         t += dt
         walls(u, t)
+        states.append(u)
 
 
 _REFERENCE_MATERIALS = {
@@ -434,11 +453,12 @@ def test_fd_kernel_matches_gradient_reference_bitwise(unit_box, material, pol):
                          polarization=pol)
     # a receiver on each edge, and the corners (1, 0) and (0, 1)
     receivers = [(1.0, 0.5), (0.3, 1.0), (0.6, 0.0), (1.0, 0.0), (0.0, 1.0)]
-    res = simulate_dn(mat, unit_box, src, receivers, T=0.6, h=0.05,
-                      snapshot_times=(0.6,))
-    traces, u = _reference_dn(mat, unit_box, src, receivers, 0.6, 0.05, res.dt)
+    with pytest.MonkeyPatch.context() as mp:
+        got = _capture_u(mp)
+        res = simulate_dn(mat, unit_box, src, receivers, T=0.6, h=0.05)
+    traces, states = _reference_dn(mat, unit_box, src, receivers, 0.6, 0.05, res.dt)
     assert np.array_equal(res.traces, traces)
-    assert np.array_equal(res.snapshots[-1].u, u)
+    assert len(got) == len(states) and np.array_equal(got[-1], states[-1])
     assert np.abs(traces).max() > 0.0
 
 
@@ -492,15 +512,17 @@ def test_row_strips_reproduce_one_strip_bitwise(unit_box, monkeypatch, material,
                          polarization=(0.6, 0.8))
     receivers = [(1.0, 0.5), (0.3, 1.0), (0.6, 0.0), (1.0, 0.0), (0.0, 1.0)]
 
+    states = _capture_u(monkeypatch)
+
     def run():
-        res = simulate_dn(mat, unit_box, src, receivers, T=0.6, h=h,
-                          snapshot_times=(0.6,))
-        return res, res.traces, res.snapshots[-1].u
+        states.clear()
+        res = simulate_dn(mat, unit_box, src, receivers, T=0.6, h=h)
+        return res, res.traces, states[-1]
 
     one, traces, u = run()
     assert one.counters["threads"] == 1
-    ref, ref_u = _reference_dn(mat, unit_box, src, receivers, 0.6, h, one.dt)
-    assert np.array_equal(traces, ref) and np.array_equal(u, ref_u)
+    ref, ref_states = _reference_dn(mat, unit_box, src, receivers, 0.6, h, one.dt)
+    assert np.array_equal(traces, ref) and np.array_equal(u, ref_states[-1])
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)     # switch threads often: a missed wait shows
     try:
@@ -560,12 +582,13 @@ def test_row_window_is_invisible(edge, center, width, angle, h, material, strips
     driven = np.flatnonzero(prof) if axis == 1 else np.flatnonzero([prof.any()]) + (nx - 1) * side
     with pytest.MonkeyPatch.context() as mp:
         _force_strips(mp, strips)
-        res = simulate_dn(mat, unit_box, src, receivers, T=0.5, h=h, dt=dt,
-                          snapshot_times=(n * dt, 0.5))
-    traces, u = _reference_dn(mat, unit_box, src, receivers, 0.5, h, dt)
+        got = _capture_u(mp)
+        res = simulate_dn(mat, unit_box, src, receivers, T=0.5, h=h, dt=dt)
+    traces, states = _reference_dn(mat, unit_box, src, receivers, 0.5, h, dt)
+    u = states[-1]
     assert np.array_equal(res.traces, traces)
-    assert np.array_equal(res.snapshots[-1].u, u)
-    rows = np.flatnonzero(np.any(res.snapshots[0].u != 0.0, axis=(1, 2)))
+    assert len(got) == len(states) and np.array_equal(got[-1], u)
+    rows = np.flatnonzero(np.any(got[n] != 0.0, axis=(1, 2)))
     if driven.size:
         assert driven.min() - 2 * n <= rows.min() and rows.max() < driven.max() + 1 + 2 * n
         assert np.abs(u).max() > 0.0
@@ -586,31 +609,36 @@ def _edge_point(edge, s):
        receivers=st.lists(st.tuples(st.sampled_from(list(EDGES)), st.floats(0.05, 0.95),
                                     st.floats(0.05, 0.95)),
                           min_size=1, max_size=2, unique_by=lambda r: r[0]),
-       T=st.floats(0.2, 0.8), snapshot=st.none() | st.floats(0.0, 1.0),
-       h=st.sampled_from([0.02, 0.025, 0.04, 0.05]),
+       T=st.floats(0.2, 0.8), h=st.sampled_from([0.02, 0.025, 0.04, 0.05]),
        material=st.sampled_from(["constant", "linear-lame-rho"]),
        strips=st.integers(1, 3))
-def test_receiver_cone_is_invisible(edge, center, width, angle, receivers, T, snapshot,
-                                    h, material, strips):
-    # once no snapshot is pending, step n runs only on the rows within
-    # 2 (N - n) of the receivers'; the full-grid reference must see the
-    # same traces and snapshot, in any strips.  Two receivers per edge
-    # make the receiver rows span a range on a bottom or top edge.
+def test_receiver_cone_is_invisible(edge, center, width, angle, receivers, T, h,
+                                    material, strips):
+    # step n runs only on the rows within 2 (N - n) of the receivers'; the
+    # full-grid reference must see the same traces, in any strips, and the
+    # same u^n on the rows within 2 (N - n) + 1 of a receiver's row, which
+    # the traces from step n on read (one row further out, u^n can differ).
+    # Two receivers per edge make the receiver rows span a range on a
+    # bottom or top edge.
     mat, unit_box = _REFERENCE_MATERIALS[material], BoxDomain((0.0, 0.0), (1.0, 1.0))
     src = BoundarySource(edge=edge, center=center, width=width, f0=8.0,
                          polarization=(math.cos(angle), math.sin(angle)))
     points = [_edge_point(e, s) for e, s1, s2 in receivers for s in (s1, s2)]
     nx = int(round(1.0 / h)) + 1
     dt = stable_dt(sample_material(mat, Grid2D((0.0, 0.0), h, nx, nx)))
-    times = () if snapshot is None else (round(snapshot * round(T / dt)) * dt,)
     with pytest.MonkeyPatch.context() as mp:
         _force_strips(mp, strips)
-        res = simulate_dn(mat, unit_box, src, points, T=T, h=h, dt=dt, snapshot_times=times)
-    traces, _ = _reference_dn(mat, unit_box, src, points, T, h, dt)
-    assert np.array_equal(res.traces, traces)
-    if times:
-        _, u = _reference_dn(mat, unit_box, src, points, times[0], h, dt)
-        assert np.array_equal(res.snapshots[0].u, u)
+        got = _capture_u(mp)
+        res = simulate_dn(mat, unit_box, src, points, T=T, h=h, dt=dt)
+    traces, states = _reference_dn(mat, unit_box, src, points, T, h, dt)
+    assert np.array_equal(res.traces, traces) and len(got) == len(states)
+    rows = [k if EDGES[e][0] == 1 else EDGES[e][1] * (nx - 1)
+            for e, k in receiver_nodes(unit_box, res.grid, points)]
+    reach = np.abs(np.arange(nx)[:, None] - rows).min(axis=1)    # rows to a receiver's row
+    n_steps = len(states) - 1
+    for n, (u, ref) in enumerate(zip(got, states)):
+        near = reach <= 2 * (n_steps - n) + 1
+        assert np.array_equal(u[near], ref[near])
 
 
 def test_receivers_out_of_reach_get_zero_traces_and_no_strip_work(unit_material, unit_box,

@@ -250,8 +250,6 @@ def test_simulated_arrivals_come_in_mode_order(h, kappa, mu, rho, center, angle,
                    "calibration, and up to 13 samples early where the P pulse span is cut "
                    "at the S prediction (CHANGES.md FOUND)")
 @settings(phases=[Phase.explicit, Phase.generate])     # a known failure: no shrinking
-# reporting the failure imports libcst, which warns about a mypy_extensions API
-@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @given(**_CHAIN)
 def test_simulated_p_pick_lies_within_three_samples_of_the_chord_time(h, kappa, mu, rho,
                                                                        center, angle,
