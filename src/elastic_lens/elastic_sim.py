@@ -158,15 +158,16 @@ class MaterialGrid:
 
 
 def sample_material(material: ElasticMaterial, grid: Grid2D) -> MaterialGrid:
-    """The fields at the nodes, a block of rows at a time; one with a single
+    """The fields at the nodes, a block of rows at a time, passed as component
+    rows (2, rows ny) that eval reads contiguously; a field with a single
     value is a float (the same products as an array of it, at less cost)."""
     xs, ys = grid.nodes()
     rows = max(1, _SAMPLE_BLOCK_NODES // len(ys))
     def sample(f):
         v = c0 = None
         for r in range(0, len(xs), rows):
-            nodes = np.stack(np.meshgrid(xs[r:r + rows], ys, indexing="ij"), axis=-1)
-            c = f.eval(nodes.reshape(-1, 2))[0].reshape(-1, len(ys))
+            nodes = np.array(np.meshgrid(xs[r:r + rows], ys, indexing="ij")).reshape(2, -1)
+            c = f.eval(nodes.T)[0].reshape(-1, len(ys))
             c0 = c[0, 0] if c0 is None else c0
             if v is None and np.any(c != c0):
                 v = np.full((len(xs), len(ys)), c0)     # the rows before all equal c0

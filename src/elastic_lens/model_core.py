@@ -52,33 +52,38 @@ class Cubic:
         m = np.asarray(m[:len(x)], dtype=float)         # without the sweep's end zero
         t = (m[:-1] + m[1:] - 2 * slope) / h
         a, b = t / h, (slope - m[:-1]) / h - t
-        self._x, self._inner = x, x[1:-1]
-        # a d^3 + b d^2 + m d + y on each interval, d = s - x[i]; 3a, 2b for d/ds
-        self._c = np.stack((a, b, m[:-1], y[:-1], 3 * a, 2 * b))
+        self._inner = x[1:-1]
+        # pairs on each interval: (x[i], x[i]), then the coefficients of
+        # (a d^3 + b d^2 + m d + y, 0 d^3 + 3a d^2 + 2b d + m) in d = s - x[i]
+        self._c = np.stack((x[:-1], x[:-1], a, 0 * a, b, 3 * a, m[:-1], 2 * b, y[:-1],
+                            m[:-1])).reshape(5, 2, -1)
 
     def eval(self, s):
-        """(value, first derivative) at the points of the array s."""
-        i = np.searchsorted(self._inner, s, side="right")   # the end pieces extend
-        d = s - self._x.take(i)
-        a, b, m, y, a3, b2 = self._c.take(i, axis=1)
-        return ((a * d + b) * d + m) * d + y, (a3 * d + b2) * d + m
+        """(value, first derivative) at the points of the array s, stacked."""
+        c = self._c.take(self._inner.searchsorted(s, side="right"), axis=2)  # end pieces extend
+        d = s - c[0]
+        return ((c[1] * d + c[2]) * d + c[3]) * d + c[4]
 
 
 class SpeedField:
     """Scalar positive field c(x), evaluated on arrays of points.
 
-    ``eval`` is the field API; subclasses implement ``_eval`` only.  This
-    base class owns the shape check, the bounds check (against the box
-    ``bounds`` padded by COLLAR, built once in ``_set_bounds``) and the
-    positivity contract; ``value`` and ``value_and_grad`` are batches of one.
+    ``eval`` is the field API; subclasses implement ``_eval`` only: c (n,) and
+    grad c (d, n) at the component rows X (d, n), unchecked.  This base class
+    owns the shape, bounds (the box ``bounds`` padded by COLLAR) and positivity
+    checks, in ``eval`` and in ``_check`` of points already evaluated (the ray
+    tracer's stages).  As the check may come after it, ``_eval`` must not raise
+    or warn on a finite point outside the collar.  ``value`` and
+    ``value_and_grad`` are batches of one.
     """
 
     bounds: BoxDomain
+    _parts = ()     # fields whose own errors eval reports first (DerivedSpeed)
 
     def _set_bounds(self, bounds: BoxDomain):
         self.bounds = bounds
-        self._lo = bounds.lo - COLLAR
-        self._hi = bounds.hi + COLLAR
+        self._lo = (bounds.lo - COLLAR)[:, None]
+        self._hi = (bounds.hi + COLLAR)[:, None]
 
     def eval(self, X):
         """(c, grad c) at the rows of X: shape (n, d) -> (n,), (n, d)."""
@@ -86,19 +91,28 @@ class SpeedField:
         if X.ndim != 2 or X.shape[1] != self._lo.size:
             raise PreconditionError(
                 f"expected an (n, {self._lo.size}) array of points, got shape {X.shape}")
+        X = X.T
         # np.count_nonzero: the cheapest test on the small batches of ray tracing
         outside = (X < self._lo) | (X > self._hi)
         if np.count_nonzero(outside):
-            k = int(np.argmax(outside.any(axis=1)))
-            raise DomainError(f"point {X[k].tolist()} outside field bounds "
+            k = int(np.argmax(outside.any(axis=0)))
+            raise DomainError(f"point {X[:, k].tolist()} outside field bounds "
                               f"{tuple(map(float, self.bounds.lo))}.."
                               f"{tuple(map(float, self.bounds.hi))}")
-        c, g = self._eval(X)
+        c, G = self._eval(X)
         positive = c > 0.0
         if np.count_nonzero(positive) < len(c):
+            for part in self._parts:
+                part.eval(X.T)
             k = int(np.argmin(positive))
-            raise ModelError(f"non-positive speed {float(c[k])} at {X[k].tolist()}")
-        return c, g
+            raise ModelError(f"non-positive speed {float(c[k])} at {X[:, k].tolist()}")
+        return c, G.T
+
+    def _check(self, X, c):
+        """Raise eval's error at the first bad one of the points X (m, d, n) with speeds c."""
+        if np.count_nonzero((X < self._lo) | (X > self._hi)) or np.count_nonzero(c > 0) < c.size:
+            for x in X:
+                self.eval(x.T)
 
     def value(self, x) -> float:
         return float(self.eval(np.asarray(x, dtype=float)[None])[0][0])
@@ -119,7 +133,7 @@ class ConstantField(SpeedField):
         self._set_bounds(bounds or BoxDomain.cube(1.0, dim))
 
     def _eval(self, X):
-        return np.full(len(X), self.c), np.zeros(X.shape)
+        return np.full(X.shape[1], self.c), np.zeros(X.shape)
 
 
 class LinearField(SpeedField):
@@ -136,7 +150,8 @@ class LinearField(SpeedField):
             raise ModelError(f"affine field non-positive at corner {corner}")
 
     def _eval(self, X):
-        return self.a + X @ self.b, np.tile(self.b, (len(X), 1))
+        # the product on (n, d) rows, as BLAS rounds it there
+        return self.a + np.ascontiguousarray(X.T) @ self.b, np.tile(self.b[:, None], X.shape[1])
 
 
 class RadialField(SpeedField):
@@ -168,10 +183,10 @@ class RadialField(SpeedField):
         self._set_bounds(BoxDomain.cube(self.r_max, dim))
 
     def _eval(self, X):
-        r = np.sqrt(np.add.reduce(X * X, axis=1))
+        r = np.sqrt(np.add.reduce(X * X, axis=0))
         c, dc = self._c_dc(r)
-        at_origin = r < 1e-14
-        return c, np.where(at_origin, 0.0, dc / np.where(at_origin, 1.0, r))[:, None] * X
+        # grad c = 0 at the origin; a NaN radius still gives a NaN gradient
+        return c, np.divide(dc, r, out=np.zeros(r.shape), where=~(r < 1e-14)) * X
 
 
 class DepthField(SpeedField):
@@ -193,8 +208,8 @@ class DepthField(SpeedField):
         self._set_bounds(BoxDomain((-w,) * (dim - 1) + (z0,), (w,) * (dim - 1) + (z1,)))
 
     def _eval(self, X):
-        c, dc = self._cubic.eval(X[:, -1])
-        return c, np.concatenate((np.zeros_like(X[:, 1:]), dc[:, None]), axis=1)
+        c, dc = self._cubic.eval(X[-1])
+        return c, np.concatenate((np.zeros_like(X[:-1]), dc[None]))
 
 
 class GridField(SpeedField):
@@ -221,9 +236,8 @@ class GridField(SpeedField):
         self._set_bounds(BoxDomain((xs[0], ys[0]), (xs[-1], ys[-1])))
 
     def _eval(self, X):
-        X = np.clip(X, self.bounds.lo, self.bounds.hi)
-        x, y = X[:, 0], X[:, 1]
-        g = np.column_stack([self._spline.ev(x, y, dx=1), self._spline.ev(x, y, dy=1)])
+        x, y = np.clip(X, self.bounds.lo[:, None], self.bounds.hi[:, None])
+        g = np.array([self._spline.ev(x, y, dx=1), self._spline.ev(x, y, dy=1)])
         return self._spline.ev(x, y), g
 
 
@@ -273,21 +287,22 @@ class DerivedSpeed(SpeedField):
     def __init__(self, material: ElasticMaterial, mode: str):
         if mode not in ("p", "s"):
             raise PreconditionError(f"mode must be 'p' or 's', got {mode!r}")
-        self.material = material
+        self._parts = (material.lam, material.mu, material.rho)
         self.mode = mode
         self._set_bounds(material.mu.bounds)
 
     def _eval(self, X):
-        lam, g_lam = self.material.lam.eval(X)
-        mu, g_mu = self.material.mu.eval(X)
-        rho, g_rho = self.material.rho.eval(X)
+        try:
+            (lam, g_lam), (mu, g_mu), (rho, g_rho) = (f.eval(X.T) for f in self._parts)
+        except (DomainError, ModelError):   # eval reports it from the part
+            return np.full(X.shape[1], np.nan), np.full(X.shape, np.nan)
         if self.mode == "p":
             c = np.sqrt((lam + 2.0 * mu) / rho)
             top = g_lam + 2.0 * g_mu
         else:
             c = np.sqrt(mu / rho)
             top = g_mu
-        return c, (top - (c * c)[:, None] * g_rho) / (2.0 * rho * c)[:, None]
+        return c, ((top - (c * c)[:, None] * g_rho) / (2.0 * rho * c)[:, None]).T
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ The flow is
 integrated with classical fixed-step RK4.  On trajectories normalized to
 H = 1/2 the parameter t is the metric length in c^-2 dx^2, i.e. the travel
 time, and |dx/dt| = c.  Works in 2 and 3 dimensions.
+
+A batch of n rays is one (2d, n) array, rows x_1..x_d, xi_1..xi_d.  The
+stages call the field's unchecked ``_eval`` on these rows, and the bounds
+and positivity of the four stage points are checked once per step.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .model_core import Domain, SpeedField
 
 THETA_MIN = math.radians(2.0)   # entries this close to tangent are refused
 HARD_STEP_CAP = 5_000_000
+_RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])[:, None, None]   # k1 + 2 k2 + 2 k3 + k4, in order
 
 
 @dataclass(frozen=True)
@@ -66,23 +71,23 @@ def unit_phase(speed: SpeedField, x, v):
 
 
 def _rhs(speed, y):
-    """Flow at the phase points y = [x | xi], one per row."""
-    d = y.shape[1] // 2
-    xi = y[:, d:]
-    c, g = speed.eval(y[:, :d])
-    c = c[:, None]
-    return np.concatenate((c * c * xi,
-                           -c * np.add.reduce(xi * xi, axis=1, keepdims=True) * g), axis=1)
+    """Flow and speeds at the columns of y = [x; xi], unchecked: the caller checks."""
+    d = len(y) // 2
+    xi = y[d:]
+    c, g = speed._eval(y[:d])
+    return np.concatenate((c * c * xi, -c * np.add.reduce(xi * xi, axis=0) * g)), c
 
 
 def _rk4_step(speed, y, dt):
-    """One RK4 step of every row of y = [x | xi] by the scalar dt."""
-    half = 0.5 * dt
-    k1 = _rhs(speed, y)
-    k2 = _rhs(speed, y + half * k1)
-    k3 = _rhs(speed, y + half * k2)
-    k4 = _rhs(speed, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    """One RK4 step of the columns of y = [x; xi] by dt; its stage points are checked after."""
+    P, K = np.empty((2, 4, *y.shape))     # the stages' points and slopes
+    P[0] = y
+    K[0], c1 = _rhs(speed, y)
+    K[1], c2 = _rhs(speed, np.add(y, 0.5 * dt * K[0], out=P[1]))
+    K[2], c3 = _rhs(speed, np.add(y, 0.5 * dt * K[1], out=P[2]))
+    K[3], c4 = _rhs(speed, np.add(y, dt * K[2], out=P[3]))
+    speed._check(P[:, :len(y) // 2], np.concatenate((c1, c2, c3, c4)))
+    return y + (dt / 6.0) * np.add.reduce(_RK4_WEIGHTS * K)
 
 
 def _step_count(n_steps):
@@ -106,11 +111,11 @@ def integrate_bicharacteristic(speed: SpeedField, x0, xi0, t_max: float,
                                 f"at row {k}")
     n_steps = _step_count(int(math.floor(t_max / dt + 1e-12)))
     d = x0.shape[1]
-    y = np.empty((n_steps + 1, len(x0), 2 * d))
-    y[0] = np.hstack([x0, xi0])
+    y = np.empty((n_steps + 1, 2 * d, len(x0)))
+    y[0] = np.concatenate((x0.T, xi0.T))
     for k in range(n_steps):
         y[k + 1] = _rk4_step(speed, y[k], dt)
-    return y[..., :d], y[..., d:]
+    return y[:, :d].transpose(0, 2, 1), y[:, d:].transpose(0, 2, 1)
 
 
 def scattering_relation(speed: SpeedField, domain: Domain,
@@ -149,7 +154,7 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries,
 
     traced = np.nonzero(steep)[0]
     d = x0.shape[1]
-    y = np.hstack([x0[traced], v0[traced] / speed.eval(x0[traced])[0][:, None]])
+    y = np.concatenate((x0[traced].T, (v0[traced] / speed.eval(x0[traced])[0][:, None]).T))
     n = len(traced)
     # phase points at both ends, step and time of each ray's exit step
     y_s, y_e = np.empty_like(y), np.empty_like(y)
@@ -161,18 +166,18 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries,
         if step <= 0 or active.size == 0:
             break
         y_new = _rk4_step(speed, y, step)
-        out = domain.signed(y_new[:, :d]) > 0.0
+        out = domain.signed(y_new[:d].T) > 0.0
         if np.count_nonzero(out):
             k = active[out]
-            y_s[k], y_e[k], step_s[k], t_s[k] = y[out], y_new[out], step, t
-            active, y_new = active[~out], y_new[~out]
+            y_s[:, k], y_e[:, k], step_s[k], t_s[k] = y[:, out], y_new[:, out], step, t
+            active, y_new = active[~out], y_new[:, ~out]
         y, t = y_new, t + step
 
     exited = np.nonzero(~np.isnan(t_s))[0]
     if exited.size:
-        y_x, f = _exit_on_cubic(speed, domain, y_s[exited], y_e[exited], step_s[exited])
+        y_x, f = _exit_on_cubic(speed, domain, y_s[:, exited], y_e[:, exited], step_s[exited])
         ell = t_s[exited] + f * step_s[exited]
-        x_e, xi_e = y_x[:, :d], y_x[:, d:]
+        x_e, xi_e = y_x[:d].T, y_x[d:].T
         v_out = xi_e / np.linalg.norm(xi_e, axis=1, keepdims=True)
         for j, k in enumerate(exited):
             i = traced[k]
@@ -183,26 +188,27 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries,
 
 
 def _exit_on_cubic(speed, domain, y0, y1, dt):
-    """Phase points on the boundary and fractions f of the exit steps (y0 to
-    y1, length dt per ray) where b changes sign, on each step's cubic
-    Hermite interpolant; the flow is evaluated at the two ends only."""
-    d = y0.shape[1] // 2
-    dy0, dy1 = dt[:, None] * _rhs(speed, y0), dt[:, None] * _rhs(speed, y1)
+    """Phase points on the boundary and fractions f of the exit steps (the
+    columns y0 to y1, length dt per ray) where b changes sign, on each step's
+    cubic Hermite interpolant; the flow is evaluated at the two ends only."""
+    d = len(y0) // 2
+    (f0, _), (f1, c1) = _rhs(speed, y0), _rhs(speed, y1)
+    speed._check(y1[None, :d], c1)       # y0 passed as its step's first stage
+    dy0, dy1 = dt * f0, dt * f1
     a2, a3 = 3 * (y1 - y0) - 2 * dy0 - dy1, 2 * (y0 - y1) + dy0 + dy1
 
     def cubic(f):
-        f = f[:, None]
         return y0 + f * (dy0 + f * (a2 + f * a3))
 
     # the bracket [hi - width, hi] halves exactly each iteration: 2**-40 < 1e-12
-    hi, width = np.ones(len(y0)), 1.0
+    hi, width = np.ones(y0.shape[1]), 1.0
     for _ in range(40):
         width *= 0.5
         mid = hi - width      # exact: hi is a multiple of 2 * width
-        hi = np.where(domain.signed(cubic(mid)[:, :d]) > 0.0, mid, hi)
+        hi = np.where(domain.signed(cubic(mid)[:d].T) > 0.0, mid, hi)
     y_hi = cubic(hi)
     # snap the exit points onto the boundary along the outward normal
-    x_hi = y_hi[:, :d]
+    x_hi = y_hi[:d].T
     x_hi -= domain.signed(x_hi)[:, None] * domain.normal(x_hi)
     return y_hi, hi
 

@@ -2,15 +2,18 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import Phase, settings
 
 from elastic_lens.inversion import forward_travel_times
 from elastic_lens.model_core import (BoxDomain, ConstantField, DiskDomain,
                                      ElasticMaterial, RadialField)
 
-# property tests draw the same few examples on every run
+# property tests draw the same few examples on every run.  No explain phase:
+# it re-runs a shrunk failure under a line tracer, which on the ray tracer's
+# step loop takes minutes and grows memory before the failure is reported
 settings.register_profile("elastic-lens", derandomize=True, deadline=None,
-                          max_examples=10, database=None)
+                          max_examples=10, database=None,
+                          phases=[p for p in Phase if p is not Phase.explain])
 settings.load_profile("elastic-lens")
 
 UNIT_BOX_MODEL = {

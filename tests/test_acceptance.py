@@ -9,6 +9,7 @@ reciprocity, grid convergence and byte-level determinism.
 """
 
 import csv
+import hashlib
 import json
 import math
 import time
@@ -392,3 +393,13 @@ def test_a10_homogeneous_chain_is_deterministic(end_to_end):
 
 def test_a10_radial_chain_is_deterministic(radial_runs):
     _assert_runs_identical(*radial_runs["runs"])
+
+
+def test_radial_chain_bytes_are_pinned(radial_runs):
+    # the ray chain's outputs on the A4 model, pinned: a change to the RK4
+    # arithmetic, the exit search, the field evaluation or the inversion shows here
+    run = radial_runs["runs"][0]
+    assert {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
+            for name in ("curve.csv", "profile.csv")} == {
+        "curve.csv": "bbbc533e0cf1bc2ed76b1500a8fc426d607378087dbef47c622b6f1234b71cb8",
+        "profile.csv": "e2b0ef9cbab13529861ebb8377d3d9fb68fbd3ab1b317a7885e77bfa2b0f6afc"}

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from elastic_lens import ray_tracer
 from elastic_lens.cli import read_lens_csv, write_lens_csv
-from elastic_lens.errors import PreconditionError
+from elastic_lens.errors import DomainError, ModelError, PreconditionError
 from elastic_lens.model_core import (BoxDomain, ConstantField, DiskDomain, LinearField,
                                      RadialField, load_model)
 from elastic_lens.ray_tracer import (THETA_MIN, BoundaryDirection, RayStatus,
@@ -58,6 +58,25 @@ def test_exit_costs_two_flow_evaluations_beyond_its_steps(unit_disk, monkeypatch
     assert rec.ell == pytest.approx(2.0 * math.cos(0.3), abs=1e-12)
     steps = math.floor(rec.ell / dt) + 1                     # 1.91 / 0.05: 39
     assert len(calls) == 4 * steps + 2
+
+
+# c = 1 up to r = 1.05, then -1: positive on the disk, not in all of its collar
+_NEGATIVE_PAST_1_05 = RadialField(func=lambda r: np.where(r < 1.05, 1.0, -1.0),
+                                  dfunc=lambda r: 0.0, r_max=1.2)
+
+
+@pytest.mark.parametrize("speed, error, message", [
+    (ConstantField(1.0, dim=2), DomainError,
+     "point [-1.25, 0.0] outside field bounds (-1.0, -1.0)..(1.0, 1.0)"),
+    (_NEGATIVE_PAST_1_05, ModelError, "non-positive speed -1.0 at [-1.25, 0.0]")])
+def test_first_bad_stage_point_raises_its_error(unit_disk, speed, error, message):
+    # the chord along the x axis ends a step at x = -1.0, still on the disk;
+    # the next step's second stage point, x = -1.25, is bad, and its end,
+    # x = -1.5, would exit: the stage's error comes first
+    with pytest.raises(error) as info:
+        scattering_relation(speed, unit_disk, entry_at(unit_disk, 0.0, 0.0),
+                            t_max=5.0, dt=0.5)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def test_hamiltonian_conserved_along_flow(linear_radial_speed):

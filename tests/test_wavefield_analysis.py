@@ -250,6 +250,10 @@ def test_simulated_arrivals_come_in_mode_order(h, kappa, mu, rho, center, angle,
                    "calibration, and up to 13 samples early where the P pulse span is cut "
                    "at the S prediction (CHANGES.md FOUND)")
 @settings(phases=[Phase.explicit, Phase.generate])     # a known failure: no shrinking
+# a known failing draw: Hypothesis reports an explicit example's failure and
+# stops there, writing no .hypothesis/patches file for a discovered one
+@example(h=0.05, kappa=1.5, mu=0.5, rho=0.5, center=0.1, angle=0.0,
+         receivers=[("right", 0.1)])
 @given(**_CHAIN)
 def test_simulated_p_pick_lies_within_three_samples_of_the_chord_time(h, kappa, mu, rho,
                                                                        center, angle,
