@@ -37,7 +37,7 @@ from .inversion import (RadialProfile, forward_travel_times, herglotz_invert,
                         invert_both_speeds, layer_strip_invert)
 from .model_core import (EDGES, BoxDomain, ConstantField, DepthField,
                          DiskDomain, load_model)
-from .ray_tracer import (RayStatus, entry_at, exit_angle, lens_table,
+from .ray_tracer import (DT, T_MAX, RayStatus, entry_at, exit_angle, lens_table,
                          scattering_relation)
 from .wavefield_analysis import extract_lens
 
@@ -98,12 +98,9 @@ def _write_csv(path, header, rows):
 
 
 def _write_manifest(out_dir, command, config, inputs, t_start, stages):
-    if isinstance(config, dict):
-        config = {k: v for k, v in config.items()
-                  if k != "func" and not callable(v)}
     manifest = {
         "command": command,
-        "config": config,
+        "config": {k: v for k, v in config.items() if not callable(v)},
         "inputs": {str(p): _digest(p) for p in inputs if Path(p).is_file()},
         "version": __version__,
         "duration_seconds": time.monotonic() - t_start,
@@ -213,8 +210,7 @@ def _require_convex(report, accept_flat=False):
     `accept_flat`, flat: constant speeds foliate a box by flat planes)."""
     if not (report.strictly_convex
             or accept_flat and report.verdict == VERDICT_FLAT):
-        raise FoliationError(f"foliation check verdict: {report.verdict}",
-                             report=report, witness=report.witness)
+        raise FoliationError(f"foliation check verdict: {report.verdict}", report=report)
 
 
 def _profile_errors(speed, x, c):
@@ -334,14 +330,16 @@ def _simulate_to_dir(model_path, model, source, receiver_spec, T, h, dt, out_dir
     receivers = _receiver_points(model.domain, receiver_spec)
     result = simulate_dn(model.material, model.domain, source, receivers,
                          T=T, h=h, dt=dt)
-    out, t0 = Path(out_dir), time.monotonic()
+    out, t0, g = Path(out_dir), time.monotonic(), result.grid
     t = np.arange(result.traces.shape[1]) * result.dt
     for k, samples in enumerate(result.traces):
         _write_csv(out / f"receiver_{k:03d}.csv", ["t", "Nu_x", "Nu_y"],
                    np.column_stack((t, samples)))
     result.counters["write_seconds"] = time.monotonic() - t0
     _write_json(out / "metadata.json", {
-        **result.meta, "origin": [float(v) for v in result.grid.origin],
+        "grid": {"nx": g.nx, "ny": g.ny, "h": g.h}, "dt": result.dt, "steps": len(t) - 1,
+        "cfl_limit": result.cfl_limit, "source": {**asdict(source), "t0": source.delay},
+        "origin": [float(v) for v in g.origin],
         "receivers": [list(map(float, r)) for r in receivers],
         "T": T, "model": str(model_path)})
     return result
@@ -496,7 +494,7 @@ _PIPELINE_DEFAULTS = {
     "source": {"edge": "left", "center": 0.5, "width": 0.08, "f0": 12.5,
                "pol": [0.7071067811865476, 0.7071067811865476]},
     "receivers": {"edge": "right", "count": 16, "center": None, "width": None},
-    "radial": {"n_rays": 48, "dt": 1e-3, "angle_min": 0.06, "angle_max": 1.51},
+    "radial": {"n_rays": 48, "dt": DT, "angle_min": 0.06, "angle_max": 1.51},
     "foliation_range": [0.01, 0.99],
 }
 
@@ -689,16 +687,16 @@ def _build_parser():
                    help="boundary arclength of the entry point")
     q.add_argument("--angle", type=float, required=True,
                    help="entry angle from the inward normal (radians)")
-    q.add_argument("--dt", type=float, default=1e-3)
-    q.add_argument("--tmax", type=float, default=50.0)
+    q.add_argument("--dt", type=float, default=DT)
+    q.add_argument("--tmax", type=float, default=T_MAX)
     q.set_defaults(func=cmd_trace)
 
     q = sub.add_parser("lens", help="tabulate the lens relation")
     q.add_argument("--model", required=True)
     q.add_argument("--points", type=int, required=True)
     q.add_argument("--angles", type=int, required=True)
-    q.add_argument("--tmax", type=float, default=50.0)
-    q.add_argument("--dt", type=float, default=1e-3)
+    q.add_argument("--tmax", type=float, default=T_MAX)
+    q.add_argument("--dt", type=float, default=DT)
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_lens)
 

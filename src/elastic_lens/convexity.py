@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import default_rng   # at load: numpy imports it lazily
 
-from .errors import DegenerateFoliationError, PreconditionError
+from .errors import FoliationError, PreconditionError
 from .model_core import Domain, SpeedField
 
 # verdict margins (unit-scale models)
@@ -55,12 +55,10 @@ class Foliation:
       * "spheres": concentric spheres, params (r_min, r_max)
       * "planes":  parallel planes x[axis] = C, params (C1, C2), axis
       * "kappa":   level sets of a scalar function, params (q_lo, q_hi),
-                   with callables kappa(X), optional grad(X) and hess(X)
-                   (finite differences otherwise)
+                   with the callable kappa(X)
 
-    The callables receive an (n, d) array of points and return kappa as
-    (n,), its gradient as (n, d) and its Hessian as (n, d, d).  Kappa
-    leaves must be star-shaped around the origin.
+    kappa maps an (n, d) array of points to (n,) values, differentiated by
+    finite differences.  Kappa leaves must be star-shaped around the origin.
 
     orientation: +1 orients leaf normals along grad kappa (outward for
     spheres), -1 the other way.  The normal points to the side tangent
@@ -71,8 +69,6 @@ class Foliation:
     params: tuple
     axis: int = -1
     kappa: object = None
-    grad: object = None
-    hess: object = None
     orientation: int = 1
 
     def __post_init__(self):
@@ -149,8 +145,7 @@ def _level_derivatives(fol, dim):
     if fol.kind == "planes":    # kappa = x[axis]
         e = np.eye(dim)[fol.axis]
         return (lambda X: np.broadcast_to(e, X.shape)), (lambda X: np.zeros((len(X), dim, dim)))
-    return (fol.grad or (lambda X: _fd_grad(fol.kappa, X)),
-            fol.hess or (lambda X: _fd_hess(fol.kappa, X)))
+    return (lambda X: _fd_grad(fol.kappa, X)), (lambda X: _fd_hess(fol.kappa, X))
 
 
 def _kappa_leaves(kappa, levels, omegas, bounds):
@@ -235,9 +230,8 @@ def _sample_foliation(speed: SpeedField, fol: Foliation, domain, samples):
     degenerate = ~(ng >= GRAD_EPS)   # nan too: the sphere of radius 0
     if np.any(degenerate):
         k = int(np.argmax(degenerate))
-        raise DegenerateFoliationError(
-            f"|grad kappa| = {ng[k]:.3g} < {GRAD_EPS} on leaf {levels[leaf[k]]}",
-            witness={"leaf": float(levels[leaf[k]]), "point": list(map(float, X[k]))})
+        raise FoliationError(f"|grad kappa| = {ng[k]:.3g} < {GRAD_EPS} on leaf "
+                             f"{levels[leaf[k]]} at {X[k].tolist()}")
     sign = 1.0 if fol.orientation >= 0 else -1.0
     nu = sign * gk / ng[:, None]
     T = _tangents(nu, n_dir)

@@ -61,6 +61,7 @@ the chord time.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import time
@@ -69,7 +70,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ResourceError
-from .model_core import EDGES, BoxDomain, ElasticMaterial, Grid2D
+from .model_core import EDGES, BoxDomain, ConstantField, ElasticMaterial, Grid2D
 
 CFL_SAFETY = 1.3            # dt <= CFL_SAFETY h / c_bound: 92 % of the limit sqrt(2)
 _BLOW_UP_CHECK_STEPS = 64   # simulate_dn checks u for blow-up this often:
@@ -133,14 +134,14 @@ class BoundarySource:
 @dataclass
 class MaterialGrid:
     """Material fields sampled at the nodes of a grid: (nx, ny) arrays, or
-    Python floats for fields that take one value at every node."""
+    Python floats for constant fields."""
 
     grid: Grid2D
     lam: np.ndarray | float
     mu: np.ndarray | float
     rho: np.ndarray | float
 
-    @property
+    @functools.cached_property
     def c_bound(self):
         """The speed c with 2 c^2 / h^2 the step operator's largest Gershgorin
         row sum over the interior nodes (module docstring); c_p if constant."""
@@ -158,22 +159,20 @@ class MaterialGrid:
 
 
 def sample_material(material: ElasticMaterial, grid: Grid2D) -> MaterialGrid:
-    """The fields at the nodes, a block of rows at a time, passed as component
-    rows (2, rows ny) that eval reads contiguously; a field with a single
-    value is a float (the same products as an array of it, at less cost)."""
+    """The fields at the nodes: a ConstantField as its float (the same products
+    at less cost), its bounds checked at the grid's two corners; any other field
+    a block of rows at a time, as component rows (2, rows ny) eval reads contiguously."""
     xs, ys = grid.nodes()
     rows = max(1, _SAMPLE_BLOCK_NODES // len(ys))
     def sample(f):
-        v = c0 = None
+        if isinstance(f, ConstantField):
+            f.eval(np.array([[xs[0], ys[0]], [xs[-1], ys[-1]]]))
+            return f.c
+        v = np.empty((len(xs), len(ys)))
         for r in range(0, len(xs), rows):
             nodes = np.array(np.meshgrid(xs[r:r + rows], ys, indexing="ij")).reshape(2, -1)
-            c = f.eval(nodes.T)[0].reshape(-1, len(ys))
-            c0 = c[0, 0] if c0 is None else c0
-            if v is None and np.any(c != c0):
-                v = np.full((len(xs), len(ys)), c0)     # the rows before all equal c0
-            if v is not None:
-                v[r:r + rows] = c
-        return float(c0) if v is None else v
+            v[r:r + rows] = f.eval(nodes.T)[0].reshape(-1, len(ys))
+        return v
     return MaterialGrid(grid, *map(sample, (material.lam, material.mu, material.rho)))
 
 
@@ -289,8 +288,12 @@ class SimulationResult:
     traces: np.ndarray       # sigma(u).nu, (receivers, steps + 1, 2), every dt
     grid: Grid2D
     dt: float
-    meta: dict = field(default_factory=dict)        # the run's data, as written
+    cfl_limit: float         # sqrt(2) h / c_bound, the derived stability limit
     counters: dict = field(default_factory=dict)    # the run's cost and health
+
+    @property
+    def meta(self):     # the run's size, as perfbench/tracing.py reads it
+        return {"grid": {"nx": self.grid.nx, "ny": self.grid.ny}, "steps": self.traces.shape[1] - 1}
 
 
 def receiver_nodes(domain: BoxDomain, grid: Grid2D, receivers):
@@ -411,14 +414,9 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
         traces[k, :, 0] = sxx * nrm_x[k] + sxy * nrm_y[k]
         traces[k, :, 1] = sxy * nrm_x[k] + syy * nrm_y[k]
 
-    meta = {"grid": {"nx": nx, "ny": ny, "h": h}, "dt": dt, "steps": n_steps,
-            "cfl_limit": limit,
-            "source": {"edge": source.edge, "center": source.center,
-                       "width": source.width, "f0": source.f0, "t0": source.delay,
-                       "polarization": list(source.polarization)}}
     counters = {"steps": n_steps, "cell_steps": nx * ny * n_steps,
                 "window_cell_steps": window_cell_steps, "dt": dt,
                 "dt_over_limit": dt / limit,
                 "max_u_over_pol": u_max / pol_max if u_max is not None and pol_max else None,
                 "threads": threads, "step_loop_seconds": loop_seconds}
-    return SimulationResult(traces, grid, dt, meta, counters)
+    return SimulationResult(traces, grid, dt, limit, counters)

@@ -35,14 +35,9 @@ class FoliationError(ElasticLensError):
     May carry the offending ConvexityReport in ``report``.
     """
 
-    def __init__(self, message, report=None, witness=None):
+    def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
-        self.witness = witness
-
-
-class DegenerateFoliationError(FoliationError):
-    """|grad kappa| fell below the configured threshold at a sample."""
 
 
 class ExtractionError(ElasticLensError):

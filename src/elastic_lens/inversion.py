@@ -26,10 +26,9 @@ from .convexity import check_hwz
 from .errors import (DataInconsistencyError, FoliationError, IllPosedInputError,
                      InversionError, PreconditionError)
 from .model_core import Cubic, DiskDomain
-from .ray_tracer import RayStatus, entry_at, scattering_relations
+from .ray_tracer import DT, T_MAX, RayStatus, entry_at, scattering_relations
 
 _GL_NODES = 32
-_RAY_T_MAX = 50.0   # travel-time bound of a forward fan; slower rays are TRAPPED
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +79,7 @@ class DepthProfile:
 # ---------------------------------------------------------------------------
 
 
-def forward_travel_times(speed, R: float, angles, dt: float = 1e-3):
+def forward_travel_times(speed, R: float, angles, dt: float = DT):
     """Trace a fan through a radial speed field and tabulate (Delta, T).
 
     angles: inward shooting angles in (0, pi/2) measured from the inward
@@ -96,9 +95,8 @@ def forward_travel_times(speed, R: float, angles, dt: float = 1e-3):
     """
     report = check_hwz(speed, 1e-3 * R, R)
     if not report.strictly_convex:
-        raise FoliationError(
-            "radial model violates the Herglotz condition d/dr (r/c) > 0",
-            report=report, witness=report.witness)
+        raise FoliationError("radial model violates the Herglotz condition d/dr (r/c) > 0",
+                             report=report)
 
     domain = DiskDomain(R, dim=2)
     for a in angles:
@@ -106,7 +104,7 @@ def forward_travel_times(speed, R: float, angles, dt: float = 1e-3):
             raise PreconditionError(f"shooting angle must lie in (0, pi/2), got {a}")
     records = scattering_relations(speed, domain,
                                    [entry_at(domain, 0.0, a) for a in angles],
-                                   dt=dt, t_max=_RAY_T_MAX)
+                                   dt=dt, t_max=T_MAX)
     for a, rec in zip(angles, records):
         if rec.status is not RayStatus.EXITED:
             raise InversionError(f"ray at angle {a} did not exit ({rec.status.value})")

@@ -202,7 +202,6 @@ class DepthField(SpeedField):
         if np.any(prof[:, 1] <= 0):
             raise ModelError("depth profile speeds must be positive")
         self._cubic = Cubic(prof[:, 0], prof[:, 1])
-        self.dim = dim
         z0, z1 = float(prof[0, 0]), float(prof[-1, 0])
         w = max(abs(z0), abs(z1), 1.0)
         self._set_bounds(BoxDomain((-w,) * (dim - 1) + (z0,), (w,) * (dim - 1) + (z1,)))
@@ -371,6 +370,7 @@ class DiskDomain(Domain):
 # the edges of a 2D box: the axis each is normal to, then 0 for its lo side
 # or 1 for its hi side
 EDGES = {"left": (0, 0), "right": (0, 1), "bottom": (1, 0), "top": (1, 1)}
+_WALK = ("bottom", "right", "top", "left")   # counterclockwise; the first two run lo to hi
 
 
 class BoxDomain(Domain):
@@ -430,31 +430,24 @@ class BoxDomain(Domain):
         return min(EDGES, key=distance)
 
     def boundary_point(self, s):
-        """Counterclockwise walk from lo corner: bottom, right, top, left (2D)."""
-        w, h = self.widths
+        """The point at arclength s of the counterclockwise _WALK from the lo corner (2D)."""
         s = s % self.perimeter
-        if s < w:
-            return np.array([self.lo[0] + s, self.lo[1]])
-        s -= w
-        if s < h:
-            return np.array([self.hi[0], self.lo[1] + s])
-        s -= h
-        if s < w:
-            return np.array([self.hi[0] - s, self.hi[1]])
-        s -= w
-        return np.array([self.lo[0], self.hi[1] - s])
+        for k, edge in enumerate(_WALK):
+            along = 1 - EDGES[edge][0]
+            if s < self.widths[along] or k == 3:
+                return np.array(self.edge_point(
+                    edge, self.lo[along] + s if k < 2 else self.hi[along] - s))
+            s -= self.widths[along]
 
     def boundary_param(self, x):
-        w, h = self.widths
-        eps = 1e-9
-        if abs(x[1] - self.lo[1]) < eps:
-            return float(x[0] - self.lo[0])
-        if abs(x[0] - self.hi[0]) < eps:
-            return float(w + x[1] - self.lo[1])
-        if abs(x[1] - self.hi[1]) < eps:
-            return float(w + h + self.hi[0] - x[0])
-        if abs(x[0] - self.lo[0]) < eps:
-            return float(2 * w + h + self.hi[1] - x[1])
+        s = 0.0
+        for k, edge in enumerate(_WALK):
+            axis, side = EDGES[edge]
+            if abs(x[axis] - (self.lo, self.hi)[side][axis]) < 1e-9:
+                along = 1 - axis
+                return float(s + x[along] - self.lo[along] if k < 2
+                             else s + self.hi[along] - x[along])
+            s += self.widths[1 - axis]
         raise PreconditionError(f"point {tuple(map(float, x))} not on the box boundary")
 
 

@@ -25,6 +25,7 @@ from .errors import PreconditionError, ResourceError
 from .model_core import Domain, SpeedField
 
 THETA_MIN = math.radians(2.0)   # entries this close to tangent are refused
+DT, T_MAX = 1e-3, 50.0          # default step and travel-time bound: CLI and forward fans
 HARD_STEP_CAP = 5_000_000
 _RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])[:, None, None]   # k1 + 2 k2 + 2 k3 + k4, in order
 

@@ -13,7 +13,7 @@ from elastic_lens import elastic_sim
 from elastic_lens.elastic_sim import (BoundarySource, MaterialGrid, bump,
                                       check_cfl, receiver_nodes, ricker,
                                       sample_material, simulate_dn, stable_dt)
-from elastic_lens.errors import ConfigurationError, NumericalError
+from elastic_lens.errors import ConfigurationError, DomainError, NumericalError
 from elastic_lens.model_core import (EDGES, BoxDomain, ConstantField,
                                      ElasticMaterial, Grid2D, GridField,
                                      LinearField)
@@ -67,8 +67,8 @@ def test_pulse_at_steps_is_the_scalar_pulse_as_t_accumulates(hi, b, h, T):
 
 
 def test_sample_material_by_row_blocks_matches_one_evaluation(monkeypatch):
-    # one-row blocks: lam is constant along row 0, so its array is made at the
-    # second block and row 0 must come back with the value it read there
+    # one-row blocks: every block fills its own row of the field's array, and
+    # the ConstantField rho comes back as its float
     grid = Grid2D((0.0, 0.0), 0.05, 21, 13)
     mat = ElasticMaterial(LinearField(1.0, (0.5, 0.0)), LinearField(1.2, (-0.2, 0.4)),
                           ConstantField(1.3))
@@ -79,6 +79,19 @@ def test_sample_material_by_row_blocks_matches_one_evaluation(monkeypatch):
     for f, v in ((mat.lam, mg.lam), (mat.mu, mg.mu)):
         assert v.shape == (21, 13) and np.array_equal(v.ravel(), f.eval(nodes)[0])
     assert type(mg.rho) is float and mg.rho == 1.3
+
+
+def test_zero_gradient_linear_material_steps_like_the_constant_one(unit_box):
+    # the linear fields are sampled into arrays, the constant ones are floats
+    src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
+                         polarization=(0.6, 0.8))
+    runs = [simulate_dn(ElasticMaterial(*(kind(v) for v in (2.0, 0.7, 1.3))), unit_box, src,
+                        [(1.0, 0.5), (0.5, 1.0)], T=0.4, h=0.05)
+            for kind in (lambda v: LinearField(v, (0.0, 0.0)), ConstantField)]
+    assert runs[0].dt == runs[1].dt and np.array_equal(runs[0].traces, runs[1].traces)
+    small = ElasticMaterial(*(ConstantField(1.0, BoxDomain((0.0, 0.0), (0.5, 0.5))),) * 3)
+    with pytest.raises(DomainError, match=r"point \[1.0, 1.0\] outside"):
+        sample_material(small, Grid2D((0.0, 0.0), 0.05, 21, 21))
 
 
 def test_cfl_guard(unit_material, unit_box):

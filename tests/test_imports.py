@@ -107,12 +107,21 @@ def test_package_defines_no_unused_private_names():
                                  for p in sorted(PACKAGE.glob("*.py"))}) == []
 
 
+def _dataclasses(tree):
+    """The ``@dataclass`` classes of a module's tree."""
+    return [cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in cls.decorator_list)]
+
+
 def unpassed_defaults(sources, callers):
-    """Defaulted parameters of the functions and methods of the modules in
-    `sources` (module name -> source) that no call in them or in the
-    `callers` sources passes.  Calls resolve by simple or attribute name, a
-    class name standing for its ``__init__``; a call with ``*args`` or
-    ``**kw`` passes every parameter."""
+    """Defaulted parameters of the functions and methods, and defaulted
+    fields of the ``@dataclass`` classes, of the modules in `sources` (module
+    name -> source) that no call in them or in the `callers` sources passes.
+    Calls resolve by simple or attribute name, a class name standing for its
+    ``__init__`` or its fields in order; a call with ``*args`` or ``**kw``
+    passes every parameter.  Fields declared with
+    ``field(default_factory=...)`` are exempt."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     calls = {}
     for tree in [*trees.values(), *map(ast.parse, callers)]:
@@ -120,7 +129,7 @@ def unpassed_defaults(sources, callers):
             if isinstance(call, ast.Call):
                 name = getattr(call.func, "id", getattr(call.func, "attr", None))
                 calls.setdefault(name, []).append(call)
-    unpassed = []
+    defaulted = []      # (module, function or class name, position or None, name, line)
     for module, tree in trees.items():
         owner = {id(f): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                  for f in cls.body}
@@ -132,17 +141,23 @@ def unpassed_defaults(sources, callers):
             bound = cls is not None and "staticmethod" not in {
                 getattr(d, "id", None) for d in fn.decorator_list}
             positional = [*fn.args.posonlyargs, *fn.args.args][bound:]
-            defaulted = [(i, a) for i, a in enumerate(positional)
-                         if i >= len(positional) - len(fn.args.defaults)]
-            defaulted += [(None, a) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            defaulted += [(module, name, i, a.arg, fn.lineno) for i, a in enumerate(positional)
+                          if i >= len(positional) - len(fn.args.defaults)]
+            defaulted += [(module, name, None, a.arg, fn.lineno)
+                          for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
                           if d is not None]
-            for i, arg in defaulted:
-                if not any(any(isinstance(a, ast.Starred) for a in call.args)
-                           or any(k.arg in (None, arg.arg) for k in call.keywords)
-                           or i is not None and len(call.args) > i
-                           for call in calls.get(name, [])):
-                    unpassed.append(f"{module}: {name}({arg.arg}) (line {fn.lineno})")
-    return sorted(unpassed)
+        for cls in _dataclasses(tree):
+            fields = [f for f in cls.body if isinstance(f, ast.AnnAssign)]
+            defaulted += [(module, cls.name, i, f.target.id, f.lineno)
+                          for i, f in enumerate(fields) if f.value is not None
+                          and not (isinstance(f.value, ast.Call) and any(
+                              k.arg == "default_factory" for k in f.value.keywords))]
+    return sorted(f"{module}: {name}({arg}) (line {line})"
+                  for module, name, i, arg, line in defaulted
+                  if not any(any(isinstance(a, ast.Starred) for a in call.args)
+                             or any(k.arg in (None, arg) for k in call.keywords)
+                             or i is not None and len(call.args) > i
+                             for call in calls.get(name, [])))
 
 
 def test_unpassed_defaults_are_found():
@@ -153,6 +168,16 @@ def test_unpassed_defaults_are_found():
                     "f(1, 2)\nC(q=5).m(*args)\n"}
     callers = ["from a import C\nC.s(**kw)\n"]
     assert unpassed_defaults(sources, callers) == ["a: C(p) (line 3)", "a: f(z) (line 1)"]
+
+
+def test_unpassed_dataclass_fields_are_found():
+    sources = {"a": "from dataclasses import dataclass, field\n@dataclass(frozen=True)\n"
+                    "class D:\n    x: int\n    y: int = 0\n    z: int = 1\n"
+                    "    w: list = field(default_factory=list)\n    v: int = 2\n"
+                    "class E:\n    u: int = 0\n"
+                    "D(1, 2)\n"}
+    callers = ["from a import D\nD(1, v=3)\n"]
+    assert unpassed_defaults(sources, callers) == ["a: D(z) (line 6)"]
 
 
 def test_package_defaults_are_all_passed():
@@ -169,16 +194,10 @@ def unread_dataclass_fields(sources, readers):
     read = {node.attr for tree in [*trees.values(), *map(ast.parse, readers)]
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    unread = []
-    for module, tree in trees.items():
-        for cls in ast.walk(tree):
-            if isinstance(cls, ast.ClassDef) and any(
-                    getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
-                    == "dataclass" for d in cls.decorator_list):
-                unread += [f"{module}: {cls.name}.{f.target.id} (line {f.lineno})"
-                           for f in cls.body if isinstance(f, ast.AnnAssign)
-                           and f.target.id not in read]
-    return sorted(unread)
+    return sorted(f"{module}: {cls.name}.{f.target.id} (line {f.lineno})"
+                  for module, tree in trees.items() for cls in _dataclasses(tree)
+                  for f in cls.body if isinstance(f, ast.AnnAssign)
+                  and f.target.id not in read)
 
 
 def test_unread_dataclass_fields_are_found():

@@ -31,15 +31,14 @@ def chord_exit(entry_x, v, R=1.0):
 
 def test_constant_disk_rays_are_chords(unit_disk):
     speed = ConstantField(1.3, dim=2)
-    for s in np.linspace(0.0, 6.0, 8):
-        for a in fan_angles(6):
-            bd = entry_at(unit_disk, s, a)
-            rec = scattering_relation(speed, unit_disk, bd, t_max=5.0, dt=1e-3)
-            assert rec.status is RayStatus.EXITED
-            x_exit, chord = chord_exit(bd.x, bd.v)
-            assert np.allclose(rec.exit.x, x_exit, atol=1e-9)
-            assert np.allclose(rec.exit.v, bd.v, atol=1e-9)
-            assert rec.ell == pytest.approx(chord / 1.3, abs=1e-9)
+    entries = [entry_at(unit_disk, s, a) for s in np.linspace(0.0, 6.0, 8) for a in fan_angles(6)]
+    for bd, rec in zip(entries, scattering_relations(speed, unit_disk, entries,
+                                                     t_max=5.0, dt=1e-3)):
+        assert rec.status is RayStatus.EXITED
+        x_exit, chord = chord_exit(bd.x, bd.v)
+        assert np.allclose(rec.exit.x, x_exit, atol=1e-9)
+        assert np.allclose(rec.exit.v, bd.v, atol=1e-9)
+        assert rec.ell == pytest.approx(chord / 1.3, abs=1e-9)
 
 
 def test_exit_costs_two_flow_evaluations_beyond_its_steps(unit_disk, monkeypatch):
