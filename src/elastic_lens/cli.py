@@ -118,17 +118,15 @@ def _number_pair(text):
     return a, b
 
 
-def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _read_csv(path, columns, cell=None):
-    """Numeric rows of a CSV file with one header line and >= `columns`
-    columns, each cell read by `cell` when given."""
+    """Finite numeric rows of a CSV file with one header line and >= `columns`
+    columns, each cell read by `cell` when given (which refuses non-finite text)."""
     try:
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, converters=cell)
     except ValueError as e:
         raise ConfigurationError(f"malformed CSV {path}: {e}")
+    if cell is None and not np.isfinite(rows).all():
+        raise ConfigurationError(f"CSV {path} holds a non-finite number")
     if rows.shape[1] < columns:
         raise ConfigurationError(
             f"CSV {path} has {rows.shape[1]} column(s), expected {columns}")
@@ -494,9 +492,10 @@ _PIPELINE_DEFAULTS = {
     "source": {"edge": "left", "center": 0.5, "width": 0.08, "f0": 12.5,
                "pol": [0.7071067811865476, 0.7071067811865476]},
     "receivers": {"edge": "right", "count": 16, "center": None, "width": None},
-    "radial": {"n_rays": 48, "dt": DT, "angle_min": 0.06, "angle_max": 1.51},
-    "foliation_range": [0.01, 0.99],
+    "radial": {"n_rays": 48, "dt": DT},
 }
+_RAY_ANGLES = (0.06, 1.51)          # the radial pipeline's fan, radians from the normal
+_FOLIATION_RANGE = (0.01, 0.99)     # the leaves checked, as fractions of the width or radius
 
 
 def _resolve_config(path):
@@ -526,14 +525,13 @@ def _resolve_config(path):
     numbers.update((f"radial.{k}", cfg["radial"][k]) for k in _PIPELINE_DEFAULTS["radial"])
     if cfg["dt"] is not None:
         numbers["dt"] = cfg["dt"]
-    bad = [k for k, v in numbers.items() if not _is_number(v)]
+    bad = [k for k, v in numbers.items()
+           if isinstance(v, bool) or not isinstance(v, (int, float))]
     if bad:
         raise ConfigurationError(f"config values must be numbers: {', '.join(bad)}")
-    n_rays, rng = cfg["radial"]["n_rays"], cfg["foliation_range"]
+    n_rays = cfg["radial"]["n_rays"]
     if not isinstance(n_rays, int) or n_rays < 1:
         raise ConfigurationError(f"radial.n_rays must be a positive integer, got {n_rays!r}")
-    if not (isinstance(rng, list) and len(rng) == 2 and all(map(_is_number, rng))):
-        raise ConfigurationError(f"foliation_range must be two numbers, got {rng!r}")
     return cfg
 
 
@@ -553,11 +551,10 @@ def _pipeline_homogeneous(cfg, out, model, stages):
             "lambda, mu and rho"))
 
     # foliation stage: vertical planes foliate the box; check the p-speed
-    rng = cfg["foliation_range"]
     lo, hi = domain.lo[0], domain.hi[0]
+    c1, c2 = (lo + f * (hi - lo) for f in _FOLIATION_RANGE)
     with _stage(stages, "foliation", FoliationError):
-        report = check_plane_foliation(m.cp_field(), 0, lo + rng[0] * (hi - lo),
-                                       lo + rng[1] * (hi - lo))
+        report = check_plane_foliation(m.cp_field(), 0, c1, c2)
         _write_json(out / "foliation.json", asdict(report))
         _require_convex(report, accept_flat=True)
 
@@ -612,14 +609,13 @@ def _pipeline_radial(cfg, out, model, stages):
             "radial pipeline requires a 2D disk domain"))
     speed = model.lens_speed()
     R = domain.radius
-    rng = cfg["foliation_range"]
     with _stage(stages, "foliation", FoliationError):
-        report = check_hwz(speed, rng[0] * R, rng[1] * R)
+        report = check_hwz(speed, *(f * R for f in _FOLIATION_RANGE))
         _write_json(out / "foliation.json", asdict(report))
         _require_convex(report)
 
     rcfg = cfg["radial"]
-    angles = np.linspace(rcfg["angle_min"], rcfg["angle_max"], rcfg["n_rays"])
+    angles = np.linspace(*_RAY_ANGLES, rcfg["n_rays"])
     with _stage(stages, "invert", InversionError, FoliationError):
         delta, times = forward_travel_times(speed, R, angles, dt=rcfg["dt"])
         _write_csv(out / "curve.csv", ["delta", "time"], zip(delta, times))
@@ -648,9 +644,8 @@ def cmd_pipeline(args):
         summary = _pipeline_radial(cfg, out, model, stages)
     else:
         raise ConfigurationError(f"unknown pipeline mode {cfg['mode']!r}")
-    _write_json(out / "report.json", summary)
+    _emit(summary, out / "report.json")
     _write_manifest(out, "pipeline", cfg, [args.config, cfg["model"]], t0, stages)
-    print(json.dumps(summary, indent=2))
     return EXIT_OK
 
 

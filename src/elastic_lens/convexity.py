@@ -29,7 +29,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import default_rng   # at load: numpy imports it lazily
 
 from .errors import FoliationError, PreconditionError
 from .model_core import Domain, SpeedField
@@ -43,6 +42,7 @@ VERDICT_FLAT = "flat within tolerance"
 VERDICT_VIOLATED = "violated"
 
 _GOLDEN = math.pi * (3.0 - math.sqrt(5.0))
+_R2 = (0.7548776662466927, 0.5698402909980532)    # steps of the R2 sequence, per transverse axis
 _BISECT_STEPS = 50   # halves a ray bracket to below 1e-15 of its length
 _SAMPLES = (32, 64)   # leaves, points per leaf (then tangents per 3D point)
 
@@ -192,13 +192,13 @@ _Samples = namedtuple("_Samples", "levels points_per_leaf leaf points c tangents
 def _sample_foliation(speed: SpeedField, fol: Foliation, domain, samples):
     """The conformal form II(t) - d_nu c / c on every leaf x point x tangent.
 
-    Sphere points are q * omega, plane points share one fixed transverse
-    placement in the middle 90 % of the field's bounds, and kappa leaves
-    are found by bisection along t * omega.  Points outside `domain` are
-    dropped; the field is evaluated once, at the points kept (DomainError
-    if one lies outside its bounds).  Returns the kept samples in scan
-    order: leaf parameters (L,), points per leaf, leaf index (n,), points
-    (n, d), c (n,), tangents (n, K, d), form (n, K).
+    Sphere points are q * omega; plane points share one transverse placement
+    in the middle 90 % of the field's bounds, point k at frac(1/2 + k alpha)
+    on each axis (the R2 sequence); kappa leaves are found by bisection along
+    t * omega.  Points outside `domain` are dropped; the field is evaluated
+    once, at the points kept (DomainError if one lies outside its bounds).
+    Returns the kept samples in scan order: leaf parameters (L,), points per
+    leaf, leaf index (n,), points (n, d), c (n,), tangents (n, K, d), form (n, K).
     """
     n_leaf, n_pt, n_dir = samples
     dim = speed.bounds.dim
@@ -212,10 +212,9 @@ def _sample_foliation(speed: SpeedField, fol: Foliation, domain, samples):
         axis = fol.axis % dim
         lo, hi = speed.bounds.lo, speed.bounds.hi
         trans = [i for i in range(dim) if i != axis]
-        rng = default_rng(20240915)   # fixed placement: reproducible reports
+        u = (0.5 + np.arange(n_pt)[:, None] * _R2[:len(trans)]) % 1.0
         points = np.zeros((n_leaf, n_pt, dim))
-        points[:, :, trans] = (lo[trans] + (hi[trans] - lo[trans])
-                               * (0.05 + 0.9 * rng.random((n_pt, len(trans)))))
+        points[:, :, trans] = lo[trans] + (hi[trans] - lo[trans]) * (0.05 + 0.9 * u)
         points[:, :, axis] = levels[:, None]
     else:
         points, kept = _kappa_leaves(fol.kappa, levels, _directions(n_pt, dim), speed.bounds)

@@ -190,19 +190,20 @@ def check_cfl(mg: MaterialGrid, dt: float):
 class _Workspace:
     """The buffers of one FD run, allocated once: planes (5, nx, ny) in `dtype`,
     [dux/dx, dux/dy, duy/dy, duy/dx, lam div u], the first three turned into
-    sxx, sxy, syy in place; the array-valued Lame fields and update
-    coefficient cast to it.  `stress` and `step` work on the rows r0 to r1 - 1,
-    rows = (r0, r1); a step updates the strip's flat nodes from (1, 1) to
-    (nx-2, ny-2): interior nodes and, between them, wall nodes that
-    _apply_dirichlet overwrites.  A node gets the same operations in any strips."""
+    sxx, sxy, syy in place; lam, mu, 2 mu and the update coefficient as flat
+    arrays in it, a constant one a read-only stride-0 view.  `stress` and
+    `step` work on the rows r0 to r1 - 1, rows = (r0, r1); a step updates the
+    strip's flat nodes from (1, 1) to (nx-2, ny-2): interior nodes and, between
+    them, wall nodes that _apply_dirichlet overwrites.  A node gets the same
+    operations in any strips."""
 
     def __init__(self, mg: MaterialGrid, dtype, dt: float):
         nx, ny, h = mg.grid.nx, mg.grid.ny, mg.grid.h
-        self.lam, self.mu = (v if isinstance(v, float) else v.astype(dtype)
-                             for v in (mg.lam, mg.mu))
-        self.two_mu = 2.0 * self.mu
-        coef = dt * dt / (4.0 * h * h * mg.rho)
-        self.coef = coef if isinstance(coef, float) else coef.astype(dtype).reshape(-1)
+        def flat(v):    # every kernel slices a field alike, a constant as an array
+            return (np.broadcast_to(dtype(v), (nx * ny,)) if isinstance(v, float)
+                    else v.astype(dtype).reshape(-1))
+        self.lam, self.mu, self.two_mu = flat(mg.lam), flat(mg.mu), flat(2.0 * mg.mu)
+        self.coef = flat(dt * dt / (4.0 * h * h * mg.rho))
         self.planes = np.zeros((5, nx, ny), dtype)    # rows never stepped stay zero
         self.sigma = self.planes[:3]
 
@@ -225,21 +226,19 @@ class _Workspace:
         """The strip's stresses, times 2h, formed in place over its differences."""
         self.differences(u, rows)
         a, b = rows[0] * u.shape[2], rows[1] * u.shape[2]
-        lam, mu, two_mu = (v if isinstance(v, float) else v.reshape(-1)[a:b]
-                           for v in (self.lam, self.mu, self.two_mu))
         P = self.planes.reshape(5, -1)[:, a:b]
         np.add(P[0], P[2], out=P[4])
-        P[4] *= lam
-        P[0:3:2] *= two_mu
+        P[4] *= self.lam[a:b]
+        P[0:3:2] *= self.two_mu[a:b]
         P[0:3:2] += P[4]
         P[1] += P[3]
-        P[1] *= mu
+        P[1] *= self.mu[a:b]
 
     def step(self, u, u_prev, u_next, rows):
         """Leapfrog on the strip: u_next = coef div sigma + (2 u - u_prev),
         with sigma from the last stress of every strip and its divergence
         undivided.  Planes 3 and 4 are spent by then and serve as scratch."""
-        (nx, ny), coef = u.shape[1:], self.coef
+        nx, ny = u.shape[1:]
         lo, hi = max(rows[0] * ny, ny + 1), min(rows[1] * ny, nx * ny - ny - 1)
         s, t = self.planes.reshape(5, -1), self.planes.reshape(5, -1)[3:5, lo:hi]
         out = u_next.reshape(2, -1)[:, lo:hi]
@@ -247,7 +246,7 @@ class _Workspace:
         np.subtract(s[:2, lo + ny:hi + ny], s[:2, lo - ny:hi - ny], out=out)
         np.subtract(s[1:3, lo + 1:hi + 1], s[1:3, lo - 1:hi - 1], out=t)
         out += t
-        out *= coef if isinstance(coef, float) else coef[lo:hi]
+        out *= self.coef[lo:hi]
         np.multiply(u.reshape(2, -1)[:, lo:hi], 2.0, out=t)
         t -= u_prev.reshape(2, -1)[:, lo:hi]
         out += t

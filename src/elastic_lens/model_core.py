@@ -72,13 +72,13 @@ class SpeedField:
     grad c (d, n) at the component rows X (d, n), unchecked.  This base class
     owns the shape, bounds (the box ``bounds`` padded by COLLAR) and positivity
     checks, in ``eval`` and in ``_check`` of points already evaluated (the ray
-    tracer's stages).  As the check may come after it, ``_eval`` must not raise
-    or warn on a finite point outside the collar.  ``value`` and
-    ``value_and_grad`` are batches of one.
+    tracer's stages).  As the check may come after it, ``_eval`` must not warn
+    on a finite point outside the collar, nor raise there but through the
+    checks of the fields it evaluates (DerivedSpeed's parts raise their own
+    errors).  ``value`` and ``value_and_grad`` are batches of one.
     """
 
     bounds: BoxDomain
-    _parts = ()     # fields whose own errors eval reports first (DerivedSpeed)
 
     def _set_bounds(self, bounds: BoxDomain):
         self.bounds = bounds
@@ -102,8 +102,6 @@ class SpeedField:
         c, G = self._eval(X)
         positive = c > 0.0
         if np.count_nonzero(positive) < len(c):
-            for part in self._parts:
-                part.eval(X.T)
             k = int(np.argmin(positive))
             raise ModelError(f"non-positive speed {float(c[k])} at {X[:, k].tolist()}")
         return c, G.T
@@ -157,8 +155,8 @@ class LinearField(SpeedField):
 class RadialField(SpeedField):
     """c(r), r = |x|, from a tabulated profile or explicit callables.
 
-    The callables ``func`` (c) and ``dfunc`` (dc/dr) receive an array of
-    radii and return an array of the same shape or a scalar.
+    The callables ``func`` (c) and ``dfunc`` (dc/dr), which need ``r_max``, receive
+    an array of radii and return an array of the same shape or a scalar.
     """
 
     def __init__(self, profile=None, func=None, dfunc=None, r_max=None, dim=2):
@@ -173,7 +171,7 @@ class RadialField(SpeedField):
                 bad = int(np.argmax(c <= 0))
                 raise ModelError(f"radial profile node {bad} (r={r[bad]}) has non-positive speed {c[bad]}")
             self._c_dc = Cubic(r, c).eval
-            r_max = r_max if r_max is not None else float(r[-1])
+            r_max = r[-1]
         else:
             if func is None or dfunc is None or r_max is None:
                 raise ModelError("callable radial field needs func, dfunc and r_max")
@@ -286,15 +284,13 @@ class DerivedSpeed(SpeedField):
     def __init__(self, material: ElasticMaterial, mode: str):
         if mode not in ("p", "s"):
             raise PreconditionError(f"mode must be 'p' or 's', got {mode!r}")
-        self._parts = (material.lam, material.mu, material.rho)
+        self.material = material
         self.mode = mode
         self._set_bounds(material.mu.bounds)
 
     def _eval(self, X):
-        try:
-            (lam, g_lam), (mu, g_mu), (rho, g_rho) = (f.eval(X.T) for f in self._parts)
-        except (DomainError, ModelError):   # eval reports it from the part
-            return np.full(X.shape[1], np.nan), np.full(X.shape, np.nan)
+        m = self.material       # its fields raise their own errors at a bad point
+        (lam, g_lam), (mu, g_mu), (rho, g_rho) = (f.eval(X.T) for f in (m.lam, m.mu, m.rho))
         if self.mode == "p":
             c = np.sqrt((lam + 2.0 * mu) / rho)
             top = g_lam + 2.0 * g_mu
@@ -507,11 +503,15 @@ def domain_from_spec(spec) -> Domain:
 
 def load_model(source) -> Model:
     """Load a model from a path, JSON string, or already-parsed document."""
+    def finite(text):       # json reads NaN, Infinity and 1e999 as floats
+        if not np.isfinite(value := float(text)):
+            raise ModelError(f"model JSON holds the non-finite number {text}")
+        return value
     doc = source
     if isinstance(source, (str, os.PathLike)):
         text = source if str(source).lstrip().startswith("{") else Path(source).read_text()
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, parse_float=finite, parse_constant=finite)
         except json.JSONDecodeError as exc:
             raise ModelError(f"malformed model JSON: {exc}") from exc
     if not isinstance(doc, dict):

@@ -224,8 +224,6 @@ class LensTableRow:
 def fan_angles(count: int):
     """count inward angles (from the inward normal), symmetric, tangent-free."""
     lim = math.pi / 2 - THETA_MIN
-    if count == 1:
-        return [0.0]
     return [-lim + (k + 0.5) * 2 * lim / count for k in range(count)]
 
 

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,8 +274,9 @@ def small_sim(tmp_path_factory):
     return outdirs
 
 
-@pytest.mark.parametrize("text", ["a,b,c\n0.1,abc,0.3\n", "a\n0.1\n0.2\n0.3\n"],
-                         ids=["non-numeric", "missing-column"])
+@pytest.mark.parametrize("text", ["a,b,c\n0.1,abc,0.3\n", "a\n0.1\n0.2\n0.3\n",
+                                  "a,b,c\n0.1,nan,0.3\n", "a,b,c\n0.1,inf,0.3\n"],
+                         ids=["non-numeric", "missing-column", "nan", "inf"])
 @pytest.mark.parametrize("command", ["invert", "compare", "extract"])
 def test_malformed_csv_exits_2(tmp_path, small_sim, command, text):
     csv_path = tmp_path / "table.csv"
@@ -589,6 +591,12 @@ def test_cli_import_loads_no_scipy():
                          "'concurrent.futures' in sys.modules)") == "[] False"
 
 
+def test_cli_import_loads_no_numpy_random():
+    # numpy loads numpy.random on first use only; the package never uses it
+    assert _fresh_python("import sys, elastic_lens.cli; "
+                         "print('numpy.random' in sys.modules)") == "False"
+
+
 def test_radial_and_homogeneous_pipelines_load_no_scipy(tmp_path):
     radial = tmp_path / "radial.json"
     radial.write_text(json.dumps({
@@ -849,3 +857,77 @@ def test_extract_refuses_receiver_csvs_of_different_lengths(tmp_path, capsys, sm
     assert run(["extract", "--traces", str(traces), "--lens", str(lens),
                 "--out", str(tmp_path / "out.csv")]) == cli.EXIT_CONFIG
     assert str(traces) in capsys.readouterr().err
+
+
+# positive nodes, but the natural spline through them dips to -0.48 near r = 0.31
+DIPPING_PROFILE_MODEL = {
+    "format": 1,
+    "domain": {"shape": "disk", "radius": 1.0},
+    "speed": {"kind": "radial",
+              "profile": [[0.0, 1.0], [0.45, 0.05], [0.55, 1.0], [1.2, 1.0]]},
+}
+
+
+def test_validate_reports_a_speed_that_dips_inside_the_domain(tmp_path, capsys):
+    out = tmp_path / "reports" / "validate.json"
+    path = write_model(tmp_path, DIPPING_PROFILE_MODEL)
+    assert run(["validate", "--model", path, "--out", str(out)]) == cli.EXIT_MODEL
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report == json.loads(out.read_text())
+    assert report["pass"] is False
+    [finding] = report["findings"]
+    assert finding.startswith("non-positive speed -")
+    assert captured.err == "model error: validation failed with 1 finding(s)\n"
+
+
+def test_lens_writes_trapped_rays_with_empty_exit_cells(tmp_path):
+    out = tmp_path / "lens.csv"
+    assert run(["lens", "--model", write_model(tmp_path, LINEAR_RADIAL_MODEL),
+                "--points", "2", "--angles", "3", "--tmax", "0.05", "--out", str(out)]) == 0
+    rows = cli.read_lens_csv(out)
+    assert len(rows) == 6
+    for row in rows:
+        assert row["status"] == RayStatus.TRAPPED.value
+        assert (row["exit_s"], row["exit_angle"], row["ell"]) == (None, None, None)
+
+
+@pytest.mark.parametrize("text, constant", [
+    ('{"domain": {"shape": "disk", "radius": 1.0}, "speed": {"kind": "radial", '
+     '"profile": [[0.0, 2.0], [NaN, 1.5], [1.2, 0.8]]}}', "NaN"),
+    ('{"domain": {"shape": "box", "lo": [0, 0], "hi": [1, 1]}, "material": {"lambda": '
+     '{"kind": "linear", "a": 1.0, "b": [NaN, 0.0]}, "mu": 1.0, "rho": 1.0}}', "NaN"),
+    ('{"domain": {"shape": "disk", "radius": 1.0}, "speed": {"kind": "radial", '
+     '"profile": [[0.0, 2.0], [0.5, Infinity], [1.2, 0.8]]}}', "Infinity"),
+    ('{"domain": {"shape": "disk", "radius": 1e999}, "speed": 1.0}', "1e999"),
+], ids=["profile-radius-nan", "linear-b-nan", "profile-speed-infinity", "radius-overflow"])
+@pytest.mark.parametrize("command", [["validate"], ["check-foliation", "--foliation", "spheres",
+                                                    "--range", "0.1,0.9"]],
+                         ids=["validate", "check-foliation"])
+def test_non_finite_numbers_in_model_files_exit_3(tmp_path, capsys, text, constant, command):
+    # json reads them as floats; refused at load, before numpy meets them
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*command, "--model", str(path)]) == cli.EXIT_MODEL
+    captured = capsys.readouterr()
+    assert captured.err == f"model error: model JSON holds the non-finite number {constant}\n"
+    assert captured.out == ""
+
+
+def test_extract_refuses_a_non_finite_trace_sample(tmp_path, capsys, small_sim):
+    traces = tmp_path / "traces"
+    shutil.copytree(small_sim[0], traces)
+    csv_path = traces / "receiver_001.csv"
+    lines = csv_path.read_text().splitlines(keepends=True)
+    t, _, nu_y = lines[5].split(",")
+    lines[5] = f"{t},nan,{nu_y}"
+    csv_path.write_text("".join(lines))
+    lens = tmp_path / "lens.csv"
+    lens.write_text("receiver_index,ell_p,ell_s\n"
+                    + "".join(f"{k},0.5,0.9\n" for k in range(3)))
+    assert run(["extract", "--traces", str(traces), "--lens", str(lens),
+                "--out", str(tmp_path / "out.csv")]) == cli.EXIT_CONFIG
+    assert f"CSV {csv_path} holds a non-finite number" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()

@@ -145,3 +145,20 @@ def test_engine_form_matches_conformal_form_reference(dim):
         for k, t in enumerate(s.tangents[n]):
             ref = conformal_second_fundamental_form(f, x, t, x / r, ambient_form=1.0 / r)
             assert s.form[n, k] == pytest.approx(ref, abs=1e-12)
+
+
+def test_plane_samples_spread_over_both_transverse_axes_in_3d():
+    # the R2 sequence: every cell of a 4 x 4 grid over the middle 90 % holds 2 to 6
+    # of the 64 points, and every leaf holds the same points
+    f = ConstantField(1.0, bounds=BoxDomain((0.0, 0.0, 0.0), (1.0, 2.0, 1.0)), dim=3)
+    s = _sample_foliation(f, Foliation("planes", (0.1, 0.9), axis=1), None, (2, 64, 1))
+    u = (s.points[:64, [0, 2]] - 0.05) / 0.9
+    counts = np.histogram2d(u[:, 0], u[:, 1], bins=4, range=[[0, 1], [0, 1]])[0]
+    assert counts.min() >= 2 and counts.max() <= 6
+    assert np.array_equal(s.points[64:, [0, 2]], s.points[:64, [0, 2]])
+
+
+def test_check_foliation_refuses_leaves_outside_the_domain():
+    speed = ConstantField(1.0, bounds=BoxDomain.cube(4.0))
+    with pytest.raises(PreconditionError, match="no foliation samples fell inside the domain"):
+        check_foliation(speed, Foliation("spheres", (2.0, 3.0)), DiskDomain(1.0))

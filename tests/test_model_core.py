@@ -14,7 +14,7 @@ from elastic_lens.model_core import (EDGES, BoxDomain, ConstantField, Cubic, Dep
                                      DiskDomain, ElasticMaterial,
                                      GridField, Grid2D, LinearField,
                                      RadialField, field_from_spec, load_model)
-from elastic_lens.ray_tracer import (RayStatus, entry_at, fan_angles,
+from elastic_lens.ray_tracer import (RayStatus, entry_at, fan_angles, lens_table,
                                      scattering_relation, scattering_relations)
 
 
@@ -288,3 +288,34 @@ def test_derived_speed_gradient_matches_central_difference(lam, mu, rho, mode, x
     fd = [(field.value(np.add(x, e)) - field.value(np.subtract(x, e))) / (2 * h)
           for e in h * np.eye(2)]
     assert np.allclose(g, fd, rtol=0, atol=1e-8)
+
+
+def test_derived_speed_raises_the_error_of_the_part_that_refuses():
+    # lambda = 0.03 - 0.028 x turns negative at x = 1.0714, inside the unit box's
+    # collar, where c_p stays positive: the error must be lambda's own
+    model = load_model({"domain": {"shape": "box", "lo": [0, 0], "hi": [1, 1]},
+                        "material": {"lambda": {"kind": "linear", "a": 0.03, "b": [-0.028, 0.0]},
+                                     "mu": 1.0, "rho": 1.0}})
+    cp, lam = model.lens_speed(), model.material.lam
+
+    def same_error_from_lambda(e):
+        point = json.loads(str(e).split(" at ")[-1] if isinstance(e, ModelError)
+                           else str(e).split("point ")[1].split(" outside")[0])
+        with pytest.raises(type(e)) as part:
+            lam.eval([point])
+        assert str(part.value) == str(e)
+
+    with pytest.raises(ModelError, match=r"non-positive speed -0\.00024\d* at \[1\.08, 0\.5\]") as e:
+        cp.eval([[0.5, 0.5], [1.08, 0.5]])
+    same_error_from_lambda(e.value)
+    with pytest.raises(DomainError, match=r"point \[1\.2, 0\.5\] outside") as e:
+        cp.eval([[1.08, 0.5], [1.2, 0.5]])
+    same_error_from_lambda(e.value)
+    # in a ray's stages: where lambda turns negative (the 4 x 4 lens table's rays
+    # at dt = 0.09), and past the collar (a ray down the middle at dt = 0.2)
+    for dt, error, call in ((0.09, ModelError, lambda: lens_table(cp, model.domain, 4, 4, 50.0, 0.09)),
+                            (0.2, DomainError, lambda: scattering_relation(
+                                cp, model.domain, entry_at(model.domain, 2.5, 0.0), 50.0, 0.2))):
+        with pytest.raises(error) as e:
+            call()
+        same_error_from_lambda(e.value)

@@ -199,3 +199,24 @@ def test_curved_rays_retrace_their_path_backwards(kind, bx, by):
         assert np.abs(np.subtract(rec.exit.x, row.record.entry.x)).max() <= 1e-9
         assert np.abs(np.add(rec.exit.v, row.record.entry.v)).max() <= 3e-10
         assert abs(rec.ell - row.record.ell) <= 1e-9
+
+
+@given(kind=st.sampled_from(["disk", "box"]), a=st.floats(1.5, 2.0),
+       size=st.floats(0.05, 0.6), turn=st.floats(0.0, 2.0 * math.pi))
+def test_curved_rays_take_the_linear_gradient_travel_time(kind, a, size, turn):
+    # in c = a + b . x the rays are circular arcs, and the travel time between
+    # x1 and x2 is T = arccosh(1 + |b|^2 |x1 - x2|^2 / (2 c1 c2)) / |b|, written
+    # here as 2 asinh(|b| |x1 - x2| / (2 sqrt(c1 c2))) / |b|.  RK4 meets it to
+    # 5e-14 at dt = 1e-3 and 2e-10 at 1e-2 (48-ray fans, |b| <= 0.6)
+    b = size * np.array([math.cos(turn), math.sin(turn)])
+    # a - 1.3 (|b_0| + |b_1|) > 0.3: positive on the bounds' collar
+    speed = LinearField(a, b, bounds=BoxDomain.cube(1.2))
+    domain = DiskDomain(1.0) if kind == "disk" else BoxDomain((-0.9, -0.7), (0.8, 0.9))
+    rows = lens_table(speed, domain, n_points=6, angles=8, t_max=ray_tracer.T_MAX,
+                      dt=ray_tracer.DT)
+    assert all(r.record.status is RayStatus.EXITED for r in rows)
+    x1 = np.array([r.record.entry.x for r in rows])
+    x2 = np.array([r.record.exit.x for r in rows])
+    c12 = np.sqrt((a + x1 @ b) * (a + x2 @ b))
+    T = 2.0 * np.arcsinh(size * np.linalg.norm(x2 - x1, axis=1) / (2.0 * c12)) / size
+    assert np.abs([r.record.ell for r in rows] - T).max() <= 1e-8
