@@ -36,7 +36,7 @@ from .errors import (ConfigurationError, ElasticLensError, ExtractionError,
 from .inversion import (RadialProfile, forward_travel_times, herglotz_invert,
                         invert_both_speeds, layer_strip_invert)
 from .model_core import (EDGES, BoxDomain, ConstantField, DepthField,
-                         DiskDomain, load_model)
+                         DiskDomain, json_int, load_model)
 from .ray_tracer import (DT, T_MAX, RayStatus, entry_at, exit_angle, lens_table,
                          scattering_relation)
 from .wavefield_analysis import extract_lens
@@ -55,14 +55,6 @@ _FMT = "%.12g"
 # ---------------------------------------------------------------------------
 # Small helpers
 # ---------------------------------------------------------------------------
-
-
-def _digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _write_json(path, obj):
@@ -101,7 +93,8 @@ def _write_manifest(out_dir, command, config, inputs, t_start, stages):
     manifest = {
         "command": command,
         "config": {k: v for k, v in config.items() if not callable(v)},
-        "inputs": {str(p): _digest(p) for p in inputs if Path(p).is_file()},
+        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                   for p in inputs if Path(p).is_file()},
         "version": __version__,
         "duration_seconds": time.monotonic() - t_start,
         "stages": stages,
@@ -208,7 +201,7 @@ def _require_convex(report, accept_flat=False):
     `accept_flat`, flat: constant speeds foliate a box by flat planes)."""
     if not (report.strictly_convex
             or accept_flat and report.verdict == VERDICT_FLAT):
-        raise FoliationError(f"foliation check verdict: {report.verdict}", report=report)
+        raise FoliationError(f"foliation check verdict: {report.verdict}")
 
 
 def _profile_errors(speed, x, c):
@@ -276,7 +269,6 @@ def cmd_validate(args):
     _emit({"model": args.model, "pass": not findings, "findings": findings}, args.out)
     if findings:
         raise ModelError(f"validation failed with {len(findings)} finding(s)")
-    return EXIT_OK
 
 
 def cmd_check_foliation(args):
@@ -288,7 +280,6 @@ def cmd_check_foliation(args):
         report = check_plane_foliation(speed, args.axis, a, b)
     _emit(asdict(report), args.out)
     _require_convex(report)
-    return EXIT_OK
 
 
 def cmd_trace(args):
@@ -304,7 +295,6 @@ def cmd_trace(args):
     if rec.status is RayStatus.EXITED:
         doc.update(exit=plain(rec.exit), ell=rec.ell)
     print(json.dumps(doc, indent=2))
-    return EXIT_OK
 
 
 def cmd_lens(args):
@@ -315,7 +305,6 @@ def cmd_lens(args):
                          dt=args.dt)
     write_lens_csv(args.out, model.domain, records)
     print(f"wrote {len(records)} lens records to {args.out}")
-    return EXIT_OK
 
 
 def _simulate_to_dir(model_path, model, source, receiver_spec, T, h, dt, out_dir):
@@ -355,7 +344,6 @@ def cmd_simulate(args):
         counters.update(result.counters)
     _write_manifest(args.out, "simulate", vars(args), [args.model], t0, stages)
     print(f"wrote {len(result.traces)} traces to {args.out}")
-    return EXIT_OK
 
 
 def _read_traces_dir(traces_dir, f0=None):
@@ -367,7 +355,7 @@ def _read_traces_dir(traces_dir, f0=None):
     if not meta_path.is_file():
         raise ConfigurationError(f"no metadata.json in {traces_dir}")
     try:
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(meta_path.read_text(), parse_int=json_int)
         src = meta["source"]
         source = _source({**src, "pol": src["polarization"],
                           "f0": src["f0"] if f0 is None else f0}, t0=float(src["t0"]))
@@ -426,7 +414,6 @@ def cmd_extract(args):
     missing = sum(1 for r in records if r.t_p is None and r.t_s is None)
     print(f"extracted {len(records)} records ({missing} without picks) "
           f"to {args.out}")
-    return EXIT_OK
 
 
 def cmd_invert(args):
@@ -437,7 +424,6 @@ def cmd_invert(args):
         prof = layer_strip_invert(rows[:, 0], rows[:, 1])
     _write_profile(args.out, prof)
     print(f"wrote profile ({len(prof.c)} nodes) to {args.out}")
-    return EXIT_OK
 
 
 def cmd_compare(args):
@@ -445,7 +431,6 @@ def cmd_compare(args):
     speed = load_model(args.truth).lens_speed()
     _emit({"profile": args.profile, "truth": args.truth, "n_points": len(rows),
            **_profile_errors(speed, rows[:, 0], rows[:, 1])}, args.out)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +487,9 @@ def _resolve_config(path):
     """The pipeline defaults updated by the JSON object at `path`; blocks
     merge key by key.  Keys must be known, numeric settings numbers."""
     try:
-        with open(path) as f:
-            user = json.load(f)
-    except json.JSONDecodeError as e:
-        raise ConfigurationError(f"malformed config JSON at line {e.lineno}: "
-                                 f"{e.msg}")
+        user = json.loads(Path(path).read_text(), parse_int=json_int)
+    except ValueError as e:         # bad JSON (its line named), or an integer no float holds
+        raise ConfigurationError(f"malformed config JSON {path}: {e}")
     if not isinstance(user, dict):
         raise ConfigurationError("pipeline config must be a JSON object")
     cfg = json.loads(json.dumps(_PIPELINE_DEFAULTS))
@@ -646,8 +629,6 @@ def cmd_pipeline(args):
         raise ConfigurationError(f"unknown pipeline mode {cfg['mode']!r}")
     _emit(summary, out / "report.json")
     _write_manifest(out, "pipeline", cfg, [args.config, cfg["model"]], t0, stages)
-    return EXIT_OK
-
 
 
 # ---------------------------------------------------------------------------
@@ -760,14 +741,15 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
-        return EXIT_CONFIG if e.code not in (0, None) else 0
+        return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        args.func(args)
     except (_Stage, ElasticLensError, OSError) as e:
         code, label = next((code, label) for cls, code, label in _EXIT_CODES
                            if isinstance(e, cls))
         print(f"{label}: {e}", file=sys.stderr)
         return _STAGE_EXIT[e.stage] if code is None else code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

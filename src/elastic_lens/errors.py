@@ -22,7 +22,7 @@ class ConfigurationError(ElasticLensError):
 
 
 class ResourceError(ElasticLensError):
-    """A hard resource cap (step count) was exceeded."""
+    """A hard resource cap was exceeded (a ray's step count, a run's bytes)."""
 
 
 class NumericalError(ElasticLensError):
@@ -30,14 +30,7 @@ class NumericalError(ElasticLensError):
 
 
 class FoliationError(ElasticLensError):
-    """A foliation check failed or the foliation is degenerate.
-
-    May carry the offending ConvexityReport in ``report``.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """A foliation check failed or the foliation is degenerate (message only)."""
 
 
 class ExtractionError(ElasticLensError):

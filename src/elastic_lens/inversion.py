@@ -90,13 +90,11 @@ def forward_travel_times(speed, R: float, angles, dt: float = DT):
     runs further than half way round).  Delta is the exit's polar angle
     from the source, unwrapped along the fan: neighbouring rays must differ
     by less than pi and the shallowest ray by less than pi from the source.
-    Refuses models that fail the strict-convexity (Herglotz) condition,
-    attaching the check report to the error.
+    Refuses models that fail the strict-convexity (Herglotz) condition with
+    a FoliationError.
     """
-    report = check_hwz(speed, 1e-3 * R, R)
-    if not report.strictly_convex:
-        raise FoliationError("radial model violates the Herglotz condition d/dr (r/c) > 0",
-                             report=report)
+    if not check_hwz(speed, 1e-3 * R, R).strictly_convex:
+        raise FoliationError("radial model violates the Herglotz condition d/dr (r/c) > 0")
 
     domain = DiskDomain(R, dim=2)
     for a in angles:

@@ -501,19 +501,28 @@ def domain_from_spec(spec) -> Domain:
     raise ModelError(f"unknown domain shape {shape!r}")
 
 
+def json_int(text):
+    """json's parse_int hook: the integer, or ValueError when a float cannot hold it."""
+    if not np.isfinite(float(text)):
+        raise ValueError(f"an integer of {len(text.lstrip('-'))} digits is too large for a float")
+    return int(text)
+
+
 def load_model(source) -> Model:
-    """Load a model from a path, JSON string, or already-parsed document."""
+    """Load a model from a path, JSON string, or already-parsed document, each
+    read as JSON text: NaN, infinities and integers no float holds are refused."""
     def finite(text):       # json reads NaN, Infinity and 1e999 as floats
         if not np.isfinite(value := float(text)):
             raise ModelError(f"model JSON holds the non-finite number {text}")
         return value
-    doc = source
-    if isinstance(source, (str, os.PathLike)):
-        text = source if str(source).lstrip().startswith("{") else Path(source).read_text()
-        try:
-            doc = json.loads(text, parse_float=finite, parse_constant=finite)
-        except json.JSONDecodeError as exc:
-            raise ModelError(f"malformed model JSON: {exc}") from exc
+    try:
+        if not isinstance(source, (str, os.PathLike)):
+            text = json.dumps(source)
+        else:
+            text = source if str(source).lstrip().startswith("{") else Path(source).read_text()
+        doc = json.loads(text, parse_float=finite, parse_constant=finite, parse_int=json_int)
+    except (TypeError, ValueError) as exc:      # ValueError covers JSONDecodeError
+        raise ModelError(f"malformed model JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelError(f"a model must be a JSON object, got {type(doc).__name__}")
     fmt = doc.get("format", MODEL_FORMAT)
@@ -525,14 +534,8 @@ def load_model(source) -> Model:
         box = BoxDomain(domain.lo, domain.hi) if domain is not None else None
 
         speed = field_from_spec(doc["speed"], dim, box) if "speed" in doc else None
-        material = None
-        if "material" in doc:
-            m = doc["material"]
-            material = ElasticMaterial(
-                lam=field_from_spec(m["lambda"], dim, box),
-                mu=field_from_spec(m["mu"], dim, box),
-                rho=field_from_spec(m["rho"], dim, box),
-            )
+        material = None if "material" not in doc else ElasticMaterial(
+            *(field_from_spec(doc["material"][k], dim, box) for k in ("lambda", "mu", "rho")))
         return Model(speed=speed, material=material, domain=domain)
     except KeyError as e:
         raise ModelError(f"model is missing required key {e.args[0]!r}") from e

@@ -70,6 +70,8 @@ def test_malformed_model_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"format": 1,')
     assert run(["validate", "--model", str(path)]) == cli.EXIT_MODEL
+    path.write_bytes(b'\xff{"format": 1}')       # not UTF-8
+    assert run(["validate", "--model", str(path)]) == cli.EXIT_MODEL
     # schema errors: a disk without a radius, a radial speed without a
     # profile, values of the wrong type, a model that is not a JSON object
     for doc in ({"format": 1, "domain": {"shape": "disk"}},
@@ -170,6 +172,29 @@ def test_ray_exits_within_its_first_step(tmp_path, capsys):
     assert run(["trace", "--model", path, "--entry-s", "0.3", "--angle", "1.4",
                 "--dt", "0.5"]) == 0
     assert json.loads(capsys.readouterr().out)["ell"] == pytest.approx(rec.ell, abs=1e-12)
+
+
+def test_grid_model_file_validates_and_gives_the_linear_gradient_travel_times(tmp_path,
+                                                                               capsys):
+    # c = 1 + 0.3 x + 0.2 y on 8 x 8 nodes spanning the unit box: the bicubic
+    # interpolant is the linear field, whose rays take the time
+    # arccosh(1 + |b|^2 |x1 - x2|^2 / (2 c1 c2)) / |b|
+    x = np.linspace(0.0, 1.0, 8)
+    path = write_model(tmp_path, {**UNIT_BOX_MODEL, "speed": {
+        "kind": "grid", "origin": [0.0, 0.0], "h": 1.0 / 7.0,
+        "values": (1.0 + 0.3 * x[:, None] + 0.2 * x[None, :]).tolist()}})
+    assert run(["validate", "--model", path]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
+    out = tmp_path / "lens.csv"
+    assert run(["lens", "--model", path, "--points", "4", "--angles", "3",
+                "--out", str(out)]) == 0
+    box, b = load_model(path).domain, np.hypot(0.3, 0.2)
+    for row in cli.read_lens_csv(out):
+        assert row["status"] == "Exited"
+        x1, x2 = (box.boundary_point(row[k]) for k in ("entry_s", "exit_s"))
+        c1, c2 = (1.0 + 0.3 * p[0] + 0.2 * p[1] for p in (x1, x2))
+        t = math.acosh(1.0 + b * b * math.dist(x1, x2) ** 2 / (2.0 * c1 * c2)) / b
+        assert row["ell"] == pytest.approx(t, abs=1e-7)
 
 
 def test_lens_csv_header(tmp_path):
@@ -302,17 +327,23 @@ def _malformed_argv(tmp_path, small_sim, kind, value):
         traces = tmp_path / "traces"
         shutil.copytree(small_sim[0], traces)
         meta = json.loads((traces / "metadata.json").read_text())
-        del meta[value]
+        if isinstance(value, str):
+            del meta[value]
+        else:
+            meta.update(value)
         (traces / "metadata.json").write_text(json.dumps(meta))
         lens = tmp_path / "lens.csv"
         lens.write_text("receiver_index,ell_p,ell_s\n"
                         + "".join(f"{k},0.5,0.9\n" for k in range(3)))
         return ["extract", "--traces", str(traces), "--lens", str(lens),
                 "--out", out]
+    if kind == "radial-config":
+        model = write_model(tmp_path / "disk.json", LINEAR_RADIAL_MODEL)
+        value = {"mode": "radial", **value}
     cfg = value if kind == "raw-config" else \
         {"mode": "homogeneous", "model": model, "T": 0.2, "h": 0.05, **value}
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
+    path.write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())
     return ["pipeline", "--config", str(path), "--out", out]
 
 
@@ -331,19 +362,29 @@ def _malformed_argv(tmp_path, small_sim, kind, value):
     ("metadata", "dt"),
     ("metadata", "grid"),
     ("raw-config", [{"mode": "radial"}]),
+    ("raw-config", b'\xff{"mode": "radial"}'),
     ("config", {"T": "abc"}),
     ("config", {"receivers": {"count": "x"}}),
     ("config", {"source": {"pol": [1]}}),
     ("config", {"foliation_range": [0.5]}),
     ("config", {"foliaton_range": [0.1, 0.9]}),
     ("config", {"radial": {"nrays": 8}}),
+    # integers that JSON holds and no float does
+    ("config", {"T": 10**400}),
+    ("config", {"source": {"center": 10**400}}),
+    ("config", {"receivers": {"count": 10**400}}),
+    ("radial-config", {"radial": {"n_rays": 10**400}}),
+    ("metadata", {"dt": 10**400}),
 ], ids=["count-not-int", "center-not-number", "center-without-width",
         "width-without-center", "receivers-off-the-box", "receivers-center-nan",
         "receivers-width-inf", "receivers-unknown-key", "source-unknown-key",
         "metadata-no-source",
         "metadata-no-receivers", "metadata-no-dt", "metadata-no-grid",
-        "config-list", "config-T", "config-receiver-count", "config-pol",
-        "config-foliation-range", "config-unknown-key", "config-unknown-block-key"])
+        "config-list", "config-not-utf8", "config-T", "config-receiver-count", "config-pol",
+        "config-foliation-range", "config-unknown-key", "config-unknown-block-key",
+        "config-T-integer-overflow", "config-source-center-integer-overflow",
+        "config-receiver-count-integer-overflow", "config-n-rays-integer-overflow",
+        "metadata-dt-integer-overflow"])
 def test_malformed_specs_exit_2(tmp_path, small_sim, kind, value):
     argv = _malformed_argv(tmp_path, small_sim, kind, value)
     assert run(argv) == cli.EXIT_CONFIG
@@ -716,6 +757,33 @@ def test_homogeneous_pipeline_manifest_records_stages(tmp_path):
     assert not {"dt_over_limit", "max_u_over_pol", "cell_steps", "window_cell_steps"} & set(meta)
 
 
+@pytest.mark.parametrize("doc, code, err", [
+    (CONSTANT_DISK_MODEL, cli.EXIT_MODEL,
+     "error: stage 'validate' failed: homogeneous pipeline requires a box domain\n"),
+    # T = 0.2 ends the traces before the P arrival, 1 / sqrt(3) away
+    (UNIT_BOX_MODEL, cli.EXIT_EXTRACTION,
+     "error: stage 'extract' failed: missing picks at some receivers\n"),
+], ids=["disk", "missing-picks"])
+def test_homogeneous_pipeline_refusals_exit_with_their_stage_code(tmp_path, capsys, doc,
+                                                                  code, err):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "homogeneous", "model": write_model(tmp_path, doc),
+                               "T": 0.2, "h": 0.05}))
+    assert run(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_extract_exits_6_on_a_pulse_too_narrow_for_its_samples(tmp_path, capsys, small_sim):
+    # at f0 = 1e6 the source pulse is zero on every sample: no reference onset
+    lens = tmp_path / "lens.csv"
+    lens.write_text("receiver_index,ell_p,ell_s\n"
+                    + "".join(f"{k},0.5,0.9\n" for k in range(3)))
+    assert run(["extract", "--traces", str(small_sim[0]), "--lens", str(lens),
+                "--f0", "1e6", "--out", str(tmp_path / "out.csv")]) == cli.EXIT_EXTRACTION
+    assert capsys.readouterr().err == ("extraction error: extraction failed: source pulse "
+                                       "produced no reference onset\n")
+
+
 def test_pipeline_missing_model_key(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "radial"}))
@@ -892,27 +960,38 @@ def test_lens_writes_trapped_rays_with_empty_exit_cells(tmp_path):
         assert (row["exit_s"], row["exit_angle"], row["ell"]) == (None, None, None)
 
 
-@pytest.mark.parametrize("text, constant", [
+_NON_FINITE = "model JSON holds the non-finite number "
+_TOO_BIG = "malformed model JSON: an integer of 401 digits is too large for a float"
+
+
+@pytest.mark.parametrize("text, message", [
     ('{"domain": {"shape": "disk", "radius": 1.0}, "speed": {"kind": "radial", '
-     '"profile": [[0.0, 2.0], [NaN, 1.5], [1.2, 0.8]]}}', "NaN"),
+     '"profile": [[0.0, 2.0], [NaN, 1.5], [1.2, 0.8]]}}', _NON_FINITE + "NaN"),
     ('{"domain": {"shape": "box", "lo": [0, 0], "hi": [1, 1]}, "material": {"lambda": '
-     '{"kind": "linear", "a": 1.0, "b": [NaN, 0.0]}, "mu": 1.0, "rho": 1.0}}', "NaN"),
+     '{"kind": "linear", "a": 1.0, "b": [NaN, 0.0]}, "mu": 1.0, "rho": 1.0}}',
+     _NON_FINITE + "NaN"),
     ('{"domain": {"shape": "disk", "radius": 1.0}, "speed": {"kind": "radial", '
-     '"profile": [[0.0, 2.0], [0.5, Infinity], [1.2, 0.8]]}}', "Infinity"),
-    ('{"domain": {"shape": "disk", "radius": 1e999}, "speed": 1.0}', "1e999"),
-], ids=["profile-radius-nan", "linear-b-nan", "profile-speed-infinity", "radius-overflow"])
+     '"profile": [[0.0, 2.0], [0.5, Infinity], [1.2, 0.8]]}}', _NON_FINITE + "Infinity"),
+    ('{"domain": {"shape": "disk", "radius": 1e999}, "speed": 1.0}', _NON_FINITE + "1e999"),
+    (f'{{"domain": {{"shape": "disk", "radius": {10**400}}}, "speed": 1.0}}', _TOO_BIG),
+    ('{"domain": {"shape": "box", "lo": [0, 0], "hi": [1, 1]}, "material": {"lambda": '
+     f'{{"kind": "linear", "a": 1.0, "b": [{10**400}, 0.0]}}, "mu": 1.0, "rho": 1.0}}}}',
+     _TOO_BIG),
+], ids=["profile-radius-nan", "linear-b-nan", "profile-speed-infinity", "radius-overflow",
+        "radius-integer-overflow", "linear-b-integer-overflow"])
 @pytest.mark.parametrize("command", [["validate"], ["check-foliation", "--foliation", "spheres",
                                                     "--range", "0.1,0.9"]],
                          ids=["validate", "check-foliation"])
-def test_non_finite_numbers_in_model_files_exit_3(tmp_path, capsys, text, constant, command):
-    # json reads them as floats; refused at load, before numpy meets them
+def test_non_finite_numbers_in_model_files_exit_3(tmp_path, capsys, text, message, command):
+    # json reads them as floats, or as integers no float holds; refused at
+    # load, before numpy meets them
     path = tmp_path / "model.json"
     path.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run([*command, "--model", str(path)]) == cli.EXIT_MODEL
     captured = capsys.readouterr()
-    assert captured.err == f"model error: model JSON holds the non-finite number {constant}\n"
+    assert captured.err == f"model error: {message}\n"
     assert captured.out == ""
 
 

@@ -125,6 +125,15 @@ def test_kappa_foliation_matches_spheres(linear_radial_speed):
     assert kappa.margin == pytest.approx(spheres.margin, abs=1e-6)
 
 
+def test_kappa_foliation_notes_a_zero_leaf_inside_the_domain(linear_radial_speed):
+    # kappa = |x|^2 - 1/4: the first leaf, q = 0, is the circle r = 1/2
+    report = check_foliation(linear_radial_speed,
+                             Foliation(kind="kappa", params=(0.0, 0.56),
+                                       kappa=lambda X: np.sum(X * X, axis=1) - 0.25),
+                             DiskDomain(1.0))
+    assert report.notes[-1] == "zero leaf has samples strictly inside the domain"
+
+
 def test_general_foliation_3d_conical_speed_is_flat():
     # c = |x| makes every sphere flat, along each of the 3D tangent directions
     f = RadialField(func=lambda r: r, dfunc=lambda r: 1.0, r_max=4.0, dim=3)

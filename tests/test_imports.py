@@ -213,3 +213,37 @@ def test_package_dataclass_fields_are_all_read():
     assert unread_dataclass_fields({p.stem: p.read_text()
                                     for p in sorted(PACKAGE.glob("*.py"))},
                                    [p.read_text() for p in sorted(tests.glob("*.py"))]) == []
+
+
+def unread_instance_attributes(sources, readers):
+    """``self.<name> = ...`` assignments in the classes of the modules in
+    `sources` (module name -> source) whose name neither they nor the
+    `readers` sources read as an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = {node.attr for tree in [*trees.values(), *map(ast.parse, readers)]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{module}: {cls.name}.{node.attr} (line {node.lineno})"
+                  for module, tree in trees.items()
+                  for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  for node in ast.walk(cls)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and getattr(node.value, "id", None) == "self" and node.attr not in read)
+
+
+def test_unread_instance_attributes_are_found():
+    sources = {"a": "class E(Exception):\n    def __init__(self, m, r=None):\n"
+                    "        super().__init__(m)\n        self.report, self.code = r, 1\n"
+                    "        other.note = 2\nclass F:\n    def f(self):\n"
+                    "        self.size = 3\n"}
+    readers = ["def g(e, f):\n    e.code = 0\n    return e.code\n"]
+    assert unread_instance_attributes(sources, readers) == [
+        "a: E.report (line 4)", "a: F.size (line 8)"]
+
+
+def test_package_instance_attributes_are_all_read():
+    root = PACKAGE.parents[1]
+    assert unread_instance_attributes(
+        {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))},
+        [p.read_text() for d in ("tests", "perfbench")
+         for p in sorted((root / d).glob("*.py"))]) == []

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +222,26 @@ def test_load_model_malformed_json_raises():
 def test_load_model_missing_key_names_it(doc, key):
     with pytest.raises(ModelError, match=key):
         load_model(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"domain": {"shape": "disk", "radius": 1.0},
+      "speed": {"kind": "radial", "profile": [[0, 2], [0.5, math.inf], [1.2, 0.8]]}},
+     "non-finite number Infinity"),
+    ({"domain": {"shape": "box", "lo": [0, 0], "hi": [1, 1]},
+      "material": {"lambda": {"kind": "linear", "a": 1.0, "b": [math.nan, 0.0]},
+                   "mu": 1.0, "rho": 1.0}}, "non-finite number NaN"),
+    ({"domain": {"shape": "disk", "radius": 10**400}, "speed": 1.0},
+     "an integer of 401 digits is too large for a float"),
+    ({"domain": {"shape": "disk", "radius": 1.0}, "speed": np.int64(2)},
+     "Object of type int64 is not JSON serializable"),
+], ids=["profile-speed-infinity", "linear-b-nan", "radius-integer-overflow", "not-json"])
+def test_parsed_documents_meet_the_number_checks_of_model_files(doc, message):
+    # a document is read back from its JSON text, as a file is
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match=message):
+            load_model(doc)
 
 
 # JSON values, and model documents built from them that reach every field

@@ -169,6 +169,9 @@ def test_extract_lens_matches_synthetic_arrivals():
     assert rec.rel_err_p < 0.01
     assert rec.rel_err_s < 0.01
     assert "mode-order-violation" not in rec.flags
+    # swapped predictions pick the S arrival as P and the P arrival as S
+    swapped, = extract_lens(trace, dt, src, [(ell_s, ell_p)], eta=0.05)
+    assert swapped.t_p > swapped.t_s and swapped.flags == ["mode-order-violation"]
 
 
 def test_window_picks_do_not_depend_on_the_window_edge():
