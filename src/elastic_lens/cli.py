@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .convexity import VERDICT_FLAT, check_hwz, check_plane_foliation
-from .elastic_sim import BoundarySource, simulate_dn
+from .elastic_sim import BoundarySource, check_size, simulate_dn
 from .errors import (ConfigurationError, ElasticLensError, ExtractionError,
                      FoliationError, InversionError, ModelError, NumericalError,
                      PreconditionError, ResourceError)
@@ -126,71 +126,77 @@ def _read_csv(path, columns, cell=None):
     return rows
 
 
-def _check_keys(spec, known, what):
-    """ConfigurationError naming the keys of spec that are not in known."""
-    if unknown := sorted(set(spec) - set(known)):
-        raise ConfigurationError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+def _merge(default, val, what):
+    """The setting `what` whose default is `default`, given as `val`.  A dict
+    merges onto its default block key by key and may hold no unknown key; any
+    other value must have its default's kind: text, an integer, a number (an
+    integer counts, and None where the default is None) or a list of as many
+    numbers.  Booleans are never numbers."""
+    if isinstance(default, dict):
+        if not isinstance(val, dict):
+            raise ConfigurationError(f"{what} must be a JSON object")
+        if unknown := sorted(set(val) - set(default)):
+            raise ConfigurationError(f"unknown {what} key(s): {', '.join(map(repr, unknown))}")
+        return {k: _merge(d, val.get(k, d), f"{what} {k!r}") for k, d in default.items()}
+    if isinstance(default, list):
+        if type(val) is list and len(val) == len(default):
+            return [_merge(d, v, what) for d, v in zip(default, val)]
+    elif (type(val) is type(default) if isinstance(default, (str, int))
+          else type(val) in (int, float) or val is None and default is None):
+        return val
+    raise ConfigurationError(f"{what} must have the kind of its default {default!r}, "
+                             f"got {val!r}")
+
+
+def _spec_value(text):
+    """A --source/--receivers value: the JSON number it reads as, else the text."""
+    with contextlib.suppress(ValueError, RecursionError):   # RecursionError: deep [[[...
+        if type(v := json.loads(text, parse_int=json_int)) in (int, float):
+            return v
+    return text
 
 
 def _parse_kv(text, what):
-    """Parse 'key=a,other=b,pol=px,py' allowing bare continuation tokens; the
-    keys must be those of the pipeline config's block `what`."""
-    out = {}
-    last = None
+    """The pipeline config's block `what` updated by the spec 'key=a,other=b,pol=px,py'
+    through _merge; a key followed by bare continuation tokens holds a list."""
+    values, last = {}, None
     for token in text.split(","):
         if "=" in token:
-            key, val = token.split("=", 1)
-            out[key.strip()] = val.strip()
-            last = key.strip()
-        elif last is not None:
-            out[last] += "," + token.strip()
-        else:
+            last, token = (part.strip() for part in token.split("=", 1))
+            values[last] = []
+        elif last is None:
             raise ConfigurationError(f"cannot parse {what} spec near {token!r}")
-    _check_keys(out, _PIPELINE_DEFAULTS[what], what)
-    return out
+        values[last].append(_spec_value(token.strip()))
+    return _merge(_PIPELINE_DEFAULTS[what],
+                  {k: v if len(v) > 1 else v[0] for k, v in values.items()}, what)
 
 
 def _source(spec, t0=None):
-    """BoundarySource with pulse delay t0 from a dict with edge, center, width,
-    f0 and pol: numbers or, as parsed from --source, strings."""
-    try:
-        pol = spec["pol"]
-        pol = tuple(float(v) for v in (pol.split(",") if isinstance(pol, str) else pol))
-        if len(pol) != 2:
-            raise ValueError(f"pol has {len(pol)} components")
-        return BoundarySource(edge=spec.get("edge", "left"),
-                              center=float(spec["center"]),
-                              width=float(spec["width"]),
-                              f0=float(spec["f0"]),
-                              polarization=pol, t0=t0)
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigurationError(f"bad source spec {spec!r}: needs edge, center, "
-                                 f"width, f0, pol=px,py ({e})")
+    """BoundarySource with pulse delay t0 from a source block: edge, center,
+    width, f0 and pol."""
+    return BoundarySource(edge=spec["edge"], center=float(spec["center"]),
+                          width=float(spec["width"]), f0=float(spec["f0"]),
+                          polarization=tuple(map(float, spec["pol"])), t0=t0)
 
 
 def _receiver_points(domain, spec):
-    """`count` receivers along one edge of a box: inside the whole edge, or
-    from center - width/2 to center + width/2 inclusive.  The values may be
-    numbers or, as parsed from --receivers, strings; None means absent."""
-    edge = spec.get("edge", "right")
-    center, width = spec.get("center"), spec.get("width")
+    """`count` receivers along one edge of a box: inside the whole edge, or from
+    center - width/2 to center + width/2 inclusive.  A count whose traces need
+    more than MAX_RUN_BYTES a step is refused before any point exists."""
+    edge, count, center, width = (spec[k] for k in ("edge", "count", "center", "width"))
     if (center is None) != (width is None):
         raise ConfigurationError("a receiver center and width must be given together")
     if edge not in EDGES:
         raise ConfigurationError(f"unknown receiver edge {edge!r}")
-    try:
-        count = int(spec.get("count", 8))
-        span = None if center is None else (float(center), float(width))
-    except (TypeError, ValueError) as e:
-        raise ConfigurationError(f"bad receiver spec {spec!r}: {e}")
-    if count < 1 or span is not None and not all(map(math.isfinite, span)):
+    if count < 1 or center is not None and not all(map(math.isfinite, (center, width))):
         raise ConfigurationError("receiver count must be >= 1, center and width finite")
+    check_size(0, 0, count)
     axis = 1 - EDGES[edge][0]
     c0, c1 = domain.lo[axis], domain.hi[axis]
-    if span is None:
+    if center is None:
         frac = (np.arange(count) + 1.0) / (count + 1.0)
     else:
-        c0, c1 = span[0] - 0.5 * span[1], span[0] + 0.5 * span[1]
+        c0, c1 = center - 0.5 * width, center + 0.5 * width
         frac = np.linspace(0.0, 1.0, count) if count > 1 else np.array([0.5])
     along = c0 + frac * (c1 - c0)
     return [domain.edge_point(edge, float(a)) for a in along]
@@ -469,6 +475,7 @@ _STAGE_EXIT = {
 }
 
 _PIPELINE_DEFAULTS = {
+    "model": "",
     "mode": "homogeneous",
     "eta": 0.05,
     "T": 1.25,
@@ -484,37 +491,16 @@ _FOLIATION_RANGE = (0.01, 0.99)     # the leaves checked, as fractions of the wi
 
 
 def _resolve_config(path):
-    """The pipeline defaults updated by the JSON object at `path`; blocks
-    merge key by key.  Keys must be known, numeric settings numbers."""
+    """The pipeline defaults updated by the JSON object at `path` (see _merge)."""
     try:
         user = json.loads(Path(path).read_text(), parse_int=json_int)
-    except ValueError as e:         # bad JSON (its line named), or an integer no float holds
+    except (ValueError, RecursionError) as e:   # bad or deep JSON, a too large integer
         raise ConfigurationError(f"malformed config JSON {path}: {e}")
-    if not isinstance(user, dict):
-        raise ConfigurationError("pipeline config must be a JSON object")
-    cfg = json.loads(json.dumps(_PIPELINE_DEFAULTS))
-    _check_keys(user, [*cfg, "model"], "config")
-    for key, val in user.items():
-        if isinstance(cfg.get(key), dict):
-            if not isinstance(val, dict):
-                raise ConfigurationError(f"config {key!r} must be an object")
-            _check_keys(val, cfg[key], f"config {key!r}")
-            cfg[key].update(val)
-        else:
-            cfg[key] = val
-    if not isinstance(cfg.get("model"), str):
+    cfg = _merge(_PIPELINE_DEFAULTS, user, "config")
+    if not cfg["model"]:
         raise ConfigurationError("pipeline config must name a 'model' file")
-    numbers = {k: cfg[k] for k in ("T", "h", "eta")}
-    numbers.update((f"radial.{k}", cfg["radial"][k]) for k in _PIPELINE_DEFAULTS["radial"])
-    if cfg["dt"] is not None:
-        numbers["dt"] = cfg["dt"]
-    bad = [k for k, v in numbers.items()
-           if isinstance(v, bool) or not isinstance(v, (int, float))]
-    if bad:
-        raise ConfigurationError(f"config values must be numbers: {', '.join(bad)}")
-    n_rays = cfg["radial"]["n_rays"]
-    if not isinstance(n_rays, int) or n_rays < 1:
-        raise ConfigurationError(f"radial.n_rays must be a positive integer, got {n_rays!r}")
+    if cfg["radial"]["n_rays"] < 1:
+        raise ConfigurationError(f"radial.n_rays must be >= 1, got {cfg['radial']['n_rays']}")
     return cfg
 
 
@@ -679,9 +665,11 @@ def _build_parser():
     q = sub.add_parser("simulate", help="run the DN simulator")
     q.add_argument("--model", required=True)
     q.add_argument("--source", required=True,
-                   help="edge=left,center=0.5,width=0.1,f0=12.5,pol=px,py")
+                   help="edge=left,center=0.5,width=0.08,f0=12.5,pol=px,py: a pipeline "
+                        "config's source block, JSON numbers; a key left out keeps its default")
     q.add_argument("--receivers", required=True,
-                   help="edge=right,count=K[,center=c,width=w]")
+                   help="edge=right,count=16[,center=c,width=w]: the same for the "
+                        "receivers block")
     q.add_argument("--T", type=float, required=True)
     q.add_argument("--h", type=float, required=True)
     q.add_argument("--dt", type=float, default=None,
@@ -697,7 +685,7 @@ def _build_parser():
     q.add_argument("--lens", required=True,
                    help="CSV: receiver_index, ell_p, ell_s")
     q.add_argument("--f0", type=float, default=None)
-    q.add_argument("--eta", type=float, default=0.05)
+    q.add_argument("--eta", type=float, default=_PIPELINE_DEFAULTS["eta"])
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_extract)
 

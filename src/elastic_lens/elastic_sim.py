@@ -116,9 +116,11 @@ class BoundarySource:
     def __post_init__(self):
         if self.edge not in EDGES:
             raise ConfigurationError(f"edge must be one of {tuple(EDGES)}, got {self.edge!r}")
-        if not (self.width > 0 and self.f0 > 0 and all(map(math.isfinite, (
-                self.center, self.width, self.f0, self.delay, *self.polarization)))):
-            raise ConfigurationError(f"source settings must be finite, width, f0 > 0: {self}")
+        if not (len(self.polarization) == 2 and self.width > 0 and self.f0 > 0 and all(
+                map(math.isfinite, (self.center, self.width, self.f0, self.delay,
+                                    *self.polarization)))):
+            raise ConfigurationError(f"source settings must be finite, width, f0 > 0, "
+                                     f"polarization two numbers: {self}")
 
     @property
     def delay(self):
@@ -309,13 +311,14 @@ def receiver_nodes(domain: BoxDomain, grid: Grid2D, receivers):
     return out
 
 
-def _check_size(nodes, steps, receivers):
+def check_size(nodes, steps, receivers):
     """ResourceError unless the run's arrays fit in MAX_RUN_BYTES: about 84 bytes
     a node, 48 a step and 96 a step and receiver."""
     need = nodes * 84 + (steps + 1) * (48 + 96 * receivers)
     if not need <= MAX_RUN_BYTES:      # inf fails too
         raise ResourceError(f"the run would need about {need / 2**30:.3g} GiB, over the "
-                            f"cap of {MAX_RUN_BYTES / 2**30:g} GiB; raise h or lower T")
+                            f"cap of {MAX_RUN_BYTES / 2**30:g} GiB; raise h, lower T or "
+                            "use fewer receivers")
 
 
 def _row_strips(nx: int, ny: int):
@@ -349,7 +352,7 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
         raise ConfigurationError(f"T, h and dt must be finite and positive, "
                                  f"got T = {T}, h = {h}, dt = {dt}")
     cells = [float(w) / h for w in domain.widths]
-    _check_size(math.prod(c + 1 for c in cells), 0, 0)
+    check_size(math.prod(c + 1 for c in cells), 0, 0)
     nx, ny = (int(round(c)) + 1 for c in cells)
     grid = Grid2D(tuple(domain.lo), h, nx, ny)
     mg = sample_material(material, grid)
@@ -364,7 +367,7 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     # each receiver's flat node index and outward normal
     idx = np.array([flat(_edge_nodes(e)[0])[k] for e, k in rec], dtype=int)
     nrm_x, nrm_y = np.array([_edge_nodes(e)[1] for e, _ in rec]).reshape(-1, 2).T
-    _check_size(nx * ny, T / dt, len(rec))
+    check_size(nx * ny, T / dt, len(rec))
     n_steps = int(round(T / dt))
     times, amps = _pulse_at_steps(source, dt, n_steps)
     sig = np.empty((n_steps + 1, 3, len(idx)), np.float32)     # receivers' sigma, times 2h

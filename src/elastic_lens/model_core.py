@@ -224,9 +224,6 @@ class GridField(SpeedField):
         if np.any(vals <= 0):
             i, j = np.unravel_index(int(np.argmax(vals <= 0)), vals.shape)
             raise ModelError(f"non-positive speed {vals[i, j]} at grid node ({i}, {j})")
-        self.grid = grid
-        self.values = vals.copy()
-        self.values.setflags(write=False)
         xs, ys = grid.nodes()
         from scipy.interpolate import RectBivariateSpline   # loaded for grid fields only
         self._spline = RectBivariateSpline(xs, ys, vals, kx=3, ky=3)

@@ -375,6 +375,16 @@ def _malformed_argv(tmp_path, small_sim, kind, value):
     ("config", {"receivers": {"count": 10**400}}),
     ("radial-config", {"radial": {"n_rays": 10**400}}),
     ("metadata", {"dt": 10**400}),
+    # each setting has its default's kind: no float count, no boolean or text number
+    ("config", {"receivers": {"count": 3.7}}),
+    ("config", {"receivers": {"count": True}}),
+    ("config", {"receivers": {"count": "3"}}),
+    ("config", {"source": {"f0": True}}),
+    ("config", {"source": {"f0": "8"}}),
+    ("config", {"source": {"pol": "1,0"}}),
+    ("config", {"receivers": {"center": True, "width": 0.1}}),
+    ("receivers", "edge=right,count=1" + "0" * 400),
+    ("raw-config", b"[" * 100_000),
 ], ids=["count-not-int", "center-not-number", "center-without-width",
         "width-without-center", "receivers-off-the-box", "receivers-center-nan",
         "receivers-width-inf", "receivers-unknown-key", "source-unknown-key",
@@ -384,10 +394,38 @@ def _malformed_argv(tmp_path, small_sim, kind, value):
         "config-foliation-range", "config-unknown-key", "config-unknown-block-key",
         "config-T-integer-overflow", "config-source-center-integer-overflow",
         "config-receiver-count-integer-overflow", "config-n-rays-integer-overflow",
-        "metadata-dt-integer-overflow"])
+        "metadata-dt-integer-overflow", "config-receiver-count-float",
+        "config-receiver-count-bool", "config-receiver-count-text", "config-f0-bool",
+        "config-f0-text", "config-pol-text", "config-receiver-center-bool",
+        "receivers-count-integer-overflow", "config-nested-too-deep"])
 def test_malformed_specs_exit_2(tmp_path, small_sim, kind, value):
     argv = _malformed_argv(tmp_path, small_sim, kind, value)
     assert run(argv) == cli.EXIT_CONFIG
+
+
+_NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-10**6, 10**6))
+_EDGE = st.sampled_from(sorted(model_core.EDGES))
+_BLOCKS = {"source": {"edge": _EDGE, "center": _NUMBERS, "width": _NUMBERS, "f0": _NUMBERS,
+                      "pol": st.lists(_NUMBERS, min_size=2, max_size=2)},
+           "receivers": {"edge": _EDGE, "count": st.integers(1, 10**6), "center": _NUMBERS,
+                         "width": _NUMBERS}}
+
+
+@given(blocks=st.fixed_dictionaries({
+    what: st.fixed_dictionaries({}, optional=keys).filter(bool)
+    for what, keys in _BLOCKS.items()}))
+def test_specs_and_config_blocks_share_one_grammar(blocks):
+    # a --source/--receivers spec and the same block in a pipeline config give
+    # the same settings, defaults filled in alike
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "cfg.json"
+        path.write_text(json.dumps({"model": "model.json", **blocks}))
+        cfg = cli._resolve_config(path)
+    for what, block in blocks.items():
+        spec = ",".join(f"{k}={','.join(map(repr, v)) if isinstance(v, list) else v}"
+                        for k, v in block.items())
+        assert cli._parse_kv(spec, what) == cfg[what]
 
 
 def test_simulate_outputs_and_manifest(small_sim):
@@ -440,18 +478,22 @@ def test_array_rows_write_the_bytes_of_the_csv_writer(rows):
         assert array.read_bytes() == lists.read_bytes()
 
 
-@pytest.mark.parametrize("flags", [["--T", "1e9", "--h", "0.05"], ["--T", "1", "--h", "1e-5"],
-                                   ["--T", "1", "--h", "1e-320"]],
-                         ids=["traces", "grid", "grid-overflows"])
-def test_oversized_simulate_exits_5_before_allocating(tmp_path, capsys, flags):
-    # 1.9 TiB of traces, a 75 GiB grid, a node count past any float: each is
-    # refused against elastic_sim.MAX_RUN_BYTES before its arrays exist
+@pytest.mark.parametrize("flags, receivers", [
+    (["--T", "1e9", "--h", "0.05"], "edge=right,count=16"),
+    (["--T", "1", "--h", "1e-5"], "edge=right,count=16"),
+    (["--T", "1", "--h", "1e-320"], "edge=right,count=16"),
+    (["--T", "1", "--h", "0.05"], "edge=right,count=1000000000000"),
+], ids=["traces", "grid", "grid-overflows", "receivers"])
+def test_oversized_simulate_exits_5_before_allocating(tmp_path, capsys, flags, receivers):
+    # 1.9 TiB of traces, a 75 GiB grid, a node count past any float, 87 TiB
+    # for one step of 10^12 receivers: each is refused against
+    # elastic_sim.MAX_RUN_BYTES before its arrays (or receiver points) exist
     model = write_model(tmp_path, UNIT_BOX_MODEL)
     tracemalloc.start()
     try:
         code = run(["simulate", "--model", model, "--source",
                     "edge=left,center=0.5,width=0.2,f0=8,pol=1,0",
-                    "--receivers", "edge=right,count=16", *flags,
+                    "--receivers", receivers, *flags,
                     "--out", str(tmp_path / "out")])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
