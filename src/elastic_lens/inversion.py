@@ -79,7 +79,7 @@ class DepthProfile:
 # ---------------------------------------------------------------------------
 
 
-def forward_travel_times(speed, R: float, angles, dt: float = DT):
+def forward_travel_times(speed, R: float, angles, dt: float = DT, counters=None):
     """Trace a fan through a radial speed field and tabulate (Delta, T).
 
     angles: inward shooting angles in (0, pi/2) measured from the inward
@@ -91,7 +91,7 @@ def forward_travel_times(speed, R: float, angles, dt: float = DT):
     from the source, unwrapped along the fan: neighbouring rays must differ
     by less than pi and the shallowest ray by less than pi from the source.
     Refuses models that fail the strict-convexity (Herglotz) condition with
-    a FoliationError.
+    a FoliationError.  `counters` is scattering_relations'.
     """
     if not check_hwz(speed, 1e-3 * R, R).strictly_convex:
         raise FoliationError("radial model violates the Herglotz condition d/dr (r/c) > 0")
@@ -102,7 +102,7 @@ def forward_travel_times(speed, R: float, angles, dt: float = DT):
             raise PreconditionError(f"shooting angle must lie in (0, pi/2), got {a}")
     records = scattering_relations(speed, domain,
                                    [entry_at(domain, 0.0, a) for a in angles],
-                                   dt=dt, t_max=T_MAX)
+                                   dt=dt, t_max=T_MAX, counters=counters)
     for a, rec in zip(angles, records):
         if rec.status is not RayStatus.EXITED:
             raise InversionError(f"ray at angle {a} did not exit ({rec.status.value})")

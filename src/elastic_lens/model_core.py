@@ -69,7 +69,8 @@ class SpeedField:
     """Scalar positive field c(x), evaluated on arrays of points.
 
     ``eval`` is the field API; subclasses implement ``_eval`` only: c (n,) and
-    grad c (d, n) at the component rows X (d, n), unchecked.  This base class
+    grad c (d, n) at the component rows X (d, n), unchecked, as new arrays
+    (the ray tracer scales the gradient in place).  This base class
     owns the shape, bounds (the box ``bounds`` padded by COLLAR) and positivity
     checks, in ``eval`` and in ``_check`` of points already evaluated (the ray
     tracer's stages).  As the check may come after it, ``_eval`` must not warn
@@ -183,8 +184,8 @@ class RadialField(SpeedField):
     def _eval(self, X):
         r = np.sqrt(np.add.reduce(X * X, axis=0))
         c, dc = self._c_dc(r)
-        # grad c = 0 at the origin; a NaN radius still gives a NaN gradient
-        return c, np.divide(dc, r, out=np.zeros(r.shape), where=~(r < 1e-14)) * X
+        # grad c = dc / inf = 0 at the origin; a NaN radius still gives a NaN gradient
+        return c, dc / np.where(r < 1e-14, np.inf, r) * X
 
 
 class DepthField(SpeedField):
@@ -518,7 +519,7 @@ def load_model(source) -> Model:
         else:
             text = source if str(source).lstrip().startswith("{") else Path(source).read_text()
         doc = json.loads(text, parse_float=finite, parse_constant=finite, parse_int=json_int)
-    except (TypeError, ValueError) as exc:      # ValueError covers JSONDecodeError
+    except (TypeError, ValueError, RecursionError) as exc:  # JSONDecodeError; deep [[[...
         raise ModelError(f"malformed model JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ModelError(f"a model must be a JSON object, got {type(doc).__name__}")

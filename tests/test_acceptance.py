@@ -401,5 +401,13 @@ def test_radial_chain_bytes_are_pinned(radial_runs):
     run = radial_runs["runs"][0]
     assert {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
             for name in ("curve.csv", "profile.csv")} == {
-        "curve.csv": "bbbc533e0cf1bc2ed76b1500a8fc426d607378087dbef47c622b6f1234b71cb8",
-        "profile.csv": "e2b0ef9cbab13529861ebb8377d3d9fb68fbd3ab1b317a7885e77bfa2b0f6afc"}
+        "curve.csv": "6826a4b5b5e8450e1a5dcb6972de7221a03ef2ce8a82ba2f5b6c87b0177169fd",
+        "profile.csv": "d7aec602c0ae19410ccfc0a7e4dfd2a8e8998d725472c7e1c3ba940bc0fb4947"}
+
+
+def test_a4_manifest_pins_the_ray_counts(radial_runs):
+    # 48 rays at the pipeline's fan step 1e-2 share 138 RK4 steps (1,375 at
+    # 1e-3): four flow evaluations a step and two for the exit search
+    stages = json.loads((radial_runs["runs"][0] / "manifest.json").read_text())["stages"]
+    counters = next(s["counters"] for s in stages if s["name"] == "invert")
+    assert counters == {"rk4_steps": 138, "rhs_calls": 554, "ray_status": {"Exited": 48}}

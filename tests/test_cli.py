@@ -84,6 +84,26 @@ def test_malformed_model_json(tmp_path):
         assert run(["validate", "--model", str(path)]) == cli.EXIT_MODEL
 
 
+def test_json_nested_too_deep_exits_with_its_documented_code(tmp_path, capsys, small_sim):
+    # json gives up on deep nesting with a RecursionError: a model file is a
+    # model error (exit 3) and a traces directory's metadata.json a
+    # configuration error (exit 2), each with its message and no traceback
+    deep = b"[" * 100_000
+    model = tmp_path / "deep.json"
+    model.write_bytes(deep)
+    assert run(["validate", "--model", str(model)]) == cli.EXIT_MODEL
+    assert capsys.readouterr().err.startswith("model error: malformed model JSON: ")
+    traces = tmp_path / "traces"
+    shutil.copytree(small_sim[0], traces)
+    (traces / "metadata.json").write_bytes(deep)
+    lens = tmp_path / "lens.csv"
+    lens.write_text("receiver_index,ell_p,ell_s\n0,0.5,0.9\n1,0.5,0.9\n2,0.5,0.9\n")
+    assert run(["extract", "--traces", str(traces), "--lens", str(lens),
+                "--out", str(tmp_path / "out.csv")]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: malformed {traces / 'metadata.json'}: RecursionError(")
+
+
 def test_validate_negative_mu(tmp_path):
     path = write_model(tmp_path, NEGATIVE_MU_MODEL)
     assert run(["validate", "--model", str(path)]) == cli.EXIT_MODEL

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from elastic_lens import ray_tracer
-from elastic_lens.cli import read_lens_csv, write_lens_csv
+from elastic_lens.cli import _PIPELINE_DEFAULTS, read_lens_csv, write_lens_csv
 from elastic_lens.errors import DomainError, ModelError, PreconditionError
 from elastic_lens.model_core import (BoxDomain, ConstantField, DiskDomain, LinearField,
                                      RadialField, load_model)
@@ -57,6 +57,27 @@ def test_exit_costs_two_flow_evaluations_beyond_its_steps(unit_disk, monkeypatch
     assert rec.ell == pytest.approx(2.0 * math.cos(0.3), abs=1e-12)
     steps = math.floor(rec.ell / dt) + 1                     # 1.91 / 0.05: 39
     assert len(calls) == 4 * steps + 2
+
+
+def test_counters_report_the_steps_and_flow_evaluations_taken(unit_disk, monkeypatch):
+    # the counts scattering_relations reports are the _rhs calls made, on a
+    # ray that exits, one trapped at t_max and a tangent entry
+    calls, rhs = [], ray_tracer._rhs
+
+    def counted(speed, y):
+        calls.append(len(y))
+        return rhs(speed, y)
+
+    monkeypatch.setattr(ray_tracer, "_rhs", counted)
+    entries = [entry_at(unit_disk, 0.0, a) for a in (1.2, 0.0, 1.55)]
+    counters = {}
+    records = scattering_relations(ConstantField(1.0, dim=2), unit_disk, entries,
+                                   t_max=1.0, dt=0.05, counters=counters)
+    assert [r.status for r in records] == [RayStatus.EXITED, RayStatus.TRAPPED,
+                                           RayStatus.TANGENT_ENTRY]
+    assert len(calls) == 4 * 20 + 2
+    assert counters == {"rk4_steps": 20, "rhs_calls": len(calls),
+                        "ray_status": {"Exited": 1, "Trapped": 1, "TangentEntry": 1}}
 
 
 # c = 1 up to r = 1.05, then -1: positive on the disk, not in all of its collar
@@ -202,18 +223,19 @@ def test_curved_rays_retrace_their_path_backwards(kind, bx, by):
 
 
 @given(kind=st.sampled_from(["disk", "box"]), a=st.floats(1.5, 2.0),
-       size=st.floats(0.05, 0.6), turn=st.floats(0.0, 2.0 * math.pi))
-def test_curved_rays_take_the_linear_gradient_travel_time(kind, a, size, turn):
+       size=st.floats(0.05, 0.6), turn=st.floats(0.0, 2.0 * math.pi),
+       dt=st.sampled_from([ray_tracer.DT, _PIPELINE_DEFAULTS["radial"]["dt"]]))
+def test_curved_rays_take_the_linear_gradient_travel_time(kind, a, size, turn, dt):
     # in c = a + b . x the rays are circular arcs, and the travel time between
     # x1 and x2 is T = arccosh(1 + |b|^2 |x1 - x2|^2 / (2 c1 c2)) / |b|, written
     # here as 2 asinh(|b| |x1 - x2| / (2 sqrt(c1 c2))) / |b|.  RK4 meets it to
-    # 5e-14 at dt = 1e-3 and 2e-10 at 1e-2 (48-ray fans, |b| <= 0.6)
+    # 5e-14 at dt = 1e-3 and 2e-10 at 1e-2 (48-ray fans, |b| <= 0.6): the step
+    # of trace and lens, and the radial pipeline's fan step
     b = size * np.array([math.cos(turn), math.sin(turn)])
     # a - 1.3 (|b_0| + |b_1|) > 0.3: positive on the bounds' collar
     speed = LinearField(a, b, bounds=BoxDomain.cube(1.2))
     domain = DiskDomain(1.0) if kind == "disk" else BoxDomain((-0.9, -0.7), (0.8, 0.9))
-    rows = lens_table(speed, domain, n_points=6, angles=8, t_max=ray_tracer.T_MAX,
-                      dt=ray_tracer.DT)
+    rows = lens_table(speed, domain, n_points=6, angles=8, t_max=ray_tracer.T_MAX, dt=dt)
     assert all(r.record.status is RayStatus.EXITED for r in rows)
     x1 = np.array([r.record.entry.x for r in rows])
     x2 = np.array([r.record.exit.x for r in rows])
