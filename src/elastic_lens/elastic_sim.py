@@ -22,11 +22,17 @@ as planar (2, nx, ny) arrays; dt and the traces are float64.  On A3 the
 traces stay within 1.8e-6 (relative L2) of a float64 run, the picks within
 1e-8 s.  Step n skips the rows past 2 n + 2 of those the source drives
 (still exactly zero) and past 2 (N - n) of the receivers' (no later trace
-reads them, so they keep stale values).  On large grids each core steps
-one strip of rows; every node sees the same float32 operations in any
-strips, so the output does not depend on the core count.  The source pulse
-is evaluated once per run, and a run whose arrays would need more than
-MAX_RUN_BYTES is refused (ResourceError) before they are allocated.
+reads them, so they keep stale values).  It steps the rest a tile of about
+_TILE_NODES nodes at a time: the tile's stresses, with one halo row each
+side, go to a small buffer of its thread, and u^(n+1) is written over
+u^(n-1), which each node reads only at itself.  So a run holds two
+displacement arrays and no full-grid stress, and the tiles of one step
+share nothing they write.  On large grids each core steps one strip of
+rows, and a step hands the strips to the threads once; every node sees the
+same float32 operations in any tiles and strips, so the output depends on
+neither the tile size nor the core count.  The source pulse is evaluated
+once per run, and a run whose arrays would need more than MAX_RUN_BYTES is
+refused (ResourceError) before they are allocated.
 
 Stability limit.  Every derivative is the centered difference D0, whose
 symbol on exp(i k.x) is i sin(k h)/h.  With constant coefficients the
@@ -77,6 +83,7 @@ _BLOW_UP_CHECK_STEPS = 64   # simulate_dn checks u for blow-up this often:
 _BLOW_UP_FACTOR = 1e3       # max|u| over this times max|pol| (stable runs: < 1.3)
 _MIN_NODES_PER_STRIP = 75_000    # below this a strip costs more in handoff than it saves
 _SAMPLE_BLOCK_NODES = 32_768     # sample_material evaluates this many nodes at a time, or a row
+_TILE_NODES = 1 << 16            # a step's tile holds this many nodes, or a row: 68 rows on A3
 MAX_RUN_BYTES = 4 << 30          # simulate_dn refuses a run whose arrays would need more
 
 
@@ -190,67 +197,79 @@ def check_cfl(mg: MaterialGrid, dt: float):
 
 
 class _Workspace:
-    """The buffers of one FD run, allocated once: planes (5, nx, ny) in `dtype`,
-    [dux/dx, dux/dy, duy/dy, duy/dx, lam div u], the first three turned into
-    sxx, sxy, syy in place; lam, mu, 2 mu and the update coefficient as flat
-    arrays in it, a constant one a read-only stride-0 view.  `stress` and
-    `step` work on the rows r0 to r1 - 1, rows = (r0, r1); a step updates the
-    strip's flat nodes from (1, 1) to (nx-2, ny-2): interior nodes and, between
-    them, wall nodes that _apply_dirichlet overwrites.  A node gets the same
-    operations in any strips."""
+    """The arrays of one FD run but u: lam, mu, 2 mu and the update coefficient
+    as flat arrays in `dtype`, a constant one a read-only stride-0 view; the
+    receivers' flat node indices, sorted, and sig (steps + 1, 3, receivers)
+    for their stresses (zero while no tile holds them); and one tile buffer
+    (5, rows, ny) per lane (thread), its planes [dux/dx, dux/dy, duy/dy, duy/dx,
+    lam div u], the first three turned into sxx, sxy, syy in place.  A node
+    gets the same operations in any tiles and lanes."""
 
-    def __init__(self, mg: MaterialGrid, dtype, dt: float):
+    def __init__(self, mg: MaterialGrid, dtype, dt: float, receivers, steps: int, lanes: int):
         nx, ny, h = mg.grid.nx, mg.grid.ny, mg.grid.h
         def flat(v):    # every kernel slices a field alike, a constant as an array
             return (np.broadcast_to(dtype(v), (nx * ny,)) if isinstance(v, float)
                     else v.astype(dtype).reshape(-1))
         self.lam, self.mu, self.two_mu = flat(mg.lam), flat(mg.mu), flat(2.0 * mg.mu)
         self.coef = flat(dt * dt / (4.0 * h * h * mg.rho))
-        self.planes = np.zeros((5, nx, ny), dtype)    # rows never stepped stay zero
-        self.sigma = self.planes[:3]
+        self.receivers, self.sig = receivers, np.zeros((steps + 1, 3, len(receivers)), dtype)
+        self.tile_rows = min(nx, max(1, _TILE_NODES // ny))
+        self.buffers = [np.empty((5, min(self.tile_rows + 2, nx), ny), dtype)
+                        for _ in range(lanes)]
 
-    def differences(self, u, rows):
-        """Differences of the planar u (2, nx, ny) on the strip, times 2h, into
-        planes 0-3: u[i+1] - u[i-1] along the flattened arrays (so along y they
-        wrap from row to row at the ends), then one-sided 2 (u_p - u_q) at walls."""
+    def strip(self, u, u_prev, n, rows, lane):
+        """Step n on the rows r0 to r1 - 1, rows = (r0, r1), a tile at a time."""
+        for r in range(rows[0], rows[1], self.tile_rows):
+            self.tile(u, u_prev, n, (r, min(r + self.tile_rows, rows[1])), self.buffers[lane])
+
+    def tile(self, u, u_prev, n, rows, buf):
+        """Step n on a tile of rows: the stresses of the planar u (2, nx, ny),
+        times 2h, on its rows and one halo row each side into buf, the
+        receivers' among its rows into sig[n]; then, unless n is the last
+        step, u_prev becomes u^(n+1) on the tile's flat nodes from (1, 1) to
+        (nx-2, ny-2): interior nodes and, between them, wall nodes that
+        _apply_dirichlet overwrites.  u_prev is read only at its own node."""
         (r0, r1), (nx, ny) = rows, u.shape[1:]
-        a, b, g = r0 * ny, r1 * ny, self.planes
-        U, G = u.reshape(2, -1), g.reshape(5, -1)
+        h0, h1 = max(r0 - 1, 0), min(r1 + 1, nx)
+        a, b, U, G = h0 * ny, h1 * ny, u.reshape(2, -1), buf[:, :h1 - h0]
+        g = G.reshape(5, -1)        # g[:, i] holds flat node a + i
+        # differences u[i+1] - u[i-1] along the flattened arrays (so along y
+        # they wrap from row to row at the ends), then one-sided 2 (u_p - u_q) at walls
         for k, s in ((slice(0, 4, 3), ny), (slice(1, 3), 1)):     # along x, then y
             lo, hi = max(a, s), min(b, nx * ny - s)
-            np.subtract(U[:, lo + s:hi + s], U[:, lo - s:hi - s], out=G[k, lo:hi])
+            np.subtract(U[:, lo + s:hi + s], U[:, lo - s:hi - s], out=g[k, lo - a:hi - a])
         for i, p, q in ((0, 1, 0), (nx - 1, nx - 1, nx - 2)):    # row i
-            if r0 <= i < r1:
-                g[0:4:3, i] = 2.0 * (u[:, p] - u[:, q])
-        g[1:3, r0:r1, [0, -1]] = 2.0 * (u[:, r0:r1, [1, -1]] - u[:, r0:r1, [0, -2]])
-
-    def stress(self, u, rows):
-        """The strip's stresses, times 2h, formed in place over its differences."""
-        self.differences(u, rows)
-        a, b = rows[0] * u.shape[2], rows[1] * u.shape[2]
-        P = self.planes.reshape(5, -1)[:, a:b]
-        np.add(P[0], P[2], out=P[4])
-        P[4] *= self.lam[a:b]
-        P[0:3:2] *= self.two_mu[a:b]
-        P[0:3:2] += P[4]
-        P[1] += P[3]
-        P[1] *= self.mu[a:b]
-
-    def step(self, u, u_prev, u_next, rows):
-        """Leapfrog on the strip: u_next = coef div sigma + (2 u - u_prev),
-        with sigma from the last stress of every strip and its divergence
-        undivided.  Planes 3 and 4 are spent by then and serve as scratch."""
-        nx, ny = u.shape[1:]
-        lo, hi = max(rows[0] * ny, ny + 1), min(rows[1] * ny, nx * ny - ny - 1)
-        s, t = self.planes.reshape(5, -1), self.planes.reshape(5, -1)[3:5, lo:hi]
-        out = u_next.reshape(2, -1)[:, lo:hi]
-        # d/dx (sxx, sxy) + d/dy (sxy, syy), each a centered difference
-        np.subtract(s[:2, lo + ny:hi + ny], s[:2, lo - ny:hi - ny], out=out)
-        np.subtract(s[1:3, lo + 1:hi + 1], s[1:3, lo - 1:hi - 1], out=t)
-        out += t
-        out *= self.coef[lo:hi]
-        np.multiply(u.reshape(2, -1)[:, lo:hi], 2.0, out=t)
-        t -= u_prev.reshape(2, -1)[:, lo:hi]
+            if h0 <= i < h1:
+                np.subtract(u[:, p], u[:, q], out=G[0:4:3, i - h0])
+                G[0:4:3, i - h0] *= 2.0
+        walls = G[1:3, :, ::ny - 1]     # columns 0 and ny - 1 from columns (1, 0), (ny-1, ny-2)
+        np.subtract(u[:, h0:h1, 1::ny - 2], u[:, h0:h1, ::ny - 2], out=walls)
+        walls *= 2.0
+        # the stresses, formed in place over the differences
+        np.add(g[0], g[2], out=g[4])
+        g[4] *= self.lam[a:b]
+        g[0:3:2] *= self.two_mu[a:b]
+        g[0:3:2] += g[4]
+        g[1] += g[3]
+        g[1] *= self.mu[a:b]
+        i0, i1 = self.receivers.searchsorted((r0 * ny, r1 * ny))
+        if i0 < i1:
+            self.sig[n, :, i0:i1] = g[:3, self.receivers[i0:i1] - a]
+        # u^(n+1) = coef (d/dx (sxx, sxy) + d/dy (sxy, syy)) + (2 u - u_prev),
+        # each difference centered: 2 u - u_prev goes over u_prev, d/dx into
+        # the spent planes 3 and 4, d/dy of sxy over sxx once d/dx has read
+        # it, then d/dy of syy over sxy
+        lo, hi = max(r0 * ny, ny + 1) - a, min(r1 * ny, nx * ny - ny - 1) - a
+        if n + 1 == len(self.sig) or lo >= hi:
+            return
+        t, out = g[3:5, lo:hi], u_prev.reshape(2, -1)[:, a + lo:a + hi]
+        np.multiply(U[:, a + lo:a + hi], 2.0, out=t)
+        np.subtract(t, out, out=out)
+        np.subtract(g[:2, lo + ny:hi + ny], g[:2, lo - ny:hi - ny], out=t)
+        np.subtract(g[1, lo + 1:hi + 1], g[1, lo - 1:hi - 1], out=g[0, lo:hi])
+        np.subtract(g[2, lo + 1:hi + 1], g[2, lo - 1:hi - 1], out=g[1, lo:hi])
+        t += g[:2, lo:hi]
+        t *= self.coef[a + lo:a + hi]
         out += t
 
 
@@ -312,9 +331,14 @@ def receiver_nodes(domain: BoxDomain, grid: Grid2D, receivers):
 
 
 def check_size(nodes, steps, receivers):
-    """ResourceError unless the run's arrays fit in MAX_RUN_BYTES: about 84 bytes
-    a node, 48 a step and 96 a step and receiver."""
-    need = nodes * 84 + (steps + 1) * (48 + 96 * receivers)
+    """ResourceError unless the run's arrays fit in MAX_RUN_BYTES: about 56 bytes
+    a node (u^n and u^(n-1) in float32, 16; lam, mu, 2 mu and the update
+    coefficient in float32, 16; the float64 samples of lam, mu and rho, 24),
+    48 a step (the float64 times and pulse, and the pulse's temporaries) and
+    96 a step and receiver (the float32 stresses, 12, the float64 traces, 16,
+    and their CSV rows).  The 'about' is each thread's tile buffer: 20 bytes
+    a node of a tile and its two halo rows, at most 20 (_TILE_NODES + 2 ny)."""
+    need = nodes * 56 + (steps + 1) * (48 + 96 * receivers)
     if not need <= MAX_RUN_BYTES:      # inf fails too
         raise ResourceError(f"the run would need about {need / 2**30:.3g} GiB, over the "
                             f"cap of {MAX_RUN_BYTES / 2**30:g} GiB; raise h, lower T or "
@@ -327,16 +351,6 @@ def _row_strips(nx: int, ny: int):
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     n = max(1, min(cores or 1, nx, nx * ny // _MIN_NODES_PER_STRIP))
     return [(nx * k // n, nx * (k + 1) // n) for k in range(n)]
-
-
-def _on_strips(pool, strips, fn, *args):
-    """fn(*args, rows) on every strip, the first in this thread and the
-    others on the pool; returns once all are done, raising their errors."""
-    others = [pool.submit(fn, *args, rows) for rows in strips[1:]]
-    for rows in strips[:1]:
-        fn(*args, rows)
-    for f in others:
-        f.result()
 
 
 def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
@@ -370,18 +384,20 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     check_size(nx * ny, T / dt, len(rec))
     n_steps = int(round(T / dt))
     times, amps = _pulse_at_steps(source, dt, n_steps)
-    sig = np.empty((n_steps + 1, 3, len(idx)), np.float32)     # receivers' sigma, times 2h
-
-    ws = _Workspace(mg, np.float32, dt)
+    order = np.argsort(idx, kind="stable")      # sig's columns hold the receivers in node order
+    threads = len(_row_strips(nx, ny))
+    ws = _Workspace(mg, np.float32, dt, idx[order], n_steps, threads)
     patch = _source_patch(grid, source)
     on = flat(patch[0])[patch[1] != 0] // ny       # the rows of nonzero patch nodes
     p_lo, p_hi = (int(on.min()), int(on.max()) + 1) if on.size else (0, 0)  # else u stays 0
     r_lo, r_hi = (int(idx.min()) // ny, int(idx.max()) // ny + 1) if idx.size else (0, nx)
-    u_prev, u, u_next = np.zeros((3, 2, nx, ny), np.float32)
+    u_prev, u = np.zeros((2, 2, nx, ny), np.float32)
     pol_max = float(np.abs(source.polarization).max())
     u_bound, u_max = _BLOW_UP_FACTOR * pol_max, None
     _apply_dirichlet(u, patch, amps[0])
-    threads, window_cell_steps, loop_start = len(_row_strips(nx, ny)), 0, time.perf_counter()
+    array_bytes = sum(a.nbytes for a in (u_prev, u, times, amps, ws.sig, *ws.buffers, ws.lam,
+                                         ws.mu, ws.two_mu, ws.coef) if a.strides[0])
+    window_cell_steps, loop_start = 0, time.perf_counter()
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
     with (ThreadPoolExecutor(threads - 1) if threads > 1
@@ -394,15 +410,19 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
             # m + 1, exact after a step on the rows within m (m - 1 would not do).
             m = 2 * (n_steps - n)
             a, b = max(0, p_lo - 2 * n - 2, r_lo - m), min(nx, p_hi + 2 * n + 2, r_hi + m)
+            # one strip a lane, the first in this thread; none: sig[n] stays 0
             strips = [(a + r0, a + r1) for r0, r1 in _row_strips(b - a, ny)] if a < b else []
-            _on_strips(pool, strips, ws.stress, u)     # none: the receivers' sigma stays 0
-            ws.sigma.reshape(3, -1).take(idx, axis=1, out=sig[n], mode="clip")
+            others = [pool.submit(ws.strip, u, u_prev, n, rows, k)
+                      for k, rows in enumerate(strips[1:], 1)]
+            for rows in strips[:1]:
+                ws.strip(u, u_prev, n, rows, 0)
+            for f in others:
+                f.result()
             if n == n_steps:
                 break
-            _on_strips(pool, strips, ws.step, u, u_prev, u_next)
             window_cell_steps += max(b - a, 0) * ny
-            _apply_dirichlet(u_next, patch, amps[n + 1])
-            u_prev, u, u_next = u, u_next, u_prev
+            _apply_dirichlet(u_prev, patch, amps[n + 1])
+            u_prev, u = u, u_prev
             # max|u| by two reductions (no full-grid temporary); a NaN fails too
             if (n + 1) % _BLOW_UP_CHECK_STEPS == 0:
                 u_max = float(np.maximum(u.max(), -u.min()))
@@ -411,8 +431,8 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
                                          f"{n + 1} (t = {times[n + 1]:.6g}); the scheme blew up")
     loop_seconds = time.perf_counter() - loop_start
     traces = np.empty((len(idx), n_steps + 1, 2))
-    for k in range(len(idx)):       # a receiver at a time: no run-sized float64 temporaries
-        sxx, sxy, syy = sig[:, :, k].T.astype(float) / (2.0 * h)
+    for j, k in enumerate(order):   # a receiver at a time: no run-sized float64 temporaries
+        sxx, sxy, syy = ws.sig[:, :, j].T.astype(float) / (2.0 * h)
         traces[k, :, 0] = sxx * nrm_x[k] + sxy * nrm_y[k]
         traces[k, :, 1] = sxy * nrm_x[k] + syy * nrm_y[k]
 
@@ -420,5 +440,6 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
                 "window_cell_steps": window_cell_steps, "dt": dt,
                 "dt_over_limit": dt / limit,
                 "max_u_over_pol": u_max / pol_max if u_max is not None and pol_max else None,
-                "threads": threads, "step_loop_seconds": loop_seconds}
+                "threads": threads, "tile_rows": ws.tile_rows, "array_bytes": array_bytes,
+                "step_loop_seconds": loop_seconds}
     return SimulationResult(traces, grid, dt, limit, counters)

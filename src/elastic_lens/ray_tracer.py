@@ -68,12 +68,6 @@ def hamiltonian(speed: SpeedField, x, xi):
     return 0.5 * c * c * np.add.reduce(xi * xi, axis=-1)
 
 
-def unit_phase(speed: SpeedField, x, v):
-    """Covectors c^-1 v-hat at the rows of x (g-unit, H = 1/2)."""
-    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
-    return v / (np.linalg.norm(v, axis=-1, keepdims=True) * speed.eval(x)[0][:, None])
-
-
 def _rhs(speed, y):
     """Flow and speeds at the columns of y = [x; xi], unchecked: the caller checks."""
     d = len(y) // 2

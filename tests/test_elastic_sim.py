@@ -135,20 +135,21 @@ def test_default_dt_is_stable_and_the_derived_limit_holds(unit_box, monkeypatch,
 
 def _spatial_operator(mg):
     """The step's spatial operator A (u_tt = -A u) on the interior nodes, in
-    float64, one column at a time: a float64 stress, then a step from u_prev
-    = 0 at dt = 1, gives 2 u - A u.  The walls stay zero (Dirichlet)."""
+    float64, one column at a time: a float64 step of the whole grid from
+    u_prev = 0 at dt = 1 turns u_prev into 2 u - A u.  The walls stay zero
+    (Dirichlet)."""
     nx, ny = mg.grid.nx, mg.grid.ny
-    ws = elastic_sim._Workspace(mg, np.float64, 1.0)
+    ws = elastic_sim._Workspace(mg, np.float64, 1.0, np.array([], int), 1, 1)
     inner = np.zeros((2, nx, ny), bool)
     inner[:, 1:-1, 1:-1] = True
     cols = np.flatnonzero(inner)
-    u, zero, u_next = np.zeros((3, 2, nx, ny))
+    u, u_prev = np.zeros((2, 2, nx, ny))
     op = np.empty((cols.size, cols.size))
     for j, c in enumerate(cols):
         u.reshape(-1)[c] = 1.0
-        ws.stress(u, (0, nx))
-        ws.step(u, zero, u_next, (0, nx))
-        op[:, j] = (2.0 * u - u_next).reshape(-1)[cols]
+        u_prev[:] = 0.0
+        ws.strip(u, u_prev, 0, (0, nx), 0)
+        op[:, j] = (2.0 * u - u_prev).reshape(-1)[cols]
         u.reshape(-1)[c] = 0.0
     return op
 
@@ -518,8 +519,9 @@ def test_row_strips_one_per_core_above_the_node_minimum(monkeypatch):
 @pytest.mark.parametrize("h", [0.05, 0.01])
 @pytest.mark.parametrize("material", ["unit", "linear-lame"])
 def test_row_strips_reproduce_one_strip_bitwise(unit_box, monkeypatch, material, h):
-    # every split of the rows gives each node the same float32 operations,
-    # a strip of a single wall row included
+    # every split of the rows, into strips and into tiles of 1 row, 3 rows or
+    # the whole grid, gives each node the same float32 operations, a strip
+    # or tile of a single wall row included
     mat = _REFERENCE_MATERIALS[material]
     src = BoundarySource(edge="left", center=0.45, width=0.3, f0=8.0,
                          polarization=(0.6, 0.8))
@@ -536,17 +538,18 @@ def test_row_strips_reproduce_one_strip_bitwise(unit_box, monkeypatch, material,
     assert one.counters["threads"] == 1
     ref, ref_states = _reference_dn(mat, unit_box, src, receivers, 0.6, h, one.dt)
     assert np.array_equal(traces, ref) and np.array_equal(u, ref_states[-1])
-    interval = sys.getswitchinterval()
+    interval, ny, row_strips = sys.getswitchinterval(), one.grid.ny, elastic_sim._row_strips
     sys.setswitchinterval(1e-6)     # switch threads often: a missed wait shows
     try:
-        for n, strips in ((2, None), (3, None), (3, lambda nx, ny: [(0, 1), (1, nx - 1),
-                                                                    (nx - 1, nx)])):
-            _force_strips(monkeypatch, n)
-            if strips is not None:
+        for rows in (1, 3, one.grid.nx):
+            monkeypatch.setattr(elastic_sim, "_TILE_NODES", rows * ny)
+            for n, strips in ((1, row_strips), (2, row_strips), (3, row_strips),
+                              (3, lambda nx, ny: [(0, 1), (1, nx - 1), (nx - 1, nx)])):
+                _force_strips(monkeypatch, n)
                 monkeypatch.setattr(elastic_sim, "_row_strips", strips)
-            res, got, got_u = run()
-            assert res.counters["threads"] == n
-            assert np.array_equal(got, traces) and np.array_equal(got_u, u)
+                res, got, got_u = run()
+                assert res.counters["threads"] == n and res.counters["tile_rows"] == rows
+                assert np.array_equal(got, traces) and np.array_equal(got_u, u)
     finally:
         sys.setswitchinterval(interval)
 
@@ -554,14 +557,14 @@ def test_row_strips_reproduce_one_strip_bitwise(unit_box, monkeypatch, material,
 def test_strip_error_reaches_the_caller_and_leaves_no_thread(unit_material, unit_box,
                                                             monkeypatch):
     _force_strips(monkeypatch, 2)
-    step = elastic_sim._Workspace.step
+    tile = elastic_sim._Workspace.tile
 
-    def step_failing_off_main(self, *args):
+    def tile_failing_off_main(self, *args):
         if threading.current_thread() is not threading.main_thread():
             raise NumericalError("strip failed")
-        step(self, *args)
+        tile(self, *args)
 
-    monkeypatch.setattr(elastic_sim._Workspace, "step", step_failing_off_main)
+    monkeypatch.setattr(elastic_sim._Workspace, "tile", tile_failing_off_main)
     threads = threading.active_count()
     src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
                          polarization=(1.0, 0.0))
@@ -658,11 +661,9 @@ def test_receivers_out_of_reach_get_zero_traces_and_no_strip_work(unit_material,
                                                                   monkeypatch):
     # the left source drives row 0 and the receiver sits on row 20: in the
     # 5 steps to T = 0.2 the source's rows cannot reach it, so no step runs
-    calls = []
-    for name in ("stress", "step"):
-        fn = getattr(elastic_sim._Workspace, name)
-        monkeypatch.setattr(elastic_sim._Workspace, name,
-                            lambda self, *args, fn=fn: calls.append(fn(self, *args)))
+    calls, tile = [], elastic_sim._Workspace.tile
+    monkeypatch.setattr(elastic_sim._Workspace, "tile",
+                        lambda self, *args: calls.append(tile(self, *args)))
     src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
                          polarization=(0.6, 0.8))
     res = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], T=0.2, h=0.05)
@@ -672,29 +673,55 @@ def test_receivers_out_of_reach_get_zero_traces_and_no_strip_work(unit_material,
     assert not np.any(traces) and np.array_equal(res.traces[0], traces[0])
 
 
-def test_stress_and_step_allocate_no_plane(unit_material, unit_box, monkeypatch):
-    # the kernel works in place: no call allocates a plane-sized temporary
+def test_tile_kernel_allocates_no_plane(unit_material, unit_box, monkeypatch):
+    # the kernel works in place: no tile allocates a temporary the size of
+    # one plane of its own buffer, let alone of the grid
     nx = ny = 101
     peaks = []
+    tile = elastic_sim._Workspace.tile
 
-    def traced(fn):
-        def call(self, *args):
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            fn(self, *args)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        return call
+    def traced(self, *args):
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        tile(self, *args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
 
-    for name in ("stress", "step"):
-        monkeypatch.setattr(elastic_sim._Workspace, name,
-                            traced(getattr(elastic_sim._Workspace, name)))
+    monkeypatch.setattr(elastic_sim._Workspace, "tile", traced)
+    monkeypatch.setattr(elastic_sim, "_TILE_NODES", 16 * ny)
     src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
                          polarization=(0.6, 0.8))
     tracemalloc.start()
     try:
-        res = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], T=0.4, h=1.0 / (nx - 1))
+        res = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5), (0.0, 0.5)], T=0.4,
+                          h=1.0 / (nx - 1))
     finally:
         tracemalloc.stop()
     assert res.grid.nx == nx and res.counters["threads"] == 1
-    assert len(peaks) == 2 * res.counters["steps"] + 1
-    assert 0 < max(peaks) < nx * ny * 4
+    assert res.counters["tile_rows"] == 16 and len(peaks) > 2 * res.counters["steps"]
+    assert 0 < max(peaks) < 18 * ny * 4
+
+
+def test_simulate_holds_two_displacements_and_a_tile_per_thread(unit_material, unit_box):
+    # the run's traced peak: u^n and u^(n-1), one tile buffer (5 planes of a
+    # tile and its two halo rows) per thread, the receivers' float32
+    # stresses, float64 traces and pulse, and 64 KiB for everything else.
+    # A third displacement array or a full-grid stress buffer breaks it
+    nx = ny = 401
+    src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
+                         polarization=(0.6, 0.8))
+    receivers = [(1.0, 0.5), (0.0, 0.3), (0.5, 1.0)]
+    def run():
+        return simulate_dn(unit_material, unit_box, src, receivers, T=0.05, h=1.0 / (nx - 1))
+    run()       # imports the thread pool, if any
+    tracemalloc.start()
+    try:
+        res = run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    c, steps = res.counters, res.counters["steps"] + 1
+    assert res.grid.nx == nx and res.grid.ny == ny
+    arrays = (2 * 2 * nx * ny * 4 + c["threads"] * 5 * (c["tile_rows"] + 2) * ny * 4
+              + steps * len(receivers) * 3 * 4 + 2 * steps * 8)
+    assert c["array_bytes"] == arrays
+    assert c["tile_rows"] < nx and peak <= arrays + res.traces.nbytes + (64 << 10)

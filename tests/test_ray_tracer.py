@@ -13,8 +13,7 @@ from elastic_lens.model_core import (BoxDomain, ConstantField, DiskDomain, Linea
 from elastic_lens.ray_tracer import (THETA_MIN, BoundaryDirection, RayStatus,
                                      entry_at, exit_angle, fan_angles, hamiltonian,
                                      integrate_bicharacteristic, lens_table,
-                                     scattering_relation, scattering_relations,
-                                     unit_phase)
+                                     scattering_relation, scattering_relations)
 from tests.conftest import LINEAR_RADIAL_MODEL
 
 
@@ -101,7 +100,7 @@ def test_first_bad_stage_point_raises_its_error(unit_disk, speed, error, message
 
 def test_hamiltonian_conserved_along_flow(linear_radial_speed):
     x0 = np.array([[0.9, 0.0]])
-    xi0 = unit_phase(linear_radial_speed, x0, [[-0.8, 0.6]])
+    xi0 = np.array([[-0.8, 0.6]]) / linear_radial_speed.eval(x0)[0][:, None]  # H = 1/2
     x, xi = integrate_bicharacteristic(linear_radial_speed, x0, xi0,
                                        t_max=1.0, dt=1e-3)
     hs = hamiltonian(linear_radial_speed, x, xi)
