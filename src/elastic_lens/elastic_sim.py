@@ -24,15 +24,18 @@ traces stay within 1.8e-6 (relative L2) of a float64 run, the picks within
 (still exactly zero) and past 2 (N - n) of the receivers' (no later trace
 reads them, so they keep stale values).  It steps the rest a tile of about
 _TILE_NODES nodes at a time: the tile's stresses, with one halo row each
-side, go to a small buffer of its thread, and u^(n+1) is written over
+side, go to a small buffer of its lane, and u^(n+1) is written over
 u^(n-1), which each node reads only at itself.  So a run holds two
 displacement arrays and no full-grid stress, and the tiles of one step
 share nothing they write.  On large grids each core steps one strip of
-rows, and a step hands the strips to the threads once; every node sees the
-same float32 operations in any tiles and strips, so the output depends on
-neither the tile size nor the core count.  The source pulse is evaluated
-once per run, and a run whose arrays would need more than MAX_RUN_BYTES is
-refused (ResourceError) before they are allocated.
+rows, the first in the caller and each other in a process forked per run
+(threads would queue on the GIL), on u^n, u^(n-1) and the receivers'
+stresses in a shared mapping; each step the caller pipes each process its
+strip and waits for the replies.  Every node sees the same float32
+operations in any tiles and strips, so the output depends on neither the
+tile size nor the core count.  The source pulse is evaluated once per run,
+and a run whose arrays would need more than MAX_RUN_BYTES is refused
+(ResourceError) before they are allocated.
 
 Stability limit.  Every derivative is the centered difference D0, whose
 symbol on exp(i k.x) is i sin(k h)/h.  With constant coefficients the
@@ -70,6 +73,7 @@ import contextlib
 import functools
 import math
 import os
+import struct
 import time
 from dataclasses import dataclass, field
 
@@ -81,7 +85,7 @@ from .model_core import EDGES, BoxDomain, ConstantField, ElasticMaterial, Grid2D
 CFL_SAFETY = 1.3            # dt <= CFL_SAFETY h / c_bound: 92 % of the limit sqrt(2)
 _BLOW_UP_CHECK_STEPS = 64   # simulate_dn checks u for blow-up this often:
 _BLOW_UP_FACTOR = 1e3       # max|u| over this times max|pol| (stable runs: < 1.3)
-_MIN_NODES_PER_STRIP = 75_000    # below this a strip costs more in handoff than it saves
+_MIN_NODES_PER_STRIP = 30_000    # two lanes break even at 40-50k nodes, win from ~57k
 _SAMPLE_BLOCK_NODES = 32_768     # sample_material evaluates this many nodes at a time, or a row
 _TILE_NODES = 1 << 16            # a step's tile holds this many nodes, or a row: 68 rows on A3
 MAX_RUN_BYTES = 4 << 30          # simulate_dn refuses a run whose arrays would need more
@@ -197,41 +201,44 @@ def check_cfl(mg: MaterialGrid, dt: float):
 
 
 class _Workspace:
-    """The arrays of one FD run but u: lam, mu, 2 mu and the update coefficient
-    as flat arrays in `dtype`, a constant one a read-only stride-0 view; the
-    receivers' flat node indices, sorted, and sig (steps + 1, 3, receivers)
-    for their stresses (zero while no tile holds them); and one tile buffer
-    (5, rows, ny) per lane (thread), its planes [dux/dx, dux/dy, duy/dy, duy/dx,
-    lam div u], the first three turned into sxx, sxy, syy in place.  A node
-    gets the same operations in any tiles and lanes."""
+    """The arrays of one FD run: lam, mu, 2 mu and the update coefficient as
+    flat arrays in `dtype`, a constant one a read-only stride-0 view; the
+    receivers' flat node indices, sorted; in one zeroed mapping that forked
+    lanes share, pair (2, 2, nx, ny) for u^(n-1) and u^n, and sig (steps + 1,
+    3, receivers) for the receivers' stresses (zero while no tile holds them);
+    and a tile buffer (5, rows, ny), a lane's own, its planes [dux/dx, dux/dy,
+    duy/dy, duy/dx, lam div u], the first three turned into sxx, sxy, syy in
+    place.  A node gets the same operations in any tiles and lanes."""
 
-    def __init__(self, mg: MaterialGrid, dtype, dt: float, receivers, steps: int, lanes: int):
+    def __init__(self, mg: MaterialGrid, dtype, dt: float, receivers, steps: int):
+        import mmap     # loaded by runs only, as the CLI's import time counts
         nx, ny, h = mg.grid.nx, mg.grid.ny, mg.grid.h
         def flat(v):    # every kernel slices a field alike, a constant as an array
             return (np.broadcast_to(dtype(v), (nx * ny,)) if isinstance(v, float)
                     else v.astype(dtype).reshape(-1))
         self.lam, self.mu, self.two_mu = flat(mg.lam), flat(mg.mu), flat(2.0 * mg.mu)
         self.coef = flat(dt * dt / (4.0 * h * h * mg.rho))
-        self.receivers, self.sig = receivers, np.zeros((steps + 1, 3, len(receivers)), dtype)
+        self.receivers, k, m = receivers, 4 * nx * ny, 3 * (steps + 1) * len(receivers)
+        mem = np.frombuffer(mmap.mmap(-1, (k + m) * np.dtype(dtype).itemsize), dtype)
+        self.pair, self.sig = mem[:k].reshape(2, 2, nx, ny), mem[k:].reshape(steps + 1, 3, -1)
         self.tile_rows = min(nx, max(1, _TILE_NODES // ny))
-        self.buffers = [np.empty((5, min(self.tile_rows + 2, nx), ny), dtype)
-                        for _ in range(lanes)]
+        self.buffer = np.empty((5, min(self.tile_rows + 2, nx), ny), dtype)
 
-    def strip(self, u, u_prev, n, rows, lane):
+    def strip(self, u, u_prev, n, rows):
         """Step n on the rows r0 to r1 - 1, rows = (r0, r1), a tile at a time."""
         for r in range(rows[0], rows[1], self.tile_rows):
-            self.tile(u, u_prev, n, (r, min(r + self.tile_rows, rows[1])), self.buffers[lane])
+            self.tile(u, u_prev, n, (r, min(r + self.tile_rows, rows[1])))
 
-    def tile(self, u, u_prev, n, rows, buf):
+    def tile(self, u, u_prev, n, rows):
         """Step n on a tile of rows: the stresses of the planar u (2, nx, ny),
-        times 2h, on its rows and one halo row each side into buf, the
+        times 2h, on its rows and one halo row each side into the buffer, the
         receivers' among its rows into sig[n]; then, unless n is the last
         step, u_prev becomes u^(n+1) on the tile's flat nodes from (1, 1) to
         (nx-2, ny-2): interior nodes and, between them, wall nodes that
         _apply_dirichlet overwrites.  u_prev is read only at its own node."""
         (r0, r1), (nx, ny) = rows, u.shape[1:]
         h0, h1 = max(r0 - 1, 0), min(r1 + 1, nx)
-        a, b, U, G = h0 * ny, h1 * ny, u.reshape(2, -1), buf[:, :h1 - h0]
+        a, b, U, G = h0 * ny, h1 * ny, u.reshape(2, -1), self.buffer[:, :h1 - h0]
         g = G.reshape(5, -1)        # g[:, i] holds flat node a + i
         # differences u[i+1] - u[i-1] along the flattened arrays (so along y
         # they wrap from row to row at the ends), then one-sided 2 (u_p - u_q) at walls
@@ -336,7 +343,7 @@ def check_size(nodes, steps, receivers):
     coefficient in float32, 16; the float64 samples of lam, mu and rho, 24),
     48 a step (the float64 times and pulse, and the pulse's temporaries) and
     96 a step and receiver (the float32 stresses, 12, the float64 traces, 16,
-    and their CSV rows).  The 'about' is each thread's tile buffer: 20 bytes
+    and their CSV rows).  The 'about' is each lane's tile buffer: 20 bytes
     a node of a tile and its two halo rows, at most 20 (_TILE_NODES + 2 ny)."""
     need = nodes * 56 + (steps + 1) * (48 + 96 * receivers)
     if not need <= MAX_RUN_BYTES:      # inf fails too
@@ -347,10 +354,52 @@ def check_size(nodes, steps, receivers):
 
 def _row_strips(nx: int, ny: int):
     """Row ranges (r0, r1) covering the nx rows, one per core, as equal as
-    rows allow and no more than one per row or _MIN_NODES_PER_STRIP nodes."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n = max(1, min(cores or 1, nx, nx * ny // _MIN_NODES_PER_STRIP))
+    rows allow and no more than one per row or _MIN_NODES_PER_STRIP nodes;
+    one where a forked lane cannot be pinned to a core (os.sched_setaffinity)."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else 1
+    n = max(1, min(cores, nx, nx * ny // _MIN_NODES_PER_STRIP))
     return [(nx * k // n, nx * (k + 1) // n) for k in range(n)]
+
+
+def _this_cpu():
+    """The CPU this process runs on (field 39 of /proc/self/stat), or None."""
+    try:
+        with open("/proc/self/stat") as f:
+            return int(f.read().rsplit(")", 1)[1].split()[36])
+    except OSError:
+        return None
+
+
+def _fork_lane(ws: _Workspace, cpu, inherited):
+    """(pid, go, done) of a lane forked onto `cpu`: for each (n, r0, r1) piped
+    to go it steps n on rows r0 to r1 - 1 and answers a zero byte, or its
+    error, on done.  It closes the `inherited` fds and leaves by os._exit
+    only.  Pinned, it is not woken onto the caller's CPU, where a scheduler
+    may keep it (measured: all 652 steps of a 401 x 401 run, no speed-up)."""
+    (go_in, go), (done, done_out) = os.pipe(), os.pipe()
+    try:
+        pid = os.fork()
+    except OSError as e:
+        for fd in (go_in, go, done, done_out):
+            os.close(fd)
+        raise ResourceError(f"cannot fork a process for a row strip: {e}") from e
+    if pid == 0:
+        try:
+            for fd in (*inherited, go, done):
+                os.close(fd)
+            with contextlib.suppress(OSError):     # a core the affinity no longer holds
+                os.sched_setaffinity(0, {cpu})
+            while message := os.read(go_in, 24):
+                n, r0, r1 = struct.unpack("3q", message)
+                ws.strip(ws.pair[(n + 1) % 2], ws.pair[n % 2], n, (r0, r1))    # u^n, u^(n-1)
+                os.write(done_out, b"\0")
+        except BaseException as e:
+            os.write(done_out, f"{type(e).__name__}: {e}".encode(errors="replace")[:512])
+        finally:
+            os._exit(0)
+    os.close(go_in)
+    os.close(done_out)
+    return pid, go, done
 
 
 def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
@@ -385,23 +434,25 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     n_steps = int(round(T / dt))
     times, amps = _pulse_at_steps(source, dt, n_steps)
     order = np.argsort(idx, kind="stable")      # sig's columns hold the receivers in node order
-    threads = len(_row_strips(nx, ny))
-    ws = _Workspace(mg, np.float32, dt, idx[order], n_steps, threads)
+    lanes = len(_row_strips(nx, ny))
+    ws = _Workspace(mg, np.float32, dt, idx[order], n_steps)
     patch = _source_patch(grid, source)
     on = flat(patch[0])[patch[1] != 0] // ny       # the rows of nonzero patch nodes
     p_lo, p_hi = (int(on.min()), int(on.max()) + 1) if on.size else (0, 0)  # else u stays 0
     r_lo, r_hi = (int(idx.min()) // ny, int(idx.max()) // ny + 1) if idx.size else (0, nx)
-    u_prev, u = np.zeros((2, 2, nx, ny), np.float32)
+    u_prev, u = ws.pair
     pol_max = float(np.abs(source.polarization).max())
     u_bound, u_max = _BLOW_UP_FACTOR * pol_max, None
     _apply_dirichlet(u, patch, amps[0])
-    array_bytes = sum(a.nbytes for a in (u_prev, u, times, amps, ws.sig, *ws.buffers, ws.lam,
-                                         ws.mu, ws.two_mu, ws.coef) if a.strides[0])
-    window_cell_steps, loop_start = 0, time.perf_counter()
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-    with (ThreadPoolExecutor(threads - 1) if threads > 1
-          else contextlib.nullcontext()) as pool:
+    array_bytes = lanes * ws.buffer.nbytes + sum(
+        a.nbytes for a in (ws.pair, times, amps, ws.sig, ws.lam, ws.mu, ws.two_mu, ws.coef)
+        if a.strides[0])
+    window_cell_steps, lane_wait, loop_start = 0, 0.0, time.perf_counter()
+    workers = []        # (pid, go, done) of each lane past the first
+    try:
+        cpus = sorted(os.sched_getaffinity(0) - {_this_cpu()}) if lanes > 1 else []
+        for cpu in cpus[:lanes - 1]:        # the other lanes, each on a core but this one's
+            workers.append(_fork_lane(ws, cpu, [fd for _, *fds in workers for fd in fds]))
         for n in range(n_steps + 1):
             # Rows past 2 n + 2 of the driven ones are still zero.  Rows past
             # m = 2 (n_steps - n) of the receivers' go unstepped: sigma^k reads
@@ -410,14 +461,19 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
             # m + 1, exact after a step on the rows within m (m - 1 would not do).
             m = 2 * (n_steps - n)
             a, b = max(0, p_lo - 2 * n - 2, r_lo - m), min(nx, p_hi + 2 * n + 2, r_hi + m)
-            # one strip a lane, the first in this thread; none: sig[n] stays 0
+            # one strip a lane, the first in this process; none: sig[n] stays 0
             strips = [(a + r0, a + r1) for r0, r1 in _row_strips(b - a, ny)] if a < b else []
-            others = [pool.submit(ws.strip, u, u_prev, n, rows, k)
-                      for k, rows in enumerate(strips[1:], 1)]
-            for rows in strips[:1]:
-                ws.strip(u, u_prev, n, rows, 0)
-            for f in others:
-                f.result()
+            for (_, go, _), rows in zip(workers, strips[1:]):
+                os.write(go, struct.pack("3q", n, *rows))
+            for rows in strips[:1] + strips[len(workers) + 1:]:    # and any the lanes lack
+                ws.strip(u, u_prev, n, rows)
+            wait_start = time.perf_counter()
+            for (_, _, done), _ in zip(workers, strips[1:]):
+                reply = os.read(done, 512)
+                if reply != b"\0":
+                    raise NumericalError("a row strip's process failed: "
+                                         + (reply.decode(errors="replace") or "it exited"))
+            lane_wait += time.perf_counter() - wait_start
             if n == n_steps:
                 break
             window_cell_steps += max(b - a, 0) * ny
@@ -429,6 +485,12 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
                 if not u_max <= u_bound:
                     raise NumericalError(f"max |u| = {u_max:.3g} exceeds {u_bound:.3g} at step "
                                          f"{n + 1} (t = {times[n + 1]:.6g}); the scheme blew up")
+    finally:        # every lane waits on its go pipe, or has failed
+        for pid, go, done in workers:
+            os.kill(pid, 9)     # SIGKILL
+            os.close(go)
+            os.close(done)
+            os.waitpid(pid, 0)
     loop_seconds = time.perf_counter() - loop_start
     traces = np.empty((len(idx), n_steps + 1, 2))
     for j, k in enumerate(order):   # a receiver at a time: no run-sized float64 temporaries
@@ -440,6 +502,7 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
                 "window_cell_steps": window_cell_steps, "dt": dt,
                 "dt_over_limit": dt / limit,
                 "max_u_over_pol": u_max / pol_max if u_max is not None and pol_max else None,
-                "threads": threads, "tile_rows": ws.tile_rows, "array_bytes": array_bytes,
-                "step_loop_seconds": loop_seconds}
+                "processes": 1 + len(workers), "tile_rows": ws.tile_rows,
+                "array_bytes": array_bytes, "step_loop_seconds": loop_seconds,
+                "lane_wait_seconds": lane_wait}
     return SimulationResult(traces, grid, dt, limit, counters)

@@ -213,9 +213,10 @@ class DepthField(SpeedField):
 class GridField(SpeedField):
     """2D grid-sampled field with bicubic interpolation (C^1 for the ray ODE).
 
-    In the collar the field takes the value and gradient at the nearest
-    point of the grid (constant extension); rays that exit a domain the grid
-    covers reach the collar only inside their exit step.
+    In the collar it continues by its tangent plane at the nearest grid point
+    p, c(p) + grad c(p).(x - p), with gradient grad c(p) (C^0, and C^1 across
+    the edge); rays that exit a domain the grid covers reach the collar only
+    inside their exit step.
     """
 
     def __init__(self, grid: "Grid2D", values):
@@ -231,9 +232,9 @@ class GridField(SpeedField):
         self._set_bounds(BoxDomain((xs[0], ys[0]), (xs[-1], ys[-1])))
 
     def _eval(self, X):
-        x, y = np.clip(X, self.bounds.lo[:, None], self.bounds.hi[:, None])
-        g = np.array([self._spline.ev(x, y, dx=1), self._spline.ev(x, y, dy=1)])
-        return self._spline.ev(x, y), g
+        p = np.clip(X, self.bounds.lo[:, None], self.bounds.hi[:, None])
+        g = np.array([self._spline.ev(*p, dx=1), self._spline.ev(*p, dy=1)])
+        return self._spline.ev(*p) + np.einsum("ij,ij->j", g, X - p), g
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,8 @@ from .errors import PreconditionError, ResourceError
 from .model_core import Domain, SpeedField
 
 THETA_MIN = math.radians(2.0)   # entries this close to tangent are refused
-# the default step of trace, lens and forward_travel_times, which take any field: at
-# 1e-2 lens errs 5.6e-7 on a bicubic grid model (9.6e-9 at 1e-3), and across a jump in
-# grad c RK4 is first order (fold fan: Delta errs 5.0e-3, 4.3e-4 at 1e-3)
+# the default step of trace, lens and forward_travel_times, which take any field: across
+# a jump in grad c RK4 is first order (fold fan: Delta errs 5.0e-3, 4.3e-4 at 1e-3)
 DT, T_MAX = 1e-3, 50.0          # the radial pipeline's fan steps 1e-2 (cli._PIPELINE_DEFAULTS)
 HARD_STEP_CAP = 5_000_000
 

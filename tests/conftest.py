@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -77,6 +78,12 @@ def triplicating_curve():
     speed = RadialField(func=triplicating_speed,
                         dfunc=lambda r: np.where(r >= 0.75, -0.3, -2.5), r_max=1.2)
     return forward_travel_times(speed, 1.0, np.linspace(0.06, 1.51, 48))
+
+
+def assert_no_child():
+    """The calling process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def write_model(path, doc):

@@ -27,7 +27,7 @@ from elastic_lens.model_core import load_model
 from elastic_lens.ray_tracer import (RayStatus, entry_at, fan_angles,
                                      scattering_relation, scattering_relations)
 from tests.conftest import (LINEAR_RADIAL_MODEL, TALL_BOX_MODEL, UNIT_BOX_MODEL,
-                            write_model)
+                            assert_no_child, write_model)
 
 BAD_CONVEXITY_MODEL = {
     "format": 1,
@@ -194,11 +194,14 @@ def test_ray_exits_within_its_first_step(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["ell"] == pytest.approx(rec.ell, abs=1e-12)
 
 
+@pytest.mark.parametrize("dt", ["1e-3", "1e-2"])
 def test_grid_model_file_validates_and_gives_the_linear_gradient_travel_times(tmp_path,
-                                                                               capsys):
+                                                                               capsys, dt):
     # c = 1 + 0.3 x + 0.2 y on 8 x 8 nodes spanning the unit box: the bicubic
     # interpolant is the linear field, whose rays take the time
-    # arccosh(1 + |b|^2 |x1 - x2|^2 / (2 c1 c2)) / |b|
+    # arccosh(1 + |b|^2 |x1 - x2|^2 / (2 c1 c2)) / |b|.  Past the grid the
+    # field continues by its tangent plane, so the exit step's stages, which
+    # reach the collar, still see the linear field
     x = np.linspace(0.0, 1.0, 8)
     path = write_model(tmp_path, {**UNIT_BOX_MODEL, "speed": {
         "kind": "grid", "origin": [0.0, 0.0], "h": 1.0 / 7.0,
@@ -206,7 +209,7 @@ def test_grid_model_file_validates_and_gives_the_linear_gradient_travel_times(tm
     assert run(["validate", "--model", path]) == 0
     assert json.loads(capsys.readouterr().out)["pass"] is True
     out = tmp_path / "lens.csv"
-    assert run(["lens", "--model", path, "--points", "4", "--angles", "3",
+    assert run(["lens", "--model", path, "--points", "4", "--angles", "3", "--dt", dt,
                 "--out", str(out)]) == 0
     box, b = load_model(path).domain, np.hypot(0.3, 0.2)
     for row in cli.read_lens_csv(out):
@@ -574,23 +577,26 @@ def _simulate_on_two_strips(tmp_path, monkeypatch, T):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                             "ignore:invalid value:RuntimeWarning")
-def test_simulate_blow_up_on_two_strips_exits_5_and_leaves_no_thread(tmp_path,
-                                                                    monkeypatch):
+def test_simulate_blow_up_on_two_strips_exits_5_and_leaves_no_child_process(tmp_path,
+                                                                           monkeypatch):
     monkeypatch.setattr(elastic_sim, "CFL_SAFETY", 5.0)
-    threads = threading.active_count()
     assert _simulate_on_two_strips(tmp_path, monkeypatch, "40") == cli.EXIT_SIMULATION
-    assert threading.active_count() == threads
+    assert_no_child()
 
 
 def test_two_strips_call_the_package_from_the_main_thread_only(tmp_path, monkeypatch):
     # perfbench's tracer keeps one span stack for all public functions: a
-    # call from a strip's thread would nest its span in the wrong parent
-    calls = []
+    # call from another thread would nest its span in the wrong parent, and
+    # one from a forked lane would go uncounted.  Each call appends its name,
+    # process and thread to a file, which the lanes' writes reach too
+    log, caller = tmp_path / "calls.log", os.getpid()
 
     def recorded(fn):
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
-            calls.append((fn.__name__, threading.current_thread() is threading.main_thread()))
+            main = threading.current_thread() is threading.main_thread()
+            with open(log, "a") as f:
+                f.write(f"{fn.__name__} {os.getpid() == caller and main}\n")
             return fn(*args, **kwargs)
         return wrapper
 
@@ -601,10 +607,14 @@ def test_two_strips_call_the_package_from_the_main_thread_only(tmp_path, monkeyp
                     and obj.__module__.startswith("elastic_lens."):
                 monkeypatch.setattr(module, name, recorded(obj))
     assert _simulate_on_two_strips(tmp_path, monkeypatch, "0.3") == cli.EXIT_OK
-    assert ("simulate_dn", True) in calls and all(main for _, main in calls)
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["stages"][0]["counters"]["threads"] == 2
-    assert "threads" not in (tmp_path / "out" / "metadata.json").read_text()
+    calls = log.read_text().split()
+    assert "simulate_dn" in calls[::2] and set(calls[1::2]) == {"True"}
+    counters = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"][0][
+        "counters"]
+    assert counters["processes"] == 2 and 0.0 <= counters["lane_wait_seconds"]
+    metadata = (tmp_path / "out" / "metadata.json").read_text()
+    assert "processes" not in metadata and "lane_wait" not in metadata
+    assert_no_child()
 
 
 @pytest.mark.parametrize("doc", [LINEAR_RADIAL_MODEL, {
@@ -689,9 +699,9 @@ LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 def test_cli_import_loads_no_scipy():
-    # nor the thread pool that the FD step loads on large grids only
+    # nor mmap, which an FD run loads for its shared arrays
     assert _fresh_python(f"import sys, elastic_lens.cli; print({LOADED_SCIPY}, "
-                         "'concurrent.futures' in sys.modules)") == "[] False"
+                         "'mmap' in sys.modules)") == "[] False"
 
 
 def test_cli_import_loads_no_numpy_random():

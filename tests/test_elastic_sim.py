@@ -1,7 +1,6 @@
+import errno
 import math
 import os
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -13,10 +12,12 @@ from elastic_lens import elastic_sim
 from elastic_lens.elastic_sim import (BoundarySource, MaterialGrid, bump,
                                       check_cfl, receiver_nodes, ricker,
                                       sample_material, simulate_dn, stable_dt)
-from elastic_lens.errors import ConfigurationError, DomainError, NumericalError
+from elastic_lens.errors import (ConfigurationError, DomainError, NumericalError,
+                                  ResourceError)
 from elastic_lens.model_core import (EDGES, BoxDomain, ConstantField,
                                      ElasticMaterial, Grid2D, GridField,
                                      LinearField)
+from tests.conftest import assert_no_child
 
 
 def test_ricker_vanishes_for_nonpositive_time():
@@ -139,7 +140,7 @@ def _spatial_operator(mg):
     u_prev = 0 at dt = 1 turns u_prev into 2 u - A u.  The walls stay zero
     (Dirichlet)."""
     nx, ny = mg.grid.nx, mg.grid.ny
-    ws = elastic_sim._Workspace(mg, np.float64, 1.0, np.array([], int), 1, 1)
+    ws = elastic_sim._Workspace(mg, np.float64, 1.0, np.array([], int), 1)
     inner = np.zeros((2, nx, ny), bool)
     inner[:, 1:-1, 1:-1] = True
     cols = np.flatnonzero(inner)
@@ -148,7 +149,7 @@ def _spatial_operator(mg):
     for j, c in enumerate(cols):
         u.reshape(-1)[c] = 1.0
         u_prev[:] = 0.0
-        ws.strip(u, u_prev, 0, (0, nx), 0)
+        ws.strip(u, u_prev, 0, (0, nx))
         op[:, j] = (2.0 * u - u_prev).reshape(-1)[cols]
         u.reshape(-1)[c] = 0.0
     return op
@@ -504,10 +505,15 @@ def _force_strips(monkeypatch, n):
 
 def test_row_strips_one_per_core_above_the_node_minimum(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    # measured: two strips lose below ~120k nodes and win above ~150k, so
-    # hetero_box (201 x 201) runs on one strip and fd_chain (401 x 961) on two
+    # measured with forked lanes: two strips break even at 40-50k nodes and
+    # win from ~57k, so hetero_box (201 x 201) runs on one strip and
+    # fd_chain (401 x 961) on two
     assert elastic_sim._row_strips(201, 201) == [(0, 201)]
+    assert elastic_sim._row_strips(251, 251) == [(0, 125), (125, 251)]
     assert elastic_sim._row_strips(401, 961) == [(0, 200), (200, 401)]
+    monkeypatch.delattr(os, "sched_setaffinity")     # no lane could be pinned
+    assert elastic_sim._row_strips(401, 961) == [(0, 401)]
+    monkeypatch.undo()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     monkeypatch.setattr(elastic_sim, "_MIN_NODES_PER_STRIP", 100)
     assert elastic_sim._row_strips(10, 19) == [(0, 10)]
@@ -535,43 +541,84 @@ def test_row_strips_reproduce_one_strip_bitwise(unit_box, monkeypatch, material,
         return res, res.traces, states[-1]
 
     one, traces, u = run()
-    assert one.counters["threads"] == 1
+    assert one.counters["processes"] == 1
     ref, ref_states = _reference_dn(mat, unit_box, src, receivers, 0.6, h, one.dt)
     assert np.array_equal(traces, ref) and np.array_equal(u, ref_states[-1])
-    interval, ny, row_strips = sys.getswitchinterval(), one.grid.ny, elastic_sim._row_strips
-    sys.setswitchinterval(1e-6)     # switch threads often: a missed wait shows
-    try:
-        for rows in (1, 3, one.grid.nx):
-            monkeypatch.setattr(elastic_sim, "_TILE_NODES", rows * ny)
-            for n, strips in ((1, row_strips), (2, row_strips), (3, row_strips),
-                              (3, lambda nx, ny: [(0, 1), (1, nx - 1), (nx - 1, nx)])):
-                _force_strips(monkeypatch, n)
-                monkeypatch.setattr(elastic_sim, "_row_strips", strips)
-                res, got, got_u = run()
-                assert res.counters["threads"] == n and res.counters["tile_rows"] == rows
-                assert np.array_equal(got, traces) and np.array_equal(got_u, u)
-    finally:
-        sys.setswitchinterval(interval)
+    ny, row_strips = one.grid.ny, elastic_sim._row_strips
+    for rows in (1, 3, one.grid.nx):
+        monkeypatch.setattr(elastic_sim, "_TILE_NODES", rows * ny)
+        for n, strips in ((1, row_strips), (2, row_strips), (3, row_strips),
+                          (3, lambda nx, ny: [(0, 1), (1, nx - 1), (nx - 1, nx)])):
+            _force_strips(monkeypatch, n)
+            monkeypatch.setattr(elastic_sim, "_row_strips", strips)
+            res, got, got_u = run()
+            assert res.counters["processes"] == n and res.counters["tile_rows"] == rows
+            assert np.array_equal(got, traces) and np.array_equal(got_u, u)
+    assert_no_child()
 
 
-def test_strip_error_reaches_the_caller_and_leaves_no_thread(unit_material, unit_box,
-                                                            monkeypatch):
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_strip_error_reaches_the_caller_and_leaves_no_child_process(unit_material, unit_box,
+                                                                   monkeypatch, error):
+    # an error in a forked lane, even one no `except Exception` would catch,
+    # comes back as a NumericalError naming it, and every lane is reaped
     _force_strips(monkeypatch, 2)
-    tile = elastic_sim._Workspace.tile
+    tile, caller = elastic_sim._Workspace.tile, os.getpid()
 
-    def tile_failing_off_main(self, *args):
-        if threading.current_thread() is not threading.main_thread():
-            raise NumericalError("strip failed")
+    def tile_failing_off_the_caller(self, *args):
+        if os.getpid() != caller:
+            raise error("strip failed")
         tile(self, *args)
 
-    monkeypatch.setattr(elastic_sim._Workspace, "tile", tile_failing_off_main)
-    threads = threading.active_count()
+    monkeypatch.setattr(elastic_sim._Workspace, "tile", tile_failing_off_the_caller)
     src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
                          polarization=(1.0, 0.0))
     # by T = 0.4 the source row 0 can reach the receiver row 20, so strips run
-    with pytest.raises(NumericalError, match="strip failed"):
+    with pytest.raises(NumericalError, match=f"{error.__name__}: strip failed"):
         simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], T=0.4, h=0.05)
-    assert threading.active_count() == threads
+    assert_no_child()
+
+
+def test_failed_fork_is_a_resource_error_that_leaves_no_pipe_open(unit_material, unit_box,
+                                                                monkeypatch):
+    _force_strips(monkeypatch, 3)
+    fork, fds = os.fork, len(os.listdir("/proc/self/fd"))
+
+    def fail():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    def fork_once():        # the second lane's fork fails
+        monkeypatch.setattr(os, "fork", fail)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
+                         polarization=(1.0, 0.0))
+    with pytest.raises(ResourceError, match="cannot fork a process for a row strip"):
+        simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], T=0.4, h=0.05)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert_no_child()
+
+
+def test_two_lanes_leave_no_child_process_on_return_or_interrupt(unit_material, unit_box,
+                                                                 monkeypatch):
+    _force_strips(monkeypatch, 2)
+    src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
+                         polarization=(1.0, 0.0))
+    res = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], T=0.4, h=0.05)
+    assert res.counters["processes"] == 2 and 0.0 <= res.counters["lane_wait_seconds"]
+    assert_no_child()
+    apply = elastic_sim._apply_dirichlet
+
+    def interrupted(u, patch, amp):     # in the caller, with the lanes waiting on it
+        if amp != 0.0:
+            raise KeyboardInterrupt
+        apply(u, patch, amp)
+
+    monkeypatch.setattr(elastic_sim, "_apply_dirichlet", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], T=0.4, h=0.05)
+    assert_no_child()
 
 
 @example(edge="left", center=0.525, width=0.02, angle=1.0, h=0.05,
@@ -696,23 +743,25 @@ def test_tile_kernel_allocates_no_plane(unit_material, unit_box, monkeypatch):
                           h=1.0 / (nx - 1))
     finally:
         tracemalloc.stop()
-    assert res.grid.nx == nx and res.counters["threads"] == 1
+    assert res.grid.nx == nx and res.counters["processes"] == 1
     assert res.counters["tile_rows"] == 16 and len(peaks) > 2 * res.counters["steps"]
     assert 0 < max(peaks) < 18 * ny * 4
 
 
 def test_simulate_holds_two_displacements_and_a_tile_per_thread(unit_material, unit_box):
-    # the run's traced peak: u^n and u^(n-1), one tile buffer (5 planes of a
-    # tile and its two halo rows) per thread, the receivers' float32
-    # stresses, float64 traces and pulse, and 64 KiB for everything else.
-    # A third displacement array or a full-grid stress buffer breaks it
+    # array_bytes: u^n and u^(n-1), one tile buffer (5 planes of a tile and
+    # its two halo rows) per lane, the receivers' float32 stresses and the
+    # pulse.  The traced peak: the caller's tile buffer, the pulse, the
+    # float64 traces and 64 KiB for everything else; the displacements and
+    # stresses sit in the shared mapping, which tracemalloc does not see.
+    # A third displacement array (1.3 MB) or a full-grid stress buffer breaks it
     nx = ny = 401
     src = BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
                          polarization=(0.6, 0.8))
     receivers = [(1.0, 0.5), (0.0, 0.3), (0.5, 1.0)]
     def run():
         return simulate_dn(unit_material, unit_box, src, receivers, T=0.05, h=1.0 / (nx - 1))
-    run()       # imports the thread pool, if any
+    run()       # imports mmap
     tracemalloc.start()
     try:
         res = run()
@@ -721,7 +770,7 @@ def test_simulate_holds_two_displacements_and_a_tile_per_thread(unit_material, u
         tracemalloc.stop()
     c, steps = res.counters, res.counters["steps"] + 1
     assert res.grid.nx == nx and res.grid.ny == ny
-    arrays = (2 * 2 * nx * ny * 4 + c["threads"] * 5 * (c["tile_rows"] + 2) * ny * 4
-              + steps * len(receivers) * 3 * 4 + 2 * steps * 8)
-    assert c["array_bytes"] == arrays
-    assert c["tile_rows"] < nx and peak <= arrays + res.traces.nbytes + (64 << 10)
+    tile, pulse = 5 * (c["tile_rows"] + 2) * ny * 4, 2 * steps * 8
+    assert c["array_bytes"] == (2 * 2 * nx * ny * 4 + c["processes"] * tile
+                                + steps * len(receivers) * 3 * 4 + pulse)
+    assert c["tile_rows"] < nx and peak <= tile + pulse + res.traces.nbytes + (64 << 10)
