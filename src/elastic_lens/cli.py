@@ -157,7 +157,7 @@ def _spec_value(text):
 
 
 def _parse_kv(text, what):
-    """The pipeline config's block `what` updated by the spec 'key=a,other=b,pol=px,py'
+    """The homogeneous mode's block `what` updated by the spec 'key=a,other=b,pol=px,py'
     through _merge; a key followed by bare continuation tokens holds a list."""
     values, last = {}, None
     for token in text.split(","):
@@ -167,7 +167,7 @@ def _parse_kv(text, what):
         elif last is None:
             raise ConfigurationError(f"cannot parse {what} spec near {token!r}")
         values[last].append(_spec_value(token.strip()))
-    return _merge(_PIPELINE_DEFAULTS[what],
+    return _merge(_MODE_DEFAULTS["homogeneous"][what],
                   {k: v if len(v) > 1 else v[0] for k, v in values.items()}, what)
 
 
@@ -474,34 +474,34 @@ _STAGE_EXIT = {
     "invert": EXIT_INVERSION,
 }
 
-_PIPELINE_DEFAULTS = {
-    "model": "",
-    "mode": "homogeneous",
-    "eta": 0.05,
-    "T": 1.25,
-    "h": 0.0025,
-    "dt": None,
-    "source": {"edge": "left", "center": 0.5, "width": 0.08, "f0": 12.5,
-               "pol": [0.7071067811865476, 0.7071067811865476]},
-    "receivers": {"edge": "right", "count": 16, "center": None, "width": None},
+_MODE_DEFAULTS = {     # each mode's settings; every config also names its model and mode
+    "homogeneous": {
+        "eta": 0.05, "T": 1.25, "h": 0.0025, "dt": None,
+        "source": {"edge": "left", "center": 0.5, "width": 0.08, "f0": 12.5,
+                   "pol": [0.7071067811865476, 0.7071067811865476]},
+        "receivers": {"edge": "right", "count": 16, "center": None, "width": None}},
     # not ray_tracer.DT: RK4 keeps its order on model files' C^2 radial splines, and
     # 1e-2 moves A4's Delta and T by 2e-8 (inversion error 5e-4) in 138 steps, not 1,375
-    "radial": {"n_rays": 48, "dt": 1e-2},
+    "radial": {"radial": {"n_rays": 48, "dt": 1e-2}},
 }
 _RAY_ANGLES = (0.06, 1.51)          # the radial pipeline's fan, radians from the normal
 _FOLIATION_RANGE = (0.01, 0.99)     # the leaves checked, as fractions of the width or radius
 
 
 def _resolve_config(path):
-    """The pipeline defaults updated by the JSON object at `path` (see _merge)."""
+    """The defaults of the config's mode updated by the JSON object at `path` (see
+    _merge), so a key of the other mode is unknown.  The mode is checked first."""
     try:
         user = json.loads(Path(path).read_text(), parse_int=json_int)
     except (ValueError, RecursionError) as e:   # bad or deep JSON, a too large integer
         raise ConfigurationError(f"malformed config JSON {path}: {e}")
-    cfg = _merge(_PIPELINE_DEFAULTS, user, "config")
+    mode = user.get("mode", "homogeneous") if isinstance(user, dict) else "homogeneous"
+    if mode not in tuple(_MODE_DEFAULTS):       # by ==: a JSON list is unhashable
+        raise ConfigurationError(f"unknown pipeline mode {mode!r}")
+    cfg = _merge({"model": "", "mode": mode, **_MODE_DEFAULTS[mode]}, user, "config")
     if not cfg["model"]:
         raise ConfigurationError("pipeline config must name a 'model' file")
-    if cfg["radial"]["n_rays"] < 1:
+    if mode == "radial" and cfg["radial"]["n_rays"] < 1:
         raise ConfigurationError(f"radial.n_rays must be >= 1, got {cfg['radial']['n_rays']}")
     return cfg
 
@@ -593,6 +593,8 @@ def _pipeline_radial(cfg, out, model, stages):
         _write_csv(out / "curve.csv", ["delta", "time"], zip(delta, times))
         prof = herglotz_invert(delta, times, R)
         _write_profile(out / "profile.csv", prof)
+        # Herglotz's condition: p = r / c grows with r, by this smallest step
+        counters.update(nodes=len(prof.c), herglotz_margin=float(np.diff(prof.r / prof.c).min()))
 
     return {
         "mode": "radial",
@@ -610,12 +612,8 @@ def cmd_pipeline(args):
     stages = []
     with _stage(stages, "validate", ModelError, OSError):
         model = load_model(cfg["model"])
-    if cfg["mode"] == "homogeneous":
-        summary = _pipeline_homogeneous(cfg, out, model, stages)
-    elif cfg["mode"] == "radial":
-        summary = _pipeline_radial(cfg, out, model, stages)
-    else:
-        raise ConfigurationError(f"unknown pipeline mode {cfg['mode']!r}")
+    run_mode = {"homogeneous": _pipeline_homogeneous, "radial": _pipeline_radial}
+    summary = run_mode[cfg["mode"]](cfg, out, model, stages)
     _emit(summary, out / "report.json")
     _write_manifest(out, "pipeline", cfg, [args.config, cfg["model"]], t0, stages)
 
@@ -688,7 +686,7 @@ def _build_parser():
     q.add_argument("--lens", required=True,
                    help="CSV: receiver_index, ell_p, ell_s")
     q.add_argument("--f0", type=float, default=None)
-    q.add_argument("--eta", type=float, default=_PIPELINE_DEFAULTS["eta"])
+    q.add_argument("--eta", type=float, default=_MODE_DEFAULTS["homogeneous"]["eta"])
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_extract)
 

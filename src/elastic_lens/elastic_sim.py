@@ -352,11 +352,10 @@ def check_size(nodes, steps, receivers):
                             "use fewer receivers")
 
 
-def _row_strips(nx: int, ny: int):
+def _row_strips(nx: int, ny: int, cores: int):
     """Row ranges (r0, r1) covering the nx rows, one per core, as equal as
     rows allow and no more than one per row or _MIN_NODES_PER_STRIP nodes;
-    one where a forked lane cannot be pinned to a core (os.sched_setaffinity)."""
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else 1
+    one where there is no core to pin a forked lane to."""
     n = max(1, min(cores, nx, nx * ny // _MIN_NODES_PER_STRIP))
     return [(nx * k // n, nx * (k + 1) // n) for k in range(n)]
 
@@ -434,7 +433,9 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     n_steps = int(round(T / dt))
     times, amps = _pulse_at_steps(source, dt, n_steps)
     order = np.argsort(idx, kind="stable")      # sig's columns hold the receivers in node order
-    lanes = len(_row_strips(nx, ny))
+    # the cores a forked lane may be pinned to (os.sched_setaffinity), read once a run
+    cores = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    lanes = len(_row_strips(nx, ny, len(cores)))
     ws = _Workspace(mg, np.float32, dt, idx[order], n_steps)
     patch = _source_patch(grid, source)
     on = flat(patch[0])[patch[1] != 0] // ny       # the rows of nonzero patch nodes
@@ -450,7 +451,7 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
     window_cell_steps, lane_wait, loop_start = 0, 0.0, time.perf_counter()
     workers = []        # (pid, go, done) of each lane past the first
     try:
-        cpus = sorted(os.sched_getaffinity(0) - {_this_cpu()}) if lanes > 1 else []
+        cpus = sorted(cores - {_this_cpu()}) if lanes > 1 else []
         for cpu in cpus[:lanes - 1]:        # the other lanes, each on a core but this one's
             workers.append(_fork_lane(ws, cpu, [fd for _, *fds in workers for fd in fds]))
         for n in range(n_steps + 1):
@@ -461,12 +462,12 @@ def simulate_dn(material: ElasticMaterial, domain: BoxDomain,
             # m + 1, exact after a step on the rows within m (m - 1 would not do).
             m = 2 * (n_steps - n)
             a, b = max(0, p_lo - 2 * n - 2, r_lo - m), min(nx, p_hi + 2 * n + 2, r_hi + m)
-            # one strip a lane, the first in this process; none: sig[n] stays 0
-            strips = [(a + r0, a + r1) for r0, r1 in _row_strips(b - a, ny)] if a < b else []
+            # at most one strip a lane, the first in this process; none: sig[n] stays 0
+            strips = [(a + r0, a + r1) for r0, r1 in _row_strips(b - a, ny, lanes)] if a < b else []
             for (_, go, _), rows in zip(workers, strips[1:]):
                 os.write(go, struct.pack("3q", n, *rows))
-            for rows in strips[:1] + strips[len(workers) + 1:]:    # and any the lanes lack
-                ws.strip(u, u_prev, n, rows)
+            if strips:
+                ws.strip(u, u_prev, n, strips[0])
             wait_start = time.perf_counter()
             for (_, _, done), _ in zip(workers, strips[1:]):
                 reply = os.read(done, 512)

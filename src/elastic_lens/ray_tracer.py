@@ -28,7 +28,7 @@ from .model_core import Domain, SpeedField
 THETA_MIN = math.radians(2.0)   # entries this close to tangent are refused
 # the default step of trace, lens and forward_travel_times, which take any field: across
 # a jump in grad c RK4 is first order (fold fan: Delta errs 5.0e-3, 4.3e-4 at 1e-3)
-DT, T_MAX = 1e-3, 50.0          # the radial pipeline's fan steps 1e-2 (cli._PIPELINE_DEFAULTS)
+DT, T_MAX = 1e-3, 50.0          # the radial pipeline's fan steps 1e-2 (cli._MODE_DEFAULTS)
 HARD_STEP_CAP = 5_000_000
 
 

@@ -407,7 +407,10 @@ def test_radial_chain_bytes_are_pinned(radial_runs):
 
 def test_a4_manifest_pins_the_ray_counts(radial_runs):
     # 48 rays at the pipeline's fan step 1e-2 share 138 RK4 steps (1,375 at
-    # 1e-3): four flow evaluations a step and two for the exit search
+    # 1e-3): four flow evaluations a step and two for the exit search; the
+    # profile has a node a ray, and r / c grows along it (Herglotz)
     stages = json.loads((radial_runs["runs"][0] / "manifest.json").read_text())["stages"]
     counters = next(s["counters"] for s in stages if s["name"] == "invert")
-    assert counters == {"rk4_steps": 138, "rhs_calls": 554, "ray_status": {"Exited": 48}}
+    assert counters.pop("herglotz_margin") > 0.0
+    assert counters == {"rk4_steps": 138, "rhs_calls": 554, "ray_status": {"Exited": 48},
+                        "nodes": 48}

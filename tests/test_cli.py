@@ -360,11 +360,13 @@ def _malformed_argv(tmp_path, small_sim, kind, value):
                         + "".join(f"{k},0.5,0.9\n" for k in range(3)))
         return ["extract", "--traces", str(traces), "--lens", str(lens),
                 "--out", out]
-    if kind == "radial-config":
-        model = write_model(tmp_path / "disk.json", LINEAR_RADIAL_MODEL)
-        value = {"mode": "radial", **value}
-    cfg = value if kind == "raw-config" else \
-        {"mode": "homogeneous", "model": model, "T": 0.2, "h": 0.05, **value}
+    if kind == "raw-config":
+        cfg = value
+    elif kind == "radial-config":
+        cfg = {"mode": "radial", "model": write_model(tmp_path / "disk.json",
+                                                      LINEAR_RADIAL_MODEL), **value}
+    else:
+        cfg = {"mode": "homogeneous", "model": model, "T": 0.2, "h": 0.05, **value}
     path = tmp_path / "cfg.json"
     path.write_bytes(cfg if isinstance(cfg, bytes) else json.dumps(cfg).encode())
     return ["pipeline", "--config", str(path), "--out", out]
@@ -391,7 +393,7 @@ def _malformed_argv(tmp_path, small_sim, kind, value):
     ("config", {"source": {"pol": [1]}}),
     ("config", {"foliation_range": [0.5]}),
     ("config", {"foliaton_range": [0.1, 0.9]}),
-    ("config", {"radial": {"nrays": 8}}),
+    ("radial-config", {"radial": {"nrays": 8}}),
     # integers that JSON holds and no float does
     ("config", {"T": 10**400}),
     ("config", {"source": {"center": 10**400}}),
@@ -408,6 +410,9 @@ def _malformed_argv(tmp_path, small_sim, kind, value):
     ("config", {"receivers": {"center": True, "width": 0.1}}),
     ("receivers", "edge=right,count=1" + "0" * 400),
     ("raw-config", b"[" * 100_000),
+    # the mode is read first, before the model file
+    ("raw-config", {"mode": "spherical", "model": "missing.json"}),
+    ("raw-config", {"mode": ["radial"]}),
 ], ids=["count-not-int", "center-not-number", "center-without-width",
         "width-without-center", "receivers-off-the-box", "receivers-center-nan",
         "receivers-width-inf", "receivers-unknown-key", "source-unknown-key",
@@ -420,7 +425,8 @@ def _malformed_argv(tmp_path, small_sim, kind, value):
         "metadata-dt-integer-overflow", "config-receiver-count-float",
         "config-receiver-count-bool", "config-receiver-count-text", "config-f0-bool",
         "config-f0-text", "config-pol-text", "config-receiver-center-bool",
-        "receivers-count-integer-overflow", "config-nested-too-deep"])
+        "receivers-count-integer-overflow", "config-nested-too-deep",
+        "config-unknown-mode-before-model", "config-mode-list"])
 def test_malformed_specs_exit_2(tmp_path, small_sim, kind, value):
     argv = _malformed_argv(tmp_path, small_sim, kind, value)
     assert run(argv) == cli.EXIT_CONFIG
@@ -742,8 +748,63 @@ def test_radial_pipeline(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["max_rel_err"] < 0.01
     assert (out / "curve.csv").exists()
-    assert (out / "profile.csv").exists()
-    assert (out / "manifest.json").exists()
+    profile = np.loadtxt(out / "profile.csv", delimiter=",", skiprows=1)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["config"]) == ["mode", "model", "radial"]
+    counters = manifest["stages"][-1]["counters"]
+    # one node a ray, and Herglotz's condition: r / c grows along the profile
+    assert counters["nodes"] == len(profile) == 16
+    assert counters["herglotz_margin"] == pytest.approx(
+        np.diff(profile[:, 0] / profile[:, 1]).min(), rel=1e-9)
+    assert counters["herglotz_margin"] > 0.0
+
+
+class _ReadKeys(dict):
+    """A config block that records in `read` the path of each key read by [],
+    in nested blocks too."""
+
+    def __init__(self, block, read, prefix=""):
+        super().__init__({k: _ReadKeys(v, read, f"{prefix}{k}.") if isinstance(v, dict)
+                          else v for k, v in block.items()})
+        self.read, self.prefix = read, prefix
+
+    def __getitem__(self, key):
+        self.read.add(self.prefix + key)
+        return super().__getitem__(key)
+
+    def paths(self):
+        return {p for k, v in self.items()
+                for p in [self.prefix + k, *(v.paths() if isinstance(v, dict) else ())]}
+
+
+@pytest.mark.parametrize("mode", ["homogeneous", "radial"])
+def test_a_pipeline_reads_every_setting_it_resolves(tmp_path, monkeypatch, mode):
+    # a setting the run never reads is a knob that does nothing
+    cfg = {"homogeneous": {"model": write_model(tmp_path / "box.json", UNIT_BOX_MODEL),
+                           "T": 0.2, "h": 0.05},
+           "radial": {"model": write_model(tmp_path / "disk.json", LINEAR_RADIAL_MODEL),
+                      "radial": {"n_rays": 16}}}[mode]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": mode, **cfg}))
+    read, resolved, resolve = set(), [], cli._resolve_config
+    monkeypatch.setattr(cli, "_resolve_config",
+                        lambda p: resolved.append(_ReadKeys(resolve(p), read)) or resolved[-1])
+    code = run(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")])
+    # T = 0.2 is too short for any pick: the run stops in extract, the last stage to read one
+    assert code == {"homogeneous": cli.EXIT_EXTRACTION, "radial": 0}[mode]
+    [config] = resolved
+    assert read == config.paths()
+
+
+@pytest.mark.parametrize("mode, key, value", [("radial", "h", 0.5),
+                                              ("radial", "source", {"f0": 3.0}),
+                                              ("homogeneous", "radial", {"n_rays": 16})])
+def test_a_setting_of_the_other_mode_exits_2_and_is_named(tmp_path, capsys, mode, key, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": mode, "model": "missing.json", key: value}))
+    assert run(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == \
+        cli.EXIT_CONFIG
+    assert f"unknown config key(s): {key!r}" in capsys.readouterr().err
 
 
 def test_compare_depth_profile_uses_last_coordinate(tmp_path, capsys):

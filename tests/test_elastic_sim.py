@@ -504,22 +504,32 @@ def _force_strips(monkeypatch, n):
 
 
 def test_row_strips_one_per_core_above_the_node_minimum(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     # measured with forked lanes: two strips break even at 40-50k nodes and
     # win from ~57k, so hetero_box (201 x 201) runs on one strip and
     # fd_chain (401 x 961) on two
-    assert elastic_sim._row_strips(201, 201) == [(0, 201)]
-    assert elastic_sim._row_strips(251, 251) == [(0, 125), (125, 251)]
-    assert elastic_sim._row_strips(401, 961) == [(0, 200), (200, 401)]
-    monkeypatch.delattr(os, "sched_setaffinity")     # no lane could be pinned
-    assert elastic_sim._row_strips(401, 961) == [(0, 401)]
-    monkeypatch.undo()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert elastic_sim._row_strips(201, 201, 2) == [(0, 201)]
+    assert elastic_sim._row_strips(251, 251, 2) == [(0, 125), (125, 251)]
+    assert elastic_sim._row_strips(401, 961, 2) == [(0, 200), (200, 401)]
+    assert elastic_sim._row_strips(401, 961, 0) == [(0, 401)]     # no core to pin a lane to
     monkeypatch.setattr(elastic_sim, "_MIN_NODES_PER_STRIP", 100)
-    assert elastic_sim._row_strips(10, 19) == [(0, 10)]
-    assert elastic_sim._row_strips(10, 20) == [(0, 5), (5, 10)]
-    assert elastic_sim._row_strips(10, 100) == [(0, 3), (3, 6), (6, 10)]
-    assert elastic_sim._row_strips(2, 1000) == [(0, 1), (1, 2)]     # no empty strip
+    assert elastic_sim._row_strips(10, 19, 3) == [(0, 10)]
+    assert elastic_sim._row_strips(10, 20, 3) == [(0, 5), (5, 10)]
+    assert elastic_sim._row_strips(10, 100, 3) == [(0, 3), (3, 6), (6, 10)]
+    assert elastic_sim._row_strips(2, 1000, 3) == [(0, 1), (1, 2)]     # no empty strip
+
+
+def test_a_run_reads_its_cores_once_and_forks_no_lane_it_cannot_pin(unit_material, unit_box,
+                                                                    monkeypatch):
+    calls, src = [], BoundarySource(edge="left", center=0.5, width=0.2, f0=8.0,
+                                    polarization=(1.0, 0.0))
+    _force_strips(monkeypatch, 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: calls.append(pid) or {0, 1})
+    res = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], T=0.4, h=0.05)
+    assert res.counters["processes"] == 2 and len(calls) == 1
+    monkeypatch.delattr(os, "sched_setaffinity")
+    res = simulate_dn(unit_material, unit_box, src, [(1.0, 0.5)], T=0.4, h=0.05)
+    assert res.counters["processes"] == 1 and len(calls) == 1
+    assert_no_child()
 
 
 @pytest.mark.parametrize("h", [0.05, 0.01])
@@ -548,7 +558,7 @@ def test_row_strips_reproduce_one_strip_bitwise(unit_box, monkeypatch, material,
     for rows in (1, 3, one.grid.nx):
         monkeypatch.setattr(elastic_sim, "_TILE_NODES", rows * ny)
         for n, strips in ((1, row_strips), (2, row_strips), (3, row_strips),
-                          (3, lambda nx, ny: [(0, 1), (1, nx - 1), (nx - 1, nx)])):
+                          (3, lambda nx, ny, cores: [(0, 1), (1, nx - 1), (nx - 1, nx)])):
             _force_strips(monkeypatch, n)
             monkeypatch.setattr(elastic_sim, "_row_strips", strips)
             res, got, got_u = run()

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from elastic_lens import ray_tracer
-from elastic_lens.cli import _PIPELINE_DEFAULTS, read_lens_csv, write_lens_csv
+from elastic_lens.cli import _MODE_DEFAULTS, read_lens_csv, write_lens_csv
 from elastic_lens.errors import DomainError, ModelError, PreconditionError
 from elastic_lens.model_core import (BoxDomain, ConstantField, DiskDomain, LinearField,
                                      RadialField, load_model)
@@ -223,7 +223,7 @@ def test_curved_rays_retrace_their_path_backwards(kind, bx, by):
 
 @given(kind=st.sampled_from(["disk", "box"]), a=st.floats(1.5, 2.0),
        size=st.floats(0.05, 0.6), turn=st.floats(0.0, 2.0 * math.pi),
-       dt=st.sampled_from([ray_tracer.DT, _PIPELINE_DEFAULTS["radial"]["dt"]]))
+       dt=st.sampled_from([ray_tracer.DT, _MODE_DEFAULTS["radial"]["radial"]["dt"]]))
 def test_curved_rays_take_the_linear_gradient_travel_time(kind, a, size, turn, dt):
     # in c = a + b . x the rays are circular arcs, and the travel time between
     # x1 and x2 is T = arccosh(1 + |b|^2 |x1 - x2|^2 / (2 c1 c2)) / |b|, written
