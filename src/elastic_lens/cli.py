@@ -480,9 +480,7 @@ _MODE_DEFAULTS = {     # each mode's settings; every config also names its model
         "source": {"edge": "left", "center": 0.5, "width": 0.08, "f0": 12.5,
                    "pol": [0.7071067811865476, 0.7071067811865476]},
         "receivers": {"edge": "right", "count": 16, "center": None, "width": None}},
-    # not ray_tracer.DT: RK4 keeps its order on model files' C^2 radial splines, and
-    # 1e-2 moves A4's Delta and T by 2e-8 (inversion error 5e-4) in 138 steps, not 1,375
-    "radial": {"radial": {"n_rays": 48, "dt": 1e-2}},
+    "radial": {"radial": {"n_rays": 48}},
 }
 _RAY_ANGLES = (0.06, 1.51)          # the radial pipeline's fan, radians from the normal
 _FOLIATION_RANGE = (0.01, 0.99)     # the leaves checked, as fractions of the width or radius
@@ -501,8 +499,8 @@ def _resolve_config(path):
     cfg = _merge({"model": "", "mode": mode, **_MODE_DEFAULTS[mode]}, user, "config")
     if not cfg["model"]:
         raise ConfigurationError("pipeline config must name a 'model' file")
-    if mode == "radial" and cfg["radial"]["n_rays"] < 1:
-        raise ConfigurationError(f"radial.n_rays must be >= 1, got {cfg['radial']['n_rays']}")
+    if mode == "radial" and cfg["radial"]["n_rays"] < 2:    # the inversion needs two samples
+        raise ConfigurationError(f"radial.n_rays must be >= 2, got {cfg['radial']['n_rays']}")
     return cfg
 
 
@@ -588,8 +586,7 @@ def _pipeline_radial(cfg, out, model, stages):
     rcfg = cfg["radial"]
     angles = np.linspace(*_RAY_ANGLES, rcfg["n_rays"])
     with _stage(stages, "invert", InversionError, FoliationError) as counters:
-        delta, times = forward_travel_times(speed, R, angles, dt=rcfg["dt"],
-                                            counters=counters)
+        delta, times = forward_travel_times(speed, R, angles, counters=counters)
         _write_csv(out / "curve.csv", ["delta", "time"], zip(delta, times))
         prof = herglotz_invert(delta, times, R)
         _write_profile(out / "profile.csv", prof)
@@ -650,7 +647,7 @@ def _build_parser():
                    help="boundary arclength of the entry point")
     q.add_argument("--angle", type=float, required=True,
                    help="entry angle from the inward normal (radians)")
-    q.add_argument("--dt", type=float, default=DT)
+    q.add_argument("--dt", type=float, default=DT, help="the largest ray step")
     q.add_argument("--tmax", type=float, default=T_MAX)
     q.set_defaults(func=cmd_trace)
 
@@ -659,7 +656,7 @@ def _build_parser():
     q.add_argument("--points", type=int, required=True)
     q.add_argument("--angles", type=int, required=True)
     q.add_argument("--tmax", type=float, default=T_MAX)
-    q.add_argument("--dt", type=float, default=DT)
+    q.add_argument("--dt", type=float, default=DT, help="the largest ray step")
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_lens)
 

@@ -4,13 +4,14 @@ The flow is
 
     dx/dt  =  c^2 xi,        dxi/dt = -c |xi|^2 grad c,
 
-integrated with classical fixed-step RK4.  On trajectories normalized to
-H = 1/2 the parameter t is the metric length in c^-2 dx^2, i.e. the travel
-time, and |dx/dt| = c.  Works in 2 and 3 dimensions.
+integrated with classical RK4.  On trajectories normalized to H = 1/2 the
+parameter t is the metric length in c^-2 dx^2, i.e. the travel time, and
+|dx/dt| = c.  Works in 2 and 3 dimensions.
 
-A batch of n rays is one (2d, n) array, rows x_1..x_d, xi_1..xi_d.  The
-stages call the field's unchecked ``_eval`` on these rows, and the bounds
-and positivity of the four stage points are checked once per step.
+A batch of n rays is one (2d, n) array, rows x_1..x_d, xi_1..xi_d.  The stages
+call the field's unchecked ``_eval``; each step's stage points and end are
+checked once.  The flow at the end is the next step's first stage (FSAL) and
+an embedded third-order error estimate (Hairer, Norsett & Wanner, ODEs I, II.4).
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from .errors import PreconditionError, ResourceError
 from .model_core import Domain, SpeedField
 
 THETA_MIN = math.radians(2.0)   # entries this close to tangent are refused
-# the default step of trace, lens and forward_travel_times, which take any field: across
-# a jump in grad c RK4 is first order (fold fan: Delta errs 5.0e-3, 4.3e-4 at 1e-3)
-DT, T_MAX = 1e-3, 50.0          # the radial pipeline's fan steps 1e-2 (cli._MODE_DEFAULTS)
+DT, T_MAX = 1e-2, 50.0          # DT: the largest step of the scattering relation
+RK4_TOL = 1e-7                  # a step whose error estimate exceeds this is halved
 HARD_STEP_CAP = 5_000_000
 
 
@@ -76,16 +76,17 @@ def _rhs(speed, y):
     return np.concatenate((c * c * xi, g)), c
 
 
-def _rk4_step(speed, y, dt):
-    """One RK4 step of the columns of y = [x; xi] by dt; its stage points are checked after."""
-    P = np.empty((4, *y.shape))     # the stage points
-    P[0] = y
-    k1, c1 = _rhs(speed, y)
-    k2, c2 = _rhs(speed, np.add(y, 0.5 * dt * k1, out=P[1]))
-    k3, c3 = _rhs(speed, np.add(y, 0.5 * dt * k2, out=P[2]))
-    k4, c4 = _rhs(speed, np.add(y, dt * k3, out=P[3]))
-    speed._check(P[:, :len(y) // 2], np.concatenate((c1, c2, c3, c4)))
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _rk4_step(speed, y, dt, k1):
+    """One RK4 step of the columns of y = [x; xi] (checked) by dt from the flow k1 at y: the
+    end and the flow k5 there, both checked, and the error estimate dt/6 max|k4 - k5|."""
+    P = np.empty((4, *y.shape))     # the stage points and the end
+    k2, c2 = _rhs(speed, np.add(y, 0.5 * dt * k1, out=P[0]))
+    k3, c3 = _rhs(speed, np.add(y, 0.5 * dt * k2, out=P[1]))
+    k4, c4 = _rhs(speed, np.add(y, dt * k3, out=P[2]))
+    P[3] = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k5, c5 = _rhs(speed, P[3])
+    speed._check(P[:, :len(y) // 2], np.concatenate((c2, c3, c4, c5)))
+    return P[3], k5, dt / 6.0 * np.abs(k4 - k5).max(axis=0)
 
 
 def _step_count(n_steps):
@@ -111,8 +112,9 @@ def integrate_bicharacteristic(speed: SpeedField, x0, xi0, t_max: float,
     d = x0.shape[1]
     y = np.empty((n_steps + 1, 2 * d, len(x0)))
     y[0] = np.concatenate((x0.T, xi0.T))
+    f = _rhs(speed, y[0])[0]
     for k in range(n_steps):
-        y[k + 1] = _rk4_step(speed, y[k], dt)
+        y[k + 1], f, _ = _rk4_step(speed, y[k], dt, f)
     return y[:, :d].transpose(0, 2, 1), y[:, d:].transpose(0, 2, 1)
 
 
@@ -134,9 +136,11 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
     that cubic (exact on straight rays).  A ray may exit within its first
     step.  Entries within THETA_MIN of tangent, or whose first move
     x + 1e-9 v leaves the domain (at a corner), are refused (TANGENT_ENTRY);
-    rays still inside at t_max are TRAPPED.  The dict `counters`, when given,
-    receives the RK4 steps taken, the _rhs calls (four a step, two for the exit
-    search) and the count of each RayStatus.
+    rays still inside at t_max are TRAPPED.  A step is at most dt, halved while
+    its error estimate on a ray staying inside exceeds RK4_TOL (as across a jump
+    in grad c, where fixed steps are first order).  `counters`, when given,
+    receives the RK4 steps taken and rejected, the largest accepted estimate,
+    the _rhs calls (one, and four a step tried) and the count of each RayStatus.
     """
     if not (0.0 < dt < math.inf and 0.0 < t_max < math.inf):
         raise PreconditionError(f"dt and t_max must be finite and positive, got {dt}, {t_max}")
@@ -148,32 +152,34 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
     records = [LensRecord(e, None, math.nan, RayStatus.TRAPPED if ok
                           else RayStatus.TANGENT_ENTRY)
                for e, ok in zip(entries, steep)]
-    n_steps = _step_count(int(math.ceil(t_max / dt)))
+    _step_count(int(math.ceil(t_max / dt)))        # a tiny dt is refused before any work
 
     traced = np.nonzero(steep)[0]
     d = x0.shape[1]
     y = np.concatenate((x0[traced].T, (v0[traced] / speed.eval(x0[traced])[0][:, None]).T))
     n = len(traced)
-    # phase points at both ends, step and time of each ray's exit step
-    y_s, y_e = np.empty_like(y), np.empty_like(y)
-    step_s, t_s = np.empty(n), np.full(n, math.nan)
-    active = np.arange(n)
-    t, steps = 0.0, 0
-    for _ in range(n_steps):
-        step = min(dt, t_max - t)
-        if step <= 0 or active.size == 0:
-            break
-        y_new = _rk4_step(speed, y, step)
+    # phase points and flow at both ends, step and time of each ray's exit step
+    ends, step_s, t_s = np.empty((4, *y.shape)), np.empty(n), np.full(n, math.nan)
+    active, k1 = np.arange(n), _rhs(speed, y)[0]
+    t, h, tried, rejected, err_max = 0.0, dt, 0, 0, 0.0
+    while active.size and t < t_max:
+        step, tried = min(h, t_max - t), _step_count(tried + 1)
+        y_new, k5, err = _rk4_step(speed, y, step, k1)
         out = domain.signed(y_new[:d].T) > 0.0
+        err = err.max(initial=0.0, where=~out)      # an exit step is the exit search's
+        if err > RK4_TOL:
+            h, rejected = 0.5 * step, rejected + 1
+            continue
         if np.count_nonzero(out):
-            k = active[out]
-            y_s[:, k], y_e[:, k], step_s[k], t_s[k] = y[:, out], y_new[:, out], step, t
-            active, y_new = active[~out], y_new[:, ~out]
-        y, t, steps = y_new, t + step, steps + 1
+            k, keep = active[out], ~out
+            ends[:, :, k] = y[:, out], y_new[:, out], k1[:, out], k5[:, out]
+            step_s[k], t_s[k] = step, t
+            active, y_new, k5 = active[keep], y_new[:, keep], k5[:, keep]
+        y, k1, t, h, err_max = y_new, k5, t + step, dt, max(err_max, err)
 
     exited = np.nonzero(~np.isnan(t_s))[0]
     if exited.size:
-        y_x, f = _exit_on_cubic(speed, domain, y_s[:, exited], y_e[:, exited], step_s[exited])
+        y_x, f = _exit_on_cubic(domain, *ends[:, :, exited], step_s[exited])
         ell = t_s[exited] + f * step_s[exited]
         x_e, xi_e = y_x[:d].T, y_x[d:].T
         v_out = xi_e / np.linalg.norm(xi_e, axis=1, keepdims=True)
@@ -183,18 +189,17 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
                                     BoundaryDirection(tuple(x_e[j]), tuple(v_out[j])),
                                     float(ell[j]), RayStatus.EXITED)
     if counters is not None:
-        counters.update(rk4_steps=steps, rhs_calls=4 * steps + 2 * (exited.size > 0),
+        counters.update(rk4_steps=tried - rejected, rejected_steps=rejected,
+                        max_step_error=err_max, rhs_calls=1 + 4 * tried,
                         ray_status=dict(Counter(r.status.value for r in records)))
     return records
 
 
-def _exit_on_cubic(speed, domain, y0, y1, dt):
+def _exit_on_cubic(domain, y0, y1, f0, f1, dt):
     """Phase points on the boundary and fractions f of the exit steps (the
-    columns y0 to y1, length dt per ray) where b changes sign, on each step's
-    cubic Hermite interpolant; the flow is evaluated at the two ends only."""
+    columns y0 to y1, with the flow f0 and f1 there, length dt per ray) where
+    b changes sign, on each step's cubic Hermite interpolant."""
     d = len(y0) // 2
-    (f0, _), (f1, c1) = _rhs(speed, y0), _rhs(speed, y1)
-    speed._check(y1[None, :d], c1)       # y0 passed as its step's first stage
     dy0, dy1 = dt * f0, dt * f1
     a2, a3 = 3 * (y1 - y0) - 2 * dy0 - dy1, 2 * (y0 - y1) + dy0 + dy1
 

@@ -22,7 +22,7 @@ from elastic_lens.convexity import conformal_second_fundamental_form
 from elastic_lens.elastic_sim import BoundarySource, bump, simulate_dn
 from elastic_lens.model_core import (BoxDomain, ConstantField, DiskDomain,
                                      ElasticMaterial, RadialField)
-from elastic_lens.ray_tracer import (RayStatus, entry_at, hamiltonian,
+from elastic_lens.ray_tracer import (RK4_TOL, RayStatus, entry_at, hamiltonian,
                                      integrate_bicharacteristic,
                                      scattering_relation)
 from elastic_lens.wavefield_analysis import extract_lens, project_modes
@@ -406,11 +406,13 @@ def test_radial_chain_bytes_are_pinned(radial_runs):
 
 
 def test_a4_manifest_pins_the_ray_counts(radial_runs):
-    # 48 rays at the pipeline's fan step 1e-2 share 138 RK4 steps (1,375 at
-    # 1e-3): four flow evaluations a step and two for the exit search; the
-    # profile has a node a ray, and r / c grows along it (Herglotz)
+    # 48 rays at the step DT = 1e-2 share 138 RK4 steps (1,375 at 1e-3): one
+    # flow evaluation at the entries and four a step.  On the C^2 spline no
+    # step is rejected, so the steps, and the bytes pinned above, are those of
+    # fixed-step RK4.  The profile has a node a ray, and r / c grows along it
     stages = json.loads((radial_runs["runs"][0] / "manifest.json").read_text())["stages"]
     counters = next(s["counters"] for s in stages if s["name"] == "invert")
     assert counters.pop("herglotz_margin") > 0.0
-    assert counters == {"rk4_steps": 138, "rhs_calls": 554, "ray_status": {"Exited": 48},
-                        "nodes": 48}
+    assert 0.0 < counters.pop("max_step_error") <= RK4_TOL
+    assert counters == {"rk4_steps": 138, "rejected_steps": 0, "rhs_calls": 553,
+                        "ray_status": {"Exited": 48}, "nodes": 48}

@@ -413,6 +413,10 @@ def _malformed_argv(tmp_path, small_sim, kind, value):
     # the mode is read first, before the model file
     ("raw-config", {"mode": "spherical", "model": "missing.json"}),
     ("raw-config", {"mode": ["radial"]}),
+    # the inversion needs two rays, and the ray step is no setting
+    ("raw-config", {"mode": "radial", "model": "missing.json", "radial": {"n_rays": 0}}),
+    ("raw-config", {"mode": "radial", "model": "missing.json", "radial": {"n_rays": 1}}),
+    ("raw-config", {"mode": "radial", "model": "missing.json", "radial": {"dt": 1e-2}}),
 ], ids=["count-not-int", "center-not-number", "center-without-width",
         "width-without-center", "receivers-off-the-box", "receivers-center-nan",
         "receivers-width-inf", "receivers-unknown-key", "source-unknown-key",
@@ -426,7 +430,8 @@ def _malformed_argv(tmp_path, small_sim, kind, value):
         "config-receiver-count-bool", "config-receiver-count-text", "config-f0-bool",
         "config-f0-text", "config-pol-text", "config-receiver-center-bool",
         "receivers-count-integer-overflow", "config-nested-too-deep",
-        "config-unknown-mode-before-model", "config-mode-list"])
+        "config-unknown-mode-before-model", "config-mode-list",
+        "config-n-rays-0-before-model", "config-n-rays-1-before-model", "config-radial-dt"])
 def test_malformed_specs_exit_2(tmp_path, small_sim, kind, value):
     argv = _malformed_argv(tmp_path, small_sim, kind, value)
     assert run(argv) == cli.EXIT_CONFIG
@@ -720,7 +725,7 @@ def test_radial_and_homogeneous_pipelines_load_no_scipy(tmp_path):
     radial = tmp_path / "radial.json"
     radial.write_text(json.dumps({
         "mode": "radial", "model": write_model(tmp_path, LINEAR_RADIAL_MODEL),
-        "radial": {"n_rays": 16, "dt": 2e-3}}))
+        "radial": {"n_rays": 16}}))
     homogeneous = tmp_path / "homogeneous.json"
     homogeneous.write_text(json.dumps({
         "mode": "homogeneous", "model": write_model(tmp_path / "box.json", TALL_BOX_MODEL),
@@ -741,7 +746,7 @@ def test_radial_pipeline(tmp_path, capsys):
     cfg.write_text(json.dumps({
         "mode": "radial",
         "model": str(model),
-        "radial": {"n_rays": 16, "dt": 2e-3},
+        "radial": {"n_rays": 16},
     }))
     out = tmp_path / "run"
     assert run(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0

@@ -6,15 +6,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from elastic_lens import ray_tracer
-from elastic_lens.cli import _MODE_DEFAULTS, read_lens_csv, write_lens_csv
+from elastic_lens.cli import read_lens_csv, write_lens_csv
 from elastic_lens.errors import DomainError, ModelError, PreconditionError
+from elastic_lens.inversion import forward_travel_times
 from elastic_lens.model_core import (BoxDomain, ConstantField, DiskDomain, LinearField,
                                      RadialField, load_model)
 from elastic_lens.ray_tracer import (THETA_MIN, BoundaryDirection, RayStatus,
                                      entry_at, exit_angle, fan_angles, hamiltonian,
                                      integrate_bicharacteristic, lens_table,
                                      scattering_relation, scattering_relations)
-from tests.conftest import LINEAR_RADIAL_MODEL
+from tests.conftest import LINEAR_RADIAL_MODEL, triplicating_speed
 
 
 def chord_exit(entry_x, v, R=1.0):
@@ -40,9 +41,8 @@ def test_constant_disk_rays_are_chords(unit_disk):
         assert rec.ell == pytest.approx(chord / 1.3, abs=1e-9)
 
 
-def test_exit_costs_two_flow_evaluations_beyond_its_steps(unit_disk, monkeypatch):
-    # four flow evaluations per RK4 step taken, and the exit is located on
-    # the exit step's cubic from the flow at the step's two ends
+def _count_rhs_calls(monkeypatch):
+    """A list that gains an entry at each _rhs call from here on."""
     calls, rhs = [], ray_tracer._rhs
 
     def counted(speed, y):
@@ -50,33 +50,56 @@ def test_exit_costs_two_flow_evaluations_beyond_its_steps(unit_disk, monkeypatch
         return rhs(speed, y)
 
     monkeypatch.setattr(ray_tracer, "_rhs", counted)
-    dt = 0.05
-    rec = scattering_relation(ConstantField(1.0, dim=2), unit_disk,
-                              entry_at(unit_disk, 0.0, 0.3), t_max=5.0, dt=dt)
+    return calls
+
+
+def test_exit_costs_no_flow_evaluation_beyond_its_steps(unit_disk, monkeypatch):
+    # one flow evaluation at the entry and four per RK4 step tried; the exit is
+    # located on the exit step's cubic from the flow at the step's two ends,
+    # which the step evaluated already
+    calls, counters, dt = _count_rhs_calls(monkeypatch), {}, 0.05
+    [rec] = scattering_relations(ConstantField(1.0, dim=2), unit_disk,
+                                 [entry_at(unit_disk, 0.0, 0.3)], t_max=5.0, dt=dt,
+                                 counters=counters)
     assert rec.ell == pytest.approx(2.0 * math.cos(0.3), abs=1e-12)
     steps = math.floor(rec.ell / dt) + 1                     # 1.91 / 0.05: 39
-    assert len(calls) == 4 * steps + 2
+    assert counters["rk4_steps"] == steps and counters["rejected_steps"] == 0
+    assert len(calls) == 1 + 4 * steps
 
 
 def test_counters_report_the_steps_and_flow_evaluations_taken(unit_disk, monkeypatch):
     # the counts scattering_relations reports are the _rhs calls made, on a
-    # ray that exits, one trapped at t_max and a tangent entry
-    calls, rhs = [], ray_tracer._rhs
-
-    def counted(speed, y):
-        calls.append(len(y))
-        return rhs(speed, y)
-
-    monkeypatch.setattr(ray_tracer, "_rhs", counted)
+    # ray that exits, one trapped at t_max and a tangent entry.  On a constant
+    # field the four stages' flows are equal, so k4 = k5 and no step is rejected
+    calls = _count_rhs_calls(monkeypatch)
     entries = [entry_at(unit_disk, 0.0, a) for a in (1.2, 0.0, 1.55)]
     counters = {}
     records = scattering_relations(ConstantField(1.0, dim=2), unit_disk, entries,
                                    t_max=1.0, dt=0.05, counters=counters)
     assert [r.status for r in records] == [RayStatus.EXITED, RayStatus.TRAPPED,
                                            RayStatus.TANGENT_ENTRY]
-    assert len(calls) == 4 * 20 + 2
-    assert counters == {"rk4_steps": 20, "rhs_calls": len(calls),
+    assert len(calls) == 1 + 4 * 20
+    assert counters == {"rk4_steps": 20, "rejected_steps": 0, "max_step_error": 0.0,
+                        "rhs_calls": len(calls),
                         "ray_status": {"Exited": 1, "Trapped": 1, "TangentEntry": 1}}
+
+
+def test_steps_across_a_gradient_jump_are_halved_to_the_tolerance(unit_disk, monkeypatch):
+    # the fold fan's rays that dive below r = 0.75 cross the jump in grad c:
+    # there the step is rejected and halved until its estimate meets RK4_TOL,
+    # and each step tried, taken or not, costs four flow evaluations
+    calls, counters = _count_rhs_calls(monkeypatch), {}
+    speed = RadialField(func=triplicating_speed,
+                        dfunc=lambda r: np.where(r >= 0.75, -0.3, -2.5), r_max=1.2)
+    records = scattering_relations(speed, unit_disk,
+                                   [entry_at(unit_disk, 0.0, a) for a in (0.2, 0.6, 1.0)],
+                                   t_max=ray_tracer.T_MAX, dt=ray_tracer.DT,
+                                   counters=counters)
+    assert all(r.status is RayStatus.EXITED for r in records)
+    assert counters["rejected_steps"] > 0
+    assert 0.0 < counters["max_step_error"] <= ray_tracer.RK4_TOL
+    tried = counters["rk4_steps"] + counters["rejected_steps"]
+    assert len(calls) == counters["rhs_calls"] == 1 + 4 * tried
 
 
 # c = 1 up to r = 1.05, then -1: positive on the disk, not in all of its collar
@@ -223,13 +246,13 @@ def test_curved_rays_retrace_their_path_backwards(kind, bx, by):
 
 @given(kind=st.sampled_from(["disk", "box"]), a=st.floats(1.5, 2.0),
        size=st.floats(0.05, 0.6), turn=st.floats(0.0, 2.0 * math.pi),
-       dt=st.sampled_from([ray_tracer.DT, _MODE_DEFAULTS["radial"]["radial"]["dt"]]))
+       dt=st.sampled_from([1e-3, ray_tracer.DT]))
 def test_curved_rays_take_the_linear_gradient_travel_time(kind, a, size, turn, dt):
     # in c = a + b . x the rays are circular arcs, and the travel time between
     # x1 and x2 is T = arccosh(1 + |b|^2 |x1 - x2|^2 / (2 c1 c2)) / |b|, written
     # here as 2 asinh(|b| |x1 - x2| / (2 sqrt(c1 c2))) / |b|.  RK4 meets it to
-    # 5e-14 at dt = 1e-3 and 2e-10 at 1e-2 (48-ray fans, |b| <= 0.6): the step
-    # of trace and lens, and the radial pipeline's fan step
+    # 5e-14 at dt = 1e-3 and 2e-10 at DT = 1e-2 (48-ray fans, |b| <= 0.6), the
+    # largest step of trace, lens and the radial pipeline
     b = size * np.array([math.cos(turn), math.sin(turn)])
     # a - 1.3 (|b_0| + |b_1|) > 0.3: positive on the bounds' collar
     speed = LinearField(a, b, bounds=BoxDomain.cube(1.2))
@@ -241,3 +264,46 @@ def test_curved_rays_take_the_linear_gradient_travel_time(kind, a, size, turn, d
     c12 = np.sqrt((a + x1 @ b) * (a + x2 @ b))
     T = 2.0 * np.arcsinh(size * np.linalg.norm(x2 - x1, axis=1) / (2.0 * c12)) / size
     assert np.abs([r.record.ell for r in rows] - T).max() <= 1e-8
+
+
+def _herglotz_delta_time(c_k, r_k, g_in, g_out, p, R=1.0):
+    """Delta(p) and T(p) of the ray with parameter p in c = c_k + g (r - r_k), g
+    being g_in below r_k and g_out above: the Herglotz integrals of 2 p / r and
+    2 eta^2 / r against dr / sqrt(eta^2 - p^2), eta = r / c, from the turning
+    radius r_p to R.  r = r_p + s^2 removes the turning point's inverse square
+    root, and Gauss-Legendre runs on each side of the kink."""
+    g = g_in if r_k > p * c_k else g_out                  # the piece holding r_p
+    r_p = p * (c_k - g * r_k) / (1.0 - p * g)             # r_p = p c(r_p)
+    edges = [0.0, *([math.sqrt(r_k - r_p)] if r_p < r_k else []), math.sqrt(R - r_p)]
+    x, w = np.polynomial.legendre.leggauss(48)
+    delta = time = 0.0
+    for s0, s1 in zip(edges, edges[1:]):
+        s, ds = 0.5 * (s1 - s0) * x + 0.5 * (s1 + s0), 0.5 * (s1 - s0) * w
+        r = r_p + s * s
+        c = c_k + np.where(r < r_k, g_in, g_out) * (r - r_k)
+        # r - p c, exactly (1 - p g) s^2 on the turning piece
+        q = (1.0 - p * g) * s * s if s0 == 0.0 else r - p * c
+        dr = 2.0 * s * c / np.sqrt(q * (r + p * c)) * ds      # dr / sqrt(eta^2 - p^2)
+        delta += 2.0 * np.sum(p / r * dr)
+        time += 2.0 * np.sum(r / (c * c) * dr)
+    return delta, time
+
+
+@given(c_k=st.floats(1.0, 1.5), r_k=st.floats(0.5, 0.85), g_in=st.floats(-2.5, 0.0),
+       g_out=st.floats(-0.5, 0.0))
+def test_rays_across_a_gradient_jump_meet_the_herglotz_integrals(c_k, r_k, g_in, g_out):
+    # c = c_k + g (r - r_k) with g <= 0 on each side of the kink r_k: r / c grows
+    # (its derivative is the intercept over c^2, and c_k - g r_k > 0), and a steep
+    # inner gradient folds the travel-time curve.  At DT the bound is 1e-3: the fold
+    # fan errs 4.3e-4 in Delta against a dt = 1e-4 reference, and 600 random draws
+    # of these profiles erred at most 6.8e-4 in Delta and 6.0e-4 in T, where
+    # fixed steps of DT err up to 4.5e-3
+    speed = RadialField(func=lambda r: c_k + np.where(r < r_k, g_in, g_out) * (r - r_k),
+                        dfunc=lambda r: np.where(r < r_k, g_in, g_out), r_max=1.2)
+    angles = np.linspace(0.1, 1.45, 8)
+    delta, time = forward_travel_times(speed, 1.0, angles)
+    c_1 = c_k + g_out * (1.0 - r_k)
+    ref = np.array([_herglotz_delta_time(c_k, r_k, g_in, g_out, math.sin(a) / c_1)
+                    for a in angles[::-1]]).T                 # by increasing penetration
+    assert np.abs(delta - ref[0]).max() <= 1e-3
+    assert np.abs(time - ref[1]).max() <= 1e-3
