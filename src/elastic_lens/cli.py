@@ -647,7 +647,7 @@ def _build_parser():
                    help="boundary arclength of the entry point")
     q.add_argument("--angle", type=float, required=True,
                    help="entry angle from the inward normal (radians)")
-    q.add_argument("--dt", type=float, default=DT, help="the largest ray step")
+    q.add_argument("--dt", type=float, default=DT, help="each ray's largest step (error-controlled)")
     q.add_argument("--tmax", type=float, default=T_MAX)
     q.set_defaults(func=cmd_trace)
 
@@ -656,7 +656,7 @@ def _build_parser():
     q.add_argument("--points", type=int, required=True)
     q.add_argument("--angles", type=int, required=True)
     q.add_argument("--tmax", type=float, default=T_MAX)
-    q.add_argument("--dt", type=float, default=DT, help="the largest ray step")
+    q.add_argument("--dt", type=float, default=DT, help="each ray's largest step (error-controlled)")
     q.add_argument("--out", required=True)
     q.set_defaults(func=cmd_lens)
 

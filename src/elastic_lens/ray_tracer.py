@@ -4,14 +4,14 @@ The flow is
 
     dx/dt  =  c^2 xi,        dxi/dt = -c |xi|^2 grad c,
 
-integrated with classical RK4.  On trajectories normalized to H = 1/2 the
-parameter t is the metric length in c^-2 dx^2, i.e. the travel time, and
-|dx/dt| = c.  Works in 2 and 3 dimensions.
+integrated with the Dormand-Prince 5(4) pair (Hairer, Norsett & Wanner, ODEs I,
+II.4-II.6).  On trajectories normalized to H = 1/2 the parameter t is the metric
+length in c^-2 dx^2, i.e. the travel time, and |dx/dt| = c.  Works in 2 and 3 dimensions.
 
-A batch of n rays is one (2d, n) array, rows x_1..x_d, xi_1..xi_d.  The stages
-call the field's unchecked ``_eval``; each step's stage points and end are
-checked once.  The flow at the end is the next step's first stage (FSAL) and
-an embedded third-order error estimate (Hairer, Norsett & Wanner, ODEs I, II.4).
+A batch of n rays is one (2d, n) array, rows x_1..x_d, xi_1..xi_d, each ray
+with its own time and step.  The stages call the field's unchecked ``_eval``;
+each step's stage points and end are checked once.  The flow at the end is the
+next step's first stage (FSAL), so a step costs six flow evaluations.
 """
 
 from __future__ import annotations
@@ -24,12 +24,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ResourceError
-from .model_core import Domain, SpeedField
+from .model_core import COLLAR, Domain, SpeedField
 
 THETA_MIN = math.radians(2.0)   # entries this close to tangent are refused
-DT, T_MAX = 1e-2, 50.0          # DT: the largest step of the scattering relation
-RK4_TOL = 1e-7                  # a step whose error estimate exceeds this is halved
+DT, T_MAX = 5e-2, 50.0          # DT: the largest step of the scattering relation
+DP5_TOL = 1e-8                  # a ray's step whose error estimate exceeds this is retried
 HARD_STEP_CAP = 5_000_000
+
+# Dormand-Prince 5(4): row s < 5 weighs the flows k_1..k_(s+1) into stage s + 2, row 5 (b)
+# into the end, 6 (b - b*, b* the embedded 4th order) into the error and 7 into the dense output
+_DP5 = np.array([
+    [1 / 5, 0, 0, 0, 0, 0, 0], [3 / 40, 9 / 40, 0, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0],
+    [71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+    [-12715105075 / 11282082432, 0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+     701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423]])
 
 
 @dataclass(frozen=True)
@@ -67,26 +79,27 @@ def hamiltonian(speed: SpeedField, x, xi):
     return 0.5 * c * c * np.add.reduce(xi * xi, axis=-1)
 
 
-def _rhs(speed, y):
-    """Flow and speeds at the columns of y = [x; xi], unchecked: the caller checks."""
+def _rhs(speed, y, out):
+    """The flow at the columns of y = [x; xi] into out; returns the speeds. Unchecked."""
     d = len(y) // 2
     xi = y[d:]
     c, g = speed._eval(y[:d])
-    g *= -c * np.add.reduce(xi * xi, axis=0)      # _eval's g is new: scaled in place
-    return np.concatenate((c * c * xi, g)), c
+    np.multiply(c * c, xi, out=out[:d])
+    np.multiply(g, -c * np.add.reduce(xi * xi, axis=0), out=out[d:])
+    return c
 
 
-def _rk4_step(speed, y, dt, k1):
-    """One RK4 step of the columns of y = [x; xi] (checked) by dt from the flow k1 at y: the
-    end and the flow k5 there, both checked, and the error estimate dt/6 max|k4 - k5|."""
-    P = np.empty((4, *y.shape))     # the stage points and the end
-    k2, c2 = _rhs(speed, np.add(y, 0.5 * dt * k1, out=P[0]))
-    k3, c3 = _rhs(speed, np.add(y, 0.5 * dt * k2, out=P[1]))
-    k4, c4 = _rhs(speed, np.add(y, dt * k3, out=P[2]))
-    P[3] = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    k5, c5 = _rhs(speed, P[3])
-    speed._check(P[:, :len(y) // 2], np.concatenate((c2, c3, c4, c5)))
-    return P[3], k5, dt / 6.0 * np.abs(k4 - k5).max(axis=0)
+def _dp5_step(speed, y, h, k1):
+    """One Dormand-Prince step of the columns of y = [x; xi] (checked) by h (one a column,
+    or a scalar) from the flow k1 at y: the end, the seven flows (k_7 at the end), the speeds
+    at the end and the error estimates h max|(b - b*) k|, the stages and end checked."""
+    P, K, C = np.empty((6, *y.shape)), np.empty((7, *y.shape)), np.empty((6, y.shape[1]))
+    K[0], flat = k1, K.reshape(7, -1)
+    for s in range(6):
+        dy = np.dot(_DP5[s, :s + 1], flat[:s + 1]).reshape(y.shape)
+        C[s] = _rhs(speed, np.add(y, h * dy, out=P[s]), K[s + 1])
+    speed._check(P[:, :len(y) // 2], C)
+    return P[5], K, C[5], h * np.abs(np.dot(_DP5[6], flat)).reshape(y.shape).max(axis=0)
 
 
 def _step_count(n_steps):
@@ -112,9 +125,10 @@ def integrate_bicharacteristic(speed: SpeedField, x0, xi0, t_max: float,
     d = x0.shape[1]
     y = np.empty((n_steps + 1, 2 * d, len(x0)))
     y[0] = np.concatenate((x0.T, xi0.T))
-    f = _rhs(speed, y[0])[0]
+    K = np.empty((7, 2 * d, len(x0)))
+    _rhs(speed, y[0], K[6])
     for k in range(n_steps):
-        y[k + 1], f, _ = _rk4_step(speed, y[k], dt, f)
+        y[k + 1], K, _, _ = _dp5_step(speed, y[k], dt, K[6])
     return y[:, :d].transpose(0, 2, 1), y[:, d:].transpose(0, 2, 1)
 
 
@@ -128,19 +142,19 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
                          dt: float, counters: dict | None = None) -> list[LensRecord]:
     """Trace rays from strictly inward boundary directions to their exits.
 
-    All rays advance together with a shared time t; a ray leaves the active
-    set at the step that first takes it from inside the domain to outside.
-    The crossing inside that step is located by bisection (to 1e-12
-    relative) on the step's cubic Hermite interpolant, built from the phase
-    points and the flow at both ends, and the exit phase point is read off
-    that cubic (exact on straight rays).  A ray may exit within its first
-    step.  Entries within THETA_MIN of tangent, or whose first move
-    x + 1e-9 v leaves the domain (at a corner), are refused (TANGENT_ENTRY);
-    rays still inside at t_max are TRAPPED.  A step is at most dt, halved while
-    its error estimate on a ray staying inside exceeds RK4_TOL (as across a jump
-    in grad c, where fixed steps are first order).  `counters`, when given,
-    receives the RK4 steps taken and rejected, the largest accepted estimate,
-    the _rhs calls (one, and four a step tried) and the count of each RayStatus.
+    Each ray has its own time and step; a pass tries one step on every ray
+    still inside, and retries those whose error estimate exceeds DP5_TOL.
+    After each try a step is scaled by clip(0.9 (DP5_TOL / err)^(1/5), 0.2, 5),
+    up to dt and to COLLAR / (2 c), c the ray's speed: a step moves a ray by
+    about c times its length, so no stage point leaves the field's collar.  A
+    ray leaves at the first step taken that ends outside the domain, and the
+    crossing is located by bisection (to 1e-12 relative) on that step's dense
+    output (exact on straight rays).  Entries within THETA_MIN of tangent, or
+    whose first move x + 1e-9 v leaves the domain (at a corner), are refused
+    (TANGENT_ENTRY); rays still inside at t_max are TRAPPED.  `counters`, when
+    given, receives the passes, the ray steps taken and rejected, the _rhs calls
+    (one, and six a pass), the Hamiltonian's drift max |c^2 |xi|^2 - 1| at the
+    exits and the count of each RayStatus.
     """
     if not (0.0 < dt < math.inf and 0.0 < t_max < math.inf):
         raise PreconditionError(f"dt and t_max must be finite and positive, got {dt}, {t_max}")
@@ -154,65 +168,66 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
                for e, ok in zip(entries, steep)]
     _step_count(int(math.ceil(t_max / dt)))        # a tiny dt is refused before any work
 
-    traced = np.nonzero(steep)[0]
-    d = x0.shape[1]
-    y = np.concatenate((x0[traced].T, (v0[traced] / speed.eval(x0[traced])[0][:, None]).T))
-    n = len(traced)
-    # phase points and flow at both ends, step and time of each ray's exit step
-    ends, step_s, t_s = np.empty((4, *y.shape)), np.empty(n), np.full(n, math.nan)
-    active, k1 = np.arange(n), _rhs(speed, y)[0]
-    t, h, tried, rejected, err_max = 0.0, dt, 0, 0, 0.0
-    while active.size and t < t_max:
-        step, tried = min(h, t_max - t), _step_count(tried + 1)
-        y_new, k5, err = _rk4_step(speed, y, step, k1)
-        out = domain.signed(y_new[:d].T) > 0.0
-        err = err.max(initial=0.0, where=~out)      # an exit step is the exit search's
-        if err > RK4_TOL:
-            h, rejected = 0.5 * step, rejected + 1
-            continue
-        if np.count_nonzero(out):
-            k, keep = active[out], ~out
-            ends[:, :, k] = y[:, out], y_new[:, out], k1[:, out], k5[:, out]
-            step_s[k], t_s[k] = step, t
-            active, y_new, k5 = active[keep], y_new[:, keep], k5[:, keep]
-        y, k1, t, h, err_max = y_new, k5, t + step, dt, max(err_max, err)
+    traced, d = np.nonzero(steep)[0], x0.shape[1]
+    c, n = speed.eval(x0[traced])[0], len(traced)
+    y = np.concatenate((x0[traced].T, (v0[traced] / c[:, None]).T))
+    # each ray's exit step: its start, end and flows, start time and length
+    ends, t_s, h_s = np.empty((9, *y.shape)), np.full(n, math.nan), np.empty(n)
+    active, k1, t, h = np.arange(n), np.empty_like(y), np.zeros(n), np.full(n, dt)
+    _rhs(speed, y, k1)
+    passes = tried = rejected = 0
+    while active.size:
+        passes, tried = _step_count(passes + 1), tried + active.size
+        step = np.minimum(np.minimum(h, 0.5 * COLLAR / c), np.minimum(dt, t_max - t))
+        y_new, K, c_new, err = _dp5_step(speed, y, step, k1)
+        out, t_new, bad = domain.signed(y_new[:d].T) > 0.0, t + step, err > DP5_TOL
+        if np.count_nonzero(bad):           # these rays stay and retry a shorter step
+            rejected, out = rejected + int(np.count_nonzero(bad)), out & ~bad
+            y_new, K[6] = np.where(bad, y, y_new), np.where(bad, k1, K[6])
+            c_new, t_new = np.where(bad, c, c_new), np.where(bad, t, t_new)
+        h = step * np.maximum(np.minimum(0.9 * (DP5_TOL / (err + 1e-300)) ** 0.2, 5.0), 0.2)
+        y0, t0, y, k1, c, t = y, t, y_new, K[6], c_new, t_new
+        done = out | (t >= t_max)
+        if np.count_nonzero(done):
+            k, keep = active[out], ~done
+            ends[:, :, k] = np.concatenate((y0[None], y[None], K))[:, :, out]
+            t_s[k], h_s[k] = t0[out], step[out]
+            active, y, k1 = active[keep], y[:, keep], k1[:, keep]
+            c, t, h = c[keep], t[keep], h[keep]
 
     exited = np.nonzero(~np.isnan(t_s))[0]
-    if exited.size:
-        y_x, f = _exit_on_cubic(domain, *ends[:, :, exited], step_s[exited])
-        ell = t_s[exited] + f * step_s[exited]
-        x_e, xi_e = y_x[:d].T, y_x[d:].T
-        v_out = xi_e / np.linalg.norm(xi_e, axis=1, keepdims=True)
-        for j, k in enumerate(exited):
-            i = traced[k]
-            records[i] = LensRecord(entries[i],
-                                    BoundaryDirection(tuple(x_e[j]), tuple(v_out[j])),
-                                    float(ell[j]), RayStatus.EXITED)
+    y_x, f = _exit_on_dense(domain, ends[:, :, exited], h_s[exited])
+    ell, x_e, xi_e = t_s[exited] + f * h_s[exited], y_x[:d].T, y_x[d:].T
+    v_out = xi_e / np.linalg.norm(xi_e, axis=1, keepdims=True)
+    for j, i in enumerate(traced[exited]):
+        records[i] = LensRecord(entries[i], BoundaryDirection(tuple(x_e[j]), tuple(v_out[j])),
+                                float(ell[j]), RayStatus.EXITED)
     if counters is not None:
-        counters.update(rk4_steps=tried - rejected, rejected_steps=rejected,
-                        max_step_error=err_max, rhs_calls=1 + 4 * tried,
+        drift = np.abs(2.0 * hamiltonian(speed, x_e, xi_e) - 1.0).max(initial=0.0)
+        counters.update(passes=passes, steps=tried - rejected, rejected_steps=rejected,
+                        rhs_calls=1 + 6 * passes, hamiltonian_drift=float(drift),
                         ray_status=dict(Counter(r.status.value for r in records)))
     return records
 
 
-def _exit_on_cubic(domain, y0, y1, f0, f1, dt):
-    """Phase points on the boundary and fractions f of the exit steps (the
-    columns y0 to y1, with the flow f0 and f1 there, length dt per ray) where
-    b changes sign, on each step's cubic Hermite interpolant."""
-    d = len(y0) // 2
-    dy0, dy1 = dt * f0, dt * f1
-    a2, a3 = 3 * (y1 - y0) - 2 * dy0 - dy1, 2 * (y0 - y1) + dy0 + dy1
+def _exit_on_dense(domain, ends, h):
+    """Phase points on the boundary and fractions f of the exit steps (columns of ends:
+    start, end and the seven flows; h long) where b changes sign, on each step's
+    fourth-order dense output (Hairer, Norsett & Wanner, ODEs I, II.6)."""
+    d, dy = len(ends[0]) // 2, ends[1] - ends[0]
+    r2 = h * ends[2] - dy
+    r3, r4 = dy - h * ends[8] - r2, h * np.tensordot(_DP5[7], ends[2:], axes=1)
 
-    def cubic(f):
-        return y0 + f * (dy0 + f * (a2 + f * a3))
+    def at(f):
+        return ends[0] + f * (dy + (1.0 - f) * (r2 + f * (r3 + (1.0 - f) * r4)))
 
     # the bracket [hi - width, hi] halves exactly each iteration: 2**-40 < 1e-12
-    hi, width = np.ones(y0.shape[1]), 1.0
+    hi, width = np.ones(len(h)), 1.0
     for _ in range(40):
         width *= 0.5
         mid = hi - width      # exact: hi is a multiple of 2 * width
-        hi = np.where(domain.signed(cubic(mid)[:d].T) > 0.0, mid, hi)
-    y_hi = cubic(hi)
+        hi = np.where(domain.signed(at(mid)[:d].T) > 0.0, mid, hi)
+    y_hi = at(hi)
     # snap the exit points onto the boundary along the outward normal
     x_hi = y_hi[:d].T
     x_hi -= domain.signed(x_hi)[:, None] * domain.normal(x_hi)

@@ -72,12 +72,16 @@ def triplicating_speed(r):
     return np.where(r >= 0.75, 1.3 - 0.3 * r, 1.075 + 2.5 * (0.75 - r))
 
 
+def triplicating_field():
+    """triplicating_speed as a radial field on the unit disk and its collar."""
+    return RadialField(func=triplicating_speed,
+                       dfunc=lambda r: np.where(r >= 0.75, -0.3, -2.5), r_max=1.2)
+
+
 @pytest.fixture(scope="session")
 def triplicating_curve():
     """(delta, time) of 48 rays through triplicating_speed on the unit disk."""
-    speed = RadialField(func=triplicating_speed,
-                        dfunc=lambda r: np.where(r >= 0.75, -0.3, -2.5), r_max=1.2)
-    return forward_travel_times(speed, 1.0, np.linspace(0.06, 1.51, 48))
+    return forward_travel_times(triplicating_field(), 1.0, np.linspace(0.06, 1.51, 48))
 
 
 def assert_no_child():
