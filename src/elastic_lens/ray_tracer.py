@@ -28,7 +28,8 @@ from .model_core import COLLAR, Domain, SpeedField
 
 THETA_MIN = math.radians(2.0)   # entries this close to tangent are refused
 DT, T_MAX = 5e-2, 50.0          # DT: the largest step of the scattering relation
-DP5_TOL = 1e-8                  # a ray's step whose error estimate exceeds this is retried
+DP5_TOL = 1e-9                  # a ray's step whose error estimate exceeds this is retried
+TURN = 1e-4                     # a step that passes a turn of c starts or ends this near it
 HARD_STEP_CAP = 5_000_000
 
 # Dormand-Prince 5(4): row s < 5 weighs the flows k_1..k_(s+1) into stage s + 2, row 5 (b)
@@ -147,14 +148,16 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
     After each try a step is scaled by clip(0.9 (DP5_TOL / err)^(1/5), 0.2, 5),
     up to dt and to COLLAR / (2 c), c the ray's speed: a step moves a ray by
     about c times its length, so no stage point leaves the field's collar.  A
-    ray leaves at the first step taken that ends outside the domain, and the
+    step in which c along its ray turns is retried to end at the turn unless it
+    starts or ends within TURN of it, so the ray's deepest point is evaluated.
+    A ray leaves at the first step taken that ends outside the domain, and the
     crossing is located by bisection (to 1e-12 relative) on that step's dense
     output (exact on straight rays).  Entries within THETA_MIN of tangent, or
     whose first move x + 1e-9 v leaves the domain (at a corner), are refused
     (TANGENT_ENTRY); rays still inside at t_max are TRAPPED.  `counters`, when
-    given, receives the passes, the ray steps taken and rejected, the _rhs calls
-    (one, and six a pass), the Hamiltonian's drift max |c^2 |xi|^2 - 1| at the
-    exits and the count of each RayStatus.
+    given, receives the passes (six _rhs calls each, after one at the entries),
+    the ray steps taken and rejected, the drift max |c^2 |xi|^2 - 1| at the exits
+    and the count of each RayStatus.
     """
     if not (0.0 < dt < math.inf and 0.0 < t_max < math.inf):
         raise PreconditionError(f"dt and t_max must be finite and positive, got {dt}, {t_max}")
@@ -181,11 +184,18 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
         step = np.minimum(np.minimum(h, 0.5 * COLLAR / c), np.minimum(dt, t_max - t))
         y_new, K, c_new, err = _dp5_step(speed, y, step, k1)
         out, t_new, bad = domain.signed(y_new[:d].T) > 0.0, t + step, err > DP5_TOL
+        h = step * np.maximum(np.minimum(0.9 * (DP5_TOL / (err + 1e-300)) ** 0.2, 5.0), 0.2)
+        # xi . dxi/dt has the sign of -dc/dt: c along a ray turns where it changes sign
+        q, q_new = (np.add.reduce(a[d:] * b[d:], axis=0) for a, b in ((y, k1), (y_new, K[6])))
+        turn = np.nonzero(q * q_new < 0.0)[0]
+        if turn.size:       # a step is retried to end at its turn unless an end is within TURN
+            to_turn = step[turn] * q[turn] / (q[turn] - q_new[turn])
+            far = np.minimum(to_turn, step[turn] - to_turn) > TURN
+            bad[turn[far]], h[turn[far]] = True, np.minimum(h[turn[far]], to_turn[far])
         if np.count_nonzero(bad):           # these rays stay and retry a shorter step
             rejected, out = rejected + int(np.count_nonzero(bad)), out & ~bad
             y_new, K[6] = np.where(bad, y, y_new), np.where(bad, k1, K[6])
             c_new, t_new = np.where(bad, c, c_new), np.where(bad, t, t_new)
-        h = step * np.maximum(np.minimum(0.9 * (DP5_TOL / (err + 1e-300)) ** 0.2, 5.0), 0.2)
         y0, t0, y, k1, c, t = y, t, y_new, K[6], c_new, t_new
         done = out | (t >= t_max)
         if np.count_nonzero(done):
@@ -205,7 +215,7 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
     if counters is not None:
         drift = np.abs(2.0 * hamiltonian(speed, x_e, xi_e) - 1.0).max(initial=0.0)
         counters.update(passes=passes, steps=tried - rejected, rejected_steps=rejected,
-                        rhs_calls=1 + 6 * passes, hamiltonian_drift=float(drift),
+                        hamiltonian_drift=float(drift),
                         ray_status=dict(Counter(r.status.value for r in records)))
     return records
 
