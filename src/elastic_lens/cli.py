@@ -33,8 +33,8 @@ from .elastic_sim import BoundarySource, check_size, simulate_dn
 from .errors import (ConfigurationError, ElasticLensError, ExtractionError,
                      FoliationError, InversionError, ModelError, NumericalError,
                      PreconditionError, ResourceError)
-from .inversion import (RadialProfile, forward_travel_times, herglotz_invert,
-                        invert_both_speeds, layer_strip_invert)
+from .inversion import (HERGLOTZ_RANGE, RadialProfile, forward_travel_times,
+                        herglotz_invert, invert_both_speeds, layer_strip_invert)
 from .model_core import (EDGES, BoxDomain, ConstantField, DepthField,
                          DiskDomain, json_int, load_model)
 from .ray_tracer import (DT, T_MAX, RayStatus, entry_at, exit_angle, lens_table,
@@ -483,7 +483,7 @@ _MODE_DEFAULTS = {     # each mode's settings; every config also names its model
     "radial": {"radial": {"n_rays": 48}},
 }
 _RAY_ANGLES = (0.06, 1.51)          # the radial pipeline's fan, radians from the normal
-_FOLIATION_RANGE = (0.01, 0.99)     # the leaves checked, as fractions of the width or radius
+_FOLIATION_RANGE = (0.01, 0.99)     # the planes checked, as fractions of the box's width
 
 
 def _resolve_config(path):
@@ -552,16 +552,15 @@ def _pipeline_homogeneous(cfg, out, model, stages):
             raise ExtractionError("missing picks at some receivers")
 
     with _stage(stages, "invert", InversionError, PreconditionError):
-        prof_p, prof_s = invert_both_speeds(
-            (dists, [r.t_p for r in records]),
-            (dists, [r.t_s for r in records]), mode="homogeneous")
+        recovered_cp, recovered_cs = invert_both_speeds(
+            (dists, [r.t_p for r in records]), (dists, [r.t_s for r in records]))
 
     return {
         "mode": "homogeneous",
         "rel_err_p": max(r.rel_err_p for r in records),
         "rel_err_s": max(r.rel_err_s for r in records),
-        "recovered_cp": prof_p.c[0],
-        "recovered_cs": prof_s.c[0],
+        "recovered_cp": recovered_cp,
+        "recovered_cs": recovered_cs,
         "true_cp": cp,
         "true_cs": cs,
         "receivers": len(records),
@@ -579,7 +578,7 @@ def _pipeline_radial(cfg, out, model, stages):
     speed = model.lens_speed()
     R = domain.radius
     with _stage(stages, "foliation", FoliationError):
-        report = check_hwz(speed, *(f * R for f in _FOLIATION_RANGE))
+        report = check_hwz(speed, *(f * R for f in HERGLOTZ_RANGE))
         _write_json(out / "foliation.json", asdict(report))
         _require_convex(report)
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FoliationError, PreconditionError
-from .model_core import Domain, SpeedField
+from .model_core import Domain, RadialField, SpeedField
 
 # verdict margins (unit-scale models)
 STRICT_MARGIN = 1e-9
@@ -189,8 +189,9 @@ def _tangents(nu, n_dir):
 _Samples = namedtuple("_Samples", "levels points_per_leaf leaf points c tangents form")
 
 
-def _sample_foliation(speed: SpeedField, fol: Foliation, domain, samples):
-    """The conformal form II(t) - d_nu c / c on every leaf x point x tangent.
+def _sample_foliation(speed: SpeedField, fol: Foliation, domain, samples, extra=()):
+    """The conformal form II(t) - d_nu c / c on every leaf x point x tangent;
+    the leaves are n_leaf evenly over fol.params, sorted in with any `extra`.
 
     Sphere points are q * omega; plane points share one transverse placement
     in the middle 90 % of the field's bounds, point k at frac(1/2 + k alpha)
@@ -203,7 +204,9 @@ def _sample_foliation(speed: SpeedField, fol: Foliation, domain, samples):
     n_leaf, n_pt, n_dir = samples
     dim = speed.bounds.dim
     levels = np.linspace(*fol.params, n_leaf)
-    kept = np.ones((n_leaf, n_pt), dtype=bool)
+    if len(extra):
+        levels = np.sort(np.concatenate((levels, extra)))   # np.unique would load numpy.ma
+    kept = np.ones((len(levels), n_pt), dtype=bool)
     if fol.kind == "spheres":
         points = levels[:, None, None] * _directions(n_pt, dim)[None]
     elif fol.kind == "planes":
@@ -267,11 +270,15 @@ def check_hwz(speed: SpeedField, r_min: float, r_max: float) -> ConvexityReport:
     """Herglotz / Wiechert-Zoeppritz test: d/dr (r / c(r omega)) > 0.
 
     The reported value is d/dr (r/c) = (c - r dc/dr) / c^2, i.e. r/c times
-    the conformal form of the sphere of radius r.
+    the conformal form of the sphere of radius r.  On a profile-built
+    RadialField the spline's bends (Cubic.bends) in (r_min, r_max) join the
+    leaves; they hold the least c - r dc/dr, so the verdict there is exact.
     """
     if not (0 < r_min < r_max):
         raise PreconditionError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
-    s = _sample_foliation(speed, Foliation("spheres", (r_min, r_max)), None, (*_SAMPLES, 1))
+    cubic = speed.cubic if isinstance(speed, RadialField) else None
+    bends = [r for r in cubic.bends() if r_min < r < r_max] if cubic else []
+    s = _sample_foliation(speed, Foliation("spheres", (r_min, r_max)), None, (*_SAMPLES, 1), bends)
     return _scan_report(s, s.form * (s.levels[s.leaf] / s.c)[:, None])
 
 

@@ -29,6 +29,7 @@ from .model_core import Cubic, DiskDomain
 from .ray_tracer import DT, T_MAX, RayStatus, entry_at, scattering_relations
 
 _GL_NODES = 32
+HERGLOTZ_RANGE = (1e-3, 1.0)   # the radii of the Herglotz check, as fractions of R
 
 
 # ---------------------------------------------------------------------------
@@ -50,9 +51,6 @@ class RadialProfile:
             raise PreconditionError("radii must be strictly increasing")
         if not np.all(self.c > 0):
             raise PreconditionError("speeds must be positive")
-
-    def __call__(self, r):
-        return _pchip(self.r, self.c).eval(np.asarray(r, dtype=float))[0]
 
 
 @dataclass
@@ -93,7 +91,7 @@ def forward_travel_times(speed, R: float, angles, dt: float = DT, counters=None)
     Refuses models that fail the strict-convexity (Herglotz) condition with
     a FoliationError.  `counters` is scattering_relations'.
     """
-    if not check_hwz(speed, 1e-3 * R, R).strictly_convex:
+    if not check_hwz(speed, *(f * R for f in HERGLOTZ_RANGE)).strictly_convex:
         raise FoliationError("radial model violates the Herglotz condition d/dr (r/c) > 0")
 
     domain = DiskDomain(R, dim=2)
@@ -308,45 +306,22 @@ def layer_strip_invert(offsets, times) -> DepthProfile:
 
 
 # ---------------------------------------------------------------------------
-# Two-speed wrapper
+# Two-speed check
 # ---------------------------------------------------------------------------
 
 
-def _constant_profile(distances, times) -> DepthProfile:
-    d = np.asarray(distances, dtype=float)
-    t = np.asarray(times, dtype=float)
-    if np.any(t <= 0):
-        raise PreconditionError("travel times must be positive")
-    c = float(np.mean(d / t))
-    return DepthProfile([0.0, max(float(d.max()), 1e-6)], [c, c])
-
-
-_INVERSES = {"radial": herglotz_invert, "layered": layer_strip_invert,
-             "homogeneous": _constant_profile}
-
-
-def invert_both_speeds(data_p, data_s, mode: str = "radial"):
-    """Run the applicable inversion once per mode and cross-check the pair.
-
-    mode='radial': data are (delta, time, R) -> RadialProfile pair.
-    mode='layered': data are (offsets, times) pairs -> DepthProfile pair.
-    mode='homogeneous': data are (straight-ray distances, times) pairs ->
-    constant DepthProfile pair.  In every case the recovered profiles must
-    satisfy c_p > c_s on their common support; a violation signals mode
-    mislabeling upstream and raises a data-inconsistency error.
-    """
-    if mode not in _INVERSES:
-        raise PreconditionError(f"unknown inversion mode {mode!r}")
-    prof_p, prof_s = (_INVERSES[mode](*data) for data in (data_p, data_s))
-    x_p, x_s = (q.r if isinstance(q, RadialProfile) else q.z for q in (prof_p, prof_s))
-    lo, hi = max(x_p[0], x_s[0]), min(x_p[-1], x_s[-1])
-    if hi <= lo:
-        raise DataInconsistencyError("p and s recoveries have no common support")
-    xs = np.linspace(lo, hi, 64)
-    cp, cs = prof_p(xs), prof_s(xs)
-    if not np.all(cp > cs):
-        i = int(np.argmax(cp <= cs))
+def invert_both_speeds(data_p, data_s):
+    """The constant speeds (c_p, c_s), each mean(d / t) over its (straight-ray
+    distances, times) pair.  c_p must exceed c_s; a violation signals mode
+    mislabeling upstream and raises a data-inconsistency error."""
+    speeds = []
+    for d, t in (data_p, data_s):
+        t = np.asarray(t, dtype=float)
+        if np.any(t <= 0):
+            raise PreconditionError("travel times must be positive")
+        speeds.append(float(np.mean(np.asarray(d, dtype=float) / t)))
+    cp, cs = speeds
+    if not cp > cs:
         raise DataInconsistencyError(
-            f"recovered c_p <= c_s at coordinate {xs[i]:.6g} "
-            f"(c_p = {cp[i]:.6g}, c_s = {cs[i]:.6g}); check mode labels")
-    return prof_p, prof_s
+            f"recovered c_p = {cp:.6g} <= c_s = {cs:.6g}; check mode labels")
+    return cp, cs

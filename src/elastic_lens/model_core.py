@@ -52,7 +52,7 @@ class Cubic:
         m = np.asarray(m[:len(x)], dtype=float)         # without the sweep's end zero
         t = (m[:-1] + m[1:] - 2 * slope) / h
         a, b = t / h, (slope - m[:-1]) / h - t
-        self._inner = x[1:-1]
+        self.x, self._inner = x, x[1:-1]
         # pairs on each interval: (x[i], x[i]), then the coefficients of
         # (a d^3 + b d^2 + m d + y, 0 d^3 + 3a d^2 + 2b d + m) in d = s - x[i]
         self._c = np.stack((x[:-1], x[:-1], a, 0 * a, b, 3 * a, m[:-1], 2 * b, y[:-1],
@@ -63,6 +63,13 @@ class Cubic:
         c = self._c.take(self._inner.searchsorted(s, side="right"), axis=2)  # end pieces extend
         d = s - c[0]
         return ((c[1] * d + c[2]) * d + c[3]) * d + c[4]
+
+    def bends(self):
+        """The knots and each piece's root of y'' (linear there) inside it: with an interval's
+        ends they hold the least y - s y' on it for s > 0, as (y - s y')' = -s y''."""
+        x0, a, b = self._c[0, 0], self._c[1, 0], self._c[2, 0]
+        root = x0 - np.divide(b, 3 * a, out=0 * a, where=a != 0)
+        return np.concatenate((self.x, root[(root > x0) & (root < self.x[1:])]))
 
 
 class SpeedField:
@@ -154,7 +161,7 @@ class LinearField(SpeedField):
 
 
 class RadialField(SpeedField):
-    """c(r), r = |x|, from a tabulated profile or explicit callables.
+    """c(r), r = |x|, from a tabulated profile (its natural spline ``cubic``) or callables.
 
     The callables ``func`` (c) and ``dfunc`` (dc/dr), which need ``r_max``, receive
     an array of radii and return an array of the same shape or a scalar.
@@ -171,11 +178,12 @@ class RadialField(SpeedField):
             if np.any(c <= 0):
                 bad = int(np.argmax(c <= 0))
                 raise ModelError(f"radial profile node {bad} (r={r[bad]}) has non-positive speed {c[bad]}")
-            self._c_dc = Cubic(r, c).eval
-            r_max = r[-1]
+            self.cubic = Cubic(r, c)
+            self._c_dc, r_max = self.cubic.eval, r[-1]
         else:
             if func is None or dfunc is None or r_max is None:
                 raise ModelError("callable radial field needs func, dfunc and r_max")
+            self.cubic = None
             # adding zeros turns a scalar return value into an array
             self._c_dc = lambda s: (func(s) + np.zeros_like(s), dfunc(s) + np.zeros_like(s))
         self.r_max = float(r_max)

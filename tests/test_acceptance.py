@@ -397,12 +397,14 @@ def test_a10_radial_chain_is_deterministic(radial_runs):
 
 def test_radial_chain_bytes_are_pinned(radial_runs):
     # the ray chain's outputs on the A4 model, pinned: a change to the step
-    # arithmetic, the exit search, the field evaluation or the inversion shows here
+    # arithmetic, the exit search, the field evaluation, the inversion or the
+    # Herglotz check's leaves shows here
     run = radial_runs["runs"][0]
     assert {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
-            for name in ("curve.csv", "profile.csv")} == {
+            for name in ("curve.csv", "profile.csv", "foliation.json")} == {
         "curve.csv": "3b9aa34b58be83bc23630c929c909a0556cea3014d038a4a61c47011ca3948ff",
-        "profile.csv": "4a7e47c27fa49d64db6c691970fc117bbc0306bf1cdae042a7a3c9310874a30d"}
+        "profile.csv": "4a7e47c27fa49d64db6c691970fc117bbc0306bf1cdae042a7a3c9310874a30d",
+        "foliation.json": "8c290c4462cc22bf93223131412d38e8ed6d323a7b7c347086f193ffad7eaae8"}
 
 
 def test_a4_manifest_pins_the_ray_counts(radial_runs):

@@ -766,6 +766,31 @@ def test_radial_pipeline(tmp_path, capsys):
     assert counters["herglotz_margin"] > 0.0
 
 
+# c = 2 - r with a bump of 0.03 over 0.006 at r = 0.566: d/dr (r / c) falls to
+# -0.74 near r = 0.562, between the sphere check's evenly spaced leaves
+THIN_LOW_VELOCITY_ZONE_MODEL = {
+    "format": 1,
+    "domain": {"shape": "disk", "radius": 1.0},
+    "speed": {"kind": "radial",
+              "profile": [[0.0, 2.0], [0.5, 1.5], [0.56, 1.44], [0.566, 1.47],
+                          [0.59, 1.44], [1.0, 1.0], [1.2, 0.8]]},
+}
+
+
+def test_thin_low_velocity_zone_exits_4_from_pipeline_and_sphere_check(tmp_path):
+    model = write_model(tmp_path, THIN_LOW_VELOCITY_ZONE_MODEL)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "radial", "model": str(model)}))
+    assert run(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) \
+        == cli.EXIT_FOLIATION
+    assert not (tmp_path / "run" / "curve.csv").exists()
+    assert run(["check-foliation", "--model", str(model), "--foliation", "spheres",
+                "--range", "0.01,0.99", "--out", str(tmp_path / "fol.json")]) == cli.EXIT_FOLIATION
+    report = json.loads((tmp_path / "fol.json").read_text())
+    assert report["verdict"] == "violated"
+    assert 0.5 < report["witness"]["leaf"] < 0.566
+
+
 class _ReadKeys(dict):
     """A config block that records in `read` the path of each key read by [],
     in nested blocks too."""

@@ -4,13 +4,15 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from elastic_lens.convexity import (ConvexityReport, Foliation,
                                     _sample_foliation, check_foliation,
                                     check_hwz, check_plane_foliation,
                                     conformal_second_fundamental_form)
 from elastic_lens.errors import PreconditionError
-from elastic_lens.model_core import (BoxDomain, ConstantField, DepthField,
+from elastic_lens.model_core import (BoxDomain, ConstantField, Cubic, DepthField,
                                      DiskDomain, RadialField, load_model)
 
 
@@ -47,6 +49,24 @@ def test_hwz_flat_for_conical_speed():
     report = check_hwz(f, 0.5, 2.0)
     assert report.verdict == "flat within tolerance"
     assert abs(report.margin) < 1e-12
+
+
+@example(c0=2.386, g=0.572, r0=0.658, w=0.027, bump=0.076)   # -0.22 between two leaves
+@given(c0=st.floats(1.5, 2.5), g=st.floats(0.0, 1.0), r0=st.floats(0.1, 0.9),
+       w=st.floats(0.002, 0.03), bump=st.floats(0.0, 0.1))
+def test_hwz_verdict_on_a_spline_with_a_thin_bump_matches_a_dense_scan(c0, g, r0, w, bump):
+    # c = c0 - g r (c - r c' = c0 > 0) with a bump at r0 between its two nodes
+    # r0 -+ w: the rising side's c - r c' may dip below 0 on a band narrower
+    # than the spacing of the check's 32 leaves
+    r = np.array([0.0, r0 - w, r0, r0 + w, 1.0, 1.2])
+    speeds = c0 - g * r + bump * (r == r0)
+    scan = np.linspace(1e-3, 1.0, 200_001)
+    c, dc = Cubic(r, speeds).eval(scan)
+    least = np.min(c - scan * dc)
+    # the spline rings, at times below 0; a scan at |least| <= 1e-6 may miss the sign
+    assume(np.all(c > 0) and abs(least) > 1e-6)
+    f = RadialField(profile=np.stack((r, speeds), axis=1))
+    assert check_hwz(f, 1e-3, 1.0).strictly_convex == (least > 0)
 
 
 def test_hwz_input_validation(linear_radial_speed):

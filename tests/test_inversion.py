@@ -336,34 +336,12 @@ def test_layer_strip_refuses_or_recovers_triplicating_profiles(prof):
 
 def test_invert_both_homogeneous_exact():
     d = np.linspace(0.5, 1.5, 8)
-    prof_p, prof_s = invert_both_speeds((d, d / math.sqrt(3.0)), (d, d / 1.0),
-                                        mode="homogeneous")
-    assert prof_p.c[0] == pytest.approx(math.sqrt(3.0), rel=1e-12)
-    assert prof_s.c[0] == pytest.approx(1.0, rel=1e-12)
+    cp, cs = invert_both_speeds((d, d / math.sqrt(3.0)), (d, d / 1.0))
+    assert cp == pytest.approx(math.sqrt(3.0), rel=1e-12)
+    assert cs == pytest.approx(1.0, rel=1e-12)
 
 
 def test_invert_both_detects_swapped_modes():
     d = np.linspace(0.5, 1.5, 8)
-    with pytest.raises(DataInconsistencyError):
-        invert_both_speeds((d, d / 1.0), (d, d / math.sqrt(3.0)),
-                           mode="homogeneous")
-
-
-def test_invert_both_radial_pair():
-    prof_p, prof_s = invert_both_speeds(constant_speed_curve(c=1.7),
-                                        constant_speed_curve(c=1.0), mode="radial")
-    assert np.max(np.abs(prof_p.c - 1.7)) < 1e-3
-    assert np.max(np.abs(prof_s.c - 1.0)) < 1e-3
-
-
-def test_invert_both_layered_pair():
-    prof_p = DepthProfile([0.0, 2.0], [1.7, 1.7 + 0.6 * 2.0])
-    prof_s = DepthProfile([0.0, 2.0], [1.0, 1.0 + 0.4 * 2.0])
-    pp = 1.0 / np.linspace(1.8, 2.8, 30)
-    ps = 1.0 / np.linspace(1.05, 1.7, 30)
-    Xp, tp = forward_layered_times(prof_p, pp)
-    Xs, ts = forward_layered_times(prof_s, ps)
-    rp, rs = invert_both_speeds((Xp, tp), (Xs, ts), mode="layered")
-    zq = np.linspace(0.05, 0.8, 20)
-    assert np.max(np.abs(rp(zq) - prof_p(zq)) / prof_p(zq)) < 0.03
-    assert np.max(np.abs(rs(zq) - prof_s(zq)) / prof_s(zq)) < 0.03
+    with pytest.raises(DataInconsistencyError, match=r"c_p = 1 <= c_s = 1\.73205"):
+        invert_both_speeds((d, d / 1.0), (d, d / math.sqrt(3.0)))
