@@ -6,7 +6,7 @@ invert, compare, pipeline.  Exit codes: 0 ok, 2 configuration, 3 model,
 
 Every command that produces an output directory writes a manifest
 (command, resolved configuration, input digests, version, duration, and
-the seconds and counters of each stage).  Data files contain no
+the seconds, CPU seconds and counters of each stage).  Data files contain no
 timestamps or seeds, so reruns with identical inputs are byte-identical;
 wall-clock duration and run health live only in the manifest.
 """
@@ -20,6 +20,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -455,15 +456,17 @@ class _Stage(Exception):
 @contextlib.contextmanager
 def _stage(stages, name, *errors):
     """Run the block as stage `name`: re-raise `errors` from it as a failure
-    of the stage, and when it succeeds append {name, seconds, counters} to
-    `stages`, counters being the dict the block receives to fill."""
-    counters, t0 = {}, time.monotonic()
+    of the stage, and when it succeeds append {name, seconds, cpu_seconds, counters}
+    to `stages`, counters being the dict the block receives to fill.  cpu_seconds
+    is user plus system time, of the children reaped in the stage (the FD
+    simulator's forked lanes) too."""
+    counters, t0, cpu0 = {}, time.monotonic(), sum(os.times()[:4])
     try:
         yield counters
     except errors as e:
         raise _Stage(name, e) from e
     stages.append({"name": name, "seconds": time.monotonic() - t0,
-                   "counters": counters})
+                   "cpu_seconds": sum(os.times()[:4]) - cpu0, "counters": counters})
 
 
 _STAGE_EXIT = {

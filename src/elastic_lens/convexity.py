@@ -273,13 +273,18 @@ def check_hwz(speed: SpeedField, r_min: float, r_max: float) -> ConvexityReport:
     the conformal form of the sphere of radius r.  On a profile-built
     RadialField the spline's bends (Cubic.bends) in (r_min, r_max) join the
     leaves; they hold the least c - r dc/dr, so the verdict there is exact.
+    On any other field it is sampled, and a note says so.
     """
     if not (0 < r_min < r_max):
         raise PreconditionError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
     cubic = speed.cubic if isinstance(speed, RadialField) else None
     bends = [r for r in cubic.bends() if r_min < r < r_max] if cubic else []
     s = _sample_foliation(speed, Foliation("spheres", (r_min, r_max)), None, (*_SAMPLES, 1), bends)
-    return _scan_report(s, s.form * (s.levels[s.leaf] / s.c)[:, None])
+    report = _scan_report(s, s.form * (s.levels[s.leaf] / s.c)[:, None])
+    if cubic is None:
+        report.notes.append(f"verdict sampled on {len(s.levels)} spheres of {s.points_per_leaf} "
+                            "points each; it is exact only on a field built from a radial profile")
+    return report
 
 
 def check_plane_foliation(speed: SpeedField, axis: int, c1: float,

@@ -26,7 +26,7 @@ from .convexity import check_hwz
 from .errors import (DataInconsistencyError, FoliationError, IllPosedInputError,
                      InversionError, PreconditionError)
 from .model_core import Cubic, DiskDomain
-from .ray_tracer import DT, T_MAX, RayStatus, entry_at, scattering_relations
+from .ray_tracer import DT, T_MAX, RayStatus, entries_at, scattering_relations
 
 _GL_NODES = 32
 HERGLOTZ_RANGE = (1e-3, 1.0)   # the radii of the Herglotz check, as fractions of R
@@ -98,8 +98,7 @@ def forward_travel_times(speed, R: float, angles, dt: float = DT, counters=None)
     for a in angles:
         if not 0.0 < a < np.pi / 2:
             raise PreconditionError(f"shooting angle must lie in (0, pi/2), got {a}")
-    records = scattering_relations(speed, domain,
-                                   [entry_at(domain, 0.0, a) for a in angles],
+    records = scattering_relations(speed, domain, entries_at(domain, 0.0, angles),
                                    dt=dt, t_max=T_MAX, counters=counters)
     for a, rec in zip(angles, records):
         if rec.status is not RayStatus.EXITED:

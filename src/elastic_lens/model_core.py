@@ -83,10 +83,14 @@ class SpeedField:
     tracer's stages).  As the check may come after it, ``_eval`` must not warn
     on a finite point outside the collar, nor raise there but through the
     checks of the fields it evaluates (DerivedSpeed's parts raise their own
-    errors).  ``value`` and ``value_and_grad`` are batches of one.
+    errors).  ``value`` and ``value_and_grad`` are batches of one.  ``knots``
+    holds the radii |x| at which c's third derivative may jump (a radial
+    profile's interior nodes), where the ray tracer ends its steps; it is
+    empty for every other field.
     """
 
     bounds: BoxDomain
+    knots = np.empty(0)
 
     def _set_bounds(self, bounds: BoxDomain):
         self.bounds = bounds
@@ -161,7 +165,8 @@ class LinearField(SpeedField):
 
 
 class RadialField(SpeedField):
-    """c(r), r = |x|, from a tabulated profile (its natural spline ``cubic``) or callables.
+    """c(r), r = |x|, from a tabulated profile (its natural spline ``cubic``, its
+    interior nodes the ``knots``) or callables.
 
     The callables ``func`` (c) and ``dfunc`` (dc/dr), which need ``r_max``, receive
     an array of radii and return an array of the same shape or a scalar.
@@ -179,7 +184,7 @@ class RadialField(SpeedField):
                 bad = int(np.argmax(c <= 0))
                 raise ModelError(f"radial profile node {bad} (r={r[bad]}) has non-positive speed {c[bad]}")
             self.cubic = Cubic(r, c)
-            self._c_dc, r_max = self.cubic.eval, r[-1]
+            self._c_dc, self.knots, r_max = self.cubic.eval, r[1:-1], r[-1]
         else:
             if func is None or dfunc is None or r_max is None:
                 raise ModelError("callable radial field needs func, dfunc and r_max")

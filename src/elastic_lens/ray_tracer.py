@@ -11,7 +11,10 @@ length in c^-2 dx^2, i.e. the travel time, and |dx/dt| = c.  Works in 2 and 3 di
 A batch of n rays is one (2d, n) array, rows x_1..x_d, xi_1..xi_d, each ray
 with its own time and step.  The stages call the field's unchecked ``_eval``;
 each step's stage points and end are checked once.  The flow at the end is the
-next step's first stage (FSAL), so a step costs six flow evaluations.
+next step's first stage (FSAL), so a step costs six flow evaluations.  A step
+keeps its fifth order where c is smooth along it, so steps end where it is not:
+at a turn of c along the ray and on the field's ``knots``, the radii where a
+profile's third derivative jumps.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .model_core import COLLAR, Domain, SpeedField
 
 THETA_MIN = math.radians(2.0)   # entries this close to tangent are refused
 DT, T_MAX = 5e-2, 50.0          # DT: the largest step of the scattering relation
-DP5_TOL = 1e-9                  # a ray's step whose error estimate exceeds this is retried
-TURN = 1e-4                     # a step that passes a turn of c starts or ends this near it
+DP5_TOL = 1e-8                  # a ray's step whose error estimate exceeds this is retried
+TURN = 1e-4                     # a step past a turn of c or a knot starts or ends this near it
 HARD_STEP_CAP = 5_000_000
 
 # Dormand-Prince 5(4): row s < 5 weighs the flows k_1..k_(s+1) into stage s + 2, row 5 (b)
@@ -53,8 +56,8 @@ class BoundaryDirection:
     v: tuple
 
     def __post_init__(self):
-        n = np.linalg.norm(self.v)
-        if not (np.all(np.isfinite(self.x)) and abs(n - 1.0) <= 1e-9):
+        n = math.hypot(*self.v)
+        if not (all(map(math.isfinite, self.x)) and abs(n - 1.0) <= 1e-9):
             raise PreconditionError(f"need a finite point and a Euclidean-unit "
                                     f"direction, got x = {self.x}, |v| = {n}")
 
@@ -150,6 +153,10 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
     about c times its length, so no stage point leaves the field's collar.  A
     step in which c along its ray turns is retried to end at the turn unless it
     starts or ends within TURN of it, so the ray's deepest point is evaluated.
+    A step that starts and ends on two sides of one of the field's knots (radii
+    r = |x|) is retried alike to end at the first knot it crosses, estimated by
+    linear interpolation of r, so no step spans a jump of c's third derivative;
+    exit steps too, so no exit is found on a dense output across a knot.
     A ray leaves at the first step taken that ends outside the domain, and the
     crossing is located by bisection (to 1e-12 relative) on that step's dense
     output (exact on straight rays).  Entries within THETA_MIN of tangent, or
@@ -171,7 +178,8 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
                for e, ok in zip(entries, steep)]
     _step_count(int(math.ceil(t_max / dt)))        # a tiny dt is refused before any work
 
-    traced, d = np.nonzero(steep)[0], x0.shape[1]
+    traced, d, knots = np.nonzero(steep)[0], x0.shape[1], speed.knots
+    bracket = np.concatenate(([-np.inf], knots, [np.inf]))
     c, n = speed.eval(x0[traced])[0], len(traced)
     y = np.concatenate((x0[traced].T, (v0[traced] / c[:, None]).T))
     # each ray's exit step: its start, end and flows, start time and length
@@ -188,10 +196,18 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
         # xi . dxi/dt has the sign of -dc/dt: c along a ray turns where it changes sign
         q, q_new = (np.add.reduce(a[d:] * b[d:], axis=0) for a, b in ((y, k1), (y_new, K[6])))
         turn = np.nonzero(q * q_new < 0.0)[0]
-        if turn.size:       # a step is retried to end at its turn unless an end is within TURN
-            to_turn = step[turn] * q[turn] / (q[turn] - q_new[turn])
-            far = np.minimum(to_turn, step[turn] - to_turn) > TURN
-            bad[turn[far]], h[turn[far]] = True, np.minimum(h[turn[far]], to_turn[far])
+        if turn.size:       # a step is retried to end at its turn, and at a knot it crosses
+            _end_at(turn, step[turn] * q[turn] / (q[turn] - q_new[turn]), step, bad, h)
+        if knots.size:      # r = |x| at the step's ends, taken as linear in between
+            r0, r1 = np.sqrt(np.add.reduce(np.stack((y[:d], y_new[:d])) ** 2, axis=1))
+            i = knots.searchsorted(r0)      # lo < r0 <= hi, lo and hi knots or infinite
+            lo, hi = bracket[:-1].take(i), bracket[1:].take(i)
+            up = r1 > hi
+            cross = np.nonzero(up | (r1 <= lo))[0]
+            if cross.size:
+                r0, r1 = r0[cross], r1[cross]
+                to_knot = step[cross] * (np.where(up, hi, lo)[cross] - r0) / (r1 - r0)
+                _end_at(cross, to_knot, step, bad, h)
         if np.count_nonzero(bad):           # these rays stay and retry a shorter step
             rejected, out = rejected + int(np.count_nonzero(bad)), out & ~bad
             y_new, K[6] = np.where(bad, y, y_new), np.where(bad, k1, K[6])
@@ -209,15 +225,21 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
     y_x, f = _exit_on_dense(domain, ends[:, :, exited], h_s[exited])
     ell, x_e, xi_e = t_s[exited] + f * h_s[exited], y_x[:d].T, y_x[d:].T
     v_out = xi_e / np.linalg.norm(xi_e, axis=1, keepdims=True)
-    for j, i in enumerate(traced[exited]):
-        records[i] = LensRecord(entries[i], BoundaryDirection(tuple(x_e[j]), tuple(v_out[j])),
-                                float(ell[j]), RayStatus.EXITED)
+    for i, x, v, e in zip(traced[exited], x_e.tolist(), v_out.tolist(), ell.tolist()):
+        records[i] = LensRecord(entries[i], BoundaryDirection(tuple(x), tuple(v)), e,
+                                RayStatus.EXITED)
     if counters is not None:
         drift = np.abs(2.0 * hamiltonian(speed, x_e, xi_e) - 1.0).max(initial=0.0)
         counters.update(passes=passes, steps=tried - rejected, rejected_steps=rejected,
                         hamiltonian_drift=float(drift),
                         ray_status=dict(Counter(r.status.value for r in records)))
     return records
+
+
+def _end_at(rows, to, step, bad, h):
+    """Retry the steps of `rows` to end `to` into them, unless within TURN of an end."""
+    far = np.minimum(to, step[rows] - to) > TURN
+    bad[rows[far]], h[rows[far]] = True, np.minimum(h[rows[far]], to[far])
 
 
 def _exit_on_dense(domain, ends, h):
@@ -257,13 +279,21 @@ def fan_angles(count: int):
     return [-lim + (k + 0.5) * 2 * lim / count for k in range(count)]
 
 
-def entry_at(domain, s: float, angle: float) -> BoundaryDirection:
-    """Inward boundary direction at arclength s, at `angle` from the inward normal."""
+def entries_at(domain, s: float, angles) -> list[BoundaryDirection]:
+    """Inward boundary directions at arclength s, at `angles` from the inward normal,
+    from one boundary point and one normal."""
     x = domain.boundary_point(s)
     nu = domain.normal(x)
-    tang = np.array([-nu[1], nu[0]])
-    v = -math.cos(angle) * nu + math.sin(angle) * tang
-    return BoundaryDirection(tuple(x), tuple(v / np.linalg.norm(v)))
+    a = np.asarray(angles, dtype=float)[:, None]
+    v = -np.cos(a) * nu + np.sin(a) * np.array([-nu[1], nu[0]])
+    v /= np.sqrt(np.add.reduce(v * v, axis=1))[:, None]
+    x = tuple(x)
+    return [BoundaryDirection(x, tuple(row)) for row in v.tolist()]
+
+
+def entry_at(domain, s: float, angle: float) -> BoundaryDirection:
+    """Inward boundary direction at arclength s, at `angle` from the inward normal."""
+    return entries_at(domain, s, [angle])[0]
 
 
 def lens_table(speed: SpeedField, domain: Domain, n_points: int, angles: int,
@@ -278,9 +308,10 @@ def lens_table(speed: SpeedField, domain: Domain, n_points: int, angles: int,
     if n_points < 1 or angles < 1:
         raise PreconditionError("need at least one boundary point and one angle")
     fan, per = fan_angles(angles), domain.perimeter
-    grid = [(per * (i + 0.5) / n_points, a) for i in range(n_points) for a in fan]
+    points = [per * (i + 0.5) / n_points for i in range(n_points)]
+    grid = [(s, a) for s in points for a in fan]
     records = scattering_relations(speed, domain,
-                                   [entry_at(domain, s, a) for s, a in grid],
+                                   [e for s in points for e in entries_at(domain, s, fan)],
                                    t_max, dt)
     return [LensTableRow(s, a, rec) for (s, a), rec in zip(grid, records)]
 

@@ -402,20 +402,23 @@ def test_radial_chain_bytes_are_pinned(radial_runs):
     run = radial_runs["runs"][0]
     assert {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
             for name in ("curve.csv", "profile.csv", "foliation.json")} == {
-        "curve.csv": "3b9aa34b58be83bc23630c929c909a0556cea3014d038a4a61c47011ca3948ff",
-        "profile.csv": "4a7e47c27fa49d64db6c691970fc117bbc0306bf1cdae042a7a3c9310874a30d",
+        "curve.csv": "e03d4333206e53cfa4da0727cdefca1e2f220c6c23c45915afc7295da8390740",
+        "profile.csv": "ee970be6102d0891e761216b6df123e3f0edb6c5192d51b1ea7e6300a458df08",
         "foliation.json": "8c290c4462cc22bf93223131412d38e8ed6d323a7b7c347086f193ffad7eaae8"}
 
 
 def test_a4_manifest_pins_the_ray_counts(radial_runs):
     # 48 rays, each with its own steps of at most DT and COLLAR / (2 c), take
-    # 1033 steps in 62 passes (373 flow evaluations: one at the entries and six
-    # a pass); 91 tries are retried, 44 over DP5_TOL and 47 to end at the
-    # ray's turn.  The Hamiltonian drifts 6.5e-10 by the exits.  The profile
-    # has a node a ray, and r / c grows along it
+    # 1041 steps in 50 passes (301 flow evaluations: one at the entries and six
+    # a pass); 180 tries are retried, 2 over DP5_TOL, 48 to end at the ray's
+    # turn and 130 to end on a knot of the profile (96 of them exit steps, on
+    # the knot r = 1 at the disk's edge).  The Hamiltonian drifts 7.9e-9 by the
+    # exits.  The profile has a node a ray, and r / c grows along it.  Every
+    # stage records its CPU seconds
     stages = json.loads((radial_runs["runs"][0] / "manifest.json").read_text())["stages"]
+    assert all(s["cpu_seconds"] >= 0.0 for s in stages)
     counters = next(s["counters"] for s in stages if s["name"] == "invert")
     assert counters.pop("herglotz_margin") > 0.0
     assert 0.0 < counters.pop("hamiltonian_drift") <= 1e-8
-    assert counters == {"passes": 62, "steps": 1033, "rejected_steps": 91,
+    assert counters == {"passes": 50, "steps": 1041, "rejected_steps": 180,
                         "ray_status": {"Exited": 48}, "nodes": 48}

@@ -577,12 +577,12 @@ def test_simulate_blow_up_exits_5(tmp_path, monkeypatch, safety, T):
                 "--out", str(tmp_path / "out")]) == cli.EXIT_SIMULATION
 
 
-def _simulate_on_two_strips(tmp_path, monkeypatch, T):
+def _simulate_on_two_strips(tmp_path, monkeypatch, T, h="0.05"):
     monkeypatch.setattr(elastic_sim, "_MIN_NODES_PER_STRIP", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     return run(["simulate", "--model", write_model(tmp_path, UNIT_BOX_MODEL),
                 "--source", "edge=left,center=0.5,width=0.2,f0=8,pol=1,0",
-                "--receivers", "edge=right,count=3", "--T", T, "--h", "0.05",
+                "--receivers", "edge=right,count=3", "--T", T, "--h", h,
                 "--out", str(tmp_path / "out")])
 
 
@@ -623,6 +623,20 @@ def test_two_strips_call_the_package_from_the_main_thread_only(tmp_path, monkeyp
     counters = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"][0][
         "counters"]
     assert counters["processes"] == 2 and 0.0 <= counters["lane_wait_seconds"]
+
+
+def test_simulate_stage_cpu_seconds_count_the_forked_lane(tmp_path, monkeypatch):
+    # the lane is forked and reaped inside the stage, so the CPU time of the
+    # children this process reaped during the run (about 0.05 s on 101 x 101
+    # nodes and 266 steps) is all in the stage's cpu_seconds
+    before = os.times()
+    assert _simulate_on_two_strips(tmp_path, monkeypatch, "2", h="0.01") == cli.EXIT_OK
+    after = os.times()
+    lane = after.children_user + after.children_system - before.children_user \
+        - before.children_system
+    stage, = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
+    assert stage["counters"]["processes"] == 2
+    assert 0.0 < lane <= stage["cpu_seconds"] + 1e-9     # os.times() sums, rounded
     metadata = (tmp_path / "out" / "metadata.json").read_text()
     assert "processes" not in metadata and "lane_wait" not in metadata
     assert_no_child()

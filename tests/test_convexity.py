@@ -51,6 +51,17 @@ def test_hwz_flat_for_conical_speed():
     assert abs(report.margin) < 1e-12
 
 
+def test_hwz_notes_a_sampled_verdict_on_callable_and_non_radial_fields(linear_radial_speed):
+    # the spline's bends make the verdict exact on a profile-built field only
+    assert check_hwz(linear_radial_speed, 0.1, 0.99).notes == []
+    callable_field = RadialField(func=lambda r: 2.0 - r, dfunc=lambda r: -1.0, r_max=1.2)
+    for f in (callable_field, ConstantField(1.0, dim=2)):
+        report = check_hwz(f, 0.1, 0.99)
+        assert report.strictly_convex
+        assert report.notes == ["verdict sampled on 32 spheres of 64 points each; it is "
+                                "exact only on a field built from a radial profile"]
+
+
 @example(c0=2.386, g=0.572, r0=0.658, w=0.027, bump=0.076)   # -0.22 between two leaves
 @given(c0=st.floats(1.5, 2.5), g=st.floats(0.0, 1.0), r0=st.floats(0.1, 0.9),
        w=st.floats(0.002, 0.03), bump=st.floats(0.0, 0.1))

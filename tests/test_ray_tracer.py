@@ -89,7 +89,7 @@ def test_steps_across_a_gradient_jump_are_retried_to_the_tolerance(unit_disk, mo
     # the fold fan's rays that dive below r = 0.75 cross the jump in grad c:
     # there a ray's step is rejected and retried shorter, each pass costs six
     # flow evaluations however many of its rays retry, and the rays meet the
-    # Herglotz integrals to 100 DP5_TOL (3.5e-8 at most; c = 1 at r = 1, so p
+    # Herglotz integrals to 100 DP5_TOL (8.5e-7 at most; c = 1 at r = 1, so p
     # is the sine of the entry angle)
     angles, calls, counters = (0.2, 0.6, 1.0), _count_rhs_calls(monkeypatch), {}
     bound = 100 * ray_tracer.DP5_TOL
@@ -322,8 +322,9 @@ def test_rays_across_a_gradient_jump_meet_the_herglotz_integrals(c_k, r_k, g_in,
     # c = c_k + g (r - r_k) with g <= 0 on each side of the kink r_k: r / c grows
     # (its derivative is the intercept over c^2, and c_k - g r_k > 0), and a steep
     # inner gradient folds the travel-time curve.  At DT the bound is 1e-3: 300
-    # draws of these profiles erred at most 3.2e-7 in Delta and T, and a ray that
-    # dips under r_k by 1e-9 to 1e-7, between the points a step evaluates, up to 3.3e-5
+    # draws of these profiles erred at most 3.1e-6 in Delta and T (3.2e-7 at DP5_TOL
+    # = 1e-9: a callable field names no knots), and at DP5_TOL = 1e-9 a ray that dips
+    # under r_k by 1e-9 to 1e-7, between the points a step evaluates, up to 3.3e-5
     assert _kinked_fan_errors(c_k, r_k, g_in, g_out, np.linspace(0.1, 1.45, 8)) <= 1e-3
 
 
@@ -342,23 +343,49 @@ def test_rays_across_a_small_gradient_jump_meet_the_herglotz_integrals():
     # c = 1.192 + g (r - 0.715), g = -0.007 inside and -0.010 outside: a kink
     # small enough that an error estimate from the flows at a step's last two
     # stages, both past it, misses it (Delta erred 8.6e-6 so).  The 48-ray fan
-    # errs 1.7e-7 in Delta and 2.7e-7 in T
+    # errs 2.3e-6 in Delta and 2.6e-6 in T (1.7e-7 and 2.7e-7 at DP5_TOL = 1e-9)
     assert _kinked_fan_errors(1.192, 0.715, -0.007, -0.010,
                               np.linspace(0.06, 1.51, 48)) <= 3e-6
 
 
-def test_spline_profile_rays_meet_a_fine_trace(monkeypatch):
-    # a natural cubic spline profile, whose third derivative jumps at its nodes
-    # (the radial workload's model at one seed).  Its 48-ray fan at DT meets the
-    # fan traced with steps of at most 5e-3 at DP5_TOL = 1e-13 to 2.9e-8 in Delta
-    # and 3.1e-8 in T, and the Hamiltonian drifts 1.3e-7 by the exits; at DP5_TOL
-    # = 1e-8 the fan erred 1.0e-7 and drifted 6.2e-7
+@pytest.fixture(scope="module")
+def spline_fan():
+    """A natural cubic spline profile, whose third derivative jumps at its knots
+    r = 0.5 and 1 (the radial workload's model at one seed), the angles of a
+    48-ray fan and its (Delta, T) traced with steps of at most 5e-3 at DP5_TOL =
+    1e-13."""
     speed = RadialField(profile=[[0.0, 2.0], [0.5, 1.4852270827288125],
                                  [1.0, 1.0046167696686323], [1.2, 0.8]])
-    angles, counters = np.linspace(0.06, 1.51, 48), {}
+    angles = np.linspace(0.06, 1.51, 48)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ray_tracer, "DP5_TOL", 1e-13)
+        return speed, angles, forward_travel_times(speed, 1.0, angles, dt=5e-3)
+
+
+def test_spline_profile_rays_meet_a_fine_trace(spline_fan):
+    # the steps end on the knots, so the fan at DT meets the fine trace to 1.3e-9
+    # in Delta and 2.7e-9 in T, and the Hamiltonian drifts 4.9e-9 by the exits;
+    # with steps across the knots it erred 2.9e-8 and 3.1e-8 and drifted 1.3e-7,
+    # at DP5_TOL = 1e-9
+    speed, angles, (ref_delta, ref_time) = spline_fan
+    counters = {}
     delta, time = forward_travel_times(speed, 1.0, angles, counters=counters)
-    assert counters["hamiltonian_drift"] <= 2e-7
-    monkeypatch.setattr(ray_tracer, "DP5_TOL", 1e-13)
-    ref_delta, ref_time = forward_travel_times(speed, 1.0, angles, dt=5e-3)
-    assert np.abs(delta - ref_delta).max() <= 5e-8
-    assert np.abs(time - ref_time).max() <= 5e-8
+    assert counters["hamiltonian_drift"] <= 1e-8
+    assert np.abs(delta - ref_delta).max() <= 5e-9
+    assert np.abs(time - ref_time).max() <= 5e-9
+
+
+def test_spline_profile_fan_error_falls_with_the_tolerance(spline_fan, monkeypatch):
+    # a step that ends on each knot keeps its fifth order and its error estimate
+    # bounds its error, so the fan's errors follow DP5_TOL: in Delta 1.3e-9,
+    # 4.9e-10 and 1.1e-10 at 1e-8, 4e-9 and 1e-9, in T 2.7e-9, 8.3e-10 and
+    # 1.8e-10.  With steps across the knots Delta erred 6.4e-8, 1.1e-7 and 2.9e-8
+    speed, angles, ref = spline_fan
+
+    def errors(tol):
+        monkeypatch.setattr(ray_tracer, "DP5_TOL", tol)
+        return np.array([np.abs(a - b).max()
+                         for a, b in zip(forward_travel_times(speed, 1.0, angles), ref)])
+    coarse, middle, fine = (errors(tol) for tol in (1e-8, 4e-9, 1e-9))
+    assert np.all(coarse > middle) and np.all(middle > fine)
+    assert np.all(4.0 * fine <= coarse)
