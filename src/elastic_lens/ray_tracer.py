@@ -14,7 +14,8 @@ each step's stage points and end are checked once.  The flow at the end is the
 next step's first stage (FSAL), so a step costs six flow evaluations.  A step
 keeps its fifth order where c is smooth along it, so steps end where it is not:
 at a turn of c along the ray and on the field's ``knots``, the radii where a
-profile's third derivative jumps.
+profile's third derivative jumps.  A field that names no knots is stepped to
+the tighter KNOTLESS_TOL.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .model_core import COLLAR, Domain, SpeedField
 
 THETA_MIN = math.radians(2.0)   # entries this close to tangent are refused
 DT, T_MAX = 5e-2, 50.0          # DT: the largest step of the scattering relation
-DP5_TOL = 1e-8                  # a ray's step whose error estimate exceeds this is retried
+DP5_TOL = 1e-8                  # a ray's step whose error estimate exceeds this is retried,
+KNOTLESS_TOL = 1e-9             # or this on a field that names no knots: a kink may lie in a step
 TURN = 1e-4                     # a step past a turn of c or a knot starts or ends this near it
 HARD_STEP_CAP = 5_000_000
 
@@ -147,8 +149,10 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
     """Trace rays from strictly inward boundary directions to their exits.
 
     Each ray has its own time and step; a pass tries one step on every ray
-    still inside, and retries those whose error estimate exceeds DP5_TOL.
-    After each try a step is scaled by clip(0.9 (DP5_TOL / err)^(1/5), 0.2, 5),
+    still inside, and retries those whose error estimate exceeds tol: DP5_TOL
+    on a field that names knots, else KNOTLESS_TOL, as a field that names none
+    may have kinks inside a step, where the estimate bounds nothing.  After
+    each try a step is scaled by clip(0.9 (tol / err)^(1/5), 0.2, 5),
     up to dt and to COLLAR / (2 c), c the ray's speed: a step moves a ray by
     about c times its length, so no stage point leaves the field's collar.  A
     step in which c along its ray turns is retried to end at the turn unless it
@@ -179,7 +183,7 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
     _step_count(int(math.ceil(t_max / dt)))        # a tiny dt is refused before any work
 
     traced, d, knots = np.nonzero(steep)[0], x0.shape[1], speed.knots
-    bracket = np.concatenate(([-np.inf], knots, [np.inf]))
+    tol = DP5_TOL if knots.size else KNOTLESS_TOL
     c, n = speed.eval(x0[traced])[0], len(traced)
     y = np.concatenate((x0[traced].T, (v0[traced] / c[:, None]).T))
     # each ray's exit step: its start, end and flows, start time and length
@@ -191,23 +195,21 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
         passes, tried = _step_count(passes + 1), tried + active.size
         step = np.minimum(np.minimum(h, 0.5 * COLLAR / c), np.minimum(dt, t_max - t))
         y_new, K, c_new, err = _dp5_step(speed, y, step, k1)
-        out, t_new, bad = domain.signed(y_new[:d].T) > 0.0, t + step, err > DP5_TOL
-        h = step * np.maximum(np.minimum(0.9 * (DP5_TOL / (err + 1e-300)) ** 0.2, 5.0), 0.2)
+        out, t_new, bad = domain.signed(y_new[:d].T) > 0.0, t + step, err > tol
+        h = step * np.maximum(np.minimum(0.9 * (tol / (err + 1e-300)) ** 0.2, 5.0), 0.2)
         # xi . dxi/dt has the sign of -dc/dt: c along a ray turns where it changes sign
         q, q_new = (np.add.reduce(a[d:] * b[d:], axis=0) for a, b in ((y, k1), (y_new, K[6])))
         turn = np.nonzero(q * q_new < 0.0)[0]
         if turn.size:       # a step is retried to end at its turn, and at a knot it crosses
             _end_at(turn, step[turn] * q[turn] / (q[turn] - q_new[turn]), step, bad, h)
         if knots.size:      # r = |x| at the step's ends, taken as linear in between
-            r0, r1 = np.sqrt(np.add.reduce(np.stack((y[:d], y_new[:d])) ** 2, axis=1))
-            i = knots.searchsorted(r0)      # lo < r0 <= hi, lo and hi knots or infinite
-            lo, hi = bracket[:-1].take(i), bracket[1:].take(i)
-            up = r1 > hi
-            cross = np.nonzero(up | (r1 <= lo))[0]
-            if cross.size:
-                r0, r1 = r0[cross], r1[cross]
-                to_knot = step[cross] * (np.where(up, hi, lo)[cross] - r0) / (r1 - r0)
-                _end_at(cross, to_knot, step, bad, h)
+            r0, r1 = (np.sqrt(np.add.reduce(x * x, axis=0)) for x in (y[:d], y_new[:d]))
+            i0, i1 = knots.searchsorted(r0), knots.searchsorted(r1)     # knot intervals
+            cross = np.nonzero(i0 != i1)[0]
+            if cross.size:  # the first knot crossed: knots[i0] going out, knots[i0 - 1] in
+                i0, r0, r1 = i0[cross], r0[cross], r1[cross]
+                knot = knots[np.where(r1 > r0, i0, i0 - 1)]
+                _end_at(cross, step[cross] * (knot - r0) / (r1 - r0), step, bad, h)
         if np.count_nonzero(bad):           # these rays stay and retry a shorter step
             rejected, out = rejected + int(np.count_nonzero(bad)), out & ~bad
             y_new, K[6] = np.where(bad, y, y_new), np.where(bad, k1, K[6])
@@ -308,10 +310,9 @@ def lens_table(speed: SpeedField, domain: Domain, n_points: int, angles: int,
     if n_points < 1 or angles < 1:
         raise PreconditionError("need at least one boundary point and one angle")
     fan, per = fan_angles(angles), domain.perimeter
-    points = [per * (i + 0.5) / n_points for i in range(n_points)]
-    grid = [(s, a) for s in points for a in fan]
+    grid = [(per * (i + 0.5) / n_points, a) for i in range(n_points) for a in fan]
     records = scattering_relations(speed, domain,
-                                   [e for s in points for e in entries_at(domain, s, fan)],
+                                   [entry_at(domain, s, a) for s, a in grid],
                                    t_max, dt)
     return [LensTableRow(s, a, rec) for (s, a), rec in zip(grid, records)]
 

@@ -623,6 +623,9 @@ def test_two_strips_call_the_package_from_the_main_thread_only(tmp_path, monkeyp
     counters = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"][0][
         "counters"]
     assert counters["processes"] == 2 and 0.0 <= counters["lane_wait_seconds"]
+    metadata = (tmp_path / "out" / "metadata.json").read_text()
+    assert "processes" not in metadata and "lane_wait" not in metadata
+    assert_no_child()
 
 
 def test_simulate_stage_cpu_seconds_count_the_forked_lane(tmp_path, monkeypatch):
@@ -637,8 +640,6 @@ def test_simulate_stage_cpu_seconds_count_the_forked_lane(tmp_path, monkeypatch)
     stage, = json.loads((tmp_path / "out" / "manifest.json").read_text())["stages"]
     assert stage["counters"]["processes"] == 2
     assert 0.0 < lane <= stage["cpu_seconds"] + 1e-9     # os.times() sums, rounded
-    metadata = (tmp_path / "out" / "metadata.json").read_text()
-    assert "processes" not in metadata and "lane_wait" not in metadata
     assert_no_child()
 
 

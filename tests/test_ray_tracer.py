@@ -89,10 +89,10 @@ def test_steps_across_a_gradient_jump_are_retried_to_the_tolerance(unit_disk, mo
     # the fold fan's rays that dive below r = 0.75 cross the jump in grad c:
     # there a ray's step is rejected and retried shorter, each pass costs six
     # flow evaluations however many of its rays retry, and the rays meet the
-    # Herglotz integrals to 100 DP5_TOL (8.5e-7 at most; c = 1 at r = 1, so p
-    # is the sine of the entry angle)
+    # Herglotz integrals to 1e-7 (3.5e-8 at most; c = 1 at r = 1, so p is the
+    # sine of the entry angle)
     angles, calls, counters = (0.2, 0.6, 1.0), _count_rhs_calls(monkeypatch), {}
-    bound = 100 * ray_tracer.DP5_TOL
+    bound = 1e-7
     records = scattering_relations(triplicating_field(), unit_disk,
                                    [entry_at(unit_disk, 0.0, a) for a in angles],
                                    t_max=ray_tracer.T_MAX, dt=ray_tracer.DT,
@@ -322,9 +322,8 @@ def test_rays_across_a_gradient_jump_meet_the_herglotz_integrals(c_k, r_k, g_in,
     # c = c_k + g (r - r_k) with g <= 0 on each side of the kink r_k: r / c grows
     # (its derivative is the intercept over c^2, and c_k - g r_k > 0), and a steep
     # inner gradient folds the travel-time curve.  At DT the bound is 1e-3: 300
-    # draws of these profiles erred at most 3.1e-6 in Delta and T (3.2e-7 at DP5_TOL
-    # = 1e-9: a callable field names no knots), and at DP5_TOL = 1e-9 a ray that dips
-    # under r_k by 1e-9 to 1e-7, between the points a step evaluates, up to 3.3e-5
+    # draws of these profiles erred at most 3.2e-7 in Delta and T, and a ray that
+    # dips under r_k by 1e-9 to 1e-7, between the points a step evaluates, up to 3.3e-5
     assert _kinked_fan_errors(c_k, r_k, g_in, g_out, np.linspace(0.1, 1.45, 8)) <= 1e-3
 
 
@@ -343,7 +342,7 @@ def test_rays_across_a_small_gradient_jump_meet_the_herglotz_integrals():
     # c = 1.192 + g (r - 0.715), g = -0.007 inside and -0.010 outside: a kink
     # small enough that an error estimate from the flows at a step's last two
     # stages, both past it, misses it (Delta erred 8.6e-6 so).  The 48-ray fan
-    # errs 2.3e-6 in Delta and 2.6e-6 in T (1.7e-7 and 2.7e-7 at DP5_TOL = 1e-9)
+    # errs 1.7e-7 in Delta and 2.7e-7 in T
     assert _kinked_fan_errors(1.192, 0.715, -0.007, -0.010,
                               np.linspace(0.06, 1.51, 48)) <= 3e-6
 
