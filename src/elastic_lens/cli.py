@@ -34,8 +34,8 @@ from .elastic_sim import BoundarySource, check_size, simulate_dn
 from .errors import (ConfigurationError, ElasticLensError, ExtractionError,
                      FoliationError, InversionError, ModelError, NumericalError,
                      PreconditionError, ResourceError)
-from .inversion import (HERGLOTZ_RANGE, RadialProfile, forward_travel_times,
-                        herglotz_invert, invert_both_speeds, layer_strip_invert)
+from .inversion import (HERGLOTZ_RANGE, forward_travel_times, herglotz_invert,
+                        invert_both_speeds, layer_strip_invert)
 from .model_core import (EDGES, BoxDomain, ConstantField, DepthField,
                          DiskDomain, json_int, load_model)
 from .ray_tracer import (DT, T_MAX, RayStatus, entry_at, exit_angle, lens_table,
@@ -219,12 +219,6 @@ def _profile_errors(speed, x, c):
     c_true = speed.eval(points)[0]
     errs = np.abs(c - c_true) / c_true
     return {"max_rel_err": float(np.max(errs)), "mean_rel_err": float(np.mean(errs))}
-
-
-def _write_profile(path, prof):
-    """A recovered profile as CSV: radius r (radial) or depth z, then c."""
-    axis = "r" if isinstance(prof, RadialProfile) else "z"
-    _write_csv(path, [axis, "c"], zip(getattr(prof, axis), prof.c))
 
 
 def write_lens_csv(path, domain, rows):
@@ -426,10 +420,10 @@ def cmd_extract(args):
 def cmd_invert(args):
     rows = _read_csv(args.curve, 2)
     if args.mode == "radial":
-        prof = herglotz_invert(rows[:, 0], rows[:, 1], args.R)
+        prof, axis = herglotz_invert(rows[:, 0], rows[:, 1], args.R), "r"
     else:
-        prof = layer_strip_invert(rows[:, 0], rows[:, 1])
-    _write_profile(args.out, prof)
+        prof, axis = layer_strip_invert(rows[:, 0], rows[:, 1]), "z"
+    _write_csv(args.out, [axis, "c"], zip(prof.x, prof.c))
     print(f"wrote profile ({len(prof.c)} nodes) to {args.out}")
 
 
@@ -591,15 +585,15 @@ def _pipeline_radial(cfg, out, model, stages):
         delta, times = forward_travel_times(speed, R, angles, counters=counters)
         _write_csv(out / "curve.csv", ["delta", "time"], zip(delta, times))
         prof = herglotz_invert(delta, times, R)
-        _write_profile(out / "profile.csv", prof)
+        _write_csv(out / "profile.csv", ["r", "c"], zip(prof.x, prof.c))
         # Herglotz's condition: p = r / c grows with r, by this smallest step
-        counters.update(nodes=len(prof.c), herglotz_margin=float(np.diff(prof.r / prof.c).min()))
+        counters.update(nodes=len(prof.c), herglotz_margin=float(np.diff(prof.x / prof.c).min()))
 
     return {
         "mode": "radial",
         "n_rays": rcfg["n_rays"],
-        "covered_radii": [float(prof.r[0]), float(prof.r[-1])],
-        **_profile_errors(speed, prof.r, prof.c),
+        "covered_radii": [float(prof.x[0]), float(prof.x[-1])],
+        **_profile_errors(speed, prof.x, prof.c),
     }
 
 

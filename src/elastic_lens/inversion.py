@@ -38,38 +38,23 @@ HERGLOTZ_RANGE = (1e-3, 1.0)   # the radii of the Herglotz check, as fractions o
 
 
 @dataclass
-class RadialProfile:
-    """Speed samples c(r) on the ray-covered radii [min turning radius, R]."""
+class Profile:
+    """Speed samples c(x), piecewise linear in x: the radius r on a disk, from
+    the least turning radius to R, or the depth z in plane layers."""
 
-    r: np.ndarray
+    x: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
+        self.x = np.asarray(self.x, dtype=float)
         self.c = np.asarray(self.c, dtype=float)
-        if not np.all(np.diff(self.r) > 0):
-            raise PreconditionError("radii must be strictly increasing")
+        if not np.all(np.diff(self.x) > 0):
+            raise PreconditionError("coordinates must be strictly increasing")
         if not np.all(self.c > 0):
             raise PreconditionError("speeds must be positive")
 
-
-@dataclass
-class DepthProfile:
-    """Speed samples c(z) versus depth, piecewise linear."""
-
-    z: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        self.z = np.asarray(self.z, dtype=float)
-        self.c = np.asarray(self.c, dtype=float)
-        if not np.all(np.diff(self.z) > 0):
-            raise PreconditionError("depths must be strictly increasing")
-        if not np.all(self.c > 0):
-            raise PreconditionError("speeds must be positive")
-
-    def __call__(self, z):
-        return np.interp(z, self.z, self.c)
+    def __call__(self, x):
+        return np.interp(x, self.x, self.c)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +195,7 @@ def _abel(X, t):
     return p0, p, integral
 
 
-def herglotz_invert(delta, time, R: float) -> RadialProfile:
+def herglotz_invert(delta, time, R: float) -> Profile:
     """Abel-invert a travel-time curve on a disk of radius R to the radial
     speed on turning radii.
 
@@ -225,7 +210,7 @@ def herglotz_invert(delta, time, R: float) -> RadialProfile:
         raise PreconditionError(f"disk radius R must be finite and positive, got {R}")
     _, p, integral = _abel(*_samples(delta, time))
     r = R * np.exp(-integral[::-1])
-    return RadialProfile(r, r / p[::-1])
+    return Profile(r, r / p[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +242,13 @@ def _stack(p, c, dz):
     return x, t
 
 
-def forward_layered_times(profile: DepthProfile, ray_parameters):
+def forward_layered_times(profile: Profile, ray_parameters):
     """Surface-to-surface offsets and times for a piecewise-linear c(z).
 
     Only rays that turn strictly inside the profile are accepted.  Returns
     (offsets, times) sorted by increasing offset.
     """
-    z, c = profile.z, profile.c
+    z, c = profile.x, profile.c
     if not np.all(np.diff(c) > 0):
         raise PreconditionError("layered forward model needs c strictly "
                                 "increasing in depth")
@@ -285,7 +270,7 @@ def forward_layered_times(profile: DepthProfile, ray_parameters):
     return np.asarray(offsets)[order], np.asarray(times)[order]
 
 
-def layer_strip_invert(offsets, times) -> DepthProfile:
+def layer_strip_invert(offsets, times) -> Profile:
     """Recover an increasing c(z) from surface offset/time samples.
 
     Samples must be ordered by increasing penetration; on a retrograde
@@ -299,9 +284,9 @@ def layer_strip_invert(offsets, times) -> DepthProfile:
     p = np.diff(np.concatenate(([0.0], t))) / np.diff(np.concatenate(([0.0], X)))
     if np.all(np.abs(p - p[0]) < 1e-9 * p[0]):
         # homogeneous medium: surface-to-surface time is X/c exactly
-        return DepthProfile([0.0, max(0.5 * float(X[-1]), 1e-6)], [1.0 / p[0]] * 2)
+        return Profile([0.0, max(0.5 * float(X[-1]), 1e-6)], [1.0 / p[0]] * 2)
     p0, p, z = _abel(X, t)
-    return DepthProfile(np.concatenate(([0.0], z)), 1.0 / np.concatenate(([p0], p)))
+    return Profile(np.concatenate(([0.0], z)), 1.0 / np.concatenate(([p0], p)))
 
 
 # ---------------------------------------------------------------------------

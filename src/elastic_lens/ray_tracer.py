@@ -12,10 +12,10 @@ A batch of n rays is one (2d, n) array, rows x_1..x_d, xi_1..xi_d, each ray
 with its own time and step.  The stages call the field's unchecked ``_eval``;
 each step's stage points and end are checked once.  The flow at the end is the
 next step's first stage (FSAL), so a step costs six flow evaluations.  A step
-keeps its fifth order where c is smooth along it, so steps end where it is not:
-at a turn of c along the ray and on the field's ``knots``, the radii where a
-profile's third derivative jumps.  A field that names no knots is stepped to
-the tighter KNOTLESS_TOL.
+keeps its fifth order where c is smooth along it, so steps end on the field's
+``knots``, the radii where a profile's third derivative jumps.  A field that
+names none may have a kink anywhere: its steps end at each turn of c along the
+ray, and it is stepped to the tighter KNOTLESS_TOL.
 """
 
 from __future__ import annotations
@@ -154,13 +154,14 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
     may have kinks inside a step, where the estimate bounds nothing.  After
     each try a step is scaled by clip(0.9 (tol / err)^(1/5), 0.2, 5),
     up to dt and to COLLAR / (2 c), c the ray's speed: a step moves a ray by
-    about c times its length, so no stage point leaves the field's collar.  A
-    step in which c along its ray turns is retried to end at the turn unless it
-    starts or ends within TURN of it, so the ray's deepest point is evaluated.
-    A step that starts and ends on two sides of one of the field's knots (radii
-    r = |x|) is retried alike to end at the first knot it crosses, estimated by
-    linear interpolation of r, so no step spans a jump of c's third derivative;
-    exit steps too, so no exit is found on a dense output across a knot.
+    about c times its length, so no stage point leaves the field's collar.  On
+    a field that names knots (radii r = |x|), a step that starts and ends on two
+    sides of one is retried to end at the first knot it crosses, estimated by
+    linear interpolation of r, unless it starts or ends within TURN of it, so no
+    step spans a jump of c's third derivative; exit steps too, so no exit is
+    found on a dense output across a knot.  On a field that names none, a step
+    in which c along its ray turns is retried alike to end at the turn, so the
+    ray's deepest point, where a kink may hide, is evaluated.
     A ray leaves at the first step taken that ends outside the domain, and the
     crossing is located by bisection (to 1e-12 relative) on that step's dense
     output (exact on straight rays).  Entries within THETA_MIN of tangent, or
@@ -197,11 +198,6 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
         y_new, K, c_new, err = _dp5_step(speed, y, step, k1)
         out, t_new, bad = domain.signed(y_new[:d].T) > 0.0, t + step, err > tol
         h = step * np.maximum(np.minimum(0.9 * (tol / (err + 1e-300)) ** 0.2, 5.0), 0.2)
-        # xi . dxi/dt has the sign of -dc/dt: c along a ray turns where it changes sign
-        q, q_new = (np.add.reduce(a[d:] * b[d:], axis=0) for a, b in ((y, k1), (y_new, K[6])))
-        turn = np.nonzero(q * q_new < 0.0)[0]
-        if turn.size:       # a step is retried to end at its turn, and at a knot it crosses
-            _end_at(turn, step[turn] * q[turn] / (q[turn] - q_new[turn]), step, bad, h)
         if knots.size:      # r = |x| at the step's ends, taken as linear in between
             r0, r1 = (np.sqrt(np.add.reduce(x * x, axis=0)) for x in (y[:d], y_new[:d]))
             i0, i1 = knots.searchsorted(r0), knots.searchsorted(r1)     # knot intervals
@@ -210,6 +206,11 @@ def scattering_relations(speed: SpeedField, domain: Domain, entries, t_max: floa
                 i0, r0, r1 = i0[cross], r0[cross], r1[cross]
                 knot = knots[np.where(r1 > r0, i0, i0 - 1)]
                 _end_at(cross, step[cross] * (knot - r0) / (r1 - r0), step, bad, h)
+        else:               # xi . dxi/dt has the sign of -dc/dt: c turns where it changes sign
+            q, q_new = (np.add.reduce(a[d:] * b[d:], axis=0) for a, b in ((y, k1), (y_new, K[6])))
+            turn = np.nonzero(q * q_new < 0.0)[0]
+            if turn.size:   # a step is retried to end at its turn
+                _end_at(turn, step[turn] * q[turn] / (q[turn] - q_new[turn]), step, bad, h)
         if np.count_nonzero(bad):           # these rays stay and retry a shorter step
             rejected, out = rejected + int(np.count_nonzero(bad)), out & ~bad
             y_new, K[6] = np.where(bad, y, y_new), np.where(bad, k1, K[6])

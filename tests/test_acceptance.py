@@ -402,23 +402,22 @@ def test_radial_chain_bytes_are_pinned(radial_runs):
     run = radial_runs["runs"][0]
     assert {name: hashlib.sha256((run / name).read_bytes()).hexdigest()
             for name in ("curve.csv", "profile.csv", "foliation.json")} == {
-        "curve.csv": "e03d4333206e53cfa4da0727cdefca1e2f220c6c23c45915afc7295da8390740",
-        "profile.csv": "ee970be6102d0891e761216b6df123e3f0edb6c5192d51b1ea7e6300a458df08",
+        "curve.csv": "5fd3ed42b3236c44330e1cfe8870dd9e1173d583222393ed16116efb709cda81",
+        "profile.csv": "b2261e79bed4edca855572a9abb2c79f9d75d9f03da691be2f0181056b95f82e",
         "foliation.json": "8c290c4462cc22bf93223131412d38e8ed6d323a7b7c347086f193ffad7eaae8"}
 
 
 def test_a4_manifest_pins_the_ray_counts(radial_runs):
     # 48 rays, each with its own steps of at most DT and COLLAR / (2 c), take
-    # 1041 steps in 50 passes (301 flow evaluations: one at the entries and six
-    # a pass); 180 tries are retried, 2 over DP5_TOL, 48 to end at the ray's
-    # turn and 130 to end on a knot of the profile (96 of them exit steps, on
-    # the knot r = 1 at the disk's edge).  The Hamiltonian drifts 7.9e-9 by the
-    # exits.  The profile has a node a ray, and r / c grows along it.  Every
-    # stage records its CPU seconds
+    # 1007 steps in 49 passes (295 flow evaluations: one at the entries and six
+    # a pass); 130 tries are retried, 2 over DP5_TOL and 128 to end on a knot of
+    # the profile: 33 on r = 0.5 and 95 exit steps on r = 1, the disk's edge.
+    # The Hamiltonian drifts 3.9e-9 by the exits.  The profile has a node a
+    # ray, and r / c grows along it.  Every stage records its CPU seconds
     stages = json.loads((radial_runs["runs"][0] / "manifest.json").read_text())["stages"]
     assert all(s["cpu_seconds"] >= 0.0 for s in stages)
     counters = next(s["counters"] for s in stages if s["name"] == "invert")
     assert counters.pop("herglotz_margin") > 0.0
     assert 0.0 < counters.pop("hamiltonian_drift") <= 1e-8
-    assert counters == {"passes": 50, "steps": 1041, "rejected_steps": 180,
+    assert counters == {"passes": 49, "steps": 1007, "rejected_steps": 130,
                         "ray_status": {"Exited": 48}, "nodes": 48}

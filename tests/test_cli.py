@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from elastic_lens import (cli, convexity, elastic_sim, errors, inversion, model_core,
                           ray_tracer, wavefield_analysis)
-from elastic_lens.inversion import DepthProfile, forward_layered_times
+from elastic_lens.inversion import Profile, forward_layered_times
 from elastic_lens.model_core import load_model
 from elastic_lens.ray_tracer import (RayStatus, entry_at, fan_angles,
                                      scattering_relation, scattering_relations)
@@ -275,7 +275,7 @@ def test_invert_radial_inverts_a_folded_curve(tmp_path, triplicating_curve):
 
 
 def test_invert_layered_writes_depth_profile(tmp_path):
-    truth = DepthProfile([0.0, 2.0], [1.0, 2.0])
+    truth = Profile([0.0, 2.0], [1.0, 2.0])
     X, t = forward_layered_times(truth, 1.0 / np.linspace(1.05, 1.95, 30))
     _write_curve(tmp_path / "curve.csv", X, t)
     out = tmp_path / "prof.csv"

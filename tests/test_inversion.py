@@ -9,7 +9,7 @@ from scipy.interpolate import PchipInterpolator
 from elastic_lens.errors import (DataInconsistencyError, FoliationError,
                                  IllPosedInputError, InversionError,
                                  PreconditionError)
-from elastic_lens.inversion import (DepthProfile, _pchip, forward_layered_times,
+from elastic_lens.inversion import (Profile, _pchip, forward_layered_times,
                                     forward_travel_times, herglotz_invert,
                                     invert_both_speeds, layer_strip_invert)
 from elastic_lens.model_core import ConstantField, RadialField
@@ -109,7 +109,7 @@ def test_herglotz_linear_profile_roundtrip(linear_radial_speed):
     angles = np.linspace(0.08, 1.5, 48)
     prof = herglotz_invert(*forward_travel_times(linear_radial_speed, 1.0, angles,
                                                  dt=1e-3), 1.0)
-    truth = 2.0 - prof.r
+    truth = 2.0 - prof.x
     rel = np.abs(prof.c - truth) / truth
     assert np.max(rel) < 0.005
 
@@ -126,8 +126,8 @@ def test_forward_times_unwrap_rays_that_run_far_round(c, dc, delta_min):
     delta, time = forward_travel_times(speed, 1.0, np.linspace(0.06, 1.51, 24))
     assert delta.max() > delta_min
     prof = herglotz_invert(delta, time, 1.0)
-    assert len(prof.r) == 23
-    assert np.max(np.abs(prof.c - c(prof.r)) / c(prof.r)) < 0.01
+    assert len(prof.x) == 23
+    assert np.max(np.abs(prof.c - c(prof.x)) / c(prof.x)) < 0.01
 
 
 @st.composite
@@ -144,7 +144,7 @@ def test_herglotz_roundtrips_random_admissible_speeds(model):
     a, b, q, speed = model
     prof = herglotz_invert(*forward_travel_times(speed, 1.0, np.linspace(0.08, 1.5, 32),
                                                  dt=1e-3), 1.0)
-    truth = a - b * prof.r + q * prof.r ** 2
+    truth = a - b * prof.x + q * prof.x ** 2
     assert np.max(np.abs(prof.c - truth) / truth) < 0.01
 
 
@@ -155,8 +155,8 @@ def test_herglotz_recovers_triplicating_radial_model(triplicating_curve):
     d = np.diff(delta)
     assert np.count_nonzero(d[:-1] * d[1:] < 0) == 2
     prof = herglotz_invert(delta, time, 1.0)
-    truth = triplicating_speed(prof.r)
-    assert len(prof.r) == 46
+    truth = triplicating_speed(prof.x)
+    assert len(prof.x) == 46
     assert np.max(np.abs(prof.c - truth) / truth) < 0.01
 
 
@@ -170,8 +170,8 @@ def test_herglotz_accepts_the_fold_fan_at_every_step_cap(dt):
     delta, time = forward_travel_times(triplicating_field(), 1.0,
                                        np.linspace(0.06, 1.51, 48), dt=dt)
     prof = herglotz_invert(delta, time, 1.0)
-    truth = triplicating_speed(prof.r)
-    assert len(prof.r) == 46
+    truth = triplicating_speed(prof.x)
+    assert len(prof.x) == 46
     assert np.max(np.abs(prof.c - truth) / truth) < 0.01
 
 
@@ -181,7 +181,7 @@ def test_herglotz_accepts_the_fold_fan_at_every_step_cap(dt):
 
 
 def test_forward_layered_ordered_by_penetration():
-    prof = DepthProfile([0.0, 1.0], [1.0, 2.0])
+    prof = Profile([0.0, 1.0], [1.0, 2.0])
     p = 1.0 / np.linspace(1.1, 1.9, 7)
     X, t = forward_layered_times(prof, p)
     assert np.all(np.diff(t) > 0)          # deeper rays take longer
@@ -189,7 +189,7 @@ def test_forward_layered_ordered_by_penetration():
 
 
 def test_forward_layered_requires_turning_rays():
-    prof = DepthProfile([0.0, 1.0], [1.0, 2.0])
+    prof = Profile([0.0, 1.0], [1.0, 2.0])
     with pytest.raises(InversionError):
         forward_layered_times(prof, [1.0 / 2.5])   # turns below the profile
 
@@ -201,21 +201,21 @@ def test_layer_strip_homogeneous_exact():
 
 
 def test_layer_strip_linear_gradient_roundtrip():
-    prof = DepthProfile([0.0, 2.0], [1.0, 1.0 + 0.5 * 2.0])
+    prof = Profile([0.0, 2.0], [1.0, 1.0 + 0.5 * 2.0])
     p = 1.0 / np.linspace(1.05, 1.95, 40)
     X, t = forward_layered_times(prof, p)
     rec = layer_strip_invert(X, t)
-    zq = np.linspace(0.05, min(rec.z[-1], 1.6), 40)
+    zq = np.linspace(0.05, min(rec.x[-1], 1.6), 40)
     rel = np.abs(rec(zq) - prof(zq)) / prof(zq)
     assert np.max(rel) < 0.02
 
 
 def test_layer_strip_gradient_jump_roundtrip():
-    prof = DepthProfile([0.0, 0.5, 2.0], [1.0, 1.2, 2.4])
+    prof = Profile([0.0, 0.5, 2.0], [1.0, 1.2, 2.4])
     p = 1.0 / np.linspace(1.05, 2.3, 40)
     X, t = forward_layered_times(prof, p)
     rec = layer_strip_invert(X, t)
-    zq = np.linspace(0.05, min(rec.z[-1], 1.4), 50)
+    zq = np.linspace(0.05, min(rec.x[-1], 1.4), 50)
     rel = np.abs(rec(zq) - prof(zq)) / prof(zq)
     assert np.max(rel) < 0.03
 
@@ -232,7 +232,7 @@ def test_layer_strip_detects_low_velocity_zone():
     # a well-sampled gradient followed by three samples whose secants
     # (0.60, 0.65, 0.70) exceed the deepest ray parameter: the band starts
     # at the deepest node recovered from the consistent samples
-    X, t = forward_layered_times(DepthProfile([0.0, 1.0], [1.0, 2.0]),
+    X, t = forward_layered_times(Profile([0.0, 1.0], [1.0, 2.0]),
                                  1.0 / np.linspace(1.05, 1.9, 20))
     step = X[-1] - X[-2]
     X_lvz = X[-1] + step * np.arange(1, 4)
@@ -250,8 +250,8 @@ def concave_layered_profiles(draw):
     dz = draw(st.lists(st.floats(0.05, 0.3), min_size=n - 1, max_size=n - 1))
     grad = sorted(draw(st.lists(st.floats(0.2, 3.0), min_size=n - 1,
                                 max_size=n - 1)), reverse=True)
-    return DepthProfile(np.concatenate(([0.0], np.cumsum(dz))),
-                        np.concatenate(([1.0], 1.0 + np.cumsum(np.multiply(grad, dz)))))
+    return Profile(np.concatenate(([0.0], np.cumsum(dz))),
+                   np.concatenate(([1.0], 1.0 + np.cumsum(np.multiply(grad, dz)))))
 
 
 def strip_forward_times(prof, n_rays):
@@ -263,7 +263,7 @@ def strip_forward_times(prof, n_rays):
 @given(prof=concave_layered_profiles())
 def test_layer_strip_roundtrips_random_concave_profiles(prof):
     rec = strip_forward_times(prof, 40)
-    truth = prof(rec.z)
+    truth = prof(rec.x)
     assert np.max(np.abs(rec.c - truth) / truth) < 0.01
 
 
@@ -273,21 +273,21 @@ def test_layer_strip_roundtrips_random_concave_profiles(prof):
                           "where the second secant spans X from 0.019 to 0.29; "
                           "80 rays miss by 0.56 %, 160 by 0.28 %")
 def test_layer_strip_recovers_steep_concave_profile_from_40_rays():
-    prof = DepthProfile([0.0, 0.06, 0.53, 0.97, 1.36, 1.86, 2.3, 2.62, 2.65],
-                        [1.0, 1.288, 3.121, 4.749, 5.997, 7.397, 8.585, 9.417, 9.471])
+    prof = Profile([0.0, 0.06, 0.53, 0.97, 1.36, 1.86, 2.3, 2.62, 2.65],
+                   [1.0, 1.288, 3.121, 4.749, 5.997, 7.397, 8.585, 9.417, 9.471])
     rec = strip_forward_times(prof, 40)
-    truth = prof(rec.z)
+    truth = prof(rec.x)
     assert np.max(np.abs(rec.c - truth) / truth) < 0.01
 
 
 def test_layer_strip_curve_ending_past_a_caustic():
     # the offset turns back at the second-to-last sample: its ray parameter
     # would have to be extrapolated past the kept secants, so it is no node
-    prof = DepthProfile([0.0, 0.4, 2.0], [1.0, 1.16, 2.76])
+    prof = Profile([0.0, 0.4, 2.0], [1.0, 1.16, 2.76])
     X, t = forward_layered_times(prof, 1.0 / np.linspace(1.001, 0.999 * 2.76, 40))
     assert (X[5] - X[4]) * (X[6] - X[5]) < 0
     rec = layer_strip_invert(X[:7], t[:7])
-    assert np.max(np.abs(rec.c - prof(rec.z)) / prof(rec.z)) < 0.01
+    assert np.max(np.abs(rec.c - prof(rec.x)) / prof(rec.x)) < 0.01
 
 
 @pytest.mark.xfail(raises=IllPosedInputError, strict=True,
@@ -297,9 +297,9 @@ def test_layer_strip_curve_ending_past_a_caustic():
 def test_layer_strip_recovers_fold_between_samples():
     z1, g1, g2 = 0.2, 0.55, 0.9
     c1 = 1.0 + g1 * z1
-    prof = DepthProfile([0.0, z1, 2.0], [1.0, c1, c1 + g2 * (2.0 - z1)])
+    prof = Profile([0.0, z1, 2.0], [1.0, c1, c1 + g2 * (2.0 - z1)])
     rec = strip_forward_times(prof, 40)
-    truth = prof(rec.z)
+    truth = prof(rec.x)
     assert np.max(np.abs(rec.c - truth) / truth) < 0.06
 
 
@@ -309,7 +309,7 @@ def triplicating_layered_profiles(draw):
     to z = 2: the jump in gradient folds the travel-time curve (triplication)."""
     z1, g1, g2 = draw(st.floats(0.2, 0.8)), draw(st.floats(0.2, 0.6)), draw(st.floats(0.7, 1.5))
     c1 = 1.0 + g1 * z1
-    return DepthProfile([0.0, z1, 2.0], [1.0, c1, c1 + g2 * (2.0 - z1)])
+    return Profile([0.0, z1, 2.0], [1.0, c1, c1 + g2 * (2.0 - z1)])
 
 
 @given(prof=triplicating_layered_profiles())
@@ -325,7 +325,7 @@ def test_layer_strip_refuses_or_recovers_triplicating_profiles(prof):
         rec = strip_forward_times(prof, 40)
     except IllPosedInputError:
         return
-    truth = prof(rec.z)
+    truth = prof(rec.x)
     assert np.max(np.abs(rec.c - truth) / truth) < 0.06
 
 

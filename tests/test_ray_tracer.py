@@ -347,6 +347,33 @@ def test_rays_across_a_small_gradient_jump_meet_the_herglotz_integrals():
                               np.linspace(0.06, 1.51, 48)) <= 3e-6
 
 
+def test_linear_profile_rays_meet_the_herglotz_integrals(linear_radial_speed):
+    # c = 2 - r built from a profile: its steps end on the knots alone, and the
+    # 48-ray fan errs 5.7e-10 in Delta and 2.0e-9 in T.  With steps also ended at
+    # each ray's turn, which retried 48 more tries, it erred 1.6e-9 and 3.4e-9
+    angles = np.linspace(0.06, 1.51, 48)
+    delta, time = forward_travel_times(linear_radial_speed, 1.0, angles)
+    ref = np.array([_herglotz_delta_time(1.5, 0.5, -1.0, -1.0, math.sin(a))
+                    for a in angles[::-1]]).T                 # by increasing penetration
+    assert np.abs(delta - ref[0]).max() <= 1e-9
+    assert np.abs(time - ref[1]).max() <= 2.5e-9
+
+
+@pytest.mark.parametrize("c_half, c_one", [(1.4852, 1.0046), (1.45, 0.99), (1.6, 1.02)])
+def test_spline_rays_that_turn_near_a_knot_meet_a_fine_trace(c_half, c_one, monkeypatch):
+    # rays that turn at 0.5 - delta, delta = +-1e-9 ... 1e-2, just under and over
+    # the knot r = 0.5 of a natural spline: between its knots c is smooth, so no
+    # step need end at a turn.  They err at most 4.6e-10 against a trace with steps
+    # of at most 5e-3 at DP5_TOL = 1e-13
+    speed = RadialField(profile=[[0.0, 2.0], [0.5, c_half], [1.0, c_one], [1.2, 0.8]])
+    r = 0.5 - np.array([s * 10.0 ** -k for k in range(2, 10) for s in (1, -1)])
+    angles = np.arcsin(r / speed.eval(np.stack((r, 0.0 * r), axis=1))[0] * c_one)
+    traced = forward_travel_times(speed, 1.0, angles)
+    monkeypatch.setattr(ray_tracer, "DP5_TOL", 1e-13)
+    for a, b in zip(traced, forward_travel_times(speed, 1.0, angles, dt=5e-3)):
+        assert np.abs(a - b).max() <= 1e-9
+
+
 @pytest.fixture(scope="module")
 def spline_fan():
     """A natural cubic spline profile, whose third derivative jumps at its knots
@@ -362,8 +389,8 @@ def spline_fan():
 
 
 def test_spline_profile_rays_meet_a_fine_trace(spline_fan):
-    # the steps end on the knots, so the fan at DT meets the fine trace to 1.3e-9
-    # in Delta and 2.7e-9 in T, and the Hamiltonian drifts 4.9e-9 by the exits;
+    # the steps end on the knots, so the fan at DT meets the fine trace to 7.4e-10
+    # in Delta and 2.3e-9 in T, and the Hamiltonian drifts 4.1e-9 by the exits;
     # with steps across the knots it erred 2.9e-8 and 3.1e-8 and drifted 1.3e-7,
     # at DP5_TOL = 1e-9
     speed, angles, (ref_delta, ref_time) = spline_fan
@@ -376,9 +403,9 @@ def test_spline_profile_rays_meet_a_fine_trace(spline_fan):
 
 def test_spline_profile_fan_error_falls_with_the_tolerance(spline_fan, monkeypatch):
     # a step that ends on each knot keeps its fifth order and its error estimate
-    # bounds its error, so the fan's errors follow DP5_TOL: in Delta 1.3e-9,
-    # 4.9e-10 and 1.1e-10 at 1e-8, 4e-9 and 1e-9, in T 2.7e-9, 8.3e-10 and
-    # 1.8e-10.  With steps across the knots Delta erred 6.4e-8, 1.1e-7 and 2.9e-8
+    # bounds its error, so the fan's errors follow DP5_TOL: in Delta 7.4e-10,
+    # 4.4e-10 and 9.3e-11 at 1e-8, 4e-9 and 1e-9, in T 2.3e-9, 7.4e-10 and
+    # 1.5e-10.  With steps across the knots Delta erred 6.4e-8, 1.1e-7 and 2.9e-8
     speed, angles, ref = spline_fan
 
     def errors(tol):
